@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	mrand "math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"secmr/internal/arm"
@@ -87,6 +90,22 @@ func parityRun(t *testing.T, scheme homo.Scheme, shards int) (rules []string, da
 	return rules, buf.Bytes()
 }
 
+// Golden reference of parityRun on the single-heap engine, recorded at
+// commit 8275c4e before the sharded scheduler was folded into
+// sim.Engine: SHA-256 of the mined rule keys (sorted, newline-joined)
+// and of the merged forensics DAG text (168 rules, 3,842,608 DAG
+// bytes; both hashes repeat across processes). The run injects no
+// faults, so every engine at every shard count must reproduce it.
+const (
+	goldenParityRulesSHA = "f26e8671d3ee43331e1007c1d25de3e9d42d1cc88be24d547832d3f21ea3a652"
+	goldenParityDAGSHA   = "2de2366a6135330f7bcfb2e79bda2268dd838b42ed270c43d98847434f84eed9"
+)
+
+func shaHex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
 // TestShardedSecureGridParity is the tentpole determinism check at the
 // protocol level: the full secure miner (oblivious counters, k-privacy
 // gates, share dealings, candidate generation) must produce the same
@@ -100,6 +119,12 @@ func TestShardedSecureGridParity(t *testing.T) {
 	}
 	if len(wantDAG) == 0 {
 		t.Fatal("reference run traced nothing")
+	}
+	if got := shaHex([]byte(strings.Join(wantRules, "\n"))); got != goldenParityRulesSHA {
+		t.Fatalf("reference rule list (%d rules) hashes to %s, golden %s", len(wantRules), got, goldenParityRulesSHA)
+	}
+	if got := shaHex(wantDAG); got != goldenParityDAGSHA {
+		t.Fatalf("reference DAG (%d bytes) hashes to %s, golden %s", len(wantDAG), got, goldenParityDAGSHA)
 	}
 	for _, shards := range []int{1, 4, 16} {
 		gotRules, gotDAG := parityRun(t, scheme, shards)

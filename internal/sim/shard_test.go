@@ -83,6 +83,10 @@ func TestShardedParityWithEngine(t *testing.T) {
 	if wantStats.Dropped == 0 || wantStats.Duplicated == 0 {
 		t.Fatalf("fault injection inert: %+v", wantStats)
 	}
+	checkDigests(t, "reference", want, goldenHashFaultsDigests)
+	if wantStats != goldenHashFaultsStats {
+		t.Fatalf("reference stats %+v, golden %+v", wantStats, goldenHashFaultsStats)
+	}
 
 	for _, shards := range []int{1, 4, 16} {
 		e := NewShardedEngine(chainGraph(t), chainNodes(60), 42, shards)
