@@ -71,13 +71,6 @@ func main() {
 		cryptoWorkers = flag.Int("crypto-workers", 0, "parallel width for batched homomorphic ops (0 = GOMAXPROCS, 1 = serial)")
 		noisePool     = flag.Int("noise-pool", 0, "precomputed-randomness pool capacity for the cryptosystem (0 = off)")
 
-		// Wire-codec knobs (see DESIGN.md §8): the frame budget caps how
-		// many queued messages a TCP transport coalesces per write; the
-		// simulator has no sockets, but the byte accounting and any
-		// netgrid deployment driven from this config honor them.
-		maxFrameBytes = flag.Int("max-frame-bytes", 0, "coalesced wire-frame budget in bytes (0 = 64 KiB default, negative = one message per frame)")
-		legacyGob     = flag.Bool("legacy-gob", false, "emit the legacy gob wire envelope instead of the compact codec")
-
 		// Chaos knobs (see internal/faults): any non-zero setting arms
 		// the injector and the protocol's loss-recovery timers.
 		drop      = flag.Float64("drop", 0, "per-message drop probability")
@@ -180,7 +173,6 @@ func main() {
 		},
 		Telemetry: tel, StallPatience: *stallAfter, FlightDir: *flightDir,
 		CryptoWorkers: *cryptoWorkers, NoisePool: *noisePool,
-		Wire: secmr.WireConfig{MaxFrameBytes: *maxFrameBytes, LegacyGob: *legacyGob},
 	})
 	if err != nil {
 		fatal(err)

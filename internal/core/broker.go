@@ -37,8 +37,7 @@ type BrokerStats struct {
 	// BytesSent is the exact compact-codec wire volume of every
 	// transmitted counter message (MessageWireSize; §5.2's messages
 	// are pure ciphertext, so this tracks the real communication cost
-	// of the chosen cryptosystem). Under Wire.LegacyGob it falls back
-	// to the historical ciphertext-sum approximation.
+	// of the chosen cryptosystem).
 	BytesSent int64
 }
 
@@ -521,11 +520,6 @@ func (b *Broker) transmit(tr Transport, c *secCandidate, v int, e *secEdge, stam
 	e.lastSendStep = b.step
 	msg := RuleCipherMsg{Rule: c.rule, Counter: out, Epoch: link.grant.Epoch}
 	nb := int64(MessageWireSize(msg))
-	if b.cfg.Wire.LegacyGob {
-		// Compact sizes are meaningless when frames go out as gob;
-		// keep the historical ciphertext-sum approximation.
-		nb = counterBytes(out)
-	}
 	b.stats.MessagesSent++
 	b.stats.BytesSent += nb
 	b.tel.countersSent.Inc()
@@ -719,17 +713,6 @@ func (b *Broker) generateCandidates() {
 
 // refreshEvery is the anti-entropy period in steps; see evaluateSends.
 const refreshEvery = 20
-
-// counterBytes approximates the wire size of one oblivious counter:
-// the byte lengths of all component ciphertexts.
-func counterBytes(c *oblivious.Counter) int64 {
-	n := int64(len(c.Sum.V.Bytes()) + len(c.Count.V.Bytes()) +
-		len(c.Num.V.Bytes()) + len(c.Share.V.Bytes()))
-	for _, s := range c.Stamps {
-		n += int64(len(s.V.Bytes()))
-	}
-	return n
-}
 
 // Output assembles R̃_u from the controller's cached answers without
 // running SFEs.

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -39,17 +37,11 @@ import (
 // is uvarint length ‖ big-endian magnitude (homo.AppendCiphertext).
 // Integers use zigzag varints so any int round-trips.
 //
-// Version negotiation is by first-byte sniffing: a legacy gob stream
-// starts with a uvarint byte count whose first byte is always below
-// 0x80 or at least 0xF8, so 0x9C can never begin a gob frame.
-// DecodeMessage therefore accepts both encodings transparently, and
-// mixed-version grids interoperate as long as old nodes only ever see
-// frames from EncodeMessageLegacy (WireConfig.LegacyGob).
+// The first byte is the version: DecodeMessage accepts 0x9C and the
+// 0x9D causal envelope below, and rejects every other lead byte.
 
 const (
-	// codecVersion is the compact-codec version byte. It must stay in
-	// [0x80, 0xF8) — the range gob's leading uvarint can never emit —
-	// so version sniffing is unambiguous.
+	// codecVersion is the compact-codec version byte.
 	codecVersion = 0x9C
 	// codecVersionCausal prefixes a compact frame with a causal-context
 	// envelope (see AppendMessageCtx):
@@ -58,13 +50,11 @@ const (
 	//	[1…] uvarint origin ‖ uvarint oseq ‖ uvarint hops ‖
 	//	     complete 0x9C frame
 	//
-	// A separate version byte (rather than trailing fields on 0x9C) is
-	// what keeps mixed-version grids interoperable: pre-causal decoders
-	// reject trailing bytes, so the context must lead, and a peer that
-	// must stay legible to them simply emits plain 0x9C frames
-	// (WireConfig.NoCausalCtx). Decoders accept all three encodings
-	// transparently — DecodeMessage strips the envelope, and
-	// DecodeMessageCtx surfaces it.
+	// The context leads under its own version byte (rather than trailing
+	// the 0x9C fields) because a bare-0x9C decoder rejects trailing
+	// bytes. Decoders accept both encodings transparently —
+	// DecodeMessage strips the envelope, and DecodeMessageCtx surfaces
+	// it.
 	codecVersionCausal = 0x9D
 
 	wireKindGrant  = 1
@@ -72,28 +62,14 @@ const (
 	wireKindReport = 3
 )
 
-// WireConfig tunes the message wire path. The same type serves every
-// surface: the facade exposes it as GridConfig.Wire, netgrid.Options
-// embeds it for TCP deployments, and the simulator's byte accounting
-// honors LegacyGob.
+// WireConfig tunes the message wire path of a TCP deployment
+// (netgrid.Options.Wire).
 type WireConfig struct {
 	// MaxFrameBytes bounds one coalesced transport frame (netgrid
 	// batches queued messages into a single TCP write up to this many
 	// payload bytes). 0 means the default (64 KiB); negative disables
 	// coalescing (one message per frame).
 	MaxFrameBytes int
-	// LegacyGob encodes outbound messages with the legacy gob
-	// envelope instead of the compact codec — for interoperating with
-	// peers that predate the version byte. Decoding always accepts
-	// both encodings.
-	LegacyGob bool
-	// NoCausalCtx suppresses the 0x9D causal-context envelope on
-	// outbound compact frames, emitting bare 0x9C frames instead — for
-	// interoperating with peers that know the compact codec but predate
-	// causal tracing. Decoding always accepts frames with and without
-	// the envelope; disabling it only loses the cross-node trace links
-	// for this sender's messages.
-	NoCausalCtx bool
 }
 
 // EncodeMessage serializes one grid message (ShareGrant, RuleCipherMsg
@@ -196,9 +172,8 @@ func MessageWireSizeCtx(msg any, cc obs.CausalCtx) int {
 
 // PeekCausalCtx parses just the causal-context envelope from a frame,
 // without decoding (or validating) the message. It reports false for
-// frames without an envelope (bare compact, legacy gob) and for
-// malformed envelopes — transports use it to stamp trace events from
-// raw frame bytes cheaply.
+// frames without an envelope and for malformed envelopes — transports
+// use it to stamp trace events from raw frame bytes cheaply.
 func PeekCausalCtx(data []byte) (obs.CausalCtx, bool) {
 	cc, _, ok := splitCausalCtx(data)
 	return cc, ok
@@ -231,8 +206,7 @@ func splitCausalCtx(data []byte) (cc obs.CausalCtx, inner []byte, ok bool) {
 }
 
 // DecodeMessageCtx is DecodeMessage surfacing the causal-context
-// envelope: frames without one (bare compact, legacy gob) decode with
-// a zero context, so mixed-version grids interoperate.
+// envelope: bare compact frames decode with a zero context.
 func DecodeMessageCtx(data []byte, adopter homo.Adopter) (any, obs.CausalCtx, error) {
 	if cc, inner, ok := splitCausalCtx(data); ok {
 		msg, err := DecodeMessage(inner, adopter)
@@ -245,13 +219,13 @@ func DecodeMessageCtx(data []byte, adopter homo.Adopter) (any, obs.CausalCtx, er
 	return msg, obs.CausalCtx{}, err
 }
 
-// DecodeMessage deserializes a frame produced by AppendMessage,
+// DecodeMessage deserializes a frame produced by AppendMessage or
 // AppendMessageCtx (the causal envelope is stripped; use
-// DecodeMessageCtx to keep it) or the legacy gob encoder (sniffed by
-// first byte), adopting every contained ciphertext into the given
-// scheme. A nil adopter is allowed only for ciphertext-free messages
-// (MaliciousReport). Malformed input of any shape returns an error —
-// it never panics and never allocates more than the input size.
+// DecodeMessageCtx to keep it), adopting every contained ciphertext
+// into the given scheme. A nil adopter is allowed only for
+// ciphertext-free messages (MaliciousReport). Malformed input of any
+// shape returns an error — it never panics and never allocates more
+// than the input size.
 func DecodeMessage(data []byte, adopter homo.Adopter) (any, error) {
 	if len(data) == 0 {
 		return nil, errors.New("core: empty frame")
@@ -265,8 +239,6 @@ func DecodeMessage(data []byte, adopter homo.Adopter) (any, error) {
 			return nil, errors.New("core: malformed causal-context envelope")
 		}
 		return DecodeMessage(inner, adopter)
-	case b < 0x80 || b >= 0xF8:
-		return decodeLegacy(data, adopter)
 	default:
 		return nil, fmt.Errorf("core: unknown wire codec version 0x%02x", b)
 	}
@@ -479,86 +451,6 @@ func uvarintLen(u uint64) int {
 
 func varintLen(v int64) int {
 	return uvarintLen(uint64(v<<1) ^ uint64(v>>63))
-}
-
-// --- legacy gob envelope (version negotiation fallback) ---
-
-// envelope wraps a message with its kind for self-describing frames.
-type envelope struct {
-	Kind string
-	Body []byte
-}
-
-const (
-	kindShareGrant = "share-grant"
-	kindRuleCipher = "rule-cipher"
-	kindReport     = "malicious-report"
-)
-
-// EncodeMessageLegacy serializes one grid message with the legacy gob
-// envelope — the pre-versioned wire format. Kept for mixed-version
-// grids (WireConfig.LegacyGob) and as the parity oracle in tests.
-func EncodeMessageLegacy(msg any) ([]byte, error) {
-	var kind string
-	switch msg.(type) {
-	case ShareGrant:
-		kind = kindShareGrant
-	case RuleCipherMsg:
-		kind = kindRuleCipher
-	case MaliciousReport:
-		kind = kindReport
-	default:
-		return nil, fmt.Errorf("core: cannot encode message type %T", msg)
-	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(msg); err != nil {
-		return nil, fmt.Errorf("core: encoding %s: %w", kind, err)
-	}
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(envelope{Kind: kind, Body: body.Bytes()}); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
-// decodeLegacy deserializes a frame produced by EncodeMessageLegacy.
-func decodeLegacy(data []byte, adopter homo.Adopter) (any, error) {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("core: decoding envelope: %w", err)
-	}
-	dec := gob.NewDecoder(bytes.NewReader(env.Body))
-	switch env.Kind {
-	case kindShareGrant:
-		var m ShareGrant
-		if err := dec.Decode(&m); err != nil {
-			return nil, err
-		}
-		if err := adoptInto(adopter, &m.Share); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case kindRuleCipher:
-		var m RuleCipherMsg
-		if err := dec.Decode(&m); err != nil {
-			return nil, err
-		}
-		if m.Counter == nil {
-			return nil, fmt.Errorf("core: rule message without counter")
-		}
-		if err := adoptCounter(adopter, m.Counter); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case kindReport:
-		var m MaliciousReport
-		if err := dec.Decode(&m); err != nil {
-			return nil, err
-		}
-		return m, nil
-	default:
-		return nil, fmt.Errorf("core: unknown message kind %q", env.Kind)
-	}
 }
 
 func adoptInto(adopter homo.Adopter, c **homo.Ciphertext) error {

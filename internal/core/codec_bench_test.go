@@ -5,12 +5,10 @@ package core
 //	go test ./internal/core/ -run=^$ -bench Wire -benchmem
 //
 // and convert to JSON with cmd/benchjson (see BENCH_wire.json at the
-// repo root). Each Encode/Decode pair is benchmarked under both the
-// compact codec and the legacy gob envelope, per message kind; the
-// custom wire-bytes metric records the frame size on the wire, the
-// headline number behind the §8 byte-reduction claim. Encode/compact
-// measures the pooled append path hosts actually use (buffer from
-// the frame pool, returned after the write).
+// repo root). Encode and Decode are benchmarked per message kind; the
+// custom wire-bytes metric records the frame size on the wire.
+// Encode measures the pooled append path hosts actually use (buffer
+// from the frame pool, returned after the write).
 
 import (
 	"testing"
@@ -57,51 +55,11 @@ func BenchmarkWireEncodeCompact(b *testing.B) {
 	}
 }
 
-func BenchmarkWireEncodeGob(b *testing.B) {
-	s := homo.NewPlain(96)
-	for _, tc := range benchWireMessages(s) {
-		b.Run(tc.name, func(b *testing.B) {
-			data, err := EncodeMessageLegacy(tc.msg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := EncodeMessageLegacy(tc.msg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(data)), "wire-bytes")
-		})
-	}
-}
-
 func BenchmarkWireDecodeCompact(b *testing.B) {
 	s := homo.NewPlain(96)
 	for _, tc := range benchWireMessages(s) {
 		b.Run(tc.name, func(b *testing.B) {
 			data, err := EncodeMessage(tc.msg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := DecodeMessage(data, s); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(data)), "wire-bytes")
-		})
-	}
-}
-
-func BenchmarkWireDecodeGob(b *testing.B) {
-	s := homo.NewPlain(96)
-	for _, tc := range benchWireMessages(s) {
-		b.Run(tc.name, func(b *testing.B) {
-			data, err := EncodeMessageLegacy(tc.msg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -62,8 +62,8 @@ func AppendOrDie(t *testing.T, msg any) []byte {
 
 // TestCausalEnvelopeMixedVersionInterop pins the interop contract: an
 // old decoder (DecodeMessage) transparently accepts enveloped frames,
-// and a new decoder (DecodeMessageCtx) accepts both plain compact and
-// legacy gob frames, reporting an absent context.
+// and a new decoder (DecodeMessageCtx) accepts plain compact frames,
+// reporting an absent context.
 func TestCausalEnvelopeMixedVersionInterop(t *testing.T) {
 	var s homo.Scheme = homo.NewPlain(96)
 	adopter := s.(homo.Adopter)
@@ -82,35 +82,29 @@ func TestCausalEnvelopeMixedVersionInterop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: old decoder rejects enveloped frame: %v", msg, err)
 		}
-		// Old frames, new decoder: zero context, payload intact.
-		for name, encode := range map[string]func() ([]byte, error){
-			"compact": func() ([]byte, error) { return AppendMessage(nil, msg) },
-			"gob":     func() ([]byte, error) { return EncodeMessageLegacy(msg) },
-		} {
-			frame, err := encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotCC, err := DecodeMessageCtx(frame, ad)
-			if err != nil {
-				t.Fatalf("%T/%s: new decoder rejects legacy frame: %v", msg, name, err)
-			}
-			if gotCC.Valid() {
-				t.Fatalf("%T/%s: phantom context %+v on a context-free frame", msg, name, gotCC)
-			}
-			if !reflect.DeepEqual(got, old) {
-				t.Fatalf("%T/%s: payload differs across decoders", msg, name)
-			}
-			if _, ok := PeekCausalCtx(frame); ok {
-				t.Fatalf("%T/%s: peek invented a context", msg, name)
-			}
+		// Old frame, new decoder: zero context, payload intact.
+		frame, err := AppendMessage(nil, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotCC, err := DecodeMessageCtx(frame, ad)
+		if err != nil {
+			t.Fatalf("%T: new decoder rejects bare compact frame: %v", msg, err)
+		}
+		if gotCC.Valid() {
+			t.Fatalf("%T: phantom context %+v on a context-free frame", msg, gotCC)
+		}
+		if !reflect.DeepEqual(got, old) {
+			t.Fatalf("%T: payload differs across decoders", msg)
+		}
+		if _, ok := PeekCausalCtx(frame); ok {
+			t.Fatalf("%T: peek invented a context", msg)
 		}
 	}
 }
 
 // TestCausalEnvelopeInvalidCtxFallsBack proves an invalid context
-// (OSeq 0) degrades to the plain compact frame, so NoCausalCtx-style
-// paths never pay the envelope.
+// (OSeq 0) degrades to the plain compact frame.
 func TestCausalEnvelopeInvalidCtxFallsBack(t *testing.T) {
 	var s homo.Scheme = homo.NewPlain(96)
 	msg := wireMessages(s)[0]

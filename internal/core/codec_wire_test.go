@@ -1,12 +1,10 @@
 package core
 
 import (
-	"crypto/rand"
-	"reflect"
+	"strings"
 	"testing"
 
 	"secmr/internal/arm"
-	"secmr/internal/elgamal"
 	"secmr/internal/homo"
 	"secmr/internal/oblivious"
 )
@@ -30,48 +28,6 @@ func wireMessages(s homo.Scheme) []any {
 			Epoch:   9,
 		},
 		MaliciousReport{Accused: 3, Reporter: 1, Reason: "stale timestamp"},
-	}
-}
-
-// TestCodecParityWithLegacyGob proves the compact codec and the legacy
-// gob envelope decode to identical messages for all three kinds across
-// every scheme family — the interoperability contract behind the
-// version-byte negotiation.
-func TestCodecParityWithLegacyGob(t *testing.T) {
-	for name, s := range codecSchemes(t) {
-		adopter := s.(homo.Adopter)
-		for _, msg := range wireMessages(s) {
-			compact, err := EncodeMessage(msg)
-			if err != nil {
-				t.Fatalf("%s/%T: compact encode: %v", name, msg, err)
-			}
-			legacy, err := EncodeMessageLegacy(msg)
-			if err != nil {
-				t.Fatalf("%s/%T: legacy encode: %v", name, msg, err)
-			}
-			if compact[0] != 0x9C {
-				t.Fatalf("%s/%T: compact frame starts with 0x%02x, want version byte", name, msg, compact[0])
-			}
-			if legacy[0] == 0x9C {
-				t.Fatalf("%s/%T: legacy gob frame collides with the version byte", name, msg)
-			}
-			var ad homo.Adopter
-			if _, ok := msg.(MaliciousReport); !ok {
-				ad = adopter
-			}
-			fromCompact, err := DecodeMessage(compact, ad)
-			if err != nil {
-				t.Fatalf("%s/%T: compact decode: %v", name, msg, err)
-			}
-			fromLegacy, err := DecodeMessage(legacy, ad)
-			if err != nil {
-				t.Fatalf("%s/%T: legacy decode: %v", name, msg, err)
-			}
-			if !reflect.DeepEqual(fromCompact, fromLegacy) {
-				t.Fatalf("%s/%T: decode parity broken:\ncompact: %#v\nlegacy:  %#v",
-					name, msg, fromCompact, fromLegacy)
-			}
-		}
 	}
 }
 
@@ -164,33 +120,16 @@ func TestDecodeRejectsMalformedFrames(t *testing.T) {
 			t.Fatalf("%s: decoded successfully", name)
 		}
 	}
-}
 
-// TestCompactBeatsGobBytes locks in the headline win: the compact
-// encoding must be at least 40% smaller than the legacy gob envelope
-// for every message kind (the gob envelope re-sends type descriptors
-// on every frame).
-func TestCompactBeatsGobBytes(t *testing.T) {
-	eg, err := elgamal.GenerateKey(rand.Reader, 64, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, s := range map[string]homo.Scheme{
-		"plain": homo.NewPlain(96), "paillier": testPaillier, "elgamal": eg,
-	} {
-		for _, msg := range wireMessages(s) {
-			compact, err := EncodeMessage(msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacy, err := EncodeMessageLegacy(msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(compact)*10 > len(legacy)*6 {
-				t.Errorf("%s/%T: compact %dB vs gob %dB — less than 40%% saving",
-					name, msg, len(compact), len(legacy))
-			}
+	// Every lead byte but the two version bytes — the retired gob
+	// envelope's included — is an unknown codec version.
+	for b := 0; b < 256; b++ {
+		if b == 0x9C || b == 0x9D {
+			continue
+		}
+		_, err := DecodeMessage([]byte{byte(b), 1, 2, 3}, s)
+		if err == nil || !strings.Contains(err.Error(), "unknown wire codec version") {
+			t.Fatalf("lead byte 0x%02x: err = %v, want unknown wire codec version", b, err)
 		}
 	}
 }

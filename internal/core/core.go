@@ -84,10 +84,6 @@ type Config struct {
 	// independent, so they add no privacy leak; duplicates are
 	// idempotent at every receiver.
 	LossyLinks bool
-	// Wire tunes the message wire path: codec choice for byte
-	// accounting here, frame coalescing for TCP transports (netgrid
-	// embeds the same type in its Options).
-	Wire WireConfig
 	// Quarantine arms the Byzantine evict-and-continue response
 	// (DESIGN.md §10): corroborated malicious reports evict the accused
 	// instead of halting the grid, and mining continues among the

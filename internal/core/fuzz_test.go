@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"secmr/internal/homo"
+	"secmr/internal/obs"
 )
 
-// FuzzDecodeMessage throws arbitrary bytes at the wire decoder (both
-// the compact codec and the legacy gob fallback share the entry
-// point). Invariants: never panic, and any frame that decodes must
+// FuzzDecodeMessage throws arbitrary bytes at the wire decoder (bare
+// compact frames and causal envelopes share the entry point).
+// Invariants: never panic, and any frame that decodes must
 // re-encode canonically — compact encode of the decoded message
 // round-trips to identical bytes.
 func FuzzDecodeMessage(f *testing.F) {
@@ -22,8 +23,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		if compact, err := EncodeMessage(msg); err == nil {
 			f.Add(compact)
 		}
-		if legacy, err := EncodeMessageLegacy(msg); err == nil {
-			f.Add(legacy)
+		if enveloped, err := AppendMessageCtx(nil, msg, obs.CausalCtx{Origin: 2, OSeq: 7, Hops: 1}); err == nil {
+			f.Add(enveloped)
 		}
 	}
 	f.Add([]byte{})

@@ -1,17 +1,16 @@
-// Package faults is the unified fault-injection layer shared by all
-// three grid runtimes: the deterministic discrete-event simulator
-// (internal/sim), the goroutine runtime (internal/grid) and the TCP
-// transport (internal/netgrid). The paper's setting — a data grid
-// where "resources come and go" — makes message loss, duplication,
-// delay, partitions and resource churn the *default* operating
-// condition, so the runtimes take an *Injector as middleware and
-// consult it on every link event.
+// Package faults is the unified fault-injection layer shared by both
+// grid runtimes: the deterministic discrete-event simulator
+// (internal/sim) and the TCP transport (internal/netgrid). The paper's
+// setting — a data grid where "resources come and go" — makes message
+// loss, duplication, delay, partitions and resource churn the *default*
+// operating condition, so the runtimes take an *Injector as middleware
+// and consult it on every link event.
 //
 // The model is composable: probabilistic link faults (drop,
 // duplication, delay jitter, reordering) layer on top of structural
 // state (crashed nodes, a partition of the node set), and structural
 // state can be driven either imperatively (Crash/Restart/Partition/
-// Heal — what the concurrent runtimes' tests do in wall-clock time) or
+// Heal — what the TCP transport's tests do in wall-clock time) or
 // declaratively through a step-indexed Schedule replayed by Advance
 // (what the simulator does, keeping runs reproducible).
 //
@@ -182,8 +181,8 @@ func (in *Injector) SetObs(sink *obs.Sink) {
 }
 
 // Advance applies every scheduled event with At <= now. The simulator
-// calls it once per step; the concurrent runtimes, which have no step
-// clock, use the imperative methods instead.
+// calls it once per step; the TCP transport, which has no step clock,
+// uses the imperative methods instead.
 func (in *Injector) Advance(now int64) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -291,22 +290,6 @@ func (in *Injector) TakeRecovered() []int {
 	return out
 }
 
-// TakeRecoveredFor removes one node from the recovered queue,
-// reporting whether it was there. Concurrent runtimes that own one
-// goroutine per node (internal/grid) use this so each node drains only
-// its own recovery without racing on the shared list.
-func (in *Injector) TakeRecoveredFor(node int) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for i, u := range in.recovered {
-		if u == node {
-			in.recovered = append(in.recovered[:i], in.recovered[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Down reports whether a node is currently crashed.
 func (in *Injector) Down(node int) bool {
 	in.mu.Lock()
@@ -404,6 +387,16 @@ func (in *Injector) Decide(from, to int) Verdict {
 		extra[i] = d
 	}
 	return Verdict{Extra: extra}
+}
+
+// CountCrashDrop records a message that was already in flight when its
+// destination went down and was lost at delivery time — Decide only
+// sees the sends made while an endpoint is down.
+func (in *Injector) CountCrashDrop() {
+	in.mu.Lock()
+	in.stats.CrashDrops++
+	in.cCrash.Inc()
+	in.mu.Unlock()
 }
 
 // CountQueueDrop records a transport-side queue overflow.

@@ -1,22 +1,15 @@
 package netgrid
 
 import (
-	"crypto/rand"
 	"fmt"
-	mrand "math/rand"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"secmr/internal/arm"
 	"secmr/internal/core"
 	"secmr/internal/faults"
-	"secmr/internal/hashing"
-	"secmr/internal/homo"
 	"secmr/internal/obs"
-	"secmr/internal/paillier"
-	"secmr/internal/quest"
 )
 
 // TestCoalescingFlushesBacklogInOneFrame parks a backlog behind a dead
@@ -249,98 +242,4 @@ func TestMalformedBatchKillsOnlyOffendingConn(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// TestMixedVersionHostsInterop runs a two-host grid where one host
-// still emits the legacy gob envelope and the other the compact codec:
-// version sniffing must let both directions decode, and the mini-grid
-// must converge to a shared protocol state (grants flow both ways).
-func TestMixedVersionHostsInterop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("network + crypto end-to-end")
-	}
-	scheme, err := paillier.GenerateKey(rand.Reader, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixedMiningGrid(t, scheme, [2]Options{
-		{Wire: core.WireConfig{LegacyGob: true}},
-		{},
-	})
-}
-
-// mixedMiningGrid drives a two-resource secure-mining exchange with
-// per-host transport options and requires both resources to make
-// protocol progress (candidate counters flowing in both directions).
-func mixedMiningGrid(t *testing.T, scheme homo.Scheme, opts [2]Options) {
-	t.Helper()
-	grids := miniGridHosts(t, scheme, opts)
-	defer grids[0].Close()
-	defer grids[1].Close()
-
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		ok := true
-		for _, h := range grids {
-			if rules, _ := h.Snapshot(); rules == 0 {
-				ok = false
-			}
-		}
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			s0, _ := grids[0].Snapshot()
-			s1, _ := grids[1].Snapshot()
-			t.Fatalf("mixed-version grid never converged (rules %d / %d)", s0, s1)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	for i, h := range grids {
-		if _, halted := h.Snapshot(); halted {
-			t.Fatalf("host %d halted in mixed-version grid", i)
-		}
-	}
-}
-
-// miniGridHosts stands up a two-resource secure-mining grid with
-// per-host transport options, connected and ticking.
-func miniGridHosts(t *testing.T, scheme homo.Scheme, opts [2]Options) [2]*Host {
-	t.Helper()
-	const n = 2
-	seed := int64(7)
-	rng := mrand.New(mrand.NewSource(seed))
-	global := quest.Generate(quest.Params{NumTransactions: n * 120, NumItems: 12,
-		NumPatterns: 6, AvgTransLen: 4, AvgPatternLen: 2, Seed: seed})
-	th := arm.Thresholds{MinFreq: 0.2, MinConf: 0.7}
-	universe := arm.Itemset{}
-	for i := 0; i < 12; i++ {
-		universe = append(universe, arm.Item(i))
-	}
-	parts := hashing.Partition(global, n, rng)
-	cfg := core.Config{Th: th, Universe: universe, ScanBudget: 40,
-		CandidateEvery: 5, K: 1, MaxRuleItems: 2}
-
-	var hosts [2]*Host
-	for i := 0; i < n; i++ {
-		res := core.NewResource(i, cfg, scheme, parts[i], nil, nil)
-		h, err := NewHostWithOptions(i, res, scheme.(homo.Adopter), opts[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		hosts[i] = h
-	}
-	if err := hosts[1].Node().Connect(map[int]string{0: hosts[0].Node().Addr()}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		other := []int{1 - i}
-		if !hosts[i].Node().WaitFor(other, 10*time.Second) {
-			t.Fatalf("host %d: neighbour never connected", i)
-		}
-	}
-	for i := 0; i < n; i++ {
-		hosts[i].Run([]int{1 - i}, 2*time.Millisecond)
-	}
-	return hosts
 }

@@ -22,14 +22,12 @@ type Host struct {
 	node    *Node
 	adopter homo.Adopter
 
-	mu        sync.Mutex // serializes resource access (ticker vs dispatch)
-	bansDone  int        // evictions already mirrored onto the transport
-	ticker    *time.Ticker
-	done      chan struct{}
-	wg        sync.WaitGroup
-	logf      func(string, ...any)
-	legacyGob bool // encode outbound frames with the legacy gob envelope
-	noCausal  bool // omit the causal-context wire envelope on sends
+	mu       sync.Mutex // serializes resource access (ticker vs dispatch)
+	bansDone int        // evictions already mirrored onto the transport
+	ticker   *time.Ticker
+	done     chan struct{}
+	wg       sync.WaitGroup
+	logf     func(string, ...any)
 	// inHops is the hop count of the inbound message currently being
 	// handled (0 outside handle), so relayed sends inherit the chain
 	// depth. Guarded by h.mu — every resource callback runs under it.
@@ -43,24 +41,13 @@ type Host struct {
 type hostTransport struct{ h *Host }
 
 func (t hostTransport) Send(to int, msg any) {
-	var frame []byte
-	var err error
-	switch {
-	case t.h.legacyGob:
-		frame, err = core.EncodeMessageLegacy(msg)
-	case t.h.noCausal:
-		// Encode into a pooled buffer; Node.Send takes ownership and
-		// recycles it once the bytes reach the socket, so the steady
-		// state allocates nothing here.
-		frame, err = core.AppendMessage(getFrameBuf(), msg)
-	default:
-		// Same pooled-buffer path, with the causal-context envelope
-		// prefixed: one sender-clock tick per message, hop depth
-		// inherited from the inbound message being handled (Send always
-		// runs under h.mu, which guards inHops).
-		cc := obs.CausalCtx{Origin: t.h.node.ID(), OSeq: t.h.res.TraceClock().Tick(), Hops: t.h.inHops + 1}
-		frame, err = core.AppendMessageCtx(getFrameBuf(), msg, cc)
-	}
+	// Encode into a pooled buffer; Node.Send takes ownership and recycles
+	// it once the bytes reach the socket, so the steady state allocates
+	// nothing here. The causal-context envelope leads: one sender-clock
+	// tick per message, hop depth inherited from the inbound message
+	// being handled (Send always runs under h.mu, which guards inHops).
+	cc := obs.CausalCtx{Origin: t.h.node.ID(), OSeq: t.h.res.TraceClock().Tick(), Hops: t.h.inHops + 1}
+	frame, err := core.AppendMessageCtx(getFrameBuf(), msg, cc)
 	if err != nil {
 		t.h.logf("netgrid host %d: encode: %v", t.h.node.ID(), err)
 		return
@@ -85,9 +72,7 @@ func NewHost(id int, res *core.Resource, adopter homo.Adopter) (*Host, error) {
 // deliver while a peer is down.
 func NewHostWithOptions(id int, res *core.Resource, adopter homo.Adopter, opt Options) (*Host, error) {
 	h := &Host{res: res, adopter: adopter, done: make(chan struct{}),
-		logf:      log.New(log.Writer(), "", 0).Printf,
-		legacyGob: opt.Wire.LegacyGob,
-		noCausal:  opt.Wire.NoCausalCtx}
+		logf: log.New(log.Writer(), "", 0).Printf}
 	if opt.Logf != nil {
 		h.logf = opt.Logf
 	}

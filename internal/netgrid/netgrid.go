@@ -84,10 +84,7 @@ type Options struct {
 	// Wire tunes the data path: Wire.MaxFrameBytes bounds one
 	// coalesced frame's payload (0 = 64 KiB default, negative
 	// disables coalescing — one message per frame, the pre-batching
-	// wire format), and Wire.LegacyGob makes Host encode outbound
-	// messages with the legacy gob envelope. For full wire
-	// compatibility with pre-versioned peers set both LegacyGob and a
-	// negative MaxFrameBytes.
+	// wire format).
 	Wire core.WireConfig
 	// HeartbeatEvery, when positive, enables keepalive pings; a peer
 	// silent for PeerTimeout (default 4×HeartbeatEvery) is declared

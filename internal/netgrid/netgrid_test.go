@@ -183,8 +183,13 @@ func TestSecureMessageCodecOverTCP(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("message never arrived")
 	}
-	if tx.Sent() != 1 {
-		t.Fatalf("sent counter = %d", tx.Sent())
+	// The sender goroutine bumps the counter after conn.Write returns,
+	// which can be after the receiver's handler has already fired.
+	for deadline := time.Now().Add(5 * time.Second); tx.Sent() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("sent counter = %d", tx.Sent())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -101,6 +101,12 @@ func TestGoldenInjectReference(t *testing.T) {
 		t.Fatalf("engine stats %+v, golden %+v", st, goldenInjectStats)
 	}
 	fs := inj.Stats()
+	// Every engine-level drop has a cause the injector counted, the
+	// in-flight messages lost to a crashed destination included.
+	if st := e.Stats(); st.Dropped != fs.Dropped+fs.CrashDrops+fs.CutDrops {
+		t.Fatalf("engine dropped %d, injector counted %d injected + %d crash + %d cut",
+			st.Dropped, fs.Dropped, fs.CrashDrops, fs.CutDrops)
+	}
 	fs.CrashDrops = 0
 	if fs != goldenInjectFaultStats {
 		t.Fatalf("fault stats %+v, golden %+v", fs, goldenInjectFaultStats)

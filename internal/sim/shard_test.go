@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"secmr/internal/faults"
 	"secmr/internal/topology"
 )
 
@@ -67,10 +68,10 @@ func digests(nodes []Node) []uint64 {
 	return out
 }
 
-// TestShardedParityWithEngine: a fixed seed on the sharded engine
-// (several shard counts) must reproduce the single-threaded engine's
-// per-node digests and message counters exactly — with fault
-// injection enabled, since fault rolls are hash-based in both.
+// TestShardedParityWithEngine: a fixed seed at several shard counts
+// must reproduce the one-shard engine's per-node digests and message
+// counters exactly — with fault injection enabled, since the Faults
+// rolls are hash-based.
 func TestShardedParityWithEngine(t *testing.T) {
 	const steps = 80
 	faults := Faults{DropProb: 0.2, DupProb: 0.15}
@@ -118,6 +119,66 @@ func TestShardedRepeatDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("node %d digests differ across identical runs", i)
 		}
+	}
+}
+
+// TestInjectScheduleParityAcrossShards: an injector schedule that draws
+// no randomness — crash/restart, amnesia crash rebuilt through Recover,
+// partition/heal — decides from structural state that is fixed for the
+// whole step, so digests, engine stats and fault stats must be
+// identical at every shard count.
+func TestInjectScheduleParityAcrossShards(t *testing.T) {
+	run := func(shards int) ([]uint64, Stats, faults.Stats) {
+		e := NewShardedEngine(chainGraph(t), chainNodes(60), 42, shards)
+		inj := faults.New(faults.Config{Seed: 42, Schedule: []faults.Event{
+			{At: 3, Crash: []int{3}},
+			{At: 5, Crash: []int{7}, Amnesia: true},
+			{At: 6, Partition: [][]int{{0, 1, 2, 4, 5, 6}, {10, 11, 12, 13, 14, 15}}},
+			{At: 9, Restart: []int{3, 7}},
+			{At: 11, Heal: true},
+		}})
+		e.Inject = inj
+		e.Recover = func(id NodeID) Node { return &chainNode{id: id} }
+		e.Run(80)
+		return digests(e.nodes), e.Stats(), inj.Stats()
+	}
+	want, wantStats, wantFaults := run(1)
+	if wantFaults.CrashDrops == 0 || wantFaults.CutDrops == 0 || wantFaults.AmnesiaWipes != 1 {
+		t.Fatalf("schedule inert: %+v", wantFaults)
+	}
+	if wantStats.Dropped != wantFaults.CrashDrops+wantFaults.CutDrops {
+		t.Fatalf("engine dropped %d, injector counted %d crash + %d cut",
+			wantStats.Dropped, wantFaults.CrashDrops, wantFaults.CutDrops)
+	}
+	for _, shards := range []int{4, 16} {
+		got, st, fs := run(shards)
+		checkDigests(t, "inject schedule", got, want)
+		if st != wantStats || fs != wantFaults {
+			t.Fatalf("shards=%d: stats %+v %+v, one shard %+v %+v", shards, st, fs, wantStats, wantFaults)
+		}
+	}
+}
+
+// TestInjectProbabilisticRepeatsPerShardCount: the injector's RNG draws
+// happen in barrier order, so a lossy run is deterministic for a fixed
+// (seed, shard count) — and keeps the drop accounting exact — though
+// not byte-equal across shard counts.
+func TestInjectProbabilisticRepeatsPerShardCount(t *testing.T) {
+	run := func() ([]uint64, Stats, faults.Stats) {
+		e := NewShardedEngine(chainGraph(t), chainNodes(60), 42, 4)
+		inj := faults.New(goldenInjectConfig())
+		e.Inject = inj
+		e.Run(80)
+		return digests(e.nodes), e.Stats(), inj.Stats()
+	}
+	a, aStats, aFaults := run()
+	b, bStats, bFaults := run()
+	checkDigests(t, "repeat", b, a)
+	if aStats != bStats || aFaults != bFaults {
+		t.Fatalf("identical runs differ: %+v %+v vs %+v %+v", aStats, aFaults, bStats, bFaults)
+	}
+	if aStats.Dropped != aFaults.Dropped+aFaults.CrashDrops+aFaults.CutDrops {
+		t.Fatalf("engine dropped %d, injector counted %+v", aStats.Dropped, aFaults)
 	}
 }
 
@@ -213,8 +274,8 @@ func BenchmarkStepAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedStep measures the sharded engine's step throughput
-// at a mid-size node count.
+// BenchmarkShardedStep measures step throughput at 8 shards and a
+// mid-size node count.
 func BenchmarkShardedStep(b *testing.B) {
 	g := topology.Ring(4096, topology.DelayRange{Min: 1, Max: 2}, rand.New(rand.NewSource(2)))
 	e := NewShardedEngine(g, chainNodes(4096), 3, 8)

@@ -14,24 +14,15 @@
 // Delivery order is content-addressed: events are ordered by
 // (deliver-at, sender, per-sender sequence, duplicate index), a total
 // order derived purely from each message's identity — never from the
-// engine's own execution interleave. That invariant is what lets the
-// sharded engine (ShardedEngine, shard.go) run per-shard event loops in
-// parallel and still reproduce this single-threaded engine's results
-// and traces bit-for-bit for a fixed seed: each node's inbound sequence
-// and tick schedule are the same under any shard count, and handlers
-// only ever touch their own node's state.
-//
-// The Engine type is single-goroutine and fully deterministic for a
-// given seed, which the experiment harness relies on; ShardedEngine is
-// the parallel shared-nothing variant for mega-grid runs, and
-// internal/grid provides the concurrent goroutine-per-resource runtime
-// for the asynchrony demonstrations.
+// engine's own execution interleave. That is what lets one Engine run
+// per-shard event loops in parallel and stay deterministic (see Engine).
+// Real sockets and wall-clock concurrency are internal/netgrid's job.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
-	"math/rand"
+	"sync"
 
 	"secmr/internal/faults"
 	"secmr/internal/obs"
@@ -80,7 +71,7 @@ type TraceClocked interface {
 // fseq is the sender's send counter and dup distinguishes fault-
 // injected duplicates. Nothing in the key depends on when (or on which
 // goroutine) the send executed, which is the determinism foundation
-// the sharded engine stands on.
+// sharding stands on.
 type event struct {
 	at   int64
 	from NodeID
@@ -157,8 +148,7 @@ type Stats struct {
 // Decisions are a pure hash of (engine seed, sender, receiver, send
 // sequence) rather than draws from a sequential RNG stream, so a
 // message's fate never depends on how sends interleave — the property
-// that keeps the sharded engine's fault decisions identical to the
-// single-threaded engine's.
+// that keeps fault decisions identical at every shard count.
 type Faults struct {
 	DropProb float64 // probability a message is silently lost
 	DupProb  float64 // probability a message is delivered twice
@@ -198,17 +188,41 @@ func faultRolls(seed int64, from, to NodeID, fseq int64) (a, b float64) {
 	return float64(mix64(h+1)>>11) / (1 << 53), float64(mix64(h+2)>>11) / (1 << 53)
 }
 
-// host is what a Context needs from its hosting runtime; Engine and
-// the sharded engine's shards both implement it, so one Context type
-// (and therefore one Node interface) serves both engines.
-type host interface {
-	hsend(from, to NodeID, payload any)
-	hnow() int64
-	hneighbors(id NodeID) []int
-	hrand(id NodeID) *rand.Rand
-}
-
-// Engine hosts the nodes and drives time.
+// Engine hosts the nodes and drives time. Nodes are partitioned
+// round-robin across shards; each shard owns one event heap and, in the
+// parallel phase of a step, one goroutine that delivers its nodes' due
+// messages and ticks them. Every send is staged in the sender's shard
+// outbox; the single-threaded barrier that ends the step applies the
+// fault verdicts and routes the survivors into the destination shards'
+// heaps. NewEngine builds the one-shard case, which runs inline with no
+// goroutines.
+//
+// Why a fixed seed gives the same results at any shard count:
+//
+//  1. Handlers only mutate their own node's state, and every link has
+//     delay ≥ 1, so nothing a node does at step t is observable by any
+//     other node within step t: the parallel phase has no cross-node
+//     data flow.
+//  2. Event order is content-addressed (see event), so each node's
+//     delivery sequence does not depend on which goroutine enqueued the
+//     events or in what order.
+//  3. Within a shard, deliveries happen in heap order and ticks in
+//     ascending node id; the barrier visits shards by index and each
+//     outbox in staging order — at one shard, exactly send order.
+//
+// The boundary: Faults rolls hash the message identity, and an Inject
+// schedule that draws no randomness (crash, amnesia and Recover,
+// partition/heal, corrupt) decides from structural state fixed for the
+// whole step, so under either, results and per-node traces are
+// bit-identical at every shard count. Inject's probabilistic faults
+// (drop, duplicate, jitter) draw from one sequential RNG in barrier
+// order, which depends on the shard count: such a run is deterministic
+// for a fixed (seed, shard count) and is held to the oracle and the
+// loss audit, not to byte parity across shard counts. Likewise an
+// engine-wide sink (SetObs) is safe at any shard count, but past one
+// shard the Seq interleave of concurrent shards' events is not
+// deterministic — use per-resource sinks (core.Config.Obs) when
+// byte-stable merged traces matter.
 type Engine struct {
 	Graph  *topology.Graph
 	Faults Faults
@@ -217,10 +231,8 @@ type Engine struct {
 	// it marks down neither tick nor receive, and its event schedule is
 	// advanced once per step. Jittered deliveries are clamped to
 	// preserve per-link FIFO unless the injector permits reordering.
+	// The Faults knobs are ignored while an injector is installed.
 	Inject *faults.Injector
-	// Tap, when set, observes every accepted send (before fault
-	// injection) — tracing and bandwidth accounting for experiments.
-	Tap func(from, to NodeID, at int64, payload any)
 	// Recover, when set, rebuilds a node after a crash-with-amnesia
 	// restart (faults.Event.Amnesia, Injector.CrashAmnesia): it receives
 	// the node id and returns the replacement — typically restored from
@@ -228,17 +240,21 @@ type Engine struct {
 	// restored, in which case the node is crashed again and stays down
 	// for good (a machine that lost its memory and has no disk never
 	// rejoins). Without a Recover hook every amnesiac restart is lost.
+	// It runs at the top of Step, before any shard goroutine starts.
 	Recover func(id NodeID) Node
 
 	nodes  []Node
 	ctxs   []Context
-	queue  eventHeap
-	pool   eventPool
+	shards []*shard
+	fseqs  []int64 // per-sender send counters (the event-order key)
+	// clocks holds engine-owned trace clocks for nodes that are not
+	// TraceClocked, filled lazily by the owner shard.
+	clocks []*obs.Clock
+	// lastAt tracks the latest scheduled delivery per directed link so
+	// injected jitter cannot reorder a FIFO link (barrier-only).
+	lastAt map[[2]int]int64
 	now    int64
 	seed   int64
-	fseqs  []int64 // per-sender send counters (the event-order key)
-	rng    *rand.Rand
-	stats  Stats
 	inited bool
 	// engine-level telemetry, resolved once by SetObs (nil = off).
 	obsTr        *obs.Tracer
@@ -248,50 +264,73 @@ type Engine struct {
 	obsDup       *obs.Counter
 	obsPending   *obs.Gauge
 	obsStep      *obs.Gauge
-	// lastAt tracks the latest scheduled delivery per directed link so
-	// injected jitter cannot reorder a FIFO link.
-	lastAt map[[2]int]int64
-	// clocks holds engine-owned trace clocks for nodes that are not
-	// TraceClocked, allocated lazily by clockOf.
-	clocks []*obs.Clock
-	// curHops is the hop count of the message currently being delivered
-	// (0 between deliveries), so sends made from inside OnMessage inherit
-	// the chain depth. Single-goroutine engine — a plain field suffices.
-	curHops int
 }
 
-// NewEngine builds an engine over the graph; nodes[i] is hosted at
-// graph node i. The event heap is pre-sized from the topology's total
-// degree — the steady-state in-flight population is about one message
-// per directed link, so the heap never reallocates mid-run.
+// shard is one shared-nothing partition: its heap, outbox, freelist
+// and counters are touched only by its own goroutine during the
+// parallel phase and only by the barrier thread between phases.
+type shard struct {
+	eng    *Engine
+	owned  []NodeID
+	queue  eventHeap
+	outbox []*event
+	pool   eventPool
+	// curHops is the hop count of the message currently being delivered
+	// (0 between deliveries), so sends made from inside OnMessage inherit
+	// the chain depth.
+	curHops int
+	stats   Stats
+}
+
+// NewEngine builds a one-shard engine over the graph; nodes[i] is
+// hosted at graph node i.
 func NewEngine(g *topology.Graph, nodes []Node, seed int64) *Engine {
+	return NewShardedEngine(g, nodes, seed, 1)
+}
+
+// NewShardedEngine is NewEngine with an explicit shard count (clamped
+// to [1, len(nodes)]); node i is owned by shard i%nshards.
+func NewShardedEngine(g *topology.Graph, nodes []Node, seed int64, nshards int) *Engine {
 	if len(nodes) != g.N {
 		panic(fmt.Sprintf("sim: %d nodes for a %d-node graph", len(nodes), g.N))
 	}
-	e := &Engine{Graph: g, nodes: nodes, seed: seed, rng: rand.New(rand.NewSource(seed))}
-	e.queue = make(eventHeap, 0, totalDegree(g))
-	e.fseqs = make([]int64, len(nodes))
-	e.ctxs = make([]Context, len(nodes))
-	for i := range e.ctxs {
-		e.ctxs[i] = Context{h: e, self: i}
+	nshards = max(1, min(nshards, len(nodes)))
+	e := &Engine{
+		Graph:  g,
+		nodes:  nodes,
+		seed:   seed,
+		fseqs:  make([]int64, len(nodes)),
+		clocks: make([]*obs.Clock, len(nodes)),
+		ctxs:   make([]Context, len(nodes)),
+		shards: make([]*shard, nshards),
+		lastAt: map[[2]int]int64{},
+	}
+	for s := range e.shards {
+		e.shards[s] = &shard{eng: e}
+	}
+	// Round-robin placement spreads hub nodes of skewed topologies
+	// (preferential attachment) across shards; pre-size each heap from
+	// its owners' total degree — the steady-state in-flight population
+	// is about one message per directed link, so the heap never
+	// reallocates mid-run.
+	degs := make([]int, nshards)
+	for i := range nodes {
+		s := i % nshards
+		e.shards[s].owned = append(e.shards[s].owned, i)
+		degs[s] += g.Degree(i)
+		e.ctxs[i] = Context{e: e, self: i}
+	}
+	for s, sh := range e.shards {
+		sh.queue = make(eventHeap, 0, degs[s])
 	}
 	return e
 }
 
-// totalDegree sums deg(u) over all nodes (= 2·|E|).
-func totalDegree(g *topology.Graph) int {
-	n := 0
-	for u := 0; u < g.N; u++ {
-		n += g.Degree(u)
-	}
-	return n
-}
-
 // SetObs installs engine-level telemetry: message counters, the
 // pending-queue gauge, and transport trace events (EvMsgSend,
-// EvMsgDeliver, EvMsgDrop). The gauges are plain atomics updated at
-// step boundaries, so a concurrent scrape never races the
-// single-goroutine engine. Call before the first Step.
+// EvMsgDeliver, EvMsgDrop). Counters and gauges are atomics, so they
+// aggregate across shards and a concurrent scrape never races the
+// engine. Call before the first Step.
 func (e *Engine) SetObs(sink *obs.Sink) {
 	reg := sink.Registry()
 	e.obsTr = sink.Tracer()
@@ -306,27 +345,6 @@ func (e *Engine) SetObs(sink *obs.Sink) {
 // Now returns the current step.
 func (e *Engine) Now() int64 { return e.now }
 
-// clockOf returns the trace clock for node id: the node's own when it
-// is TraceClocked (looked up per call, so recovery swaps take effect),
-// otherwise a lazily allocated engine-owned one.
-func (e *Engine) clockOf(id NodeID) *obs.Clock {
-	if tc, ok := e.nodes[id].(TraceClocked); ok {
-		if ck := tc.TraceClock(); ck != nil {
-			return ck
-		}
-	}
-	if e.clocks == nil {
-		e.clocks = make([]*obs.Clock, len(e.nodes))
-	}
-	if e.clocks[id] == nil {
-		e.clocks[id] = obs.NewClock()
-	}
-	return e.clocks[id]
-}
-
-// Stats returns a copy of the counters.
-func (e *Engine) Stats() Stats { return e.stats }
-
 // Node returns the hosted node i (for metric collection).
 func (e *Engine) Node(i NodeID) Node { return e.nodes[i] }
 
@@ -334,26 +352,86 @@ func (e *Engine) Node(i NodeID) Node { return e.nodes[i] }
 func (e *Engine) NumNodes() int { return len(e.nodes) }
 
 // Pending reports the number of undelivered messages.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int {
+	n := 0
+	for _, s := range e.shards {
+		n += len(s.queue)
+	}
+	return n
+}
 
-// init runs every node's Init once.
+// Stats returns a copy of the counters, summed across shards.
+func (e *Engine) Stats() Stats {
+	var st Stats
+	for _, s := range e.shards {
+		st.Sent += s.stats.Sent
+		st.Delivered += s.stats.Delivered
+		st.Dropped += s.stats.Dropped
+		st.Duplicated += s.stats.Duplicated
+	}
+	return st
+}
+
+func (e *Engine) shardOf(id NodeID) *shard { return e.shards[id%len(e.shards)] }
+
+// clockOf returns the trace clock for node id: the node's own when it
+// is TraceClocked (looked up per call, so recovery swaps take effect),
+// otherwise a lazily allocated engine-owned one. Only the owner shard
+// (or the barrier thread) touches a node's slot, so no locking.
+func (e *Engine) clockOf(id NodeID) *obs.Clock {
+	if tc, ok := e.nodes[id].(TraceClocked); ok {
+		if ck := tc.TraceClock(); ck != nil {
+			return ck
+		}
+	}
+	if e.clocks[id] == nil {
+		e.clocks[id] = obs.NewClock()
+	}
+	return e.clocks[id]
+}
+
+// parallel runs fn once per shard and waits; a single shard runs inline.
+func (e *Engine) parallel(fn func(*shard)) {
+	if len(e.shards) == 1 {
+		fn(e.shards[0])
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(e.shards))
+	for _, s := range e.shards {
+		go func(s *shard) {
+			defer wg.Done()
+			fn(s)
+		}(s)
+	}
+	wg.Wait()
+}
+
+// init runs every node's Init once (at now=0, so a bootstrap send over
+// a delay-d link delivers at step d) and routes the bootstrap sends.
 func (e *Engine) init() {
 	if e.inited {
 		return
 	}
 	e.inited = true
-	for i := range e.nodes {
-		e.nodes[i].Init(&e.ctxs[i])
+	e.parallel((*shard).initNodes)
+	e.exchange()
+}
+
+func (s *shard) initNodes() {
+	for _, id := range s.owned {
+		s.eng.nodes[id].Init(&s.eng.ctxs[id])
 	}
 }
 
-// Step advances the simulation by one tick: deliveries first, then one
-// OnTick per node. Nodes the injector marks down are skipped entirely —
-// they neither receive (in-flight messages to them are lost, as a
-// crashed TCP endpoint would lose them) nor tick. A plain crash resumes
-// with in-memory state intact on restart (the paper's transient
-// resource outages); an amnesiac crash (faults.Event.Amnesia) wipes it,
-// and the restart goes through the Recover hook instead.
+// Step advances the simulation by one tick: the injector's schedule and
+// pending recoveries, the parallel phase, then the barrier. Nodes the
+// injector marks down are skipped entirely — they neither receive
+// (in-flight messages to them are lost, as a crashed TCP endpoint would
+// lose them) nor tick. A plain crash resumes with in-memory state
+// intact on restart (the paper's transient resource outages); an
+// amnesiac crash (faults.Event.Amnesia) wipes it, and the restart goes
+// through the Recover hook instead.
 func (e *Engine) Step() {
 	e.init()
 	e.now++
@@ -363,18 +441,24 @@ func (e *Engine) Step() {
 			e.recoverNode(id)
 		}
 	}
-	for len(e.queue) > 0 && e.queue[0].at <= e.now {
-		ev := heap.Pop(&e.queue).(*event)
+	e.parallel((*shard).run)
+	e.exchange()
+	e.obsPending.Set(float64(e.Pending()))
+	e.obsStep.Set(float64(e.now))
+}
+
+// run is a shard's parallel half-step: due deliveries in heap order,
+// then ticks in ascending node id.
+func (s *shard) run() {
+	e := s.eng
+	for len(s.queue) > 0 && s.queue[0].at <= e.now {
+		ev := heap.Pop(&s.queue).(*event)
 		if e.Inject != nil && e.Inject.Down(ev.to) {
-			e.stats.Dropped++
-			e.obsDropped.Inc()
-			if e.obsTr != nil {
-				e.obsTr.Emit(obs.Event{Type: obs.EvMsgDrop, Step: e.now, Node: ev.from, Peer: ev.to, Detail: faults.CauseCrash}.WithCausal(ev.cc))
-			}
-			e.pool.put(ev)
+			e.Inject.CountCrashDrop()
+			s.drop(ev, faults.CauseCrash)
 			continue
 		}
-		e.stats.Delivered++
+		s.stats.Delivered++
 		e.obsDelivered.Inc()
 		// Merge the sender's clock value before the handler runs, so every
 		// event the handler emits orders after the matching send.
@@ -382,19 +466,108 @@ func (e *Engine) Step() {
 		if e.obsTr != nil {
 			e.obsTr.Emit(obs.Event{Type: obs.EvMsgDeliver, Step: e.now, Node: ev.to, Peer: ev.from, LC: lc}.WithCausal(ev.cc))
 		}
-		e.curHops = ev.cc.Hops
+		s.curHops = ev.cc.Hops
 		e.nodes[ev.to].OnMessage(&e.ctxs[ev.to], ev.from, ev.payload)
-		e.curHops = 0
-		e.pool.put(ev)
+		s.curHops = 0
+		s.pool.put(ev)
 	}
-	for i := range e.nodes {
-		if e.Inject != nil && e.Inject.Down(i) {
+	for _, id := range s.owned {
+		if e.Inject != nil && e.Inject.Down(id) {
 			continue
 		}
-		e.nodes[i].OnTick(&e.ctxs[i])
+		e.nodes[id].OnTick(&e.ctxs[id])
 	}
-	e.obsPending.Set(float64(len(e.queue)))
-	e.obsStep.Set(float64(e.now))
+}
+
+// drop records the loss of one event and recycles it.
+func (s *shard) drop(ev *event, cause string) {
+	e := s.eng
+	s.stats.Dropped++
+	e.obsDropped.Inc()
+	if e.obsTr != nil {
+		e.obsTr.Emit(obs.Event{Type: obs.EvMsgDrop, Step: e.now, Node: ev.from, Peer: ev.to, Detail: cause}.WithCausal(ev.cc))
+	}
+	s.pool.put(ev)
+}
+
+// send stages a message in the sender's shard outbox; the fault verdict
+// and routing happen at the barrier. Everything touched here — the
+// sender's fseq counter, trace clock and shard — is owned by the
+// sending node's shard, and the graph is immutable during a step.
+func (e *Engine) send(from, to NodeID, payload any) {
+	if !e.Graph.HasEdge(from, to) {
+		panic(fmt.Sprintf("sim: node %d sending to non-neighbor %d", from, to))
+	}
+	s := e.shardOf(from)
+	s.stats.Sent++
+	e.obsSent.Inc()
+	e.fseqs[from]++
+	// Mint the message's causal identity: one sender-clock tick per send,
+	// shared by every fault-injected duplicate. Hops chains through the
+	// delivery currently being handled, if any.
+	cc := obs.CausalCtx{Origin: from, OSeq: e.clockOf(from).Tick(), Hops: s.curHops + 1}
+	if e.obsTr != nil {
+		e.obsTr.Emit(obs.Event{Type: obs.EvMsgSend, Step: e.now, Node: from, Peer: to, LC: cc.OSeq}.WithCausal(cc))
+	}
+	ev := s.pool.get()
+	*ev = event{from: from, fseq: e.fseqs[from], to: to, payload: payload, cc: cc}
+	s.outbox = append(s.outbox, ev)
+}
+
+// exchange is the single-threaded barrier: every staged send gets its
+// fault verdict and the surviving copies go into the destination
+// shards' heaps. The visiting order (shard index, then staging order)
+// fixes the order of the injector's RNG draws and FIFO clamps; by the
+// content-addressed heap key, delivery order would be the same under
+// any routing order.
+func (e *Engine) exchange() {
+	for _, s := range e.shards {
+		for i, ev := range s.outbox {
+			s.outbox[i] = nil
+			e.route(s, ev)
+		}
+		s.outbox = s.outbox[:0]
+	}
+}
+
+// route applies fault injection to one staged send from shard s.
+func (e *Engine) route(s *shard, ev *event) {
+	copies, cause := 0, faults.CauseInjected
+	var extra []int64 // per-copy injected delay; nil without an injector
+	if e.Inject != nil {
+		if v := e.Inject.Decide(ev.from, ev.to); v.Drop {
+			cause = v.Cause
+		} else {
+			copies, extra = len(v.Extra), v.Extra
+		}
+	} else {
+		copies = e.Faults.copies(e.seed, ev.from, ev.to, ev.fseq)
+	}
+	if copies == 0 {
+		s.drop(ev, cause)
+		return
+	}
+	base := e.now + int64(e.Graph.Delay(ev.from, ev.to))
+	dst, link := e.shardOf(ev.to), [2]int{ev.from, ev.to}
+	for c := 0; c < copies; c++ {
+		cp := ev
+		if c > 0 {
+			s.stats.Duplicated++
+			e.obsDup.Inc()
+			cp = dst.pool.get()
+			*cp = *ev
+			cp.dup = int32(c)
+		}
+		cp.at = base
+		if extra != nil {
+			cp.at += extra[c]
+			if !e.Inject.Reorders() && cp.at < e.lastAt[link] {
+				cp.at = e.lastAt[link] // jitter must not reorder a FIFO link
+			}
+			e.lastAt[link] = cp.at
+		}
+		heap.Push(&dst.queue, cp)
+	}
 }
 
 // recoverNode replaces an amnesiac node's wiped instance with whatever
@@ -418,13 +591,14 @@ func (e *Engine) recoverNode(id NodeID) {
 // ReplaceNode swaps the node hosted at id — the engine-level primitive
 // behind recovery; the caller owns protocol-state consistency (the
 // replacement should be a restored instance of the old node, see
-// core.RestoreResource).
+// core.RestoreResource). Call between steps.
 func (e *Engine) ReplaceNode(id NodeID, n Node) { e.nodes[id] = n }
 
 // AddLink inserts a new overlay edge at runtime (a resource joining
 // the communication tree) and notifies both endpoints if they
-// implement NeighborJoiner. Call between steps, after at least one
-// Step (so Init has run).
+// implement NeighborJoiner. Call between steps; the join handlers run
+// on the caller's goroutine and any sends they stage are routed
+// immediately.
 func (e *Engine) AddLink(u, v NodeID, delay int) {
 	e.init()
 	e.Graph.AddEdge(u, v, delay)
@@ -434,6 +608,7 @@ func (e *Engine) AddLink(u, v NodeID, delay int) {
 	if j, ok := e.nodes[v].(NeighborJoiner); ok {
 		j.OnNeighborJoin(&e.ctxs[v], u)
 	}
+	e.exchange()
 }
 
 // Run advances n steps.
@@ -444,7 +619,9 @@ func (e *Engine) Run(n int) {
 }
 
 // RunUntil steps until pred returns true or maxSteps elapse, returning
-// the number of steps taken and whether pred was satisfied.
+// the number of steps taken and whether pred was satisfied. pred runs
+// at the barrier (no shard goroutine is live), so it may inspect node
+// state freely.
 func (e *Engine) RunUntil(pred func() bool, maxSteps int) (int, bool) {
 	e.init()
 	for i := 0; i < maxSteps; i++ {
@@ -463,100 +640,17 @@ func (e *Engine) RunUntil(pred func() bool, maxSteps int) (int, bool) {
 // protocols whose termination is "no more messages to send".
 func (e *Engine) Quiesce(maxSteps int) (int, bool) {
 	if maxSteps < 1 {
-		return 0, len(e.queue) == 0
+		return 0, e.Pending() == 0
 	}
 	e.Step()
-	n, ok := e.RunUntil(func() bool { return len(e.queue) == 0 }, maxSteps-1)
+	n, ok := e.RunUntil(func() bool { return e.Pending() == 0 }, maxSteps-1)
 	return n + 1, ok
 }
-
-// send schedules a delivery, applying fault injection.
-func (e *Engine) send(from, to NodeID, payload any) {
-	if !e.Graph.HasEdge(from, to) {
-		panic(fmt.Sprintf("sim: node %d sending to non-neighbor %d", from, to))
-	}
-	e.stats.Sent++
-	e.obsSent.Inc()
-	e.fseqs[from]++
-	fseq := e.fseqs[from]
-	// Mint the message's causal identity: one sender-clock tick per send,
-	// shared by every fault-injected duplicate. Hops chains through the
-	// delivery currently being handled, if any.
-	cc := obs.CausalCtx{Origin: from, OSeq: e.clockOf(from).Tick(), Hops: e.curHops + 1}
-	if e.obsTr != nil {
-		e.obsTr.Emit(obs.Event{Type: obs.EvMsgSend, Step: e.now, Node: from, Peer: to, LC: cc.OSeq}.WithCausal(cc))
-	}
-	if e.Tap != nil {
-		e.Tap(from, to, e.now, payload)
-	}
-	delay := int64(e.Graph.Delay(from, to))
-	if e.Inject != nil {
-		// Full middleware path: the injector decides drop/dup/delay and
-		// tracks partitions and crashes; the legacy Faults knobs are
-		// ignored when an injector is installed.
-		v := e.Inject.Decide(from, to)
-		if v.Drop {
-			e.stats.Dropped++
-			e.obsDropped.Inc()
-			if e.obsTr != nil {
-				cause := v.Cause
-				if cause == "" {
-					cause = faults.CauseInjected
-				}
-				e.obsTr.Emit(obs.Event{Type: obs.EvMsgDrop, Step: e.now, Node: from, Peer: to, Detail: cause}.WithCausal(cc))
-			}
-			return
-		}
-		if e.lastAt == nil {
-			e.lastAt = map[[2]int]int64{}
-		}
-		link := [2]int{from, to}
-		for i, extra := range v.Extra {
-			if i > 0 {
-				e.stats.Duplicated++
-				e.obsDup.Inc()
-			}
-			at := e.now + delay + extra
-			if !e.Inject.Reorders() && at < e.lastAt[link] {
-				at = e.lastAt[link] // jitter must not reorder a FIFO link
-			}
-			e.lastAt[link] = at
-			ev := e.pool.get()
-			*ev = event{at: at, from: from, fseq: fseq, dup: int32(i), to: to, payload: payload, cc: cc}
-			heap.Push(&e.queue, ev)
-		}
-		return
-	}
-	copies := e.Faults.copies(e.seed, from, to, fseq)
-	if copies == 0 {
-		e.stats.Dropped++
-		e.obsDropped.Inc()
-		if e.obsTr != nil {
-			e.obsTr.Emit(obs.Event{Type: obs.EvMsgDrop, Step: e.now, Node: from, Peer: to, Detail: faults.CauseInjected}.WithCausal(cc))
-		}
-		return
-	}
-	if copies == 2 {
-		e.stats.Duplicated++
-		e.obsDup.Inc()
-	}
-	for c := 0; c < copies; c++ {
-		ev := e.pool.get()
-		*ev = event{at: e.now + delay, from: from, fseq: fseq, dup: int32(c), to: to, payload: payload, cc: cc}
-		heap.Push(&e.queue, ev)
-	}
-}
-
-// host implementation.
-func (e *Engine) hsend(from, to NodeID, payload any) { e.send(from, to, payload) }
-func (e *Engine) hnow() int64                        { return e.now }
-func (e *Engine) hneighbors(id NodeID) []int         { return e.Graph.Neighbors(id) }
-func (e *Engine) hrand(NodeID) *rand.Rand            { return e.rng }
 
 // Context is the capability handed to a node's callbacks; it is valid
 // only for the duration of the callback's hosting engine.
 type Context struct {
-	h    host
+	e    *Engine
 	self NodeID
 }
 
@@ -564,19 +658,11 @@ type Context struct {
 func (c *Context) Self() NodeID { return c.self }
 
 // Now returns the current step.
-func (c *Context) Now() int64 { return c.h.hnow() }
+func (c *Context) Now() int64 { return c.e.now }
 
 // Send schedules a message to a neighbor; delivery happens after the
 // link's propagation delay.
-func (c *Context) Send(to NodeID, payload any) { c.h.hsend(c.self, to, payload) }
+func (c *Context) Send(to NodeID, payload any) { c.e.send(c.self, to, payload) }
 
 // Neighbors returns the node's adjacency list (do not mutate).
-func (c *Context) Neighbors() []int { return c.h.hneighbors(c.self) }
-
-// Rand returns a deterministic RNG. Nodes must use it (and not global
-// rand) to keep runs reproducible. On the single-threaded engine it is
-// one engine-wide stream; on the sharded engine each node gets its own
-// seed-derived stream (a shared stream would make draw order depend on
-// scheduling), so protocols that consume randomness reproduce across
-// shard counts but not across the engine kinds.
-func (c *Context) Rand() *rand.Rand { return c.h.hrand(c.self) }
+func (c *Context) Neighbors() []int { return c.e.Graph.Neighbors(c.self) }

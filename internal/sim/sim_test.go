@@ -302,31 +302,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-func TestTapObservesSends(t *testing.T) {
-	g := topology.NewGraph(2)
-	g.AddEdge(0, 1, 1)
-	n0, n1 := &echoNode{}, &echoNode{}
-	sent := false
-	n0.onTick = func(ctx *Context) {
-		if !sent {
-			sent = true
-			ctx.Send(1, "x")
-		}
-	}
-	e := NewEngine(g, []Node{n0, n1}, 1)
-	var taps []string
-	e.Tap = func(from, to NodeID, at int64, payload any) {
-		taps = append(taps, payload.(string))
-		if from != 0 || to != 1 {
-			t.Errorf("tap endpoints %d->%d", from, to)
-		}
-	}
-	e.Run(5)
-	if len(taps) != 1 || taps[0] != "x" {
-		t.Fatalf("taps = %v", taps)
-	}
-}
-
 // --- internal/faults injector middleware ---
 
 func TestInjectorCrashSkipsTicksAndDropsDeliveries(t *testing.T) {

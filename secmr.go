@@ -373,19 +373,7 @@ type GridConfig struct {
 	// resources, as the paper specifies; with Quarantine on the grid
 	// evicts the cheaters and converges on the honest majority.
 	Adversaries []AdversarySpec
-	// Wire configures the wire codec and message coalescing: the frame
-	// budget TCP transports batch outbound messages under
-	// (MaxFrameBytes; 0 = 64 KiB default, negative disables), and
-	// LegacyGob, which re-enables the pre-versioning gob envelope for
-	// outbound frames (GridStats.BytesSent then reverts to its historic
-	// approximation). The simulated grid has no sockets, so only the
-	// byte accounting is affected here; netgrid hosts honor both knobs.
-	Wire WireConfig
 }
-
-// WireConfig selects the wire codec and frame-coalescing budget. See
-// GridConfig.Wire and netgrid.Options.Wire.
-type WireConfig = core.WireConfig
 
 // PersistConfig enables the durability subsystem (internal/persist) on
 // an AlgorithmSecure grid: each resource journals its protocol state
@@ -665,8 +653,7 @@ func NewGridWithFeedSources(db *Database, feeds []FeedSource, cfg GridConfig) (*
 				MaxRuleItems: cfg.MaxRuleItems, IntraDelay: true,
 				PaddingDance: cfg.PaddingDance, BlindBits: blindBits,
 				LossyLinks: cfg.Faults != nil, Obs: cfg.Telemetry,
-				Audit: cfg.Audit, Wire: cfg.Wire,
-				Quarantine: cfg.Quarantine}
+				Audit: cfg.Audit, Quarantine: cfg.Quarantine}
 			g.coreCfg = c
 			r := core.NewResourceFeed(i, c, scheme, parts[i], feed, advFor[i])
 			if cfg.Persist != nil {
@@ -1115,9 +1102,7 @@ type GridStats struct {
 	// MessagesSent is the total protocol messages brokers originated.
 	MessagesSent int64
 	// BytesSent is the total rule-message bytes on the wire
-	// (AlgorithmSecure only): exact compact-codec frame sizes by
-	// default, or the historic ciphertext approximation when
-	// GridConfig.Wire.LegacyGob is set.
+	// (AlgorithmSecure only): exact compact-codec frame sizes.
 	BytesSent int64
 	// SFEs counts broker↔controller secure evaluations; Fresh of them
 	// were answered with a data-dependent evaluation, Gated with the
