@@ -16,8 +16,6 @@ import (
 	"testing"
 
 	"secmr/internal/experiments"
-	"secmr/internal/homo"
-	"secmr/internal/oblivious"
 )
 
 // benchScale picks the experiment scale for figure benchmarks.
@@ -155,30 +153,6 @@ func BenchmarkAblationMachinery(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationEncoding (A2) compares the two oblivious-counter
-// encodings of §4.2: one ciphertext per field versus the packed
-// single-ciphertext vectorization.
-func BenchmarkAblationEncoding(b *testing.B) {
-	scheme := homo.NewPlain(96)
-	b.Run("multi-ciphertext", func(b *testing.B) {
-		x := oblivious.NewZero(scheme, 4)
-		y := oblivious.NewZero(scheme, 4)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			oblivious.Add(scheme, x, y)
-		}
-	})
-	b.Run("packed", func(b *testing.B) {
-		p := oblivious.NewPacker(8, 10) // sum,count,num,share + 4 stamps
-		x := p.Encrypt(scheme, scheme, []int64{1, 2, 3, 4, 5, 6, 7, 8})
-		y := p.Encrypt(scheme, scheme, []int64{8, 7, 6, 5, 4, 3, 2, 1})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			scheme.Add(x, y)
-		}
-	})
 }
 
 // BenchmarkAblationPaddingDance (A3) measures the cost of Algorithm

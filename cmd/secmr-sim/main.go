@@ -60,16 +60,14 @@ func main() {
 		steps     = flag.Int("steps", 3000, "maximum simulation steps")
 		sample    = flag.Int("sample", 50, "sampling period for the convergence table")
 		paillier  = flag.Int("paillier", 0, "Paillier modulus bits (0 = plain stand-in scheme)")
-		crypto    = flag.String("crypto", "", "crypto backend: plain, paillier, elgamal or shamir (empty = plain, or paillier when -paillier is set)")
+		crypto    = flag.String("crypto", "", "crypto backend: plain, paillier or shamir (empty = plain, or paillier when -paillier is set)")
 		seed      = flag.Int64("seed", 1, "seed")
 		csvPath   = flag.String("csv", "", "also write the convergence series as CSV to this file")
 
-		// Crypto-performance knobs (see DESIGN.md §7): the worker pool
-		// accelerates batched counter operations, the noise pool
-		// precomputes encryption randomness in the background. Both need
-		// spare cores; leave them alone on single-vCPU hosts.
-		cryptoWorkers = flag.Int("crypto-workers", 0, "parallel width for batched homomorphic ops (0 = GOMAXPROCS, 1 = serial)")
-		noisePool     = flag.Int("noise-pool", 0, "precomputed-randomness pool capacity for the cryptosystem (0 = off)")
+		// Crypto-performance knob (see DESIGN.md §7): the noise pool
+		// precomputes Paillier encryption randomness in the background.
+		// It needs a spare core; leave it alone on single-vCPU hosts.
+		noisePool = flag.Int("noise-pool", 0, "precomputed-randomness pool capacity for the cryptosystem (0 = off)")
 
 		// Chaos knobs (see internal/faults): any non-zero setting arms
 		// the injector and the protocol's loss-recovery timers.
@@ -172,7 +170,7 @@ func main() {
 			EvictQuorum: *evictQuorum,
 		},
 		Telemetry: tel, StallPatience: *stallAfter, FlightDir: *flightDir,
-		CryptoWorkers: *cryptoWorkers, NoisePool: *noisePool,
+		NoisePool: *noisePool,
 	})
 	if err != nil {
 		fatal(err)

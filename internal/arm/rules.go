@@ -2,6 +2,7 @@ package arm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -161,6 +162,23 @@ func (t Thresholds) Lambda(kind Threshold) float64 {
 		return t.MinFreq
 	}
 	return t.MinConf
+}
+
+// Rational converts a float threshold to an exact fraction λn/λd,
+// preferring the smallest denominator that represents it exactly:
+// 0.15 becomes 15/100 rather than 157286/2^20. λd multiplies every
+// encrypted Δ = λd·sum − λn·count the secure miner evaluates, so it
+// sets how large |DB| may grow before a Δ leaves the cryptosystem's
+// signed plaintext range (core.MaxDBLen; 2^60 for Shamir). A threshold
+// no small denominator fits (1/3) falls through to 2^20.
+func Rational(x float64) (int64, int64) {
+	for _, den := range []int64{10, 100, 1000, 10000, 1 << 20} {
+		n := math.Round(x * float64(den))
+		if math.Abs(x*float64(den)-n) < 1e-9 {
+			return int64(n), den
+		}
+	}
+	return int64(math.Round(x * (1 << 20))), 1 << 20
 }
 
 // Correct evaluates a rule's vote against db exactly: a rule ⟨A⇒B, λ⟩

@@ -215,7 +215,7 @@ func (b *Broker) addCandidate(rule arm.Rule) *secCandidate {
 	if b.cfg.MaxRuleItems > 0 && len(rule.LHS)+len(rule.RHS) > b.cfg.MaxRuleItems {
 		return nil
 	}
-	ln, ld := rational(b.cfg.Th.Lambda(rule.Kind))
+	ln, ld := arm.Rational(b.cfg.Th.Lambda(rule.Kind))
 	c := &secCandidate{
 		rule: rule, sym: sym, key: intern.Str(sym), lambdaN: ln, lambdaD: ld,
 		local:    b.acc.localPlaceholder(),
@@ -483,8 +483,8 @@ func (b *Broker) evaluateSends(tr Transport) {
 				b.pub.ScalarMul(c.lambdaN, full.Count))
 			diff := b.pub.Sub(duv, du)
 			send, stamps, ok := b.ctl.SendDecision(c.sym, v, full,
-				oblivious.Blind(b.pub, duv, b.cfg.BlindBits, b.rng),
-				oblivious.Blind(b.pub, diff, b.cfg.BlindBits, b.rng),
+				oblivious.Blind(b.pub, duv, blindBits, b.rng),
+				oblivious.Blind(b.pub, diff, blindBits, b.rng),
 				first, link.grant.NumSlots, link.grant.Slot, neighborAt)
 			if !ok {
 				return // violation detected; Resource will halt us
@@ -687,7 +687,7 @@ func (b *Broker) generateCandidates() {
 			b.pub.ScalarMul(c.lambdaD, full.Sum),
 			b.pub.ScalarMul(c.lambdaN, full.Count))
 		correct, ok := b.ctl.OutputDecision(c.sym, full,
-			oblivious.Blind(b.pub, du, b.cfg.BlindBits, b.rng), neighborAt)
+			oblivious.Blind(b.pub, du, blindBits, b.rng), neighborAt)
 		if !ok {
 			return
 		}

@@ -34,7 +34,7 @@ func wireMessages(s homo.Scheme) []any {
 // TestMessageWireSizeExact pins MessageWireSize to the actual encoded
 // length — it is the byte-accounting currency of GridStats.BytesSent.
 func TestMessageWireSizeExact(t *testing.T) {
-	for name, s := range codecSchemes(t) {
+	for name, s := range codecSchemes() {
 		for _, msg := range wireMessages(s) {
 			data, err := EncodeMessage(msg)
 			if err != nil {

@@ -25,7 +25,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"math/big"
 	"sort"
 
 	"secmr/internal/arm"
@@ -62,8 +62,6 @@ type Config struct {
 	// PaddingDance enables Algorithm 1's obfuscating ±E(1) assignment
 	// sequence on local vote changes (ablation A3).
 	PaddingDance bool
-	// BlindBits sizes the multiplicative blinding of the sign SFE.
-	BlindBits int
 	// Audit records every controller gate decision for offline k-TTP
 	// admissibility verification (testing/analysis; off by default).
 	Audit bool
@@ -121,28 +119,37 @@ func (c Config) withDefaults() Config {
 	if c.K == 0 {
 		c.K = 10
 	}
-	if c.BlindBits == 0 {
-		c.BlindBits = 16
-	}
 	if c.Quarantine.EvictQuorum == 0 {
 		c.Quarantine.EvictQuorum = 2
 	}
 	return c
 }
 
-// rational converts a float threshold to an exact fraction, preferring
-// the smallest denominator that represents it exactly: thresholds like
-// 0.15 become 15/100 rather than 157286/2^20, which keeps encrypted Δ
-// magnitudes small — important for schemes with bounded decryption
-// (exponential ElGamal's BSGS).
-func rational(x float64) (int64, int64) {
-	for _, den := range []int64{10, 100, 1000, 10000, 1 << 20} {
-		n := math.Round(x * float64(den))
-		if math.Abs(x*float64(den)-n) < 1e-9 {
-			return int64(n), den
-		}
+// blindBits sizes the multiplicative blinding of the sign SFE: the
+// broker scales each Δ by a fresh r ∈ [1, 2^blindBits] before the
+// controller decrypts it (oblivious.Blind).
+const blindBits = 16
+
+// MaxDBLen returns the largest global database size |DB| for which
+// every value a controller decrypts stays inside the signed plaintext
+// range (−M/2, M/2] of a cryptosystem with plaintext space M, so that
+// no sign SFE can wrap. The widest such value is evaluateSends'
+// blinded Δ^uv − Δ^u: each Δ is λd·sum − λn·count over disjoint parts
+// of the database with 0 ≤ sum ≤ count ≤ |DB| and λn ≤ λd, so
+// |Δ| ≤ λd·|DB|, the difference of two is at most twice that, and
+// blinding multiplies by up to 2^blindBits (generateCandidates'
+// OutputDecision input is a single blinded Δ^u, half as wide). Hence
+// 2·λd·|DB|·2^blindBits ≤ (M−1)/2, with λd the larger denominator
+// arm.Rational gives the two thresholds. Shares and stamps are reduced
+// modulo M by design and need no headroom.
+func MaxDBLen(space *big.Int, th arm.Thresholds) *big.Int {
+	_, ld := arm.Rational(th.MinFreq)
+	if _, d := arm.Rational(th.MinConf); d > ld {
+		ld = d
 	}
-	return int64(math.Round(x * (1 << 20))), 1 << 20
+	half := new(big.Int).Sub(space, big.NewInt(1))
+	half.Rsh(half, 1)
+	return half.Div(half, big.NewInt(2*ld<<blindBits))
 }
 
 // ShareGrant is the link-setup message from resource u's accountant to

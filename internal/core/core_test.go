@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"secmr/internal/arm"
-	"secmr/internal/elgamal"
 	"secmr/internal/hashing"
 	"secmr/internal/homo"
 	"secmr/internal/metrics"
@@ -109,36 +108,6 @@ func TestSecureMiningConvergesPaillier(t *testing.T) {
 	}
 	if rec < 0.85 || prec < 0.85 {
 		t.Fatalf("secure+paillier: recall=%.3f precision=%.3f", rec, prec)
-	}
-}
-
-func TestSecureMiningOverElGamal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real crypto end-to-end")
-	}
-	// Exponential ElGamal has bounded decryption (BSGS), so the grid
-	// must stay small enough that blinded Δ values fit the bound:
-	// Δ ≤ λd·count ≤ 100·600, blinding ≤ 2⁶ → < 2²³.
-	scheme, err := elgamal.GenerateKey(rand.Reader, 128, 1<<23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, resources, truth := buildSecureGrid(t, scheme, 4, 2, 21,
-		func(cfg *Config) { cfg.BlindBits = 6 }, nil)
-	rec, prec := 0.0, 0.0
-	for step := 0; step < 900; step += 50 {
-		e.Run(50)
-		if rec, prec = avgQuality(resources, truth); rec >= 0.85 && prec >= 0.85 {
-			break
-		}
-	}
-	if rec < 0.85 || prec < 0.85 {
-		t.Fatalf("secure+elgamal: recall=%.3f precision=%.3f", rec, prec)
-	}
-	for i, r := range resources {
-		if len(r.Reports()) != 0 {
-			t.Fatalf("false detection over elgamal at %d: %v", i, r.Reports())
-		}
 	}
 }
 
@@ -354,7 +323,7 @@ func TestConvergesUnderDuplication(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.ScanBudget != 100 || c.CandidateEvery != 5 || c.K != 10 || c.BlindBits != 16 {
+	if c.ScanBudget != 100 || c.CandidateEvery != 5 || c.K != 10 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 }

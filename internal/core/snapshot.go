@@ -433,7 +433,7 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 	for i, n := 0, rd.count(); i < n; i++ {
 		rule := readRule(rd)
 		sym := intern.S(rule.Key())
-		ln, ld := rational(b.cfg.Th.Lambda(rule.Kind))
+		ln, ld := arm.Rational(b.cfg.Th.Lambda(rule.Kind))
 		c := &secCandidate{
 			rule: rule, sym: sym, key: intern.Str(sym), lambdaN: ln, lambdaD: ld,
 			outDirty: rd.bool(),

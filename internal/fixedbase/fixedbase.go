@@ -1,9 +1,9 @@
 // Package fixedbase implements windowed fixed-base modular
 // exponentiation: when the same base is raised to many different
-// exponents — ElGamal's g^r, h^r and g^m, Paillier's precomputed-noise
-// base — a one-time table of base^(d·2^(w·i)) turns every subsequent
-// exponentiation into at most ceil(maxBits/w) modular multiplications,
-// eliminating the squarings a general square-and-multiply pays.
+// exponents — Paillier's precomputed-noise base — a one-time table of
+// base^(d·2^(w·i)) turns every subsequent exponentiation into at most
+// ceil(maxBits/w) modular multiplications, eliminating the squarings a
+// general square-and-multiply pays.
 //
 // For a 1024-bit exponent with the default 4-bit window that is ≤256
 // multiplications instead of ~1280 multiply/square steps, a 4–6×

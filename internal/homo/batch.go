@@ -6,7 +6,7 @@ import "math/big"
 // counters are vectors of ciphertexts (sum, count, num, share, one
 // stamp per neighbour), so every counter transfer performs a burst of
 // independent per-slot operations; a scheme implementing the batch
-// interfaces executes each burst over the shared worker pool
+// interfaces may execute each burst over the shared worker pool
 // (workers.go) instead of serially.
 //
 // The capability is optional: the package-level *Vec helpers accept any
@@ -16,10 +16,11 @@ import "math/big"
 // batch operation must decrypt to exactly what its serial counterpart
 // would (enforced by the cross-check tests in batch_test.go).
 //
-// Paillier and ElGamal implement the capability (their per-op cost is
-// microseconds of modular arithmetic, far above dispatch overhead); the
-// Plain stand-in deliberately does not — its ~100 ns operations would
-// be slowed by parallel dispatch, so it rides the serial fallback.
+// Paillier implements the capability and parallelizes the operations
+// that are modular exponentiations (encrypt, encrypt-zero,
+// rerandomize), far above dispatch overhead. Shamir implements it as
+// plain loops over its field kernels; the Plain stand-in deliberately
+// does not — its ~100 ns operations ride the serial fallback.
 
 // BatchPublic is the key-less batch capability: elementwise vector
 // forms of the Public operations. Implementations must be safe for

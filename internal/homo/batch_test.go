@@ -4,29 +4,31 @@ package homo_test
 // for every *Vec helper and every cryptosystem, the batched result must
 // decrypt to exactly what the serial elementwise loop produces. The
 // tests run in the external test package so they can instantiate the
-// real schemes (paillier/elgamal import homo).
+// real schemes (paillier imports homo).
 
 import (
 	"crypto/rand"
 	"math/big"
 	mrand "math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
-	"secmr/internal/elgamal"
 	"secmr/internal/homo"
 	"secmr/internal/paillier"
 )
 
 // testScheme bundles one cryptosystem instance for the table-driven
-// cross-checks. bound limits plaintext magnitude so ElGamal's BSGS
-// always terminates.
+// cross-checks.
 type testScheme struct {
 	name   string
 	scheme homo.Scheme
-	bound  int64
 	batch  bool // expected to implement homo.BatchScheme
 }
+
+// bound limits plaintext magnitude so sums and products stay inside the
+// narrowest signed plaintext range (Plain-62).
+const bound = 1 << 30
 
 var (
 	schemesOnce sync.Once
@@ -42,14 +44,9 @@ func allSchemes(t *testing.T) []testScheme {
 		if err != nil {
 			panic(err)
 		}
-		e, err := elgamal.GenerateKey(rand.Reader, 96, 1<<16)
-		if err != nil {
-			panic(err)
-		}
 		testSchemes = []testScheme{
-			{"paillier", p, 1 << 30, true},
-			{"elgamal", e, 1 << 14, true},
-			{"plain", homo.NewPlain(62), 1 << 30, false},
+			{"paillier", p, true},
+			{"plain", homo.NewPlain(62), false},
 		}
 	})
 	return testSchemes
@@ -77,7 +74,7 @@ func TestEncryptVecMatchesSerial(t *testing.T) {
 	for _, ts := range allSchemes(t) {
 		t.Run(ts.name, func(t *testing.T) {
 			rng := mrand.New(mrand.NewSource(7))
-			ms := randVec(rng, 33, ts.bound)
+			ms := randVec(rng, 33, bound)
 			cs := homo.EncryptVec(ts.scheme, ms)
 			if len(cs) != len(ms) {
 				t.Fatalf("EncryptVec returned %d ciphertexts for %d plaintexts", len(cs), len(ms))
@@ -95,8 +92,8 @@ func TestAddVecMatchesSerial(t *testing.T) {
 	for _, ts := range allSchemes(t) {
 		t.Run(ts.name, func(t *testing.T) {
 			rng := mrand.New(mrand.NewSource(11))
-			xs := randVec(rng, 29, ts.bound/2)
-			ys := randVec(rng, 29, ts.bound/2)
+			xs := randVec(rng, 29, bound/2)
+			ys := randVec(rng, 29, bound/2)
 			ca := homo.EncryptVec(ts.scheme, xs)
 			cb := homo.EncryptVec(ts.scheme, ys)
 			batch := homo.AddVec(ts.scheme, ca, cb)
@@ -119,7 +116,7 @@ func TestRerandomizeVecPreservesPlaintext(t *testing.T) {
 	for _, ts := range allSchemes(t) {
 		t.Run(ts.name, func(t *testing.T) {
 			rng := mrand.New(mrand.NewSource(13))
-			ms := randVec(rng, 21, ts.bound)
+			ms := randVec(rng, 21, bound)
 			cs := homo.EncryptVec(ts.scheme, ms)
 			rr := homo.RerandomizeVec(ts.scheme, cs)
 			for i := range rr {
@@ -140,7 +137,7 @@ func TestScalarVecMatchesSerial(t *testing.T) {
 			for i := range ms {
 				ms[i] = rng.Int63n(15) - 7
 			}
-			xs := randVec(rng, 25, ts.bound/16)
+			xs := randVec(rng, 25, bound/16)
 			cs := homo.EncryptVec(ts.scheme, xs)
 			batch := homo.ScalarVec(ts.scheme, ms, cs)
 			for i := range batch {
@@ -182,7 +179,7 @@ func TestSerialFallback(t *testing.T) {
 				t.Fatal("serialOnly must not satisfy BatchPublic")
 			}
 			rng := mrand.New(mrand.NewSource(19))
-			ms := randVec(rng, 9, ts.bound/2)
+			ms := randVec(rng, 9, bound/2)
 			ca := homo.EncryptVec(s, ms)
 			cb := homo.AddVec(s, ca, homo.EncryptZeroVec(s, len(ca)))
 			cb = homo.RerandomizeVec(s, cb)
@@ -226,7 +223,7 @@ func TestConcurrentBatchOps(t *testing.T) {
 				go func(seed int64) {
 					defer wg.Done()
 					rng := mrand.New(mrand.NewSource(seed))
-					ms := randVec(rng, 12, ts.bound/2)
+					ms := randVec(rng, 12, bound/2)
 					cs := homo.EncryptVec(ts.scheme, ms)
 					cs = homo.AddVec(ts.scheme, cs, homo.EncryptZeroVec(ts.scheme, len(cs)))
 					cs = homo.RerandomizeVec(ts.scheme, cs)
@@ -243,16 +240,15 @@ func TestConcurrentBatchOps(t *testing.T) {
 	}
 }
 
-// TestWorkerOverride exercises ParallelFor under explicit worker counts
-// (including 1, the pure-serial path).
+// TestWorkerOverride exercises ParallelFor at explicit widths — 1 is
+// the inline path, 2 and 8 the pooled one — by moving GOMAXPROCS, the
+// only thing that sets the width: batch and serial plaintexts agree at
+// each.
 func TestWorkerOverride(t *testing.T) {
-	defer homo.SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	ts := allSchemes(t)[0]
 	for _, w := range []int{1, 2, 8} {
-		homo.SetWorkers(w)
-		if got := homo.Workers(); got != w {
-			t.Fatalf("Workers() = %d after SetWorkers(%d)", got, w)
-		}
+		runtime.GOMAXPROCS(w)
 		ms := randVec(mrand.New(mrand.NewSource(int64(w))), 10, 1<<20)
 		for i, c := range homo.EncryptVec(ts.scheme, ms) {
 			if got := ts.scheme.DecryptSigned(c); got.Cmp(ms[i]) != 0 {

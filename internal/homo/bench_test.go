@@ -13,13 +13,11 @@ package homo_test
 
 import (
 	"crypto/rand"
-	"fmt"
 	"math/big"
 	mrand "math/rand"
 	"sync"
 	"testing"
 
-	"secmr/internal/elgamal"
 	"secmr/internal/homo"
 	"secmr/internal/oblivious"
 	"secmr/internal/paillier"
@@ -34,10 +32,9 @@ const (
 var (
 	benchOnce     sync.Once
 	benchPaillier *paillier.Scheme
-	benchElGamal  *elgamal.Scheme
 )
 
-func benchSchemes(b *testing.B) (*paillier.Scheme, *elgamal.Scheme) {
+func benchScheme(b *testing.B) *paillier.Scheme {
 	b.Helper()
 	benchOnce.Do(func() {
 		var err error
@@ -45,12 +42,8 @@ func benchSchemes(b *testing.B) (*paillier.Scheme, *elgamal.Scheme) {
 		if err != nil {
 			panic(err)
 		}
-		benchElGamal, err = elgamal.GenerateKey(rand.Reader, 192, 1<<20)
-		if err != nil {
-			panic(err)
-		}
 	})
-	return benchPaillier, benchElGamal
+	return benchPaillier
 }
 
 // benchCounters builds two oblivious counters with live values.
@@ -67,7 +60,7 @@ func benchCounters(b *testing.B, s homo.Scheme) (x, y *oblivious.Counter) {
 // counter addition (20 componentwise homomorphic adds) through the
 // batch path.
 func BenchmarkObliviousAddVec(b *testing.B) {
-	s, _ := benchSchemes(b)
+	s := benchScheme(b)
 	x, y := benchCounters(b, s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -78,7 +71,7 @@ func BenchmarkObliviousAddVec(b *testing.B) {
 // BenchmarkObliviousAddSerial is the same addition with the batch
 // capability hidden, forcing the elementwise serial loop.
 func BenchmarkObliviousAddSerial(b *testing.B) {
-	s, _ := benchSchemes(b)
+	s := benchScheme(b)
 	serial := serialOnly{s}
 	x, y := benchCounters(b, s)
 	b.ResetTimer()
@@ -90,7 +83,7 @@ func BenchmarkObliviousAddSerial(b *testing.B) {
 // BenchmarkPaillierEncrypt measures the production path: g=N+1 fast
 // path plus fixed-base noise.
 func BenchmarkPaillierEncrypt(b *testing.B) {
-	s, _ := benchSchemes(b)
+	s := benchScheme(b)
 	m := big.NewInt(123456)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -102,19 +95,10 @@ func BenchmarkPaillierEncrypt(b *testing.B) {
 // table, restoring the full r^N modular exponentiation per encryption —
 // the pre-optimization cost.
 func BenchmarkPaillierEncryptNoFixedBase(b *testing.B) {
-	s, _ := benchSchemes(b)
+	s := benchScheme(b)
 	s.UseFixedBaseNoise(false)
 	defer s.UseFixedBaseNoise(true)
 	m := big.NewInt(123456)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Encrypt(m)
-	}
-}
-
-func BenchmarkElGamalEncrypt(b *testing.B) {
-	_, s := benchSchemes(b)
-	m := big.NewInt(421)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Encrypt(m)
@@ -132,7 +116,7 @@ func benchVec(b *testing.B, s homo.Scheme) []*homo.Ciphertext {
 }
 
 func BenchmarkPaillierEncryptVec(b *testing.B) {
-	s, _ := benchSchemes(b)
+	s := benchScheme(b)
 	ms := make([]*big.Int, benchVecN)
 	for i := range ms {
 		ms[i] = big.NewInt(int64(i))
@@ -144,7 +128,7 @@ func BenchmarkPaillierEncryptVec(b *testing.B) {
 }
 
 func BenchmarkPaillierEncryptVecSerial(b *testing.B) {
-	s, _ := benchSchemes(b)
+	s := benchScheme(b)
 	ms := make([]*big.Int, benchVecN)
 	for i := range ms {
 		ms[i] = big.NewInt(int64(i))
@@ -157,7 +141,7 @@ func BenchmarkPaillierEncryptVecSerial(b *testing.B) {
 }
 
 func BenchmarkPaillierRerandomizeVec(b *testing.B) {
-	s, _ := benchSchemes(b)
+	s := benchScheme(b)
 	cs := benchVec(b, s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -166,7 +150,7 @@ func BenchmarkPaillierRerandomizeVec(b *testing.B) {
 }
 
 func BenchmarkPaillierRerandomizeVecSerial(b *testing.B) {
-	s, _ := benchSchemes(b)
+	s := benchScheme(b)
 	cs := benchVec(b, s)
 	serial := serialOnly{s}
 	b.ResetTimer()
@@ -176,7 +160,7 @@ func BenchmarkPaillierRerandomizeVecSerial(b *testing.B) {
 }
 
 func BenchmarkPaillierAdd(b *testing.B) {
-	s, _ := benchSchemes(b)
+	s := benchScheme(b)
 	x, y := s.EncryptInt(41), s.EncryptInt(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -186,24 +170,12 @@ func BenchmarkPaillierAdd(b *testing.B) {
 }
 
 func BenchmarkPaillierRerandomize(b *testing.B) {
-	s, _ := benchSchemes(b)
+	s := benchScheme(b)
 	x := s.EncryptInt(41)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Rerandomize(x)
-	}
-}
-
-// Packed (single-ciphertext, §4.2 vectorization) versus
-// multi-ciphertext counter addition: the packed form costs one
-// homomorphic add per counter instead of 4+slots.
-func BenchmarkCounterAddMulti(b *testing.B) {
-	s, _ := benchSchemes(b)
-	x, y := benchCounters(b, s)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		oblivious.Add(s, x, y)
 	}
 }
 
@@ -292,55 +264,5 @@ func BenchmarkShamirRerandomizeVec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		homo.RerandomizeVec(s, cs)
-	}
-}
-
-// --- small-vector cutoff -----------------------------------------------
-
-// BenchmarkAddVecCrossover pins the serial/pool crossover for cheap
-// vector ops (the SmallBatchCutoff satellite): Paillier AddVec at
-// protocol-relevant lengths, once forced through the worker pool
-// (cutoff 0) and once forced serial (huge cutoff). On multi-core
-// runners the pool rows only win at len ≳ the default cutoff of 64;
-// the 20-element counter vectors sit firmly on the serial side.
-func BenchmarkAddVecCrossover(b *testing.B) {
-	s, _ := benchSchemes(b)
-	for _, n := range []int{4, 20, 64, 256} {
-		ms := make([]*big.Int, n)
-		for i := range ms {
-			ms[i] = big.NewInt(int64(i * 13))
-		}
-		xs := homo.EncryptVec(s, ms)
-		for _, mode := range []struct {
-			name   string
-			cutoff int
-		}{{"pool", 0}, {"serial", 1 << 30}} {
-			b.Run(fmt.Sprintf("len=%d/%s", n, mode.name), func(b *testing.B) {
-				defer homo.SetSmallBatchCutoff(homo.SmallBatchCutoff())
-				homo.SetSmallBatchCutoff(mode.cutoff)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.AddVec(xs, xs)
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkCounterAddPacked(b *testing.B) {
-	s, _ := benchSchemes(b)
-	g := oblivious.NewGeometry(benchSlots, 24)
-	stamps := make([]int64, benchSlots)
-	x, err := g.PackCounter(s, s, 7, 1, 3, 1, stamps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := g.PackCounter(s, s, 5, 1, 2, 0, stamps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Add(s, y)
 	}
 }

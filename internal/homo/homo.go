@@ -19,11 +19,13 @@
 // the paper grants malicious brokers: "it can only set the value to a
 // random number").
 //
-// Two implementations exist: internal/paillier (real cryptography) and
-// the Plain scheme in this package (a transparent stand-in with the
-// same interface, used for large-scale shape experiments where crypto
-// constant factors are irrelevant, and as a differential-testing
-// oracle).
+// Three implementations exist: internal/paillier (the paper's
+// public-key cryptosystem), internal/shamir (packed secret sharing over
+// GF(2^61−1): information-theoretic sub-k hiding, no key split — see
+// DESIGN.md §13) and the Plain scheme in this package (a transparent
+// stand-in with the same interface, used for large-scale shape
+// experiments where crypto constant factors are irrelevant, and as the
+// differential-testing oracle).
 package homo
 
 import "math/big"

@@ -7,9 +7,10 @@ import (
 )
 
 // Wire encoding of ciphertexts. Every scheme in this repo represents a
-// ciphertext as a single non-negative big.Int (ElGamal packs the (a,b)
-// pair as a·p+b, Paillier uses one element of Z*_{N²}, Plain packs
-// value and nonce), so one canonical encoding covers them all:
+// ciphertext as a single non-negative big.Int (Paillier uses one
+// element of Z*_{N²}, Shamir packs its share limbs under a sentinel
+// limb, Plain packs value and nonce), so one canonical encoding covers
+// them all:
 //
 //	uvarint(len(V.Bytes())) ‖ big-endian magnitude of V
 //

@@ -6,82 +6,18 @@ import (
 	"sync/atomic"
 )
 
-// Shared crypto worker pool. Every batch (vector) operation in the
-// repository — Paillier and ElGamal *Vec implementations, and any
-// future scheme — fans out over this one pool rather than spawning
-// goroutines per call, so concurrent batch callers time-share a fixed
-// set of workers instead of oversubscribing the machine.
+// Shared crypto worker pool. Every parallel batch (vector) operation
+// in the repository — Paillier's EncryptZeroVec, RerandomizeVec and
+// EncryptVec, and any future scheme's — fans out over this one pool
+// rather than spawning goroutines per call, so concurrent batch callers
+// time-share a fixed set of workers instead of oversubscribing the
+// machine.
 //
 // The pool is lazily started on first parallel call and sized to
-// GOMAXPROCS (override with SetWorkers). Submission never blocks: when
-// every worker is busy the caller simply runs its whole batch inline,
-// which keeps nested ParallelFor calls deadlock-free and makes the
-// saturated path exactly the serial path.
-
-var workerOverride atomic.Int64
-
-// SetWorkers overrides the parallel width of batch crypto operations.
-// n ≤ 0 restores the default (GOMAXPROCS at call time). Takes effect
-// for subsequent batch calls; in-flight calls are unaffected. A width
-// of 1 disables parallel dispatch entirely — the right setting for
-// 1-vCPU hosts, where helpers only add scheduling overhead.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerOverride.Store(int64(n))
-}
-
-// Workers returns the current parallel width: the SetWorkers override
-// when set, GOMAXPROCS otherwise.
-func Workers() int {
-	if n := workerOverride.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// smallBatchCutoff is the vector length below which CHEAP batch
-// operations (ciphertext adds, scalar muls — a few modular
-// multiplications each) run serially instead of dispatching to the
-// pool. BENCH_homo.json showed the dispatch overhead inverting the
-// win on protocol-sized vectors: ObliviousAddVec (20 elements) ran
-// 107.6 µs at procs=4 versus 63.7 µs serial. Expensive per-element
-// ops (encrypt, rerandomize: modular exponentiations) amortize the
-// dispatch even at length 2 and never consult the cutoff.
-// BenchmarkAddVecCrossover pins the crossover region; 64 comfortably
-// covers every counter vector the protocol ships while still fanning
-// out bulk work.
-var smallBatchCutoff atomic.Int64
-
-func init() { smallBatchCutoff.Store(64) }
-
-// SmallBatchCutoff returns the current cheap-op serial cutoff.
-func SmallBatchCutoff() int { return int(smallBatchCutoff.Load()) }
-
-// SetSmallBatchCutoff sets the vector length below which cheap batch
-// ops bypass the worker pool. n ≤ 0 sends every length to the pool
-// (the pre-cutoff behavior, useful for benchmarking the dispatch
-// overhead itself).
-func SetSmallBatchCutoff(n int) {
-	if n < 0 {
-		n = 0
-	}
-	smallBatchCutoff.Store(int64(n))
-}
-
-// ParallelForCheap is ParallelFor for cheap per-element work: vectors
-// shorter than SmallBatchCutoff run inline on the caller, longer ones
-// fan out normally.
-func ParallelForCheap(n int, fn func(i int)) {
-	if n < SmallBatchCutoff() {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	ParallelFor(n, fn)
-}
+// GOMAXPROCS. Submission never blocks: when every worker is busy the
+// caller simply runs its whole batch inline, which keeps nested
+// ParallelFor calls deadlock-free and makes the saturated path exactly
+// the serial path.
 
 var (
 	poolOnce  sync.Once
@@ -108,13 +44,14 @@ func ensureWorkers(n int) {
 }
 
 // ParallelFor runs fn(i) for every i in [0, n), fanning out over the
-// shared worker pool when more than one worker is configured. The
+// shared worker pool at width GOMAXPROCS (read at call time; at width
+// 1 helpers would only add scheduling overhead, so fn runs inline). The
 // calling goroutine always participates, helpers steal indexes off a
 // shared counter, and a panic in any index is re-raised on the caller
 // after the batch drains. fn must be safe for concurrent invocation
-// when Workers() > 1.
+// when GOMAXPROCS > 1.
 func ParallelFor(n int, fn func(i int)) {
-	w := Workers()
+	w := runtime.GOMAXPROCS(0)
 	if n <= 1 || w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

@@ -28,7 +28,6 @@ package majorityrule
 
 import (
 	"fmt"
-	"math"
 
 	"secmr/internal/arm"
 	"secmr/internal/sim"
@@ -87,21 +86,6 @@ func (c Config) withDefaults() Config {
 		c.CandidateEvery = 5
 	}
 	return c
-}
-
-// rational converts a float threshold to an exact fraction, preferring
-// the smallest denominator that represents it exactly: thresholds like
-// 0.15 become 15/100 rather than 157286/2^20, which keeps encrypted Δ
-// magnitudes small — important for schemes with bounded decryption
-// (exponential ElGamal's BSGS).
-func rational(x float64) (int64, int64) {
-	for _, den := range []int64{10, 100, 1000, 10000, 1 << 20} {
-		n := math.Round(x * float64(den))
-		if math.Abs(x*float64(den)-n) < 1e-9 {
-			return int64(n), den
-		}
-	}
-	return int64(math.Round(x * (1 << 20))), 1 << 20
 }
 
 // RuleMsg is one Scalable-Majority exchange in the context of a rule:
@@ -275,7 +259,7 @@ func (r *Resource) addCandidate(rule arm.Rule) *candidate {
 	if r.cfg.MaxRuleItems > 0 && len(rule.LHS)+len(rule.RHS) > r.cfg.MaxRuleItems {
 		return nil
 	}
-	ln, ld := rational(r.cfg.Th.Lambda(rule.Kind))
+	ln, ld := arm.Rational(r.cfg.Th.Lambda(rule.Kind))
 	c := &candidate{rule: rule, lambdaN: ln, lambdaD: ld, edges: map[int]*edgeState{}}
 	r.cands[key] = c
 	r.order = append(r.order, key)

@@ -219,11 +219,11 @@ func TestModeString(t *testing.T) {
 }
 
 func TestRational(t *testing.T) {
-	n, d := rational(0.5)
+	n, d := arm.Rational(0.5)
 	if float64(n)/float64(d) != 0.5 {
 		t.Fatalf("rational(0.5) = %d/%d", n, d)
 	}
-	n, d = rational(0.3)
+	n, d = arm.Rational(0.3)
 	if diff := float64(n)/float64(d) - 0.3; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("rational(0.3) = %d/%d (err %g)", n, d, diff)
 	}

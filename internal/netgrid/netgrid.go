@@ -2,10 +2,10 @@
 // each resource is a TCP endpoint on the local host, links are TCP
 // connections, and frames are length-prefixed byte payloads (the wire
 // codec in internal/core produces them for the secure protocol's
-// messages). It complements the two in-process runtimes — the
-// deterministic simulator (internal/sim) and the goroutine runtime
-// (internal/grid) — with the transport a genuine deployment would use,
-// and the tests drive the voting protocol across it end to end.
+// messages). It complements the in-process runtime — the deterministic
+// simulator (internal/sim) — with the transport a genuine deployment
+// would use, and the tests drive the voting protocol across it end to
+// end.
 //
 // The transport is self-healing, because the paper's data-grid setting
 // assumes resources come and go: every dialable peer gets a supervisor

@@ -12,14 +12,12 @@
 //
 // A Counter bundles the three protocol values (sum, count, num) with
 // one share field and one stamp vector; componentwise addition
-// preserves all invariants. The package also provides the paper's
-// vectorization technique (packing several small fields into a single
-// ciphertext, §4.2) and the blinded-sign secure function evaluation
-// primitive used between broker and controller (§5.1).
+// preserves all invariants. The package also provides the blinded-sign
+// secure function evaluation primitive used between broker and
+// controller (§5.1).
 package oblivious
 
 import (
-	"math/big"
 	"math/rand"
 
 	"secmr/internal/homo"
@@ -27,10 +25,8 @@ import (
 
 // Counter is one oblivious counter message: the §5.2 payload
 // ⟨sum, count, num, share, T_⊥, T_v1, …, T_vd⟩ with each field an
-// independently homomorphic ciphertext. (The single-ciphertext packed
-// form is provided by Packer; the multi-ciphertext form is the default
-// because it lets the controller decrypt verification fields without
-// learning the counter values.)
+// independently homomorphic ciphertext, which lets the controller
+// decrypt verification fields without learning the counter values.
 type Counter struct {
 	Sum, Count, Num *homo.Ciphertext
 	Share           *homo.Ciphertext
@@ -52,10 +48,10 @@ func fromVec(v []*homo.Ciphertext) *Counter {
 }
 
 // NewZero returns an all-E(0) counter with the given number of stamp
-// slots. All counter operations go through the homo batch helpers: a
-// batch-capable scheme (Paillier, ElGamal) computes the 4+slots field
-// ciphertexts on the shared worker pool; any other scheme runs the
-// identical serial loop.
+// slots. NewZero, Add and Rerandomize go through the homo batch
+// helpers: Paillier computes the 4+slots encryptions of zero on the
+// shared worker pool, Shamir draws their randomness in one pass, and a
+// scheme without the batch capability runs the identical serial loop.
 func NewZero(pub homo.Public, slots int) *Counter {
 	return fromVec(homo.EncryptZeroVec(pub, 4+slots))
 }
@@ -109,32 +105,6 @@ func (c *Counter) Clone() *Counter {
 		out.Stamps[i] = c.Stamps[i].Clone()
 	}
 	return out
-}
-
-// MakeShares draws n random shares summing to 1 modulo the plaintext
-// space and returns their encryptions — the accountant's share
-// distribution step (Algorithm 2). The shares themselves are drawn
-// from the full plaintext space, so any proper subset reveals nothing
-// about whether the subset "should" sum to anything.
-func MakeShares(enc homo.Encryptor, pub homo.Public, n int, rng *rand.Rand) []*homo.Ciphertext {
-	if n < 1 {
-		panic("oblivious: need at least one share")
-	}
-	// Draw n−1 shares from a wide range; the last share is
-	// 1 − Σ others (mod M). Drawing int63 keeps the arithmetic in
-	// int64; the modular encoding happens inside Encrypt. All draws
-	// happen before the batched encryption so the rng stream is
-	// identical to the historical serial loop (seeded simulations
-	// depend on the draw order).
-	vals := make([]*big.Int, n)
-	acc := int64(0)
-	for i := 0; i < n-1; i++ {
-		v := rng.Int63n(1 << 40)
-		acc += v
-		vals[i] = big.NewInt(v)
-	}
-	vals[n-1] = big.NewInt(1 - acc)
-	return homo.EncryptVec(enc, vals)
 }
 
 // Blind multiplies an encrypted signed value by a fresh random

@@ -5,7 +5,6 @@ import (
 	"math/big"
 	mrand "math/rand"
 	"testing"
-	"testing/quick"
 
 	"secmr/internal/homo"
 	"secmr/internal/paillier"
@@ -100,35 +99,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestMakeSharesSumToOne(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(1))
-	for name, s := range schemes() {
-		for _, n := range []int{1, 2, 5, 16} {
-			shares := MakeShares(s, s, n, rng)
-			if len(shares) != n {
-				t.Fatalf("%s: got %d shares", name, len(shares))
-			}
-			sum := s.EncryptZero()
-			for _, sh := range shares {
-				sum = s.Add(sum, sh)
-			}
-			if got := s.DecryptSigned(sum).Int64(); got != 1 {
-				t.Errorf("%s n=%d: shares sum to %d, want 1", name, n, got)
-			}
-			// Omitting one share must not sum to 1 (overwhelmingly).
-			if n >= 2 {
-				partial := s.EncryptZero()
-				for _, sh := range shares[:n-1] {
-					partial = s.Add(partial, sh)
-				}
-				if s.DecryptSigned(partial).Int64() == 1 {
-					t.Errorf("%s: partial share sum equals 1; shares are degenerate", name)
-				}
-			}
-		}
-	}
-}
-
 func TestBlindPreservesSign(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(2))
 	for name, s := range schemes() {
@@ -174,70 +144,14 @@ func TestBlindValidation(t *testing.T) {
 	Blind(testPlain, testPlain.EncryptInt(1), 0, rng)
 }
 
-func TestPackerRoundTripProperty(t *testing.T) {
-	p := NewPacker(5, 16)
-	f := func(a, b, c, d, e uint16) bool {
-		vals := []int64{int64(a), int64(b), int64(c), int64(d), int64(e)}
-		got := p.Unpack(p.Pack(vals))
-		for i := range vals {
-			if got[i] != vals[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPackedHomomorphicAdd(t *testing.T) {
-	// The vectorization property of §4.2: adding packed ciphertexts
-	// adds every slot independently.
-	p := NewPacker(4, 16)
-	for name, s := range schemes() {
-		a := p.Encrypt(s, s, []int64{1, 2, 3, 4})
-		b := p.Encrypt(s, s, []int64{10, 20, 30, 40})
-		sum := s.Add(a, b)
-		got := p.Decrypt(s, sum)
-		want := []int64{11, 22, 33, 44}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s: slot %d = %d want %d", name, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestPackerValidation(t *testing.T) {
-	p := NewPacker(2, 8)
-	mustPanic(t, func() { p.Pack([]int64{1}) })
-	mustPanic(t, func() { p.Pack([]int64{1, 256}) })
-	mustPanic(t, func() { p.Pack([]int64{-1, 0}) })
-	mustPanic(t, func() { NewPacker(0, 8) })
-	// Oversized geometry vs a small plaintext space.
-	small := homo.NewPlain(16)
-	big := NewPacker(4, 16)
-	mustPanic(t, func() { big.Encrypt(small, small, []int64{1, 1, 1, 1}) })
-}
-
-func mustPanic(t *testing.T, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	f()
-}
-
 func TestShareInvarianceUnderCounterSummation(t *testing.T) {
 	// End-to-end share-field behaviour: three neighbours' counters,
 	// each carrying its assigned share, summed once → share field
-	// decrypts to 1; one counted twice → ≠ 1.
+	// decrypts to 1; one counted twice → ≠ 1. The shares are explicit;
+	// that a real dealing sums to 1 is core's
+	// TestAccountantShareInvariants.
 	s := testPaillier
-	rng := mrand.New(mrand.NewSource(5))
-	shares := MakeShares(s, s, 3, rng)
+	shares := []*homo.Ciphertext{s.EncryptInt(1 << 40), s.EncryptInt(-77), s.EncryptInt(78 - 1<<40)}
 	counters := make([]*Counter, 3)
 	for i := range counters {
 		counters[i] = &Counter{

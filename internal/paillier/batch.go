@@ -6,16 +6,16 @@ import (
 	"secmr/internal/homo"
 )
 
-// Batch capability (homo.BatchScheme): every vector operation fans its
-// elementwise big.Int work out over the shared homo worker pool. All
-// Scheme operations are already safe for concurrent use (immutable
+// Batch capability (homo.BatchScheme): the expensive vector operations
+// (Encrypt, EncryptZero, Rerandomize — modular exponentiations) fan
+// their elementwise big.Int work out over the shared homo worker pool.
+// All Scheme operations are already safe for concurrent use (immutable
 // keys, sync.Pool scratch, channel-backed noise pool), so each element
 // simply runs the serial operation on a worker; outputs land at their
 // input's index, making the batch plaintext-identical to the serial
-// loop. Cheap elementwise ops (Add, ScalarMul — a few modular
-// multiplications) go through homo.ParallelForCheap, which keeps
-// protocol-sized vectors off the pool entirely; expensive ops
-// (Encrypt, Rerandomize — modular exponentiations) always fan out.
+// loop. The cheap ones (Add, ScalarMul — a few modular multiplications)
+// are plain loops: a counter is 4 + degree ciphertexts, far too short
+// to repay a dispatch.
 
 // EncryptVec encrypts every plaintext in parallel.
 func (s *Scheme) EncryptVec(ms []*big.Int) []*homo.Ciphertext {
@@ -24,13 +24,15 @@ func (s *Scheme) EncryptVec(ms []*big.Int) []*homo.Ciphertext {
 	return out
 }
 
-// AddVec returns the elementwise homomorphic sum in parallel.
+// AddVec returns the elementwise homomorphic sum.
 func (s *Scheme) AddVec(a, b []*homo.Ciphertext) []*homo.Ciphertext {
 	if len(a) != len(b) {
 		panic("paillier: AddVec length mismatch")
 	}
 	out := make([]*homo.Ciphertext, len(a))
-	homo.ParallelForCheap(len(a), func(i int) { out[i] = s.Add(a[i], b[i]) })
+	for i := range a {
+		out[i] = s.Add(a[i], b[i])
+	}
 	return out
 }
 
@@ -41,13 +43,15 @@ func (s *Scheme) RerandomizeVec(xs []*homo.Ciphertext) []*homo.Ciphertext {
 	return out
 }
 
-// ScalarVec returns elementwise ms[i] ∗ xs[i] in parallel.
+// ScalarVec returns elementwise ms[i] ∗ xs[i].
 func (s *Scheme) ScalarVec(ms []int64, xs []*homo.Ciphertext) []*homo.Ciphertext {
 	if len(ms) != len(xs) {
 		panic("paillier: ScalarVec length mismatch")
 	}
 	out := make([]*homo.Ciphertext, len(xs))
-	homo.ParallelForCheap(len(xs), func(i int) { out[i] = s.ScalarMul(ms[i], xs[i]) })
+	for i := range xs {
+		out[i] = s.ScalarMul(ms[i], xs[i])
+	}
 	return out
 }
 

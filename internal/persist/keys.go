@@ -22,23 +22,25 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"secmr/internal/elgamal"
 	"secmr/internal/homo"
 	"secmr/internal/paillier"
 	"secmr/internal/shamir"
 )
 
 // Scheme kind bytes in key.bin — the secmr-keys on-disk vocabulary.
+// Kind 3 belonged to the removed ElGamal backend: it is retired, never
+// reused, so an old state directory is refused by name instead of
+// misread.
 const (
-	schemePlain    = 1
-	schemePaillier = 2
-	schemeElGamal  = 3
-	schemeShamir   = 4
+	schemePlain          = 1
+	schemePaillier       = 2
+	schemeRetiredElGamal = 3
+	schemeShamir         = 4
 )
 
 // ExportScheme serializes a grid cryptosystem's key material: one kind
 // byte followed by the scheme's own private-key blob (the same
-// encoding secmr-keys writes). Only the four concrete schemes are
+// encoding secmr-keys writes). Only the three concrete schemes are
 // supported — wrappers (telemetry instrumentation) must be unwrapped
 // by the caller first.
 func ExportScheme(s homo.Scheme) ([]byte, error) {
@@ -51,12 +53,6 @@ func ExportScheme(s homo.Scheme) ([]byte, error) {
 			return nil, fmt.Errorf("persist: exporting paillier key: %w", err)
 		}
 		return append([]byte{schemePaillier}, blob...), nil
-	case *elgamal.Scheme:
-		blob, err := sc.ExportPrivate()
-		if err != nil {
-			return nil, fmt.Errorf("persist: exporting elgamal key: %w", err)
-		}
-		return append([]byte{schemeElGamal}, blob...), nil
 	case *shamir.Scheme:
 		// The sharing geometry is the whole key material: hiding is
 		// information-theoretic (there is no secret key to persist),
@@ -87,8 +83,8 @@ func LoadScheme(data []byte) (homo.Scheme, error) {
 		return homo.NewPlain(int(bits)), nil
 	case schemePaillier:
 		return paillier.Import(data[1:])
-	case schemeElGamal:
-		return elgamal.Import(data[1:])
+	case schemeRetiredElGamal:
+		return nil, fmt.Errorf("persist: elgamal key material: backend removed, re-key with paillier or shamir")
 	case schemeShamir:
 		rest := data[1:]
 		var vals [3]uint64
@@ -116,7 +112,7 @@ func SchemeKindName(kind byte) string {
 		return "plain"
 	case schemePaillier:
 		return "paillier"
-	case schemeElGamal:
+	case schemeRetiredElGamal:
 		return "elgamal"
 	case schemeShamir:
 		return "shamir"

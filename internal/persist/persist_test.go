@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"secmr/internal/arm"
@@ -362,5 +363,26 @@ func TestExportSchemeRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadScheme(nil); err == nil {
 		t.Fatal("empty key material accepted")
+	}
+}
+
+// TestRetiredElGamalKindRefusedByName: kind byte 3 is retired with the
+// ElGamal backend, never reused. Loading it fails with an error that
+// says what the material is and what to do, and diagnostics (Inspect,
+// secmr-keys inspect) still name it.
+func TestRetiredElGamalKindRefusedByName(t *testing.T) {
+	_, err := LoadScheme([]byte{3, 1, 2, 3})
+	if err == nil || !strings.Contains(err.Error(), "elgamal key material: backend removed, re-key with paillier or shamir") {
+		t.Fatalf("kind 3 not refused by name: %v", err)
+	}
+	if got := SchemeKindName(3); got != "elgamal" {
+		t.Fatalf("SchemeKindName(3) = %q, want elgamal", got)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "key.bin"), []byte{3, 1, 2, 3}, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := Inspect(dir); err != nil || info.SchemeKind != "elgamal" {
+		t.Fatalf("Inspect on retired material = %+v, %v", info, err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package randpool provides a scheme-agnostic precomputed-randomness
 // pool: background workers keep a buffer of expensive random values
-// (Paillier noise factors r^N, ElGamal (g^r, h^r) pairs) ready so the
-// protocol thread only consumes.
+// (Paillier noise factors r^N) ready so the protocol thread only
+// consumes.
 //
 // The pool is an optimization only: Get never blocks, and a miss means
 // the caller computes the value inline and remains correct. The win

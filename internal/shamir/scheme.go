@@ -21,7 +21,7 @@ import (
 // (Lagrange interpolation is linear), so Add/Sub/ScalarMul cost a few
 // nanoseconds per share instead of a modular multiplication in Z*_{N²}.
 //
-// Threat model (DESIGN.md §13): unlike Paillier/ElGamal, the
+// Threat model (DESIGN.md §13): unlike Paillier, the
 // capability split is NOT cryptographic — anyone holding a share
 // vector holds every share, and anyone can deal a chosen value, so
 // Public/Encryptor/Decryptor coincide in power. What the scheme
@@ -30,7 +30,7 @@ import (
 // protocol's k-gate enforces at the aggregation layer), and it
 // guarantees it unconditionally — no hardness assumption, no key to
 // steal. Deployments that need the capability split against a
-// curious *broker* must keep Paillier/ElGamal; deployments whose
+// curious *broker* must keep Paillier; deployments whose
 // adversary is a sub-k coalition of share holders get the same
 // k-security three orders of magnitude cheaper. Forged counters from a
 // malicious dealer are caught exactly as before: the share-sum field
@@ -256,9 +256,9 @@ func (s *Scheme) Rerandomize(a *homo.Ciphertext) *homo.Ciphertext {
 // The batch interfaces are implemented with plain loops, NOT the homo
 // worker pool: a share add costs a few nanoseconds, three orders of
 // magnitude below the pool's dispatch overhead, so the serial loop IS
-// the fast path (the same lesson the small-vector cutoff encodes for
-// the big-integer schemes). Randomness for encrypt-class batches is
-// drawn in one locked pass per call.
+// the fast path (Paillier's cheap AddVec/ScalarVec are plain loops for
+// the same reason). Randomness for encrypt-class batches is drawn in
+// one locked pass per call.
 
 // AddVec returns the elementwise homomorphic sum.
 func (s *Scheme) AddVec(a, b []*homo.Ciphertext) []*homo.Ciphertext {

@@ -5,8 +5,8 @@
 // (HPDC 2004) — together with every substrate the paper builds on:
 // Paillier oblivious counters, the Scalable-Majority voting protocol,
 // the plain Majority-Rule and k-private baselines, an IBM-Quest-style
-// data generator, a BRITE-style topology generator, and deterministic
-// and goroutine-based grid runtimes.
+// data generator, a BRITE-style topology generator, a deterministic
+// grid simulator and a TCP transport.
 //
 // This package is the public facade. Typical use:
 //
@@ -30,6 +30,7 @@ package secmr
 import (
 	crand "crypto/rand"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -39,7 +40,6 @@ import (
 	"secmr/internal/arm"
 	"secmr/internal/attack"
 	"secmr/internal/core"
-	"secmr/internal/elgamal"
 	"secmr/internal/faults"
 	"secmr/internal/hashing"
 	"secmr/internal/homo"
@@ -168,10 +168,6 @@ const (
 	CryptoPlain Crypto = "plain"
 	// CryptoPaillier is the Paillier cryptosystem the paper uses.
 	CryptoPaillier Crypto = "paillier"
-	// CryptoElGamal is exponential ElGamal — additively homomorphic
-	// with bounded (baby-step/giant-step) decryption, the family
-	// Kikuchi's oblivious counters build on.
-	CryptoElGamal Crypto = "elgamal"
 	// CryptoShamir is packed Shamir secret sharing over GF(2^61−1):
 	// counters are share vectors, homomorphic adds are componentwise
 	// field additions (≈1000× cheaper than Paillier), and privacy is
@@ -183,31 +179,17 @@ const (
 	CryptoShamir Crypto = "shamir"
 )
 
-// buildScheme constructs the grid-wide cryptosystem and the SFE
-// blinding width appropriate for it.
-func buildScheme(cfg GridConfig, dbLen int) (homo.Scheme, int, error) {
+// buildScheme constructs the grid-wide cryptosystem.
+func buildScheme(cfg GridConfig) (homo.Scheme, error) {
 	switch cfg.Crypto {
 	case CryptoPlain:
-		return homo.NewPlain(96), 0, nil // 0 = core default (16 bits)
+		return homo.NewPlain(96), nil
 	case CryptoPaillier:
 		s, err := paillier.GenerateKey(crand.Reader, cfg.PaillierBits)
 		if err != nil {
-			return nil, 0, fmt.Errorf("secmr: paillier keygen: %w", err)
+			return nil, fmt.Errorf("secmr: paillier keygen: %w", err)
 		}
-		return s, 0, nil
-	case CryptoElGamal:
-		// ElGamal decryption is a bounded discrete log: the bound must
-		// cover blinded Δ values, λd·|DB|·2^blindBits with headroom.
-		const blindBits = 6
-		bound := int64(1) << 26
-		if need := int64(10000) * int64(dbLen) * (1 << blindBits) * 4; need > bound {
-			bound = need
-		}
-		s, err := elgamal.GenerateKey(crand.Reader, cfg.PaillierBits, bound)
-		if err != nil {
-			return nil, 0, fmt.Errorf("secmr: elgamal keygen: %w", err)
-		}
-		return s, blindBits, nil
+		return s, nil
 	case CryptoShamir:
 		// The hiding threshold is matched to the protocol's k-gate: a
 		// coalition that cannot open a counter cryptographically is
@@ -224,11 +206,12 @@ func buildScheme(cfg GridConfig, dbLen int) (homo.Scheme, int, error) {
 		}
 		s, err := shamir.New(shamir.Params{K: k, N: n, W: 1})
 		if err != nil {
-			return nil, 0, fmt.Errorf("secmr: shamir setup: %w", err)
+			return nil, fmt.Errorf("secmr: shamir setup: %w", err)
 		}
-		return s, 0, nil
+		return s, nil
 	default:
-		return nil, 0, fmt.Errorf("secmr: unknown crypto scheme %q", cfg.Crypto)
+		return nil, fmt.Errorf("secmr: unknown crypto scheme %q (want %q, %q or %q)",
+			cfg.Crypto, CryptoPlain, CryptoPaillier, CryptoShamir)
 	}
 }
 
@@ -292,7 +275,9 @@ type GridConfig struct {
 	// (default 5).
 	CandidateEvery int
 	// GrowthPerStep feeds this many fresh transactions per resource
-	// per step when Feed is set on NewGridWithFeed (default 0).
+	// per step when Feed is set on NewGridWithFeed (default 0). Feeds
+	// grow |DB| past what construction checked against the scheme's
+	// plaintext range (see NewGridWithFeedSources).
 	GrowthPerStep int
 	// MaxRuleItems caps |LHS∪RHS| of candidate rules (0 = unlimited).
 	MaxRuleItems int
@@ -302,12 +287,11 @@ type GridConfig struct {
 	// counters (AlgorithmSecure only): CryptoPlain (default) is the
 	// transparent stand-in — convergence figures are measured in
 	// protocol steps, which are scheme independent; CryptoPaillier is
-	// the paper's cryptosystem; CryptoElGamal is exponential ElGamal,
-	// the family Kikuchi's oblivious counters [12] build on;
-	// CryptoShamir is packed Shamir secret sharing — the constant-time
-	// raw-speed backend with information-theoretic sub-k hiding.
+	// the paper's cryptosystem; CryptoShamir is packed Shamir secret
+	// sharing — the constant-time raw-speed backend with
+	// information-theoretic sub-k hiding.
 	Crypto Crypto
-	// PaillierBits sizes the Paillier/ElGamal modulus (default 1024).
+	// PaillierBits sizes the Paillier modulus (default 1024).
 	// Deprecated alias: setting it without Crypto implies
 	// CryptoPaillier, preserving the original API.
 	PaillierBits int
@@ -340,14 +324,9 @@ type GridConfig struct {
 	// `secmr-trace flight` even when nothing was scraping the live
 	// introspection endpoint. See obs.FlightRecorder.
 	FlightDir string
-	// CryptoWorkers overrides the parallel width of batched
-	// homomorphic operations (0 keeps the default, GOMAXPROCS). The
-	// worker pool is process-global, so the last grid constructed wins;
-	// set 1 on single-vCPU hosts to skip parallel dispatch overhead.
-	CryptoWorkers int
 	// NoisePool, when positive, starts a background precomputed-
 	// randomness pool of that capacity on the grid's cryptosystem
-	// (Paillier noise factors r^N, ElGamal (g^r, h^r) pairs). Only
+	// (Paillier noise factors r^N; ignored by the other schemes). Only
 	// useful with spare cores. Stop the workers with Grid.Close.
 	NoisePool int
 	// Persist, when non-nil, turns on durable state (AlgorithmSecure
@@ -506,6 +485,12 @@ func NewGridWithFeed(db *Database, feeds [][]Transaction, cfg GridConfig) (*Grid
 // by a queue (e.g. a mining service's ingestion endpoint) grow the
 // grid's database while the anytime protocol runs. feeds may be nil,
 // shorter than Resources, or contain nil entries (static resources).
+//
+// An AlgorithmSecure grid is refused when db is larger than the
+// scheme's signed plaintext range can vote on: the widest value a
+// controller decrypts is 2·λd·|DB|·2^16 (core.MaxDBLen derives it), and
+// past (M−1)/2 the sign SFE would wrap silently. Only db is checked;
+// transactions the feeds add later are the caller's to bound.
 func NewGridWithFeedSources(db *Database, feeds []FeedSource, cfg GridConfig) (*Grid, error) {
 	cfg = cfg.withDefaults()
 	if cfg.MinFreq <= 0 || cfg.MinFreq > 1 || cfg.MinConf <= 0 || cfg.MinConf > 1 {
@@ -536,25 +521,20 @@ func NewGridWithFeedSources(db *Database, feeds []FeedSource, cfg GridConfig) (*
 	}
 	tree := overlay.SpanningTree(0)
 
-	if cfg.CryptoWorkers > 0 {
-		homo.SetWorkers(cfg.CryptoWorkers)
-	}
 	var scheme, rawScheme homo.Scheme
-	var blindBits int
 	var stopPool func()
 	if cfg.Algorithm == AlgorithmSecure {
-		scheme, blindBits, err = buildScheme(cfg, db.Len())
+		scheme, err = buildScheme(cfg)
 		if err != nil {
 			return nil, err
 		}
+		if limit := core.MaxDBLen(scheme.PlaintextSpace(), th); limit.Cmp(big.NewInt(int64(db.Len()))) < 0 {
+			return nil, fmt.Errorf("secmr: %d transactions overflow %s at MinFreq=%v MinConf=%v: a blinded vote must stay within ±(M−1)/2 of its plaintext space M=%v, which admits at most %v transactions",
+				db.Len(), scheme.Name(), cfg.MinFreq, cfg.MinConf, scheme.PlaintextSpace(), limit)
+		}
 		rawScheme = scheme // pre-instrumentation, for key-material export
-		if cfg.NoisePool > 0 {
-			switch sc := scheme.(type) {
-			case *paillier.Scheme:
-				stopPool = sc.StartNoisePool(cfg.NoisePool, 1)
-			case *elgamal.Scheme:
-				stopPool = sc.StartNoisePool(cfg.NoisePool, 1)
-			}
+		if sc, ok := scheme.(*paillier.Scheme); ok && cfg.NoisePool > 0 {
+			stopPool = sc.StartNoisePool(cfg.NoisePool, 1)
 		}
 		// Crypto-op counters/latency histograms ride on the scheme
 		// itself; with a nil sink this returns scheme unwrapped.
@@ -651,9 +631,8 @@ func NewGridWithFeedSources(db *Database, feeds []FeedSource, cfg GridConfig) (*
 				ScanBudget: cfg.ScanBudget, CandidateEvery: cfg.CandidateEvery,
 				GrowthPerStep: cfg.GrowthPerStep, K: int64(cfg.K),
 				MaxRuleItems: cfg.MaxRuleItems, IntraDelay: true,
-				PaddingDance: cfg.PaddingDance, BlindBits: blindBits,
-				LossyLinks: cfg.Faults != nil, Obs: cfg.Telemetry,
-				Audit: cfg.Audit, Quarantine: cfg.Quarantine}
+				PaddingDance: cfg.PaddingDance, LossyLinks: cfg.Faults != nil,
+				Obs: cfg.Telemetry, Audit: cfg.Audit, Quarantine: cfg.Quarantine}
 			g.coreCfg = c
 			r := core.NewResourceFeed(i, c, scheme, parts[i], feed, advFor[i])
 			if cfg.Persist != nil {

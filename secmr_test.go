@@ -1,7 +1,12 @@
 package secmr
 
 import (
+	"math/big"
+	"strconv"
+	"strings"
 	"testing"
+
+	"secmr/internal/core"
 )
 
 func smallDB(n int, seed int64) *Database {
@@ -137,25 +142,6 @@ func TestPaillierBackedGrid(t *testing.T) {
 	}
 }
 
-func TestElGamalBackedGrid(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real crypto end-to-end")
-	}
-	db := smallDB(400, 13)
-	grid, err := NewGrid(db, GridConfig{
-		Algorithm: AlgorithmSecure, Resources: 3, K: 1,
-		Crypto: CryptoElGamal, PaillierBits: 128,
-		MinFreq: 0.2, MinConf: 0.7, ScanBudget: 50, MaxRuleItems: 2, Seed: 13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !grid.RunUntilQuality(0.85, 1500) {
-		r, p := grid.Quality()
-		t.Fatalf("elgamal grid stuck at recall=%.3f precision=%.3f", r, p)
-	}
-}
-
 func TestShamirBackedGrid(t *testing.T) {
 	db := smallDB(400, 31)
 	grid, err := NewGrid(db, GridConfig{
@@ -172,12 +158,13 @@ func TestShamirBackedGrid(t *testing.T) {
 	}
 }
 
-// TestShamirPaillierMinedRulesParity is the tentpole correctness
+// TestShamirPaillierMinedRulesParity is the scheme-independence
 // criterion: on a fixed seed the scheme choice must not perturb the
 // protocol — the sim RNG stream is independent of the cryptosystem
 // (encryption randomness comes from separate sources) — so the mined
 // rule set of every resource must match rule-for-rule between the
-// Paillier and Shamir backends after the same number of steps.
+// transparent Plain oracle and the Paillier and Shamir backends after
+// the same number of steps.
 func TestShamirPaillierMinedRulesParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real crypto end-to-end")
@@ -202,15 +189,17 @@ func TestShamirPaillierMinedRulesParity(t *testing.T) {
 		}
 		return outs
 	}
-	pail := run(CryptoPaillier)
-	sham := run(CryptoShamir)
-	for i := range pail {
-		if len(pail[i]) != len(sham[i]) {
-			t.Fatalf("resource %d: paillier mined %d rules, shamir %d", i, len(pail[i]), len(sham[i]))
-		}
-		for _, r := range pail[i].Sorted() {
-			if !sham[i].Has(r) {
-				t.Fatalf("resource %d: rule %s mined under paillier but not shamir", i, r.Key())
+	plain := run(CryptoPlain)
+	for _, c := range []Crypto{CryptoPaillier, CryptoShamir} {
+		got := run(c)
+		for i := range plain {
+			if len(plain[i]) != len(got[i]) {
+				t.Fatalf("resource %d: plain mined %d rules, %s %d", i, len(plain[i]), c, len(got[i]))
+			}
+			for _, r := range plain[i].Sorted() {
+				if !got[i].Has(r) {
+					t.Fatalf("resource %d: rule %s mined under plain but not %s", i, r.Key(), c)
+				}
 			}
 		}
 	}
@@ -218,8 +207,18 @@ func TestShamirPaillierMinedRulesParity(t *testing.T) {
 
 func TestCryptoValidation(t *testing.T) {
 	db := smallDB(100, 1)
-	if _, err := NewGrid(db, GridConfig{MinFreq: 0.5, MinConf: 0.5, Crypto: "rot13"}); err == nil {
-		t.Fatal("bogus crypto scheme accepted")
+	// "elgamal" was a backend once; it is refused like any unknown name,
+	// by an error that lists what is accepted.
+	for _, c := range []Crypto{"rot13", "elgamal"} {
+		_, err := NewGrid(db, GridConfig{MinFreq: 0.5, MinConf: 0.5, Crypto: c})
+		if err == nil {
+			t.Fatalf("crypto scheme %q accepted", c)
+		}
+		for _, want := range []Crypto{CryptoPlain, CryptoPaillier, CryptoShamir} {
+			if !strings.Contains(err.Error(), strconv.Quote(string(want))) {
+				t.Fatalf("error for %q does not list %q: %v", c, want, err)
+			}
+		}
 	}
 	// PaillierBits alone implies CryptoPaillier (compatibility).
 	g, err := NewGrid(db, GridConfig{MinFreq: 0.5, MinConf: 0.5, PaillierBits: 64, Resources: 2, K: 2})
@@ -227,6 +226,54 @@ func TestCryptoValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Step(5)
+}
+
+// TestPlaintextRangeBound pins the |DB| ceiling every backend is held
+// to at construction: the widest value a controller decrypts is
+// 2·λd·|DB|·2^16 and must not pass (M−1)/2. Fixed plaintext spaces get
+// the exact number; Paillier's N is random, so every row is also held
+// to the defining inequality on both sides.
+func TestPlaintextRangeBound(t *testing.T) {
+	pins := map[Crypto][3]string{
+		CryptoPlain:  {"30223145490365729367654", "3022314549036572936765", "288230376151711743"},
+		CryptoShamir: {"879609302220", "87960930222", "8388607"}, // 2^23−1 at MinFreq = 1/3
+	}
+	ths := []struct {
+		th  Thresholds
+		den int64
+	}{
+		{Thresholds{MinFreq: 0.5, MinConf: 0.7}, 10},
+		{Thresholds{MinFreq: 0.15, MinConf: 0.7}, 100},
+		{Thresholds{MinFreq: 1.0 / 3, MinConf: 0.7}, 1 << 20},
+	}
+	for _, c := range []Crypto{CryptoPlain, CryptoPaillier, CryptoShamir} {
+		scheme, err := buildScheme(GridConfig{Crypto: c, PaillierBits: 128, K: 2, Resources: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := new(big.Int).Sub(scheme.PlaintextSpace(), big.NewInt(1))
+		half.Rsh(half, 1)
+		for i, row := range ths {
+			got := core.MaxDBLen(scheme.PlaintextSpace(), row.th)
+			if pin, ok := pins[c]; ok && got.String() != pin[i] {
+				t.Errorf("%s λd=%d: MaxDBLen = %v, want %s", c, row.den, got, pin[i])
+			}
+			width := big.NewInt(2 * row.den << 16)
+			at := new(big.Int).Mul(width, got)
+			if over := new(big.Int).Add(at, width); at.Cmp(half) > 0 || over.Cmp(half) <= 0 {
+				t.Errorf("%s λd=%d: MaxDBLen = %v is not the last |DB| with 2·λd·|DB|·2^16 ≤ %v", c, row.den, got, half)
+			}
+		}
+	}
+
+	// Through the facade: a 48-bit Paillier modulus at λd = 2^20 admits
+	// fewer than 2^47/2^37 = 1024 transactions, and says so.
+	_, err := NewGrid(smallDB(1100, 3), GridConfig{Resources: 2, K: 1,
+		Crypto: CryptoPaillier, PaillierBits: 48, MinFreq: 1.0 / 3, MinConf: 0.7})
+	if err == nil || !strings.Contains(err.Error(), "1100 transactions overflow paillier-48") ||
+		!strings.Contains(err.Error(), "at most") {
+		t.Fatalf("oversized database not refused by name and bound: %v", err)
+	}
 }
 
 func TestGridStats(t *testing.T) {
