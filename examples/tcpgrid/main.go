@@ -62,7 +62,7 @@ func main() {
 	hosts := make([]*netgrid.Host, n)
 	for i := 0; i < n; i++ {
 		res := core.NewResource(i, cfg, scheme, parts[i], nil, nil)
-		h, err := netgrid.NewHostWithOptions(i, res, scheme, netgrid.Options{
+		h, err := netgrid.NewHost(i, res, scheme, netgrid.Options{
 			Auth: &netgrid.AuthConfig{Priv: privs[i], Roster: roster},
 		})
 		if err != nil {

@@ -62,16 +62,6 @@ const (
 	wireKindReport = 3
 )
 
-// WireConfig tunes the message wire path of a TCP deployment
-// (netgrid.Options.Wire).
-type WireConfig struct {
-	// MaxFrameBytes bounds one coalesced transport frame (netgrid
-	// batches queued messages into a single TCP write up to this many
-	// payload bytes). 0 means the default (64 KiB); negative disables
-	// coalescing (one message per frame).
-	MaxFrameBytes int
-}
-
 // EncodeMessage serializes one grid message (ShareGrant, RuleCipherMsg
 // or MaliciousReport) with the compact codec, sizing the buffer
 // exactly via MessageWireSize.
@@ -158,16 +148,6 @@ func AppendMessageCtx(dst []byte, msg any, cc obs.CausalCtx) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(cc.OSeq))
 	dst = binary.AppendUvarint(dst, uint64(cc.Hops))
 	return AppendMessage(dst, msg)
-}
-
-// MessageWireSizeCtx is MessageWireSize for a causal-context frame.
-func MessageWireSizeCtx(msg any, cc obs.CausalCtx) int {
-	n := MessageWireSize(msg)
-	if n == 0 || !cc.Valid() {
-		return n
-	}
-	return n + 1 + uvarintLen(uint64(cc.Origin)) + uvarintLen(uint64(cc.OSeq)) +
-		uvarintLen(uint64(cc.Hops))
 }
 
 // PeekCausalCtx parses just the causal-context envelope from a frame,

@@ -8,6 +8,7 @@ import (
 	"secmr/internal/homo"
 	"secmr/internal/oblivious"
 	"secmr/internal/paillier"
+	"secmr/internal/shamir"
 )
 
 // codecSchemes returns one instance per scheme family, all of which
@@ -16,6 +17,7 @@ func codecSchemes() map[string]homo.Scheme {
 	return map[string]homo.Scheme{
 		"plain":    homo.NewPlain(96),
 		"paillier": testPaillier,
+		"shamir":   shamir.MustNew(shamir.Params{K: 3, N: 7, W: 1}),
 	}
 }
 

@@ -177,8 +177,8 @@ type RuleCipherMsg struct {
 }
 
 // Transport abstracts where protocol messages go: the deterministic
-// simulator, the goroutine runtime, or a real network (internal/
-// netgrid hosts a Resource over TCP through this interface).
+// simulator or a real network (internal/netgrid hosts a Resource over
+// TCP through this interface).
 type Transport interface {
 	// Send delivers one grid message (ShareGrant, RuleCipherMsg or
 	// MaliciousReport) to a neighbour.

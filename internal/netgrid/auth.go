@@ -1,16 +1,19 @@
-// Handshake authentication: challenge-response hellos signed with
-// per-resource ed25519 identity keys, closing the §10.5 gap where a
-// spoofed hello could claim any peer id at accept time.
+// The connection handshake: challenge-response hellos signed with
+// per-resource ed25519 identity keys (DESIGN §10.5), so no endpoint
+// can claim a peer id at accept time without that id's key.
 //
-// With Options.Auth set, an accepting node answers every inbound
-// connection with a fresh random nonce (kindChallenge) and requires a
-// kindHelloAuth reply whose signature — over the nonce, the claimed
-// id and the announced listen address — verifies against that id's
-// public key in the roster. Legacy unsigned hellos are rejected
-// outright, so an evicted or never-enrolled endpoint cannot re-enter
-// the grid by asserting an identity it does not hold the key for.
-// The nonce binds the signature to this connection attempt: a
-// captured hello replayed later fails against the new challenge.
+// An accepting node answers every inbound connection with a fresh
+// random nonce (kindChallenge) and requires a kindHelloAuth reply
+// whose signature — over the nonce, the claimed id, the acceptor's id
+// and the announced listen address — verifies against the claimed
+// id's public key in the roster. There is no unsigned mode, so an
+// evicted or never-enrolled endpoint cannot re-enter the grid by
+// asserting an identity it does not hold the key for. The nonce binds
+// the signature to this connection attempt (a captured hello replayed
+// later fails against the new challenge) and the acceptor id binds it
+// to this acceptor: a roster member the dialer connects to cannot pass
+// another node's nonce off as its own challenge and relay the answer
+// there, because the dialer signs the id it dialed.
 //
 // The identity key is transport key material in the key.bin spirit:
 // LoadOrCreateIdentity persists it per resource directory
@@ -36,9 +39,7 @@ import (
 
 // AuthConfig is the handshake-authentication material for one node:
 // its own signing key and the public roster it verifies peers
-// against. Authentication is all-or-nothing per grid — an
-// authenticated node rejects unsigned hellos and expects every peer
-// it dials to issue challenges.
+// against.
 type AuthConfig struct {
 	// Priv signs this node's hellos.
 	Priv ed25519.PrivateKey
@@ -49,7 +50,7 @@ type AuthConfig struct {
 
 func (a *AuthConfig) validate() error {
 	if a == nil {
-		return nil
+		return errors.New("netgrid: Options.Auth is required (identity key and roster)")
 	}
 	if len(a.Priv) != ed25519.PrivateKeySize {
 		return fmt.Errorf("netgrid: auth private key must be %d bytes, got %d",
@@ -70,17 +71,19 @@ const nonceLen = 32
 
 // helloSigDomain separates hello signatures from any other use of the
 // same key.
-const helloSigDomain = "secmr-netgrid-hello-v1"
+const helloSigDomain = "secmr-netgrid-hello-v2"
 
 // helloSigMsg is the byte string a hello signature covers: domain ‖
-// nonce ‖ claimed id ‖ announced listen address. Binding the id and
-// address stops a valid signature from being grafted onto a different
-// claim on the same connection.
-func helloSigMsg(nonce []byte, id int, addr string) []byte {
-	msg := make([]byte, 0, len(helloSigDomain)+len(nonce)+4+len(addr))
+// nonce ‖ dialer id ‖ acceptor id ‖ announced listen address. Binding
+// the dialer id and address stops a valid signature from being grafted
+// onto a different claim on the same connection; binding the acceptor
+// id stops it from being relayed to a different node.
+func helloSigMsg(nonce []byte, dialer, acceptor int, addr string) []byte {
+	msg := make([]byte, 0, len(helloSigDomain)+len(nonce)+8+len(addr))
 	msg = append(msg, helloSigDomain...)
 	msg = append(msg, nonce...)
-	msg = binary.BigEndian.AppendUint32(msg, uint32(id))
+	msg = binary.BigEndian.AppendUint32(msg, uint32(dialer))
+	msg = binary.BigEndian.AppendUint32(msg, uint32(acceptor))
 	msg = append(msg, addr...)
 	return msg
 }
@@ -111,21 +114,11 @@ func splitHelloAuth(payload []byte) (addr string, sig []byte, err error) {
 }
 
 // inboundHandshake runs the accepting side of the connection
-// handshake (the read deadline is already armed). Without auth it is
-// the legacy exchange: the first frame must be a plain hello carrying
-// the dialer's listen address. With auth it issues a nonce challenge
-// and accepts only a roster-verified signed hello; a plain hello —
-// spoofer, evicted node with stale software, or pre-auth peer — is
+// handshake (the read deadline is already armed): it issues a nonce
+// challenge and accepts only a roster-verified hello signed for this
+// node; anything else — spoofer, evicted node, relayed signature — is
 // rejected here, before the connection can be adopted.
 func (n *Node) inboundHandshake(conn net.Conn) (from int, addr string, ok bool) {
-	auth := n.opt.Auth
-	if auth == nil {
-		kind, from, payload, err := readFrame(conn)
-		if err != nil || kind != kindHello {
-			return 0, "", false
-		}
-		return from, string(payload), true
-	}
 	nonce := make([]byte, nonceLen)
 	if _, err := rand.Read(nonce); err != nil {
 		return 0, "", false
@@ -133,9 +126,9 @@ func (n *Node) inboundHandshake(conn net.Conn) (from int, addr string, ok bool) 
 	if err := writeFrame(conn, kindChallenge, n.id, nonce); err != nil {
 		return 0, "", false
 	}
-	kind, from, payload, err := readFrame(conn)
+	kind, from, payload, err := readFrame(conn, maxHandshakeFrame)
 	if err != nil || kind != kindHelloAuth {
-		n.opt.Logf("netgrid %d: rejecting unsigned hello (auth required)", n.id)
+		n.opt.Logf("netgrid %d: rejecting connection without a signed hello", n.id)
 		return 0, "", false
 	}
 	hAddr, sig, err := splitHelloAuth(payload)
@@ -143,31 +136,28 @@ func (n *Node) inboundHandshake(conn net.Conn) (from int, addr string, ok bool) 
 		n.opt.Logf("netgrid %d: %v", n.id, err)
 		return 0, "", false
 	}
-	pub, enrolled := auth.Roster[from]
-	if !enrolled || !ed25519.Verify(pub, helloSigMsg(nonce, from, hAddr), sig) {
+	pub, enrolled := n.opt.Auth.Roster[from]
+	if !enrolled || !ed25519.Verify(pub, helloSigMsg(nonce, from, n.id, hAddr), sig) {
 		n.opt.Logf("netgrid %d: rejecting hello claiming id %d: signature does not verify against roster", n.id, from)
 		return 0, "", false
 	}
 	return from, hAddr, true
 }
 
-// outboundHandshake runs the dialing side: plain hello without auth;
-// with auth, await the acceptor's challenge and answer with a signed
-// hello. The challenge read is deadline-bounded so a stalled acceptor
-// cannot wedge the dial path.
-func (n *Node) outboundHandshake(conn net.Conn) bool {
-	auth := n.opt.Auth
-	if auth == nil {
-		return writeFrame(conn, kindHello, n.id, []byte(n.Addr())) == nil
-	}
+// outboundHandshake runs the dialing side toward the peer it dialed:
+// await that peer's challenge and answer with a hello signed for it. A
+// challenge sent under any other id is dropped unanswered. The
+// challenge read is deadline-bounded so a stalled acceptor cannot
+// wedge the dial path.
+func (n *Node) outboundHandshake(conn net.Conn, peer int) bool {
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	kind, _, nonce, err := readFrame(conn)
-	if err != nil || kind != kindChallenge || len(nonce) != nonceLen {
+	kind, from, nonce, err := readFrame(conn, maxHandshakeFrame)
+	if err != nil || kind != kindChallenge || from != peer || len(nonce) != nonceLen {
 		return false
 	}
 	conn.SetReadDeadline(time.Time{})
 	addr := n.Addr()
-	sig := ed25519.Sign(auth.Priv, helloSigMsg(nonce, n.id, addr))
+	sig := ed25519.Sign(n.opt.Auth.Priv, helloSigMsg(nonce, n.id, peer, addr))
 	return writeFrame(conn, kindHelloAuth, n.id, encodeHelloAuth(addr, sig)) == nil
 }
 

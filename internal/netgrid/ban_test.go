@@ -18,22 +18,22 @@ import (
 // (its redial handshakes are refused, and anything slipping through a
 // re-dial race dies at dispatch) — and an unrelated peer is completely
 // unaffected. The banned peer's own link view may flap while its
-// supervisor retries (the hello handshake is one-way, so a dialer
-// adopts the conn before the banning side closes it); the contract is
+// supervisor retries (a dialer adopts the conn once it has answered
+// the challenge, before the banning side closes it); the contract is
 // that no payload crosses, not that the retries stop.
 func TestBanSeversPeer(t *testing.T) {
 	ra, rb, rc := &collector{}, &collector{}, &collector{}
-	a, err := StartWithOptions(0, ra.handle, Options{ReconnectBase: 5 * time.Millisecond})
+	a, err := Start(0, ra.handle, authOpt(0, Options{ReconnectBase: 5 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := StartWithOptions(1, rb.handle, Options{ReconnectBase: 5 * time.Millisecond})
+	b, err := Start(1, rb.handle, authOpt(1, Options{ReconnectBase: 5 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	c, err := Start(2, rc.handle)
+	c, err := Start(2, rc.handle, authOpt(2, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestHostMirrorsEvictionOntoTransport(t *testing.T) {
 	hosts := make([]*Host, n)
 	for i := 0; i < n; i++ {
 		res := core.NewResource(i, cfg, scheme, parts[i], nil, nil)
-		h, err := NewHostWithOptions(i, res, scheme, opt)
+		h, err := NewHost(i, res, scheme, authOpt(i, opt))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,12 +2,10 @@ package netgrid
 
 import (
 	"fmt"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"secmr/internal/core"
 	"secmr/internal/faults"
 	"secmr/internal/obs"
 )
@@ -17,22 +15,40 @@ import (
 // arrive, in order, in fewer wire frames than messages.
 func TestCoalescingFlushesBacklogInOneFrame(t *testing.T) {
 	sink := obs.NewSink()
-	a, err := StartWithOptions(0, func(int, []byte) {}, Options{
+	a, err := Start(0, func(int, []byte) {}, authOpt(0, Options{
 		ReconnectBase: 5 * time.Millisecond,
 		Obs:           sink,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 	rx := &collector{}
-	b, err := Start(1, rx.handle)
+	b, err := Start(1, rx.handle, authOpt(1, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := b.Addr()
 	if err := a.Connect(map[int]string{1: addr}); err != nil {
 		t.Fatal(err)
+	}
+	// A lone message is a one-element batch, not a frame kind of its own:
+	// one wire frame of header ‖ uvarint(len) ‖ body. The counters move
+	// after the write returns, which can be after the handler has fired.
+	if err := a.Send(1, []byte("solo")); err != nil {
+		t.Fatal(err)
+	}
+	if got := waitFrames(t, rx, 1, 5*time.Second); got[0] != "solo" {
+		t.Fatalf("lone message arrived as %q", got[0])
+	}
+	for deadline := time.Now().Add(5 * time.Second); a.cWireFrames.Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("lone message never counted as a wire frame")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if frames, bytes := a.cWireFrames.Value(), a.cWireBytes.Value(); frames != 1 || bytes != 9+1+4 {
+		t.Fatalf("lone 4-byte message went out as %d frames, %d bytes; want one 14-byte batch frame", frames, bytes)
 	}
 	b.Close()
 	// Probe until the link is marked down. A probe whose write fails
@@ -54,7 +70,7 @@ func TestCoalescingFlushesBacklogInOneFrame(t *testing.T) {
 	framesBefore := a.cWireFrames.Value()
 
 	rx2 := &collector{}
-	b2, err := StartWithOptions(1, rx2.handle, Options{ListenAddr: addr})
+	b2, err := Start(1, rx2.handle, authOpt(1, Options{ListenAddr: addr}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,55 +107,23 @@ func TestCoalescingFlushesBacklogInOneFrame(t *testing.T) {
 	}
 }
 
-// TestCoalescingDisabled pins the opt-out: a negative MaxFrameBytes
-// sends one message per wire frame (the pre-batching format).
-func TestCoalescingDisabled(t *testing.T) {
-	a, err := StartWithOptions(0, func(int, []byte) {}, Options{
-		ReconnectBase: 5 * time.Millisecond,
-		Wire:          core.WireConfig{MaxFrameBytes: -1},
-		Obs:           obs.NewSink(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	rx := &collector{}
-	b, err := Start(1, rx.handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := a.Connect(map[int]string{1: b.Addr()}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := a.Send(1, []byte(fmt.Sprintf("m%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFrames(t, rx, 20, 10*time.Second)
-	if frames, msgs := a.cWireFrames.Value(), a.Sent(); frames != msgs {
-		t.Fatalf("coalescing disabled but %d frames carried %d messages", frames, msgs)
-	}
-}
-
 // TestQueueBoundedByBytes floods a dead link with large frames: the
 // byte bound must evict oldest frames long before the message-count
 // bound would, and the newest frame must survive.
 func TestQueueBoundedByBytes(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 4})
-	a, err := StartWithOptions(0, func(int, []byte) {}, Options{
+	a, err := Start(0, func(int, []byte) {}, authOpt(0, Options{
 		QueueLen:      1024,
 		QueueBytes:    4096,
 		ReconnectBase: 5 * time.Millisecond,
 		Faults:        inj,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 	rx := &collector{}
-	b, err := Start(1, rx.handle)
+	b, err := Start(1, rx.handle, authOpt(1, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +163,7 @@ func TestQueueBoundedByBytes(t *testing.T) {
 		t.Fatal("queue empty after flood")
 	}
 	rx2 := &collector{}
-	b2, err := StartWithOptions(1, rx2.handle, Options{ListenAddr: addr})
+	b2, err := Start(1, rx2.handle, authOpt(1, Options{ListenAddr: addr}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +179,12 @@ func TestQueueBoundedByBytes(t *testing.T) {
 // connection, and keep serving an honest peer.
 func TestMalformedBatchKillsOnlyOffendingConn(t *testing.T) {
 	var delivered atomic.Int64
-	n, err := Start(0, func(int, []byte) { delivered.Add(1) })
+	n, err := Start(0, func(int, []byte) { delivered.Add(1) }, authOpt(0, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	honest, err := Start(5, func(int, []byte) {})
+	honest, err := Start(5, func(int, []byte) {}, authOpt(5, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +199,7 @@ func TestMalformedBatchKillsOnlyOffendingConn(t *testing.T) {
 		"giant length":     {0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 'x'},
 		"truncated varint": {0x80},
 	} {
-		conn, err := net.Dial("tcp", n.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeFrame(conn, kindHello, 9, nil); err != nil {
-			t.Fatal(err)
-		}
+		conn := rawAuthDial(t, n.Addr(), 9, 0)
 		if err := writeFrame(conn, kindBatch, 9, payload); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package netgrid
 
 import (
+	"errors"
 	"log"
 	"sync"
 	"time"
@@ -52,25 +53,23 @@ func (t hostTransport) Send(to int, msg any) {
 		t.h.logf("netgrid host %d: encode: %v", t.h.node.ID(), err)
 		return
 	}
-	if err := t.h.node.Send(to, frame); err != nil {
+	// ErrPeerDown is the documented "parked, drains on reconnect" outcome
+	// (secmr_net_parked_frames counts the backlog), not a failure to log
+	// once per message.
+	if err := t.h.node.Send(to, frame); err != nil && !errors.Is(err, ErrPeerDown) {
 		t.h.logf("netgrid host %d: send to %d: %v", t.h.node.ID(), to, err)
 	}
 }
 
 // NewHost starts the TCP endpoint for a resource. adopter is the
-// resource's scheme (validates inbound ciphertexts). Call Connect and
-// then Run.
-func NewHost(id int, res *core.Resource, adopter homo.Adopter) (*Host, error) {
-	return NewHostWithOptions(id, res, adopter, Options{})
-}
-
-// NewHostWithOptions is NewHost with explicit transport options —
-// reconnect pacing, queue bounds, heartbeat cadence, peer up/down
-// callbacks, and (for chaos testing) a fault injector. Hosts running
-// over lossy links should also set core.Config.LossyLinks on the
-// resource so the protocol re-floods what the transport cannot
-// deliver while a peer is down.
-func NewHostWithOptions(id int, res *core.Resource, adopter homo.Adopter, opt Options) (*Host, error) {
+// resource's scheme (validates inbound ciphertexts); opt carries the
+// required identity (Options.Auth) and the transport tuning —
+// reconnect pacing, queue bounds, heartbeat cadence, and (for chaos
+// testing) a fault injector. Hosts running over lossy links should
+// also set core.Config.LossyLinks on the resource so the protocol
+// re-floods what the transport cannot deliver while a peer is down.
+// Call Connect and then Run.
+func NewHost(id int, res *core.Resource, adopter homo.Adopter, opt Options) (*Host, error) {
 	h := &Host{res: res, adopter: adopter, done: make(chan struct{}),
 		logf: log.New(log.Writer(), "", 0).Printf}
 	if opt.Logf != nil {
@@ -82,7 +81,7 @@ func NewHostWithOptions(id int, res *core.Resource, adopter homo.Adopter, opt Op
 		// Lamport order.
 		opt.Clock = res.TraceClock()
 	}
-	node, err := StartWithOptions(id, h.handle, opt)
+	node, err := Start(id, h.handle, opt)
 	if err != nil {
 		return nil, err
 	}

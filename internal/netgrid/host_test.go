@@ -2,7 +2,10 @@ package netgrid
 
 import (
 	"crypto/rand"
+	"fmt"
 	mrand "math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,7 +52,7 @@ func TestSecureMiningOverTCP(t *testing.T) {
 	hosts := make([]*Host, n)
 	for i := 0; i < n; i++ {
 		res := core.NewResource(i, cfg, scheme, parts[i], nil, nil)
-		h, err := NewHost(i, res, scheme)
+		h, err := NewHost(i, res, scheme, authOpt(i, Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +143,7 @@ func TestSecureMiningOverLossyTCP(t *testing.T) {
 	hosts := make([]*Host, n)
 	for i := 0; i < n; i++ {
 		res := core.NewResource(i, cfg, scheme, parts[i], nil, nil)
-		h, err := NewHostWithOptions(i, res, scheme, opt)
+		h, err := NewHost(i, res, scheme, authOpt(i, opt))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,6 +202,65 @@ func TestSecureMiningOverLossyTCP(t *testing.T) {
 	for i, h := range hosts {
 		if _, halted := h.Snapshot(); halted {
 			t.Fatalf("host %d halted under honest chaos (false detection)", i)
+		}
+	}
+}
+
+// TestHostParksSilentlyWhilePeerDown: ErrPeerDown is the documented
+// "queued, drains on reconnect" outcome, so a host whose neighbour's
+// endpoint is gone keeps ticking without logging it once per message
+// (the heartbeat and reconnect lines say why the peer is down;
+// secmr_net_parked_frames counts the backlog).
+func TestHostParksSilentlyWhilePeerDown(t *testing.T) {
+	cfg, scheme, parts, _, _ := persistGridSpec() // LossyLinks grid; hosts 0 and 1 of it
+
+	var mu sync.Mutex
+	var lines []string
+	opt := Options{ReconnectBase: 5 * time.Millisecond, Logf: func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}}
+	hosts := make([]*Host, 2)
+	for i := range hosts {
+		res := core.NewResource(i, cfg, scheme, parts[i], nil, nil)
+		h, err := NewHost(i, res, scheme, authOpt(i, opt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts[i] = h
+		defer h.Close()
+	}
+	if err := hosts[1].Node().Connect(map[int]string{0: hosts[0].Node().Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	if !hosts[0].Node().WaitFor([]int{1}, 10*time.Second) {
+		t.Fatal("pair never connected")
+	}
+	hosts[0].Run([]int{1}, 2*time.Millisecond)
+	hosts[1].Run([]int{0}, 2*time.Millisecond)
+	hosts[1].Close()
+
+	// Tick until a send has met the dead link: a frame parked for peer 1
+	// is a Send that returned ErrPeerDown.
+	p := hosts[0].Node().peer(1)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		p.mu.Lock()
+		parked := !p.up && len(p.queue) > 0
+		p.mu.Unlock()
+		if parked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("host never sent into the dead link")
+		}
+	}
+	hosts[0].StopTicking()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range lines {
+		if strings.Contains(l, ErrPeerDown.Error()) {
+			t.Fatalf("host logged a parked frame as an error: %q (of %d lines)", l, len(lines))
 		}
 	}
 }

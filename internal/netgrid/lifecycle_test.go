@@ -2,7 +2,6 @@ package netgrid
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,15 +49,15 @@ func waitFrames(t *testing.T, c *collector, n int, within time.Duration) []strin
 // deliver traffic queued during the outage.
 func TestReconnectAfterPeerRestart(t *testing.T) {
 	rx := &collector{}
-	b, err := Start(1, rx.handle)
+	b, err := Start(1, rx.handle, authOpt(1, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := b.Addr()
 
-	a, err := StartWithOptions(0, func(int, []byte) {}, Options{
+	a, err := Start(0, func(int, []byte) {}, authOpt(0, Options{
 		ReconnectBase: 5 * time.Millisecond,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +86,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	// Restart the peer on the same port: the supervisor must heal the
 	// link and flush the queue.
 	rx2 := &collector{}
-	b2, err := StartWithOptions(1, rx2.handle, Options{ListenAddr: addr})
+	b2, err := Start(1, rx2.handle, authOpt(1, Options{ListenAddr: addr}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +102,18 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	if err := a.Send(1, []byte("after")); err != nil {
 		t.Fatalf("send after heal: %v", err)
 	}
-	got = waitFrames(t, rx2, 2, 5*time.Second)
-	if got[len(got)-1] != "after" {
-		t.Fatalf("frames after heal arrived out of order: %q", got)
+	// The backlog is one "during" or two: one whose write failed as the
+	// link died is requeued ahead of the parked one.
+	for deadline := time.Now().Add(5 * time.Second); got[len(got)-1] != "after"; got = rx2.got() {
+		if time.Now().After(deadline) {
+			t.Fatalf("fresh frame never arrived after the backlog: %q", got)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, f := range got[:len(got)-1] {
+		if f != "during" {
+			t.Fatalf("frames after heal arrived out of order: %q", got)
+		}
 	}
 }
 
@@ -113,14 +121,14 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 // contract: ErrPeerDown while the link is down, nil once healed.
 func TestSendErrorThenSuccessAfterHeal(t *testing.T) {
 	rx := &collector{}
-	b, err := Start(1, rx.handle)
+	b, err := Start(1, rx.handle, authOpt(1, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := b.Addr()
-	a, err := StartWithOptions(0, func(int, []byte) {}, Options{
+	a, err := Start(0, func(int, []byte) {}, authOpt(0, Options{
 		ReconnectBase: 5 * time.Millisecond,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +147,7 @@ func TestSendErrorThenSuccessAfterHeal(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	b2, err := StartWithOptions(1, rx.handle, Options{ListenAddr: addr})
+	b2, err := Start(1, rx.handle, authOpt(1, Options{ListenAddr: addr}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +166,11 @@ func TestSendErrorThenSuccessAfterHeal(t *testing.T) {
 func TestSimultaneousConnectConverges(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		ca, cb := &collector{}, &collector{}
-		a, err := Start(0, ca.handle)
+		a, err := Start(0, ca.handle, authOpt(0, Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Start(1, cb.handle)
+		b, err := Start(1, cb.handle, authOpt(1, Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,14 +214,14 @@ func TestSpoofedSenderRejected(t *testing.T) {
 		if from != 7 && from != 5 {
 			badFrom.Store(int64(from))
 		}
-	})
+	}, authOpt(0, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
 
 	// Honest peer 5 via the real API.
-	honest, err := Start(5, func(int, []byte) {})
+	honest, err := Start(5, func(int, []byte) {}, authOpt(5, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,15 +231,9 @@ func TestSpoofedSenderRejected(t *testing.T) {
 	}
 
 	// Raw attacker socket: handshake as 7, then spoof frames from 3.
-	conn, err := net.Dial("tcp", n.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := rawAuthDial(t, n.Addr(), 7, 0)
 	defer conn.Close()
-	if err := writeFrame(conn, kindHello, 7, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(conn, kindData, 3, []byte("forged")); err != nil {
+	if err := writeRawBatch(conn, 3, []byte("forged")); err != nil {
 		t.Fatal(err)
 	}
 	// The node must close the spoofing connection: further reads hit EOF.
@@ -255,16 +257,16 @@ func TestSpoofedSenderRejected(t *testing.T) {
 	}
 }
 
-// TestGarbageFrameClosesOnlyOffendingConn sends a hello then garbage
+// TestGarbageFrameClosesOnlyOffendingConn handshakes then sends garbage
 // on one connection while a second, honest connection stays usable.
 func TestGarbageFrameClosesOnlyOffendingConn(t *testing.T) {
 	var delivered atomic.Int64
-	n, err := Start(0, func(int, []byte) { delivered.Add(1) })
+	n, err := Start(0, func(int, []byte) { delivered.Add(1) }, authOpt(0, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	honest, err := Start(5, func(int, []byte) {})
+	honest, err := Start(5, func(int, []byte) {}, authOpt(5, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +275,8 @@ func TestGarbageFrameClosesOnlyOffendingConn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conn, err := net.Dial("tcp", n.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := rawAuthDial(t, n.Addr(), 9, 0)
 	defer conn.Close()
-	if err := writeFrame(conn, kindHello, 9, nil); err != nil {
-		t.Fatal(err)
-	}
 	// Oversized length field: must kill this connection only.
 	conn.Write([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 9})
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -306,13 +302,13 @@ func TestHeartbeatDeclaresPartitionedPeerDown(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 3})
 	var downs atomic.Int64
 	mk := func(id int, peerDown func(int)) *Node {
-		n, err := StartWithOptions(id, func(int, []byte) {}, Options{
+		n, err := Start(id, func(int, []byte) {}, authOpt(id, Options{
 			ReconnectBase:  5 * time.Millisecond,
 			HeartbeatEvery: 10 * time.Millisecond,
 			PeerTimeout:    60 * time.Millisecond,
 			Faults:         inj,
 			OnPeerDown:     peerDown,
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,17 +350,17 @@ func TestHeartbeatDeclaresPartitionedPeerDown(t *testing.T) {
 // the queue keeps the newest QueueLen frames and counts the drops.
 func TestQueueBounded(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 4})
-	a, err := StartWithOptions(0, func(int, []byte) {}, Options{
+	a, err := Start(0, func(int, []byte) {}, authOpt(0, Options{
 		QueueLen:      8,
 		ReconnectBase: 5 * time.Millisecond,
 		Faults:        inj,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 	rx := &collector{}
-	b, err := Start(1, rx.handle)
+	b, err := Start(1, rx.handle, authOpt(1, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +387,7 @@ func TestQueueBounded(t *testing.T) {
 		t.Fatal("queue overflow not counted")
 	}
 	rx2 := &collector{}
-	b2, err := StartWithOptions(1, rx2.handle, Options{ListenAddr: addr})
+	b2, err := Start(1, rx2.handle, authOpt(1, Options{ListenAddr: addr}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,14 @@
 // bounded per-peer queue and flushed on reconnect (the secure protocol
 // tolerates the resulting duplicates), and an optional heartbeat
 // declares unresponsive peers down so supervisors and the protocol's
-// own recovery can take over. A handshake frame announces each side's
-// id and listen address, so a link heals from whichever side notices
-// first.
+// own recovery can take over. The handshake is a signed
+// challenge-response (auth.go) that establishes the dialer's id and
+// listen address, so a link heals from whichever side notices first.
 //
 // Sends are asynchronous: every peer has a dedicated sender goroutine
 // that drains a per-peer outbound queue (bounded both in messages and
 // in bytes) into coalesced multi-message frames — one TCP write carries
-// up to Wire.MaxFrameBytes of queued messages — so a burst of small
+// up to 64 KiB of queued messages — so a burst of small
 // protocol messages costs one syscall and one frame header instead of
 // many. The same queue doubles as the reconnect-drain buffer: frames
 // sent while a peer is down park in it and flush on reconnect (the
@@ -60,8 +60,8 @@ type Handler func(from int, frame []byte)
 // when the supervisor reconnects.
 var ErrPeerDown = errors.New("netgrid: peer down, frame queued")
 
-// Options tunes a node's transport behavior; the zero value gives
-// sensible defaults (see withDefaults).
+// Options tunes a node's transport behavior; every field but Auth has
+// a sensible zero-value default (see withDefaults).
 type Options struct {
 	// ListenAddr is the TCP address to listen on. Default
 	// "127.0.0.1:0" (ephemeral). A fixed port lets a restarted node
@@ -81,44 +81,29 @@ type Options struct {
 	// memory even while the message count stays under QueueLen. The
 	// oldest frame is dropped until the new one fits. Default 4 MiB.
 	QueueBytes int
-	// Wire tunes the data path: Wire.MaxFrameBytes bounds one
-	// coalesced frame's payload (0 = 64 KiB default, negative
-	// disables coalescing — one message per frame, the pre-batching
-	// wire format).
-	Wire core.WireConfig
 	// HeartbeatEvery, when positive, enables keepalive pings; a peer
 	// silent for PeerTimeout (default 4×HeartbeatEvery) is declared
 	// down.
 	HeartbeatEvery time.Duration
 	PeerTimeout    time.Duration
-	// OnPeerUp/OnPeerDown observe link state changes. Called without
-	// node locks held, so they may call Send; they must not block for
-	// long.
-	OnPeerUp   func(peer int)
+	// OnPeerDown observes a live link dying. Called without node locks
+	// held, so it may call Send; it must not block for long.
 	OnPeerDown func(peer int)
 	// Faults, when set, is consulted on every send, dial and
 	// heartbeat: dropped frames vanish in transit, a Cut or Down
 	// verdict blocks dials and starves heartbeats so partitions behave
 	// like real ones (links die, heal, and reconnect).
 	Faults *faults.Injector
-	// FaultDelayUnit scales injected extra delay ticks into wall time
-	// on the send path (slept by the sender goroutine when the frame
-	// reaches the head of the queue, so per-link FIFO holds). Zero
-	// disables injected delay.
-	FaultDelayUnit time.Duration
 	// Logf receives diagnostics; nil silences them.
 	Logf func(string, ...any)
 	// Obs, when set, receives transport telemetry: per-node frame
 	// counters, a parked-queue gauge, and reconnect / heartbeat-miss
 	// trace events. All hooks are nil-safe.
 	Obs *obs.Sink
-	// Auth, when set, requires authenticated handshakes: inbound
-	// connections must answer a nonce challenge with a hello signed by
-	// a roster identity key, and outbound dials expect the challenge
-	// and sign. Unsigned hellos are rejected at accept time, so a
-	// spoofed or evicted endpoint cannot claim an id it lacks the key
-	// for. Nil (the default) keeps the legacy unauthenticated
-	// handshake. All nodes of a grid must agree on this setting.
+	// Auth is the node's identity key and the roster it verifies peers
+	// against. Required: every handshake is a signed challenge-response
+	// (auth.go), so a spoofed or evicted endpoint cannot claim an id it
+	// lacks the key for. Start fails without it.
 	Auth *AuthConfig
 	// Clock, when set, is the node's causal trace clock: inbound frames
 	// carrying a causal context (core.AppendMessageCtx) merge their
@@ -156,11 +141,10 @@ func (o Options) withDefaults() Options {
 
 // Node is one TCP grid endpoint.
 type Node struct {
-	id       int
-	opt      Options
-	ln       net.Listener
-	handler  Handler
-	maxBatch int // coalescing payload budget per frame; <=0 disables
+	id      int
+	opt     Options
+	ln      net.Listener
+	handler Handler
 
 	mu      sync.Mutex
 	peers   map[int]*peer
@@ -197,7 +181,7 @@ func (n *Node) emit(e obs.Event) {
 type peer struct {
 	id int
 	// wmu serializes writes on the link, so the sender goroutine's
-	// coalesced writes and control frames (hello, ping, pong) cannot
+	// coalesced writes and control frames (ping, pong) cannot
 	// interleave frame bytes; writes to different peers proceed in
 	// parallel.
 	wmu sync.Mutex
@@ -206,7 +190,7 @@ type peer struct {
 	conn     net.Conn
 	dialer   int    // id of the side that dialed the live conn
 	addr     string // peer's listen address ("" = not dialable from here)
-	queue    []outFrame
+	queue    [][]byte
 	qBytes   int // sum of payload bytes across queue
 	lastSeen time.Time
 	up       bool
@@ -214,15 +198,6 @@ type peer struct {
 	superv   bool
 	kick     chan struct{} // wakes the supervisor after a link death
 	wake     chan struct{} // wakes the sender goroutine (buffered, 1)
-}
-
-// outFrame is one queued outbound message. delay is injected latency
-// (fault testing): the sender sleeps it when the frame reaches the
-// head of the queue, so later frames queue behind it like on a slow
-// link and per-link FIFO holds.
-type outFrame struct {
-	data  []byte
-	delay time.Duration
 }
 
 // signal wakes the peer's sender goroutine (coalescing-friendly: many
@@ -239,18 +214,17 @@ type inFrame struct {
 	payload []byte
 }
 
-// Frame kinds. The handshake (hello) carries the sender's listen
-// address so the accepting side can dial back when healing the link.
-// A batch frame coalesces several data messages into one TCP write:
-// its payload is a repetition of uvarint(len) ‖ message bytes.
-// With authentication enabled (Options.Auth) the plain hello is
-// replaced by a challenge-response pair: the acceptor opens with a
-// kindChallenge frame carrying a random nonce, and the dialer answers
-// kindHelloAuth — listen address plus an ed25519 signature over the
-// nonce, its id and that address (see auth.go).
+// Frame kinds. The handshake is a challenge-response pair: the
+// acceptor opens with a kindChallenge frame carrying a random nonce,
+// and the dialer answers kindHelloAuth — its listen address (so the
+// accepting side can dial back when healing the link) plus an ed25519
+// signature over the nonce, both ids and that address (see auth.go).
+// Every data write is a batch frame, coalescing one or more messages
+// into one TCP write: its payload is a repetition of uvarint(len) ‖
+// message bytes. Kinds 0 (the unsigned hello) and 1 (the one-message
+// data frame) are retired and never reused; a frame carrying either
+// kills its connection like any unknown kind.
 const (
-	kindHello     = 0
-	kindData      = 1
 	kindPing      = 2
 	kindPong      = 3
 	kindBatch     = 4
@@ -258,27 +232,28 @@ const (
 	kindHelloAuth = 6
 )
 
-// defaultMaxFrameBytes is the coalescing budget when
-// Wire.MaxFrameBytes is zero.
-const defaultMaxFrameBytes = 64 << 10
+// batchBudget bounds one coalesced batch frame's payload; a message
+// larger than the budget travels alone.
+const batchBudget = 64 << 10
 
 // maxFrame bounds a frame to keep a malformed peer from ballooning
 // memory.
 const maxFrame = 16 << 20
 
+// maxHandshakeFrame bounds the frames read before a connection is
+// authenticated (a 32-byte nonce; a listen address plus a 64-byte
+// signature), so an unauthenticated peer cannot make the node allocate
+// maxFrame by claiming it in a header.
+const maxHandshakeFrame = 1 << 10
+
 // handshakeTimeout bounds how long an inbound connection may stall
 // before sending its hello.
 const handshakeTimeout = 5 * time.Second
 
-// Start opens a listener on 127.0.0.1 (ephemeral port) and begins
-// accepting peer connections. The handler receives every inbound
-// frame.
-func Start(id int, handler Handler) (*Node, error) {
-	return StartWithOptions(id, handler, Options{})
-}
-
-// StartWithOptions is Start with explicit transport tuning.
-func StartWithOptions(id int, handler Handler, opt Options) (*Node, error) {
+// Start opens a listener (opt.ListenAddr, by default an ephemeral port
+// on 127.0.0.1) and begins accepting peer connections. The handler
+// receives every inbound frame. opt.Auth is required.
+func Start(id int, handler Handler, opt Options) (*Node, error) {
 	opt = opt.withDefaults()
 	if err := opt.Auth.validate(); err != nil {
 		return nil, err
@@ -294,17 +269,6 @@ func StartWithOptions(id int, handler Handler, opt Options) (*Node, error) {
 		rng:     rand.New(rand.NewSource(int64(id) + 1)),
 		inbox:   make(chan inFrame, 1024),
 		done:    make(chan struct{}),
-	}
-	switch {
-	case opt.Wire.MaxFrameBytes == 0:
-		n.maxBatch = defaultMaxFrameBytes
-	case opt.Wire.MaxFrameBytes > 0:
-		n.maxBatch = opt.Wire.MaxFrameBytes
-	default:
-		n.maxBatch = 0 // coalescing disabled
-	}
-	if n.maxBatch > maxFrame-64 {
-		n.maxBatch = maxFrame - 64 // keep batches under the frame cap
 	}
 	if reg := opt.Obs.Registry(); reg != nil {
 		node := strconv.Itoa(id)
@@ -334,8 +298,8 @@ func (n *Node) ID() int { return n.id }
 // Addr returns the listen address peers should dial.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
 
-// acceptLoop registers inbound connections; the first frame on a
-// connection is a hello carrying the peer's id and listen address.
+// acceptLoop registers inbound connections once the signed handshake
+// has established the peer's id and listen address.
 func (n *Node) acceptLoop() {
 	defer n.wg.Done()
 	for {
@@ -451,9 +415,6 @@ func (n *Node) adopt(p *peer, conn net.Conn, dialer int) bool {
 		n.emit(obs.Event{Type: obs.EvReconnect, Node: n.id, Peer: p.id})
 	}
 	p.signal()
-	if n.opt.OnPeerUp != nil {
-		n.opt.OnPeerUp(p.id)
-	}
 	return true
 }
 
@@ -486,7 +447,7 @@ func (n *Node) Ban(id int) {
 	p.queue, p.qBytes = nil, 0
 	p.mu.Unlock()
 	for _, f := range queue {
-		putFrameBuf(f.data)
+		putFrameBuf(f)
 		n.gParked.Add(-1)
 	}
 	if up {
@@ -595,7 +556,7 @@ func (n *Node) dialPeer(p *peer) bool {
 	if err != nil {
 		return false
 	}
-	if !n.outboundHandshake(conn) {
+	if !n.outboundHandshake(conn, p.id) {
 		conn.Close()
 		return false
 	}
@@ -612,7 +573,7 @@ func (n *Node) dialPeer(p *peer) bool {
 func (n *Node) readLoop(p *peer, conn net.Conn) {
 	defer n.wg.Done()
 	for {
-		kind, from, payload, err := readFrame(conn)
+		kind, from, payload, err := readFrame(conn, maxFrame)
 		if err != nil {
 			n.markDown(p, conn)
 			return
@@ -628,28 +589,6 @@ func (n *Node) readLoop(p *peer, conn net.Conn) {
 			}
 		case kindPong:
 			// lastSeen refreshed above; nothing else to do.
-		case kindHello:
-			// Idempotent re-hello: refresh the peer's dial address. An
-			// authenticated grid never trusts unsigned hellos, not even
-			// on an established link.
-			if n.opt.Auth == nil && from == p.id && len(payload) > 0 {
-				p.mu.Lock()
-				p.addr = string(payload)
-				p.mu.Unlock()
-				n.superviseIfNeeded(p)
-			}
-		case kindData:
-			if from != p.id {
-				n.opt.Logf("netgrid %d: dropping frame claiming sender %d on %d's connection",
-					n.id, from, p.id)
-				n.markDown(p, conn)
-				return
-			}
-			select {
-			case n.inbox <- inFrame{from: from, payload: payload}:
-			case <-n.done:
-				return
-			}
 		case kindBatch:
 			if from != p.id {
 				n.opt.Logf("netgrid %d: dropping batch claiming sender %d on %d's connection",
@@ -679,6 +618,7 @@ func (n *Node) readLoop(p *peer, conn net.Conn) {
 				return
 			}
 		default:
+			// Unknown kind, the retired 0 and 1 included.
 			n.markDown(p, conn)
 			return
 		}
@@ -822,9 +762,8 @@ func (n *Node) Send(to int, frame []byte) error {
 	if p == nil {
 		return fmt.Errorf("netgrid: no connection to %d", to)
 	}
-	var one [1]outFrame
-	one[0] = outFrame{data: frame}
-	entries := one[:]
+	var one [2][]byte // room for the injector's duplicate, off the heap
+	entries := append(one[:0], frame)
 	if inj := n.opt.Faults; inj != nil {
 		v := inj.Decide(n.id, to)
 		if v.Drop {
@@ -837,19 +776,10 @@ func (n *Node) Send(to int, frame []byte) error {
 			putFrameBuf(frame)
 			return nil // lost in transit: indistinguishable from a send
 		}
-		if len(v.Extra) != 1 || v.Extra[0] != 0 {
-			entries = make([]outFrame, len(v.Extra))
-			for i, ticks := range v.Extra {
-				data := frame
-				if i > 0 { // duplicates need their own buffer: each is recycled independently
-					data = append(getFrameBuf(), frame...)
-				}
-				var d time.Duration
-				if ticks > 0 {
-					d = time.Duration(ticks) * n.opt.FaultDelayUnit
-				}
-				entries[i] = outFrame{data: data, delay: d}
-			}
+		// One entry per copy the verdict delivers. Duplicates need their
+		// own buffer: each is recycled independently.
+		for i := 1; i < len(v.Extra); i++ {
+			entries = append(entries, append(getFrameBuf(), frame...))
 		}
 	}
 	p.mu.Lock()
@@ -868,17 +798,17 @@ func (n *Node) Send(to int, frame []byte) error {
 // enqueueLocked appends a frame to the peer's outbound queue, evicting
 // oldest frames while either bound (messages or bytes) is exceeded;
 // caller holds p.mu.
-func (n *Node) enqueueLocked(p *peer, f outFrame) {
+func (n *Node) enqueueLocked(p *peer, f []byte) {
 	for len(p.queue) > 0 &&
-		(len(p.queue) >= n.opt.QueueLen || p.qBytes+len(f.data) > n.opt.QueueBytes) {
+		(len(p.queue) >= n.opt.QueueLen || p.qBytes+len(f) > n.opt.QueueBytes) {
 		old := p.queue[0]
-		p.queue[0] = outFrame{}
+		p.queue[0] = nil
 		p.queue = p.queue[1:]
-		p.qBytes -= len(old.data)
+		p.qBytes -= len(old)
 		// Peek the causal context before the buffer re-enters the pool
 		// (a pooled buffer may be reused by another goroutine at once).
-		cc, _ := core.PeekCausalCtx(old.data)
-		putFrameBuf(old.data)
+		cc, _ := core.PeekCausalCtx(old)
+		putFrameBuf(old)
 		n.gParked.Add(-1)
 		if inj := n.opt.Faults; inj != nil {
 			inj.CountQueueDrop()
@@ -886,13 +816,13 @@ func (n *Node) enqueueLocked(p *peer, f outFrame) {
 		n.emit(obs.Event{Type: obs.EvMsgDrop, Node: n.id, Peer: p.id, Detail: "queue-overflow"}.WithCausal(cc))
 	}
 	p.queue = append(p.queue, f)
-	p.qBytes += len(f.data)
+	p.qBytes += len(f)
 	n.gParked.Add(1)
 }
 
 // senderLoop is the peer's single data writer: it owns the order in
 // which queued frames hit the socket, which is what makes per-link
-// FIFO hold across batching, injected delays and reconnect drains.
+// FIFO hold across batching and reconnect drains.
 func (n *Node) senderLoop(p *peer) {
 	defer n.wg.Done()
 	for {
@@ -906,11 +836,9 @@ func (n *Node) senderLoop(p *peer) {
 }
 
 // drainPeer flushes the peer's queue while the link is up, coalescing
-// consecutive frames into batch writes bounded by the frame budget. A
-// head-of-queue injected delay is slept before its write — like a slow
-// link, later frames stay queued behind it. On a write error the
-// undelivered batch returns to the queue front and the link is marked
-// down.
+// consecutive frames into batch writes bounded by batchBudget. On a
+// write error the undelivered batch returns to the queue front and the
+// link is marked down.
 func (n *Node) drainPeer(p *peer) {
 	for {
 		p.mu.Lock()
@@ -919,45 +847,34 @@ func (n *Node) drainPeer(p *peer) {
 			return
 		}
 		conn := p.conn
-		delay := p.queue[0].delay
-		take := 1
-		if n.maxBatch > 0 {
-			batchBytes := uvarintLen(uint64(len(p.queue[0].data))) + len(p.queue[0].data)
-			for take < len(p.queue) {
-				f := p.queue[take]
-				if f.delay > 0 {
-					break // a delayed frame starts its own write
-				}
-				sz := uvarintLen(uint64(len(f.data))) + len(f.data)
-				if batchBytes+sz > n.maxBatch {
-					break
-				}
-				batchBytes += sz
-				take++
+		take, payload := 0, 0
+		for take < len(p.queue) {
+			sz := batchEntrySize(p.queue[take])
+			if take > 0 && payload+sz > batchBudget {
+				break
 			}
+			payload += sz
+			take++
 		}
-		batch := make([]outFrame, take)
+		batch := make([][]byte, take)
 		copy(batch, p.queue[:take])
 		for i := range p.queue[:take] {
-			p.queue[i] = outFrame{}
+			p.queue[i] = nil
 		}
 		p.queue = p.queue[take:]
 		if len(p.queue) == 0 {
 			p.queue = nil
 		}
 		for _, f := range batch {
-			p.qBytes -= len(f.data)
+			p.qBytes -= len(f)
 		}
 		p.mu.Unlock()
 		n.gParked.Add(-float64(take))
-		if delay > 0 {
-			time.Sleep(delay)
-		}
 		if err := n.writeBatch(p, conn, batch); err != nil {
 			p.mu.Lock()
 			p.queue = append(batch, p.queue...)
 			for _, f := range batch {
-				p.qBytes += len(f.data)
+				p.qBytes += len(f)
 			}
 			p.mu.Unlock()
 			n.gParked.Add(float64(take))
@@ -967,26 +884,19 @@ func (n *Node) drainPeer(p *peer) {
 	}
 }
 
-// writeBatch writes one or more queued frames as a single wire frame:
-// a lone message goes out as a plain data frame (the pre-batching
-// format), several go out as one batch frame whose payload repeats
-// uvarint(len) ‖ message. The write buffer and the delivered message
-// buffers are recycled into the frame pool on success.
-func (n *Node) writeBatch(p *peer, conn net.Conn, batch []outFrame) error {
-	wb := getFrameBuf()
-	if len(batch) == 1 {
-		wb = appendFrameHeader(wb, kindData, n.id, len(batch[0].data))
-		wb = append(wb, batch[0].data...)
-	} else {
-		payload := 0
-		for _, f := range batch {
-			payload += uvarintLen(uint64(len(f.data))) + len(f.data)
-		}
-		wb = appendFrameHeader(wb, kindBatch, n.id, payload)
-		for _, f := range batch {
-			wb = binary.AppendUvarint(wb, uint64(len(f.data)))
-			wb = append(wb, f.data...)
-		}
+// writeBatch writes one or more queued messages as a single batch
+// frame whose payload repeats uvarint(len) ‖ message. The write buffer
+// and the delivered message buffers are recycled into the frame pool
+// on success.
+func (n *Node) writeBatch(p *peer, conn net.Conn, batch [][]byte) error {
+	payload := 0
+	for _, f := range batch {
+		payload += batchEntrySize(f)
+	}
+	wb := appendFrameHeader(getFrameBuf(), kindBatch, n.id, payload)
+	for _, f := range batch {
+		wb = binary.AppendUvarint(wb, uint64(len(f)))
+		wb = append(wb, f...)
 	}
 	p.wmu.Lock()
 	_, err := conn.Write(wb)
@@ -1001,9 +911,9 @@ func (n *Node) writeBatch(p *peer, conn net.Conn, batch []outFrame) error {
 	n.cWireFrames.Inc()
 	n.hMsgsPerFrame.Observe(float64(len(batch)))
 	for _, f := range batch {
-		cc, _ := core.PeekCausalCtx(f.data)
+		cc, _ := core.PeekCausalCtx(f)
 		n.emit(obs.Event{Type: obs.EvMsgSend, Node: n.id, Peer: p.id, LC: cc.OSeq}.WithCausal(cc))
-		putFrameBuf(f.data)
+		putFrameBuf(f)
 	}
 	putFrameBuf(wb)
 	return nil
@@ -1087,14 +997,14 @@ func splitBatch(payload []byte, deliver func([]byte) bool) bool {
 	return true
 }
 
-// uvarintLen returns the encoded size of u as a uvarint.
-func uvarintLen(u uint64) int {
+// batchEntrySize returns what one message occupies inside a batch
+// payload: its uvarint length prefix plus its bytes.
+func batchEntrySize(msg []byte) int {
 	n := 1
-	for u >= 0x80 {
-		u >>= 7
+	for u := len(msg); u >= 0x80; u >>= 7 {
 		n++
 	}
-	return n
+	return n + len(msg)
 }
 
 // framePool recycles outbound frame buffers: hosts encode messages
@@ -1121,13 +1031,16 @@ func putFrameBuf(b []byte) {
 	framePool.Put(&b)
 }
 
-func readFrame(r io.Reader) (kind byte, from int, payload []byte, err error) {
+// readFrame reads one frame whose length field (kind + sender +
+// payload) is at most limit; the claim is checked before the payload
+// is allocated.
+func readFrame(r io.Reader, limit uint32) (kind byte, from int, payload []byte, err error) {
 	var hdr [9]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
 	length := binary.BigEndian.Uint32(hdr[0:4])
-	if length < 5 || length > maxFrame {
+	if length < 5 || length > limit {
 		return 0, 0, nil, errors.New("netgrid: bad frame length")
 	}
 	kind = hdr[4]

@@ -63,7 +63,7 @@ func TestMajorityVoteOverTCP(t *testing.T) {
 	var globalSum, globalCnt int64
 	for i := 0; i < n; i++ {
 		v := &tcpVoter{inst: majority.NewInstance(1, 2)}
-		node, err := Start(i, v.handle)
+		node, err := Start(i, v.handle, authOpt(i, Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,12 +139,12 @@ func TestSecureMessageCodecOverTCP(t *testing.T) {
 			return
 		}
 		got <- msg
-	})
+	}, authOpt(1, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	tx, err := Start(0, func(int, []byte) {})
+	tx, err := Start(0, func(int, []byte) {}, authOpt(0, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSecureMessageCodecOverTCP(t *testing.T) {
 }
 
 func TestSendToUnknownPeer(t *testing.T) {
-	n, err := Start(0, func(int, []byte) {})
+	n, err := Start(0, func(int, []byte) {}, authOpt(0, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestSendToUnknownPeer(t *testing.T) {
 
 func TestMalformedFrameDisconnects(t *testing.T) {
 	received := 0
-	n, err := Start(0, func(int, []byte) { received++ })
+	n, err := Start(0, func(int, []byte) { received++ }, authOpt(0, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}

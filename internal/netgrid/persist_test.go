@@ -73,7 +73,7 @@ func TestPersistCrashChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.SetJournal(j)
-	h, err := NewHostWithOptions(persistVictimID, res, scheme, Options{Logf: t.Logf})
+	h, err := NewHost(persistVictimID, res, scheme, authOpt(persistVictimID, Options{Logf: t.Logf}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPersistKill9Recovery(t *testing.T) {
 	hosts := make([]*Host, persistVictimID)
 	for i := range hosts {
 		res := core.NewResource(i, cfg, scheme, parts[i], nil, nil)
-		h, err := NewHostWithOptions(i, res, scheme, Options{Logf: t.Logf})
+		h, err := NewHost(i, res, scheme, authOpt(i, Options{Logf: t.Logf}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestPersistKill9Recovery(t *testing.T) {
 
 	// Rebuild the victim from disk alone — key material, snapshot and
 	// WAL tail — and rejoin it through the ordinary dial path.
-	rec, stats, err := RecoverHost(dir, cfg, persistJournalOptions(nil), Options{Logf: t.Logf})
+	rec, stats, err := RecoverHost(dir, cfg, persistJournalOptions(nil), authOpt(persistVictimID, Options{Logf: t.Logf}))
 	if err != nil {
 		t.Fatal(err)
 	}

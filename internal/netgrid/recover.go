@@ -46,7 +46,7 @@ func RecoverHost(dir string, cfg core.Config, popt persist.Options, opt Options)
 		return nil, nil, err
 	}
 	res.SetJournal(j)
-	h, err := NewHostWithOptions(res.ID, res, adopter, opt)
+	h, err := NewHost(res.ID, res, adopter, opt)
 	if err != nil {
 		res.SetJournal(nil)
 		j.Close()
