@@ -1,0 +1,92 @@
+package homo_test
+
+import (
+	"math/big"
+	"testing"
+
+	"secmr/internal/homo"
+	"secmr/internal/shamir"
+)
+
+// TestOpsNeitherMutateNorAliasArguments pins the contract oblivious
+// counters rest on when they share ciphertext pointers: every Public,
+// Encryptor and Decryptor op (and Adopt) leaves its arguments
+// bit-identical, and no result shares storage with an argument — so
+// clobbering a result afterwards cannot reach an input. Shamir reads
+// its operands' share limbs in place, which makes the second half
+// load-bearing.
+func TestOpsNeitherMutateNorAliasArguments(t *testing.T) {
+	schemes := append([]testScheme{{"shamir", shamir.MustNew(shamir.Params{K: 3, N: 7, W: 1}), true}},
+		allSchemes(t)...)
+	for _, ts := range schemes {
+		t.Run(ts.name, func(t *testing.T) {
+			s := ts.scheme
+			const x, y = 1234567, -89
+			a, b := s.EncryptInt(x), s.EncryptInt(y)
+			a0, b0 := a.Clone(), b.Clone()
+			m := big.NewInt(-424242)
+
+			ops := map[string]func() []*big.Int{
+				"Add":           func() []*big.Int { return []*big.Int{s.Add(a, b).V} },
+				"Add(a,a)":      func() []*big.Int { return []*big.Int{s.Add(a, a).V} },
+				"Sub":           func() []*big.Int { return []*big.Int{s.Sub(a, b).V} },
+				"ScalarMul":     func() []*big.Int { return []*big.Int{s.ScalarMul(-77, a).V} },
+				"ScalarMul(1)":  func() []*big.Int { return []*big.Int{s.ScalarMul(1, a).V} },
+				"Rerandomize":   func() []*big.Int { return []*big.Int{s.Rerandomize(a).V} },
+				"Encrypt":       func() []*big.Int { return []*big.Int{s.Encrypt(m).V} },
+				"Decrypt":       func() []*big.Int { return []*big.Int{s.Decrypt(a)} },
+				"DecryptSigned": func() []*big.Int { return []*big.Int{s.DecryptSigned(b)} },
+				"AddVec": func() []*big.Int {
+					return values(homo.AddVec(s, []*homo.Ciphertext{a, b}, []*homo.Ciphertext{b, b}))
+				},
+				"ScalarVec": func() []*big.Int {
+					return values(homo.ScalarVec(s, []int64{3, 1}, []*homo.Ciphertext{a, b}))
+				},
+				"RerandomizeVec": func() []*big.Int {
+					return values(homo.RerandomizeVec(s, []*homo.Ciphertext{a, b, a}))
+				},
+			}
+			if ad, ok := s.(homo.Adopter); ok {
+				ops["Adopt"] = func() []*big.Int {
+					c, err := ad.Adopt(a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return []*big.Int{c.V}
+				}
+			}
+			for name, op := range ops {
+				results := op()
+				intact := func(when string) {
+					t.Helper()
+					if !a.Equal(a0) || !b.Equal(b0) || m.Int64() != -424242 {
+						t.Fatalf("%s %s an argument", name, when)
+					}
+					if got := s.DecryptSigned(a).Int64(); got != x {
+						t.Fatalf("%s: first operand now decrypts to %d, want %d", name, got, x)
+					}
+					if got := s.DecryptSigned(b).Int64(); got != y {
+						t.Fatalf("%s: second operand now decrypts to %d, want %d", name, got, y)
+					}
+				}
+				intact("mutated")
+				for _, v := range results {
+					ws := v.Bits() // the result's own words: a shared limb array shows here
+					for i := range ws {
+						ws[i] = ^big.Word(0)
+					}
+					v.SetInt64(0)
+				}
+				intact("returned a result aliasing")
+			}
+		})
+	}
+}
+
+func values(cs []*homo.Ciphertext) []*big.Int {
+	out := make([]*big.Int, len(cs))
+	for i, c := range cs {
+		out[i] = c.V
+	}
+	return out
+}

@@ -2,6 +2,10 @@ package shamir_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"math/big"
+	"slices"
 	"testing"
 
 	"secmr/internal/homo"
@@ -44,6 +48,142 @@ func FuzzDecodeShare(f *testing.F) {
 		re := s.AppendCiphertext(nil, adopted)
 		if !bytes.Equal(re, data[:n]) {
 			t.Fatalf("adopted share re-encodes differently: %x vs %x", re, data[:n])
+		}
+	})
+}
+
+// pack builds the ciphertext integer 2^(64N) + Σ shareᵢ·2^(64i) from
+// bytes, independently of the scheme's limb accessors.
+func pack(shares []uint64) *big.Int {
+	buf := make([]byte, 8*len(shares)+1)
+	buf[0] = 1
+	for i, sh := range shares {
+		binary.BigEndian.PutUint64(buf[len(buf)-8*(i+1):], sh)
+	}
+	return new(big.Int).SetBytes(buf)
+}
+
+// unpack is pack's inverse on a ciphertext of n shares.
+func unpack(c *homo.Ciphertext, n int) []uint64 {
+	buf := make([]byte, 8*n+1)
+	c.V.FillBytes(buf)
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = binary.BigEndian.Uint64(buf[len(buf)-8*(i+1):])
+	}
+	return out
+}
+
+// FuzzLimbKernel holds the in-place limb kernel to the flat []uint64
+// reference kernels: on arbitrary share vectors (not only ones a
+// dealing can produce) Add/Sub/ScalarMul/Decrypt must equal
+// AddSlices/SubSlices/ScaleSlice/ReconstructSlot on the extracted
+// shares, Rerandomize must preserve every packed slot, no op may touch
+// its operands, and Adopt must draw the field boundary exactly. Shares
+// come from data eight bytes at a time (mod P, zero-padded), first a
+// then b; the seeds pin the edge limbs and scalars at both widths.
+func FuzzLimbKernel(f *testing.F) {
+	type rig struct {
+		p   shamir.Params
+		s   *shamir.Scheme
+		geo *shamir.Geometry
+	}
+	rigs := map[bool]rig{}
+	for packed, p := range map[bool]shamir.Params{false: {K: 3, N: 7, W: 1}, true: {K: 2, N: 5, W: 2}} {
+		geo, err := shamir.NewGeometry(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		rigs[packed] = rig{p, shamir.MustNew(p), geo}
+	}
+	limbs := func(vs ...uint64) []byte {
+		var out []byte
+		for i := 0; i < 14; i++ {
+			out = binary.LittleEndian.AppendUint64(out, vs[i%len(vs)])
+		}
+		return out
+	}
+	for _, packed := range []bool{false, true} {
+		for _, m := range []int64{0, 1, -1, math.MinInt64, math.MaxInt64, 1 << 61, -(1<<61 - 1)} {
+			f.Add(limbs(0), m, packed)
+			f.Add(limbs(1), m, packed)
+			f.Add(limbs(shamir.P-1), m, packed)
+			f.Add(limbs(0, shamir.P-1, 1, 0x0123456789abcdef), m, packed)
+		}
+	}
+	f.Add([]byte("an odd-length tail is zero-padded"), int64(-7), false)
+
+	f.Fuzz(func(t *testing.T, data []byte, m int64, packed bool) {
+		p, s, geo := rigs[packed].p, rigs[packed].s, rigs[packed].geo
+		a, b := make([]uint64, p.N), make([]uint64, p.N)
+		for i := range data {
+			if sh := i / 8; sh < 2*p.N {
+				dst := &a[sh%p.N]
+				if sh >= p.N {
+					dst = &b[sh%p.N]
+				}
+				*dst |= uint64(data[i]) << (8 * (i % 8))
+			}
+		}
+		for i := range a {
+			a[i], b[i] = a[i]%shamir.P, b[i]%shamir.P
+		}
+		adopt := func(shares []uint64) *homo.Ciphertext {
+			c, err := s.Adopt(&homo.Ciphertext{V: pack(shares)})
+			if err != nil {
+				t.Fatalf("Adopt rejected reduced shares %x: %v", shares, err)
+			}
+			return c
+		}
+		ca, cb := adopt(a), adopt(b)
+		same := func(op string, got *homo.Ciphertext, want []uint64) {
+			t.Helper()
+			if g := unpack(got, p.N); !slices.Equal(g, want) {
+				t.Fatalf("%s: shares %x, reference kernel %x", op, g, want)
+			}
+			if !slices.Equal(unpack(ca, p.N), a) || !slices.Equal(unpack(cb, p.N), b) {
+				t.Fatalf("%s touched an operand", op)
+			}
+		}
+		want := make([]uint64, p.N)
+		shamir.AddSlices(want, a, b)
+		same("Add", s.Add(ca, cb), want)
+		shamir.SubSlices(want, a, b)
+		same("Sub", s.Sub(ca, cb), want)
+		mRes := new(big.Int).Mod(big.NewInt(m), s.PlaintextSpace()).Uint64()
+		shamir.ScaleSlice(want, a, mRes)
+		same("ScalarMul", s.ScalarMul(m, ca), want)
+
+		plain := new(big.Int).SetUint64(geo.ReconstructSlot(a, 0))
+		if got := s.Decrypt(ca); got.Cmp(plain) != 0 {
+			t.Fatalf("Decrypt = %s, ReconstructSlot = %s", got, plain)
+		}
+		if got, want := s.DecryptSigned(ca), homo.DecodeSigned(plain, s.PlaintextSpace()); got.Cmp(want) != 0 {
+			t.Fatalf("DecryptSigned = %s, want %s", got, want)
+		}
+		if got := geo.Reconstruct(unpack(s.Rerandomize(ca), p.N)); !slices.Equal(got, geo.Reconstruct(a)) {
+			t.Fatalf("Rerandomize moved the packed slots to %x from %x", got, geo.Reconstruct(a))
+		}
+		same("Rerandomize", ca, a)
+
+		// The field boundary, on share j of this vector.
+		j := int(uint64(m) % uint64(p.N))
+		edge := slices.Clone(a)
+		edge[j] = shamir.P - 1
+		adopt(edge)
+		edge[j] = shamir.P
+		full := pack(edge)
+		edge[j] = a[j]
+		good := pack(edge)
+		for name, v := range map[string]*big.Int{
+			"share = P":        full,
+			"missing sentinel": new(big.Int).SetBit(new(big.Int).Set(good), 64*p.N, 0),
+			"extra limb":       new(big.Int).SetBit(new(big.Int).Set(good), 64*(p.N+1), 1),
+			"negative":         new(big.Int).Neg(good),
+		} {
+			if _, err := s.Adopt(&homo.Ciphertext{V: v}); err == nil {
+				t.Fatalf("Adopt accepted a vector with %s", name)
+			}
 		}
 	})
 }

@@ -47,8 +47,8 @@ type Scheme struct {
 
 	// rng supplies the aux randomness that is the entire hiding margin.
 	// ChaCha8 seeded from crypto/rand: cryptographically strong draws
-	// at ~ns cost, mutex-guarded because encrypt paths run concurrently
-	// (batch vec ops, netgrid hosts).
+	// at ~ns cost, mutex-guarded because netgrid hosts sharing one
+	// Scheme deal concurrently.
 	mu  sync.Mutex
 	rng *mrand.ChaCha8
 }
@@ -119,99 +119,133 @@ func (s *Scheme) drawAux(buf []uint64) {
 
 // --- ciphertext packing -------------------------------------------------
 
-// wordBits is the big.Word width of this platform. On 64-bit platforms
-// shares map 1:1 onto big.Int limbs and the hot paths run directly on
-// the word slices; elsewhere they fall back to the byte codec.
-const wordBits = 32 << (^big.Word(0) >> 63)
+// wordBits is the big.Word width of this platform, wordsPerShare the
+// limbs one share spans; both fold at compile time, so share and
+// setShare compile to their one live arm.
+const (
+	wordBits      = 32 << (^big.Word(0) >> 63)
+	wordsPerShare = 64 / wordBits
+)
 
-// newCipher wraps a share vector (ownership transfers) as a ciphertext.
-func (s *Scheme) newCipher(shares []uint64) *homo.Ciphertext {
-	n := s.geo.p.N
-	v := new(big.Int)
+// share reads share i of a limb vector.
+func share(ws []big.Word, i int) uint64 {
 	if wordBits == 64 {
-		ws := make([]big.Word, n+1)
-		for i, sh := range shares {
-			ws[i] = big.Word(sh)
-		}
-		ws[n] = 1 // sentinel limb: constant bit length 64N+1
-		v.SetBits(ws)
-	} else {
-		buf := make([]byte, 8*n+1)
-		buf[0] = 1
-		for i, sh := range shares {
-			binary.BigEndian.PutUint64(buf[len(buf)-8*(i+1):], sh)
-		}
-		v.SetBytes(buf)
+		return uint64(ws[i])
 	}
-	return &homo.Ciphertext{V: v, Tag: s.tag}
+	return uint64(ws[2*i]) | uint64(ws[2*i+1])<<32
 }
 
-// shares extracts the share vector of a ciphertext produced (or
-// adopted) by this scheme instance. The tag check makes cross-scheme
-// mix-ups panic exactly like the other backends.
-func (s *Scheme) shares(c *homo.Ciphertext) []uint64 {
+// setShare writes share i of a limb vector.
+func setShare(ws []big.Word, i int, v uint64) {
+	if wordBits == 64 {
+		ws[i] = big.Word(v)
+		return
+	}
+	ws[2*i], ws[2*i+1] = big.Word(v), big.Word(v>>32)
+}
+
+// limbs returns the share limbs (sentinel included) of a ciphertext
+// produced or adopted by this instance; the tag check makes cross-scheme
+// mix-ups panic exactly like the other backends. The result is c's own
+// storage, read-only: ciphertexts are immutable and shared between
+// counters.
+func (s *Scheme) limbs(c *homo.Ciphertext) []big.Word {
 	if c.Tag != s.tag {
 		panic("shamir: ciphertext from a different scheme instance")
 	}
-	n := s.geo.p.N
-	out := make([]uint64, n)
-	if wordBits == 64 {
-		ws := c.V.Bits()
-		if len(ws) != n+1 || ws[n] != 1 {
-			panic("shamir: corrupted share vector")
+	ws, top := c.V.Bits(), s.geo.p.N*wordsPerShare
+	if len(ws) != top+1 || ws[top] != 1 {
+		panic("shamir: corrupted share vector")
+	}
+	return ws
+}
+
+// blank returns a ciphertext of this instance with all-zero shares, and
+// its limbs for the caller to fill before anyone else sees it. Header
+// and big.Int are one object, so a result costs two allocations, and
+// its limbs are fresh: it never aliases an operand.
+func (s *Scheme) blank() (*homo.Ciphertext, []big.Word) {
+	box := new(struct {
+		c homo.Ciphertext
+		v big.Int
+	})
+	top := s.geo.p.N * wordsPerShare
+	ws := make([]big.Word, top+1)
+	ws[top] = 1 // sentinel limb: constant bit length 64N+1
+	box.c = homo.Ciphertext{V: box.v.SetBits(ws), Tag: s.tag}
+	return &box.c, ws
+}
+
+// deal returns a fresh sharing of v (packed slot 0; the other slots
+// stay 0) added sharewise to base, or on its own when base is nil. aux
+// holds the dealing's K−1 uniform residues; nil draws them here.
+func (s *Scheme) deal(v uint64, aux []uint64, base []big.Word) *homo.Ciphertext {
+	p := s.geo.p
+	var buf [16]uint64 // keeps every product geometry's dealing on the stack
+	vals := buf[:]
+	if p.Threshold() > len(buf) {
+		vals = make([]uint64, p.Threshold())
+	}
+	vals = vals[:p.Threshold()] // secrets ‖ aux
+	vals[0] = v
+	if aux == nil {
+		s.drawAux(vals[p.W:])
+	} else if copy(vals[p.W:], aux) != p.K-1 {
+		panic("shamir: dealing needs K-1 aux residues")
+	}
+	out, ws := s.blank()
+	for i := 0; i < p.N; i++ {
+		sh := s.geo.shareAt(i, vals)
+		if base != nil {
+			sh = fieldAdd(sh, share(base, i))
 		}
-		for i := range out {
-			out[i] = uint64(ws[i])
-		}
-	} else {
-		buf := make([]byte, 8*n+1)
-		c.V.FillBytes(buf)
-		if buf[0] != 1 {
-			panic("shamir: corrupted share vector")
-		}
-		for i := range out {
-			out[i] = binary.BigEndian.Uint64(buf[len(buf)-8*(i+1):])
-		}
+		setShare(ws, i, sh)
 	}
 	return out
 }
 
-// --- Encryptor ----------------------------------------------------------
-
-// encryptResidue deals a fresh sharing of a reduced residue.
-func (s *Scheme) encryptResidue(v uint64) *homo.Ciphertext {
-	p := s.geo.p
-	secrets := make([]uint64, p.W) // slot 0 carries the value; others stay 0
-	secrets[0] = v
-	aux := make([]uint64, p.K-1)
-	s.drawAux(aux)
-	return s.newCipher(s.geo.Deal(secrets, aux))
+// open reconstructs slot 0 from the first T shares — a single
+// precomputed-Lagrange dot product over the limbs.
+func (s *Scheme) open(c *homo.Ciphertext) uint64 {
+	ws, acc := s.limbs(c), uint64(0)
+	for i, w := range s.geo.rec[0] {
+		acc = fieldAdd(acc, fieldMul(w, share(ws, i)))
+	}
+	return acc
 }
+
+// --- Encryptor ----------------------------------------------------------
 
 // Encrypt deals m (mod P) into N shares.
 func (s *Scheme) Encrypt(m *big.Int) *homo.Ciphertext {
-	return s.encryptResidue(homo.EncodeMod(m, pBig).Uint64())
+	if m.IsInt64() { // every protocol value; skips EncodeMod's temporaries
+		return s.EncryptInt(m.Int64())
+	}
+	return s.deal(homo.EncodeMod(m, pBig).Uint64(), nil, nil)
 }
 
 // EncryptInt deals the given int64.
 func (s *Scheme) EncryptInt(m int64) *homo.Ciphertext {
-	return s.encryptResidue(fieldEncodeInt64(m))
+	return s.deal(fieldEncodeInt64(m), nil, nil)
 }
 
 // EncryptZero returns a fresh sharing of zero.
-func (s *Scheme) EncryptZero() *homo.Ciphertext { return s.encryptResidue(0) }
+func (s *Scheme) EncryptZero() *homo.Ciphertext { return s.deal(0, nil, nil) }
 
 // --- Decryptor ----------------------------------------------------------
 
-// Decrypt reconstructs the plaintext in [0, P) from the first T shares
-// — a single precomputed-Lagrange dot product.
+// Decrypt reconstructs the plaintext in [0, P).
 func (s *Scheme) Decrypt(c *homo.Ciphertext) *big.Int {
-	return new(big.Int).SetUint64(s.geo.ReconstructSlot(s.shares(c), 0))
+	return new(big.Int).SetUint64(s.open(c))
 }
 
 // DecryptSigned reconstructs the plaintext decoded into (−P/2, P/2].
 func (s *Scheme) DecryptSigned(c *homo.Ciphertext) *big.Int {
-	return homo.DecodeSigned(s.Decrypt(c), pBig)
+	v := int64(s.open(c)) // < 2^61: fits
+	if v > int64(P>>1) {
+		v -= int64(P)
+	}
+	return big.NewInt(v)
 }
 
 // --- Public (homomorphic arithmetic) ------------------------------------
@@ -219,46 +253,48 @@ func (s *Scheme) DecryptSigned(c *homo.Ciphertext) *big.Int {
 // Add returns the componentwise share sum — an encryption of the
 // plaintext sum, by linearity of interpolation.
 func (s *Scheme) Add(a, b *homo.Ciphertext) *homo.Ciphertext {
-	sa, sb := s.shares(a), s.shares(b)
-	AddSlices(sa, sa, sb)
-	return s.newCipher(sa)
+	wa, wb := s.limbs(a), s.limbs(b)
+	out, ws := s.blank()
+	for i := 0; i < s.geo.p.N; i++ {
+		setShare(ws, i, fieldAdd(share(wa, i), share(wb, i)))
+	}
+	return out
 }
 
 // Sub returns the componentwise share difference.
 func (s *Scheme) Sub(a, b *homo.Ciphertext) *homo.Ciphertext {
-	sa, sb := s.shares(a), s.shares(b)
-	SubSlices(sa, sa, sb)
-	return s.newCipher(sa)
+	wa, wb := s.limbs(a), s.limbs(b)
+	out, ws := s.blank()
+	for i := 0; i < s.geo.p.N; i++ {
+		setShare(ws, i, fieldSub(share(wa, i), share(wb, i)))
+	}
+	return out
 }
 
 // ScalarMul returns m·x sharewise; m may be negative.
 func (s *Scheme) ScalarMul(m int64, a *homo.Ciphertext) *homo.Ciphertext {
-	sa := s.shares(a)
-	ScaleSlice(sa, sa, fieldEncodeInt64(m))
-	return s.newCipher(sa)
+	wa, r := s.limbs(a), fieldEncodeInt64(m)
+	out, ws := s.blank()
+	for i := 0; i < s.geo.p.N; i++ {
+		setShare(ws, i, fieldMul(share(wa, i), r))
+	}
+	return out
 }
 
 // Rerandomize adds a fresh sharing of zero: the plaintext (every
 // packed slot) is preserved while every share changes uniformly, so
 // the recipient cannot tell whether the underlying counter moved.
 func (s *Scheme) Rerandomize(a *homo.Ciphertext) *homo.Ciphertext {
-	sa := s.shares(a)
-	zero := make([]uint64, s.geo.p.W)
-	aux := make([]uint64, s.geo.p.K-1)
-	s.drawAux(aux)
-	z := s.geo.Deal(zero, aux)
-	AddSlices(sa, sa, z)
-	return s.newCipher(sa)
+	return s.deal(0, nil, s.limbs(a))
 }
 
 // --- batch capability ---------------------------------------------------
 
-// The batch interfaces are implemented with plain loops, NOT the homo
-// worker pool: a share add costs a few nanoseconds, three orders of
-// magnitude below the pool's dispatch overhead, so the serial loop IS
-// the fast path (Paillier's cheap AddVec/ScalarVec are plain loops for
-// the same reason). Randomness for encrypt-class batches is drawn in
-// one locked pass per call.
+// The batch interfaces are implemented with plain loops over the
+// single-op kernel, NOT the homo worker pool: a share add costs a few
+// nanoseconds, three orders of magnitude below the pool's dispatch
+// overhead, so the serial loop IS the fast path (Paillier's cheap
+// AddVec/ScalarVec are plain loops for the same reason).
 
 // AddVec returns the elementwise homomorphic sum.
 func (s *Scheme) AddVec(a, b []*homo.Ciphertext) []*homo.Ciphertext {
@@ -284,53 +320,41 @@ func (s *Scheme) ScalarVec(ms []int64, xs []*homo.Ciphertext) []*homo.Ciphertext
 	return out
 }
 
-// RerandomizeVec refreshes every ciphertext, drawing the whole batch's
-// aux randomness under one lock round-trip.
-func (s *Scheme) RerandomizeVec(xs []*homo.Ciphertext) []*homo.Ciphertext {
-	p := s.geo.p
-	aux := make([]uint64, len(xs)*(p.K-1))
+// dealVec deals a fresh sharing of every vs[i] — onto bases[i] when
+// bases is non-nil — drawing the whole batch's aux randomness under one
+// lock round-trip.
+func (s *Scheme) dealVec(vs []uint64, bases []*homo.Ciphertext) []*homo.Ciphertext {
+	k1 := s.geo.p.K - 1
+	aux := make([]uint64, len(vs)*k1)
 	s.drawAux(aux)
-	zero := make([]uint64, p.W)
-	z := make([]uint64, p.N)
-	out := make([]*homo.Ciphertext, len(xs))
-	for i, x := range xs {
-		sx := s.shares(x)
-		s.geo.DealInto(z, zero, aux[i*(p.K-1):(i+1)*(p.K-1)])
-		AddSlices(sx, sx, z)
-		out[i] = s.newCipher(sx)
+	out := make([]*homo.Ciphertext, len(vs))
+	for i, v := range vs {
+		var base []big.Word
+		if bases != nil {
+			base = s.limbs(bases[i])
+		}
+		out[i] = s.deal(v, aux[i*k1:(i+1)*k1], base)
 	}
 	return out
 }
 
-// EncryptVec deals every plaintext with one batched randomness draw.
+// RerandomizeVec refreshes every ciphertext.
+func (s *Scheme) RerandomizeVec(xs []*homo.Ciphertext) []*homo.Ciphertext {
+	return s.dealVec(make([]uint64, len(xs)), xs)
+}
+
+// EncryptVec deals every plaintext.
 func (s *Scheme) EncryptVec(ms []*big.Int) []*homo.Ciphertext {
-	p := s.geo.p
-	aux := make([]uint64, len(ms)*(p.K-1))
-	s.drawAux(aux)
-	secrets := make([]uint64, p.W)
-	out := make([]*homo.Ciphertext, len(ms))
+	vs := make([]uint64, len(ms))
 	for i, m := range ms {
-		secrets[0] = homo.EncodeMod(m, pBig).Uint64()
-		sh := make([]uint64, p.N)
-		s.geo.DealInto(sh, secrets, aux[i*(p.K-1):(i+1)*(p.K-1)])
-		out[i] = s.newCipher(sh)
+		vs[i] = homo.EncodeMod(m, pBig).Uint64()
 	}
-	return out
+	return s.dealVec(vs, nil)
 }
 
 // EncryptZeroVec returns n fresh sharings of zero.
 func (s *Scheme) EncryptZeroVec(n int) []*homo.Ciphertext {
-	p := s.geo.p
-	aux := make([]uint64, n*(p.K-1))
-	s.drawAux(aux)
-	zero := make([]uint64, p.W)
-	out := make([]*homo.Ciphertext, n)
-	for i := range out {
-		sh := make([]uint64, p.N)
-		s.geo.DealInto(sh, zero, aux[i*(p.K-1):(i+1)*(p.K-1)])
-		out[i] = s.newCipher(sh)
-	}
-	return out
+	return s.dealVec(make([]uint64, n), nil)
 }
 
 // --- adoption and wire --------------------------------------------------
@@ -347,17 +371,15 @@ func (s *Scheme) Adopt(c *homo.Ciphertext) (*homo.Ciphertext, error) {
 	if got, want := c.V.BitLen(), 64*n+1; got != want {
 		return nil, fmt.Errorf("shamir: share vector has %d bits, want %d (N=%d)", got, want, n)
 	}
-	buf := make([]byte, 8*n+1)
-	c.V.FillBytes(buf)
-	if buf[0] != 1 {
-		return nil, fmt.Errorf("shamir: share vector sentinel corrupted")
-	}
+	src := c.V.Bits() // the bit length fixes the limb count and the sentinel limb to 1
 	for i := 0; i < n; i++ {
-		if binary.BigEndian.Uint64(buf[len(buf)-8*(i+1):]) >= P {
+		if share(src, i) >= P {
 			return nil, fmt.Errorf("shamir: share %d out of field range", i)
 		}
 	}
-	return &homo.Ciphertext{V: new(big.Int).Set(c.V), Tag: s.tag}, nil
+	out, ws := s.blank()
+	copy(ws, src)
+	return out, nil
 }
 
 // AppendCiphertext appends the canonical compact wire form of c.

@@ -2,6 +2,7 @@ package shamir_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/big"
 	"math/rand/v2"
 	"testing"
@@ -260,5 +261,80 @@ func TestConcurrentEncrypt(t *testing.T) {
 	}
 	for g := 0; g < 4; g++ {
 		<-done
+	}
+}
+
+// TestSchemeOpAllocs is the per-op allocation gate for the Shamir
+// workloads' homo layer: every result is two heap objects (the
+// header+big.Int box and its limb slice) and no operand is copied. The
+// parent of this gate read 5, 5, 4, 8, 7, 7, 9, 3, 6 in table order.
+// Encrypt of a value outside int64 — no protocol value is — adds
+// homo.EncodeMod's temporaries: 4 in all on 64-bit words, 5 on 32-bit.
+func TestSchemeOpAllocs(t *testing.T) {
+	for _, p := range []shamir.Params{
+		{K: 3, N: 7, W: 1}, // BENCHMARK.json's mine_churn_shamir
+		{K: 2, N: 6, W: 1}, // BENCH_homo.json
+	} {
+		s := newScheme(t, p)
+		a, b := s.EncryptInt(1234567), s.EncryptInt(-89)
+		m := big.NewInt(-424242)
+		for _, op := range []struct {
+			name string
+			max  float64
+			run  func()
+		}{
+			{"Add", 2, func() { s.Add(a, b) }},
+			{"Sub", 2, func() { s.Sub(a, b) }},
+			{"ScalarMul", 2, func() { s.ScalarMul(-77, a) }},
+			{"Rerandomize", 2, func() { s.Rerandomize(a) }},
+			{"EncryptInt", 2, func() { s.EncryptInt(-5) }},
+			{"EncryptZero", 2, func() { s.EncryptZero() }},
+			{"Encrypt", 2, func() { s.Encrypt(m) }},
+			{"Decrypt", 2, func() { s.Decrypt(a) }},
+			{"DecryptSigned", 2, func() { s.DecryptSigned(b) }},
+		} {
+			if got := testing.AllocsPerRun(200, op.run); got > op.max {
+				t.Errorf("%s %s: %v allocs/op, want ≤ %v", s.Name(), op.name, got, op.max)
+			}
+		}
+	}
+}
+
+// TestAdoptsParentWireVectors: share vectors appended by the parent of
+// the in-place limb kernel (operand-copying shares/newCipher, byte
+// codec on 32-bit words) are adopted and open to the same values, and
+// re-encode byte for byte — the representation did not move.
+func TestAdoptsParentWireVectors(t *testing.T) {
+	for _, v := range []struct {
+		p    shamir.Params
+		want int64
+		wire string
+	}{
+		{shamir.Params{K: 3, N: 7, W: 1}, 123456789, "39011cc9a864e9143745101cb2c20034e1861b9fca07729735961f52ee35403b33761b361f4b6920db260f495d49ed482ca61b8ca830ccb127f5"},
+		{shamir.Params{K: 2, N: 6, W: 1}, -42, "31010385f60162a3494512efa2567cdd67b202594eab9717862011c2fb00b151a48d012ca755cb8bc2fb109653aae5c5e168"},
+		{shamir.Params{K: 2, N: 8, W: 3}, 1<<60 - 1, "4101034f827d402f575910b7a82479babd220b251ac2fbd1d36a16f730b9dd632420188d406a355d39351446a0351aae9c990e82a67ba445d83c0ba0a99ee911760e"},
+	} {
+		s := newScheme(t, v.p)
+		wire, err := hex.DecodeString(v.wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, n, err := homo.ReadCiphertext(wire)
+		if err != nil || n != len(wire) {
+			t.Fatalf("%s: ReadCiphertext consumed %d of %d bytes, err %v", s.Name(), n, len(wire), err)
+		}
+		c, err := s.Adopt(dec)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if got := s.DecryptSigned(c).Int64(); got != v.want {
+			t.Fatalf("%s: parent's vector opens to %d, want %d", s.Name(), got, v.want)
+		}
+		if got := s.DecryptSigned(s.Rerandomize(s.Sub(s.Add(c, c), c))).Int64(); got != v.want {
+			t.Fatalf("%s: arithmetic on the parent's vector gives %d, want %d", s.Name(), got, v.want)
+		}
+		if !bytes.Equal(s.AppendCiphertext(nil, c), wire) {
+			t.Fatalf("%s: adopted vector re-encodes differently", s.Name())
+		}
 	}
 }

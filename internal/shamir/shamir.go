@@ -142,64 +142,42 @@ func lagrangeVector(xs []uint64, y uint64) []uint64 {
 // hold exactly W reduced residues; aux must hold exactly K−1 residues
 // and MUST be uniformly random — they are the entire hiding margin.
 func (g *Geometry) Deal(secrets, aux []uint64) []uint64 {
-	out := make([]uint64, g.p.N)
-	g.DealInto(out, secrets, aux)
-	return out
-}
-
-// DealInto writes the N shares of a packed secret vector into out.
-func (g *Geometry) DealInto(out, secrets, aux []uint64) {
 	if len(secrets) != g.p.W {
 		panic(fmt.Sprintf("shamir: Deal with %d secrets, geometry packs %d", len(secrets), g.p.W))
 	}
 	if len(aux) != g.p.K-1 {
 		panic(fmt.Sprintf("shamir: Deal with %d aux randoms, need K-1 = %d", len(aux), g.p.K-1))
 	}
-	if len(out) != g.p.N {
-		panic("shamir: DealInto output length != N")
+	vals := make([]uint64, 0, g.p.Threshold())
+	vals = append(append(vals, secrets...), aux...)
+	out := make([]uint64, g.p.N)
+	for i := range out {
+		out[i] = g.shareAt(i, vals)
 	}
-	if g.p.W == 1 {
-		// Unpacked fast path: the polynomial in coefficient form is
-		// (secret, aux…); share i is a Horner evaluation at x = i+1.
-		coeffs := make([]uint64, g.p.K)
-		coeffs[0] = secrets[0]
-		copy(coeffs[1:], aux)
-		for i := range out {
-			out[i] = hornerEval(coeffs, uint64(i+1))
-		}
-		return
+	return out
+}
+
+// shareAt returns share i of the polynomial pinned by its defining
+// values vals = secrets ‖ aux (T residues).
+func (g *Geometry) shareAt(i int, vals []uint64) uint64 {
+	if g.deal == nil {
+		// Unpacked fast path: vals is the polynomial in coefficient
+		// form (secret, aux…); share i is a Horner evaluation at x = i+1.
+		return hornerEval(vals, uint64(i+1))
 	}
 	// Packed path: shares are Lagrange combinations of the defining
-	// values (secrets ‖ aux).
-	vals := make([]uint64, 0, g.p.Threshold())
-	vals = append(vals, secrets...)
-	vals = append(vals, aux...)
-	for i := range out {
-		out[i] = Dot(g.deal[i], vals)
-	}
+	// values.
+	return Dot(g.deal[i], vals)
 }
 
 // Reconstruct recovers the W packed secrets from a full share vector
 // (only the first T = K+W−1 shares are consulted).
 func (g *Geometry) Reconstruct(shares []uint64) []uint64 {
 	out := make([]uint64, g.p.W)
-	g.ReconstructInto(out, shares)
-	return out
-}
-
-// ReconstructInto recovers the W packed secrets into out.
-func (g *Geometry) ReconstructInto(out, shares []uint64) {
-	T := g.p.Threshold()
-	if len(shares) < T {
-		panic(fmt.Sprintf("shamir: %d shares cannot reconstruct (threshold %d)", len(shares), T))
-	}
-	if len(out) != g.p.W {
-		panic("shamir: ReconstructInto output length != W")
-	}
-	head := shares[:T]
 	for j := range out {
-		out[j] = Dot(g.rec[j], head)
+		out[j] = g.ReconstructSlot(shares, j)
 	}
+	return out
 }
 
 // ReconstructSlot recovers one packed slot from a full share vector —

@@ -2,6 +2,7 @@ package secmr
 
 import (
 	"math/big"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -155,6 +156,48 @@ func TestShamirBackedGrid(t *testing.T) {
 	if !grid.RunUntilQuality(0.85, 1500) {
 		r, p := grid.Quality()
 		t.Fatalf("shamir grid stuck at recall=%.3f precision=%.3f", r, p)
+	}
+}
+
+// TestSecureStepAllocBudgetShamir holds the secure step, not just the
+// plain sim tick, to an allocation budget, on BENCHMARK.json's churn
+// grid (mine_churn_shamir's geometry, thresholds and growth). Nearly
+// all of a step's mallocs are Shamir results, two heap objects each
+// since the scheme reads its operands' share limbs in place; the
+// operand-copying kernel before it measured 770k mallocs per step over
+// these early steps (1.23 M over the benchmark's 200), this one 288k.
+func TestSecureStepAllocBudgetShamir(t *testing.T) {
+	const (
+		resources, growth = 8, 10
+		seedTxns          = 1200
+		warm, measured    = 10, 20
+		budget            = 375_000 // 1.3 × the 288k measured per step
+	)
+	all := GenerateQuestWith(QuestParams{NumTransactions: seedTxns + resources*growth*(warm+measured),
+		NumItems: 24, NumPatterns: 10, AvgTransLen: 5, AvgPatternLen: 2, Seed: 7})
+	db := &Database{Tx: all.Tx[:seedTxns]}
+	feeds := make([][]Transaction, resources)
+	for i, tx := range all.Tx[seedTxns:] {
+		feeds[i%resources] = append(feeds[i%resources], tx)
+	}
+	grid, err := NewGridWithFeed(db, feeds, GridConfig{
+		Algorithm: AlgorithmSecure, Crypto: CryptoShamir, Resources: resources, K: 3,
+		MinFreq: 0.12, MinConf: 0.6, ScanBudget: 50, MaxRuleItems: 3,
+		GrowthPerStep: growth, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer grid.Close()
+	grid.Step(warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	grid.Step(measured)
+	runtime.ReadMemStats(&after)
+	perStep := (after.Mallocs - before.Mallocs) / measured
+	t.Logf("%d mallocs per secure step", perStep)
+	if perStep > budget {
+		t.Fatalf("secure step costs %d mallocs, budget %d", perStep, budget)
 	}
 }
 
