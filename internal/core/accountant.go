@@ -61,9 +61,15 @@ type Accountant struct {
 
 type scanState struct {
 	rule       arm.Rule
+	union      arm.Itemset // rule.Union(): tick tests it against every scanned transaction
 	sym        intern.Sym
 	pos        int
 	sum, count int64
+}
+
+// newScanState starts a rule's scan at the top of the database.
+func newScanState(rule arm.Rule, sym intern.Sym) *scanState {
+	return &scanState{rule: rule, union: rule.Union(), sym: sym}
 }
 
 func newAccountant(id int, cfg Config, enc homo.Encryptor, pub homo.Public, local *arm.Database, feed Feed) *Accountant {
@@ -237,7 +243,7 @@ func (a *Accountant) register(rule arm.Rule, sym intern.Sym) {
 		return
 	}
 	a.scanIdx[sym] = int32(len(a.scans))
-	a.scans = append(a.scans, &scanState{rule: rule, sym: sym})
+	a.scans = append(a.scans, newScanState(rule, sym))
 	a.replies = append(a.replies, nil)
 }
 
@@ -263,14 +269,13 @@ func (a *Accountant) tick() {
 		if end > a.db.Len() {
 			end = a.db.Len()
 		}
-		union := s.rule.Union()
 		changed := false
 		for ; s.pos < end; s.pos++ {
 			t := a.db.Tx[s.pos]
 			if len(s.rule.LHS) == 0 || t.ContainsAll(s.rule.LHS) {
 				s.count++
 				changed = true
-				if t.ContainsAll(union) {
+				if t.ContainsAll(s.union) {
 					s.sum++
 				}
 			}

@@ -104,11 +104,21 @@ type Broker struct {
 	// interner copies on first sight, so lookups never allocate.
 	keyBuf []byte
 
-	// scratch is the reusable accumulator fullSum folds neighbourhood
-	// counters into (honest path only); its field pointers are replaced
-	// wholesale on every call, so no ciphertext is ever shared with it
-	// beyond one evaluation.
+	// scratch and sfe are the broker's homo.LinCombInto destinations:
+	// the counter fullSum folds the neighbourhood into (honest path
+	// only), and Δ^uv, Δ^uv − Δ^u and their blinded forms for a sign SFE.
+	// The broker produced every ciphertext in them and owns it outright:
+	// they are handed to this resource's controller, which decrypts them
+	// inside the call, and overwritten by the next evaluation — never
+	// stored in a candidate or edge, transmitted, snapshotted, or shown
+	// to an Adversary hook. parts, ops and coef are the operand lists of
+	// those calls, kept here because a slice passed through the
+	// homo.Public interface would otherwise escape to the heap per call.
 	scratch oblivious.Counter
+	sfe     struct{ duv, diff, blind, blindDiff *homo.Ciphertext }
+	parts   []*oblivious.Counter
+	ops     []*homo.Ciphertext
+	coef    [4]int64
 
 	// shareEpoch is the accountant's current share-dealing epoch;
 	// inbound counters from other dealings are dropped.
@@ -381,13 +391,53 @@ func (b *Broker) paddingDance(tr Transport, c *secCandidate, next *oblivious.Cou
 // impossible; instead the accountant pre-provisions encrypted ones.
 func (b *Broker) encOne() *homo.Ciphertext { return b.acc.encryptedOne() }
 
+// gather lists the counters of c's neighbourhood — the ⊥ counter, then
+// every inbound counter in neighbour order, except's left out (−1: none)
+// — in the broker's reused parts slice.
+func (b *Broker) gather(c *secCandidate, except int) []*oblivious.Counter {
+	parts := append(b.parts[:0], c.local)
+	for _, v := range b.neighbors {
+		if e, ok := c.edges[v]; ok && v != except {
+			parts = append(parts, e.inbound)
+		}
+	}
+	b.parts = parts
+	return parts
+}
+
+// sumField folds one field of every part into dst with a single fused
+// op; a nil dst yields a fresh ciphertext the caller may keep.
+func (b *Broker) sumField(dst *homo.Ciphertext, parts []*oblivious.Counter,
+	field func(*oblivious.Counter) *homo.Ciphertext) *homo.Ciphertext {
+	b.ops = b.ops[:0]
+	for _, p := range parts {
+		b.ops = append(b.ops, field(p))
+	}
+	return homo.LinCombInto(b.pub, dst, nil, b.ops)
+}
+
+func sumOf(c *oblivious.Counter) *homo.Ciphertext   { return c.Sum }
+func countOf(c *oblivious.Counter) *homo.Ciphertext { return c.Count }
+func numOf(c *oblivious.Counter) *homo.Ciphertext   { return c.Num }
+func shareOf(c *oblivious.Counter) *homo.Ciphertext { return c.Share }
+
+// linComb evaluates Σ ms[i]·xs[i] over the first n terms into dst,
+// through the broker's own coefficient and operand arrays.
+func (b *Broker) linComb(dst *homo.Ciphertext, n int, ms [4]int64, xs [4]*homo.Ciphertext) *homo.Ciphertext {
+	b.coef = ms
+	b.ops = append(b.ops[:0], xs[:n]...)
+	return homo.LinCombInto(b.pub, dst, b.coef[:n], b.ops)
+}
+
 // fullSum aggregates the ⊥ counter and every inbound counter — the
-// quantity all SFE inputs are built from. The honest path folds the
-// neighbourhood into the broker's reused scratch counter (no counter
-// shells or stamp slices per evaluation); the result is only valid
-// until the next fullSum call, which every caller satisfies (SFE
-// inputs are consumed synchronously). The adversary hook may replace
-// it (detection surface) — that cold path keeps the allocating chain.
+// quantity all SFE inputs are built from. The honest path folds each
+// field of the neighbourhood into the broker-owned scratch counter with
+// one fused op (nothing allocated once the scratch exists); the result
+// is only valid until the next fullSum call, which every caller
+// satisfies (SFE inputs are consumed synchronously). The adversary hook
+// may replace it (detection surface) — that cold path keeps the
+// allocating chain, so a hook never sees a ciphertext that is later
+// overwritten.
 func (b *Broker) fullSum(c *secCandidate) *oblivious.Counter {
 	if b.adv != nil {
 		parts := map[int]*oblivious.Counter{-1: c.local}
@@ -409,31 +459,35 @@ func (b *Broker) fullSum(c *secCandidate) *oblivious.Counter {
 		}
 		return full
 	}
+	parts, slots := b.gather(c, -1), len(c.local.Stamps)
 	s := &b.scratch
-	s.Sum, s.Count, s.Num, s.Share = c.local.Sum, c.local.Count, c.local.Num, c.local.Share
-	s.Stamps = append(s.Stamps[:0], c.local.Stamps...)
-	for _, v := range b.neighbors {
-		if e, ok := c.edges[v]; ok {
-			oblivious.AddInto(b.pub, s, e.inbound)
+	s.Sum = b.sumField(s.Sum, parts, sumOf)
+	s.Count = b.sumField(s.Count, parts, countOf)
+	s.Num = b.sumField(s.Num, parts, numOf)
+	s.Share = b.sumField(s.Share, parts, shareOf)
+	for _, p := range parts {
+		if len(p.Stamps) != slots {
+			panic("core: stamp slot mismatch")
 		}
+	}
+	for len(s.Stamps) < slots {
+		s.Stamps = append(s.Stamps, nil)
+	}
+	s.Stamps = s.Stamps[:slots]
+	for k := range s.Stamps {
+		s.Stamps[k] = b.sumField(s.Stamps[k], parts,
+			func(p *oblivious.Counter) *homo.Ciphertext { return p.Stamps[k] })
 	}
 	return s
 }
 
 // sumValues aggregates only the value components (sum, count, num) of
 // the ⊥ counter and every inbound counter except the recipient's —
-// the outgoing payload of Update(v).
+// the outgoing payload of Update(v). The results are fresh ciphertexts,
+// not scratch: transmit retains them as the edge's sentSum/sentCount.
 func (b *Broker) sumValues(c *secCandidate, except int) (sum, count, num *homo.Ciphertext) {
-	sum, count, num = c.local.Sum, c.local.Count, c.local.Num
-	for v, e := range c.edges {
-		if v == except {
-			continue
-		}
-		sum = b.pub.Add(sum, e.inbound.Sum)
-		count = b.pub.Add(count, e.inbound.Count)
-		num = b.pub.Add(num, e.inbound.Num)
-	}
-	return
+	parts := b.gather(c, except)
+	return b.sumField(nil, parts, sumOf), b.sumField(nil, parts, countOf), b.sumField(nil, parts, numOf)
 }
 
 // evaluateSends runs the per-edge send SFEs for every dirty
@@ -474,17 +528,23 @@ func (b *Broker) evaluateSends(tr Transport) {
 				b.transmit(tr, c, v, e, b.ctl.RefreshStamps(link.grant.NumSlots, link.grant.Slot))
 				continue
 			}
-			// Δ^uv and Δ^uv − Δ^u, blinded for the sign SFE.
-			duv := b.pub.Sub(
-				b.pub.ScalarMul(c.lambdaD, b.pub.Add(e.inbound.Sum, e.sentSum)),
-				b.pub.ScalarMul(c.lambdaN, b.pub.Add(e.inbound.Count, e.sentCount)))
-			du := b.pub.Sub(
-				b.pub.ScalarMul(c.lambdaD, full.Sum),
-				b.pub.ScalarMul(c.lambdaN, full.Count))
-			diff := b.pub.Sub(duv, du)
-			send, stamps, ok := b.ctl.SendDecision(c.sym, v, full,
-				oblivious.Blind(b.pub, duv, blindBits, b.rng),
-				oblivious.Blind(b.pub, diff, blindBits, b.rng),
+			// Δ^uv and Δ^uv − Δ^u, blinded for the sign SFE. Both are
+			// built on every evaluation, used or not: whether the k-gate
+			// opens is data-dependent, and the broker must not learn it.
+			// Δ^u = λd·sum − λn·count of the full neighbourhood enters
+			// the difference term by term, so a scheme on the serial
+			// fallback runs the eleven ops it always ran.
+			t := &b.sfe
+			t.duv = b.linComb(t.duv, 4,
+				[4]int64{c.lambdaD, c.lambdaD, -c.lambdaN, -c.lambdaN},
+				[4]*homo.Ciphertext{e.inbound.Sum, e.sentSum, e.inbound.Count, e.sentCount})
+			t.diff = b.linComb(t.diff, 3,
+				[4]int64{1, -c.lambdaD, c.lambdaN}, [4]*homo.Ciphertext{t.duv, full.Sum, full.Count})
+			r := oblivious.BlindFactor(blindBits, b.rng)
+			t.blind = b.linComb(t.blind, 1, [4]int64{r}, [4]*homo.Ciphertext{t.duv})
+			r = oblivious.BlindFactor(blindBits, b.rng)
+			t.blindDiff = b.linComb(t.blindDiff, 1, [4]int64{r}, [4]*homo.Ciphertext{t.diff})
+			send, stamps, ok := b.ctl.SendDecision(c.sym, v, full, t.blind, t.blindDiff,
 				first, link.grant.NumSlots, link.grant.Slot, neighborAt)
 			if !ok {
 				return // violation detected; Resource will halt us
@@ -683,11 +743,12 @@ func (b *Broker) generateCandidates() {
 		}
 		c.outDirty = false
 		full := b.fullSum(c)
-		du := b.pub.Sub(
-			b.pub.ScalarMul(c.lambdaD, full.Sum),
-			b.pub.ScalarMul(c.lambdaN, full.Count))
-		correct, ok := b.ctl.OutputDecision(c.sym, full,
-			oblivious.Blind(b.pub, du, blindBits, b.rng), neighborAt)
+		// r·Δ^u in one op: the blind is folded into Δ^u's coefficients
+		// (no overflow — see oblivious.BlindFactor).
+		r := oblivious.BlindFactor(blindBits, b.rng)
+		b.sfe.blind = b.linComb(b.sfe.blind, 2,
+			[4]int64{r * c.lambdaD, -r * c.lambdaN}, [4]*homo.Ciphertext{full.Sum, full.Count})
+		correct, ok := b.ctl.OutputDecision(c.sym, full, b.sfe.blind, neighborAt)
 		if !ok {
 			return
 		}
@@ -759,8 +820,5 @@ func (b *Broker) DebugAggregate(key string) (sum, count, num int64, ok bool) {
 		return 0, 0, 0, false
 	}
 	full := b.fullSum(c)
-	dec := b.ctl.dec
-	return dec.DecryptSigned(full.Sum).Int64(),
-		dec.DecryptSigned(full.Count).Int64(),
-		dec.DecryptSigned(full.Num).Int64(), true
+	return b.ctl.plainOf(full.Sum), b.ctl.plainOf(full.Count), b.ctl.plainOf(full.Num), true
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/big"
 
 	"secmr/internal/homo"
 	"secmr/internal/intern"
@@ -58,6 +59,10 @@ type Controller struct {
 	dec homo.Decryptor
 	enc homo.Encryptor
 	pub homo.Public
+	// plain is the one integer every decrypt lands in (plainOf, signOf):
+	// the controller only ever reads a plaintext as an int64 or a sign,
+	// so no decrypted value needs storage of its own.
+	plain big.Int
 
 	// clock is the Lamport clock for outgoing timestamps.
 	clock int64
@@ -216,6 +221,16 @@ func (c *Controller) recordOut(rule intern.Sym, cnt, num int64, fresh bool) {
 	}
 }
 
+// plainOf decrypts ct to its signed plaintext.
+func (c *Controller) plainOf(ct *homo.Ciphertext) int64 {
+	return homo.DecryptSignedInto(c.dec, &c.plain, ct).Int64()
+}
+
+// signOf decrypts a blinded value and returns its sign: −1, 0, +1.
+func (c *Controller) signOf(ct *homo.Ciphertext) int {
+	return homo.DecryptSignedInto(c.dec, &c.plain, ct).Sign()
+}
+
 // takeReport pops the pending detection, if any.
 func (c *Controller) takeReport() (MaliciousReport, bool) {
 	if c.pendingReport == nil {
@@ -232,7 +247,7 @@ func (c *Controller) takeReport() (MaliciousReport, bool) {
 // Returns false when a violation was detected (and records the
 // report).
 func (c *Controller) verify(rule intern.Sym, full *oblivious.Counter, neighborAt func(slot int) int) bool {
-	if c.dec.DecryptSigned(full.Share).Int64() != 1 {
+	if c.plainOf(full.Share) != 1 {
 		c.stats.Violations++
 		c.pendingReport = c.attributeShare(rule, neighborAt)
 		return false
@@ -248,7 +263,7 @@ func (c *Controller) verify(rule intern.Sym, full *oblivious.Counter, neighborAt
 		c.seen[rule] = prev
 	}
 	for slot, ct := range full.Stamps {
-		t := c.dec.DecryptSigned(ct).Int64()
+		t := c.plainOf(ct)
 		if t < prev[slot] {
 			c.stats.Violations++
 			accused := c.id
@@ -295,7 +310,7 @@ func (c *Controller) attributeShare(rule intern.Sym, neighborAt func(int) int) *
 			if ct == nil {
 				break
 			}
-			if c.dec.DecryptSigned(ct).Int64() != want {
+			if c.plainOf(ct) != want {
 				return &MaliciousReport{
 					Accused: neighborAt(slot), Reporter: c.id, Evidence: true,
 					Reason: fmt.Sprintf("forged share on rule %s", intern.Str(rule)),
@@ -383,8 +398,8 @@ func (c *Controller) SendDecision(rule intern.Sym, edge int, full *oblivious.Cou
 	if !c.verify(rule, full, neighborAt) {
 		return false, nil, false
 	}
-	cnt := c.dec.DecryptSigned(full.Count).Int64()
-	num := c.dec.DecryptSigned(full.Num).Int64()
+	cnt := c.plainOf(full.Count)
+	num := c.plainOf(full.Num)
 	key := sendGateKey{rule: rule, edge: int32(edge)}
 	g, okG := c.sendGates[key]
 	if !okG {
@@ -408,8 +423,8 @@ func (c *Controller) SendDecision(rule intern.Sym, edge int, full *oblivious.Cou
 		c.tel.votesFresh.Inc()
 		c.recordSend(rule, edge, cnt, num, true)
 		g.lastCount, g.lastNum, g.queried = cnt, num, true
-		sDuv := oblivious.SignOf(c.dec, blindDuv)
-		sDiff := oblivious.SignOf(c.dec, blindDiff)
+		sDuv := c.signOf(blindDuv)
+		sDiff := c.signOf(blindDiff)
 		// (Δuv ≥ 0 ∧ Δuv > Δu) ∨ (Δuv < 0 ∧ Δuv < Δu).
 		send = (sDuv >= 0 && sDiff > 0) || (sDuv < 0 && sDiff < 0)
 		c.tel.emit(obs.Event{Type: obs.EvVoteFresh, Peer: edge, Rule: intern.Str(rule), Detail: voteDetail(send)})
@@ -471,8 +486,8 @@ func (c *Controller) OutputDecision(rule intern.Sym, full *oblivious.Counter,
 	if !c.verify(rule, full, neighborAt) {
 		return false, false
 	}
-	cnt := c.dec.DecryptSigned(full.Count).Int64()
-	num := c.dec.DecryptSigned(full.Num).Int64()
+	cnt := c.plainOf(full.Count)
+	num := c.plainOf(full.Num)
 	g, okG := c.outGates[rule]
 	if !okG {
 		g = &gateState{}
@@ -482,7 +497,7 @@ func (c *Controller) OutputDecision(rule intern.Sym, full *oblivious.Counter,
 		c.stats.FreshDecisions++
 		c.tel.votesFresh.Inc()
 		c.recordOut(rule, cnt, num, true)
-		g.cached = oblivious.SignOf(c.dec, blindDu) >= 0
+		g.cached = c.signOf(blindDu) >= 0
 		c.tel.emit(obs.Event{Type: obs.EvOutputDec, Peer: -1, Rule: intern.Str(rule), Detail: "fresh", Value: bool01(g.cached)})
 	} else {
 		c.stats.GatedDecisions++

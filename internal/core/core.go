@@ -127,7 +127,7 @@ func (c Config) withDefaults() Config {
 
 // blindBits sizes the multiplicative blinding of the sign SFE: the
 // broker scales each Δ by a fresh r ∈ [1, 2^blindBits] before the
-// controller decrypts it (oblivious.Blind).
+// controller decrypts it (oblivious.BlindFactor).
 const blindBits = 16
 
 // MaxDBLen returns the largest global database size |DB| for which

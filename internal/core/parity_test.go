@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/big"
 	mrand "math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"secmr/internal/oblivious"
 	"secmr/internal/obs"
 	"secmr/internal/quest"
+	"secmr/internal/shamir"
 	"secmr/internal/sim"
 	"secmr/internal/topology"
 )
@@ -298,4 +301,153 @@ func TestShardedLossyRunReachesOracle(t *testing.T) {
 	rules, dag := run()
 	againRules, againDAG := run()
 	requireSameRun(t, "repeat", againRules, rules, againDAG, dag)
+}
+
+// fusedRunState is everything plaintext-level a finished secure run
+// leaves behind, per resource: what the fused-op tests compare.
+type fusedRunState struct {
+	Rules  [][]string
+	Broker []BrokerStats
+	Ctl    []ControllerStats
+	Aggs   []map[string][3]int64
+	Audit  [][]AuditEntry
+}
+
+// fusedRun drives the parity grid with auditing on and collects its
+// fusedRunState.
+func fusedRun(t *testing.T, scheme homo.Scheme) fusedRunState {
+	t.Helper()
+	e, resources, _, _ := buildParityGrid(t, scheme, 1, func(c *Config) { c.Audit = true }, nil)
+	e.Run(300)
+	var st fusedRunState
+	for _, r := range resources {
+		if r.Halted() {
+			t.Fatalf("resource halted: %+v", r.Reports())
+		}
+		rules := []string{}
+		for key := range r.Output() {
+			rules = append(rules, key)
+		}
+		sort.Strings(rules)
+		aggs := map[string][3]int64{}
+		for _, c := range r.Broker.cands {
+			sum, count, num, ok := r.Broker.DebugAggregate(c.key)
+			if !ok {
+				t.Fatalf("no aggregate for candidate %s", c.key)
+			}
+			aggs[c.key] = [3]int64{sum, count, num}
+		}
+		st.Rules = append(st.Rules, rules)
+		st.Broker = append(st.Broker, r.Stats())
+		st.Ctl = append(st.Ctl, r.Controller.Stats())
+		st.Aggs = append(st.Aggs, aggs)
+		st.Audit = append(st.Audit, r.Controller.AuditTrail())
+	}
+	return st
+}
+
+// requireSameFusedRun fails on the first field two runs disagree in.
+func requireSameFusedRun(t *testing.T, label string, got, want fusedRunState) {
+	t.Helper()
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < g.NumField(); i++ {
+		if !reflect.DeepEqual(g.Field(i).Interface(), w.Field(i).Interface()) {
+			t.Fatalf("%s: %s differs from the native run", label, g.Type().Field(i).Name)
+		}
+	}
+}
+
+// countingShamir counts what reaches the scheme underneath an
+// instrumented wrapper: fused ops, decrypts of every flavour, and the
+// per-op Add/Sub/ScalarMul chain the fused op replaced.
+type countingShamir struct {
+	*shamir.Scheme
+	lin, dec, chain int64
+}
+
+func (c *countingShamir) LinCombInto(dst *homo.Ciphertext, ms []int64, xs []*homo.Ciphertext) *homo.Ciphertext {
+	c.lin++
+	return c.Scheme.LinCombInto(dst, ms, xs)
+}
+
+func (c *countingShamir) DecryptSignedInto(dst *big.Int, x *homo.Ciphertext) *big.Int {
+	c.dec++
+	return c.Scheme.DecryptSignedInto(dst, x)
+}
+
+func (c *countingShamir) DecryptSigned(x *homo.Ciphertext) *big.Int {
+	c.dec++
+	return c.Scheme.DecryptSigned(x)
+}
+
+func (c *countingShamir) Decrypt(x *homo.Ciphertext) *big.Int {
+	c.dec++
+	return c.Scheme.Decrypt(x)
+}
+
+func (c *countingShamir) Add(a, b *homo.Ciphertext) *homo.Ciphertext {
+	c.chain++
+	return c.Scheme.Add(a, b)
+}
+
+func (c *countingShamir) Sub(a, b *homo.Ciphertext) *homo.Ciphertext {
+	c.chain++
+	return c.Scheme.Sub(a, b)
+}
+
+func (c *countingShamir) ScalarMul(m int64, a *homo.Ciphertext) *homo.Ciphertext {
+	c.chain++
+	return c.Scheme.ScalarMul(m, a)
+}
+
+// TestFusedOpParity: the broker's SFE inputs and the controller's reads
+// go through homo.LinCombInto / homo.DecryptSignedInto, which Shamir
+// runs natively in place and every other scheme through the helpers'
+// serial fallback. The same seeded secure grid run both ways — natively,
+// and with the capability hidden behind a bare struct{ homo.Scheme }
+// (the path Plain, Paillier and any foreign wrapper take) — must agree
+// on every resource's rule set, every stats counter, the decrypted
+// aggregate of every candidate and the k-TTP audit trail entry for
+// entry. A third run behind oblivious.InstrumentScheme (secmrd's
+// wiring) must agree too, keep both capabilities, and account under
+// op="lincomb" and op="decrypt" for every call that reached the scheme,
+// with no per-op chain beside the fused one.
+func TestFusedOpParity(t *testing.T) {
+	sh := shamir.MustNew(shamir.Params{K: 2, N: 5, W: 1})
+	native := fusedRun(t, sh)
+	var mined, fresh int64
+	for i := range native.Rules {
+		mined += int64(len(native.Rules[i]))
+		fresh += native.Ctl[i].FreshDecisions
+	}
+	if mined == 0 || fresh == 0 {
+		t.Fatalf("native run mined %d rules with %d fresh decisions; nothing to compare", mined, fresh)
+	}
+	requireSameFusedRun(t, "capability hidden", fusedRun(t, struct{ homo.Scheme }{sh}), native)
+
+	counting, sink := &countingShamir{Scheme: sh}, obs.NewSink()
+	instrumented := oblivious.InstrumentScheme(counting, sink)
+	if _, ok := instrumented.(homo.LinCombiner); !ok {
+		t.Fatal("instrumented scheme lost LinCombInto")
+	}
+	if _, ok := instrumented.(homo.IntoDecryptor); !ok {
+		t.Fatal("instrumented scheme lost DecryptSignedInto")
+	}
+	requireSameFusedRun(t, "instrumented", fusedRun(t, instrumented), native)
+	ops := map[string]int64{}
+	for _, p := range sink.Reg.Snapshot() {
+		if p.Name == "secmr_crypto_ops_total" {
+			op := strings.TrimPrefix(p.Labels, `op="`)
+			ops[op[:strings.IndexByte(op, '"')]] = int64(p.Value)
+		}
+	}
+	if counting.lin == 0 || ops["lincomb"] != counting.lin {
+		t.Fatalf(`op="lincomb" counts %d of %d fused ops`, ops["lincomb"], counting.lin)
+	}
+	if counting.dec == 0 || ops["decrypt"] != counting.dec {
+		t.Fatalf(`op="decrypt" counts %d of %d decrypts`, ops["decrypt"], counting.dec)
+	}
+	if counting.chain != 0 {
+		t.Fatalf("%d Add/Sub/ScalarMul calls beside the fused op", counting.chain)
+	}
 }

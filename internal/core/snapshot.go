@@ -399,7 +399,8 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 	a.epoch, a.t, a.shareVals = epoch, at, shareVals
 	for i, n := 0, rd.count(); i < n; i++ {
 		rule := readRule(rd)
-		s := &scanState{rule: rule, sym: intern.S(rule.Key()), pos: rd.int(), sum: int64(rd.int()), count: int64(rd.int())}
+		s := newScanState(rule, intern.S(rule.Key()))
+		s.pos, s.sum, s.count = rd.int(), int64(rd.int()), int64(rd.int())
 		if rd.err != nil {
 			return nil, rd.err
 		}

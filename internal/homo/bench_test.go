@@ -247,6 +247,30 @@ func BenchmarkShamirAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkShamirLinCombInto is the broker's Δ^uv: four terms, two
+// coefficients, into a destination it owns.
+func BenchmarkShamirLinCombInto(b *testing.B) {
+	s := benchShamir(b)
+	xs := []*homo.Ciphertext{s.EncryptInt(41), s.EncryptInt(1), s.EncryptInt(99), s.EncryptInt(7)}
+	coeffs := []int64{1 << 20, 1 << 20, -157286, -157286}
+	dst := s.LinCombInto(nil, coeffs, xs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		homo.LinCombInto(s, dst, coeffs, xs)
+	}
+}
+
+func BenchmarkShamirDecryptSignedInto(b *testing.B) {
+	s := benchShamir(b)
+	c, dst := s.EncryptInt(-123456), new(big.Int)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		homo.DecryptSignedInto(s, dst, c)
+	}
+}
+
 func BenchmarkShamirRerandomize(b *testing.B) {
 	s := benchShamir(b)
 	x := s.EncryptInt(41)

@@ -14,9 +14,14 @@ import (
 // bit-identical, and no result shares storage with an argument — so
 // clobbering a result afterwards cannot reach an input. Shamir reads
 // its operands' share limbs in place, which makes the second half
-// load-bearing.
+// load-bearing. LinCombInto is held to the same contract on its
+// operands (natively on Shamir, through the serial fallback on Plain,
+// Paillier and a Shamir whose capability is hidden), and its one
+// exception — the destination — to its own: written only when it
+// carries this instance's tag.
 func TestOpsNeitherMutateNorAliasArguments(t *testing.T) {
-	schemes := append([]testScheme{{"shamir", shamir.MustNew(shamir.Params{K: 3, N: 7, W: 1}), true}},
+	sh := shamir.MustNew(shamir.Params{K: 3, N: 7, W: 1})
+	schemes := append([]testScheme{{"shamir", sh, true}, {"shamir-serial", struct{ homo.Scheme }{sh}, false}},
 		allSchemes(t)...)
 	for _, ts := range schemes {
 		t.Run(ts.name, func(t *testing.T) {
@@ -44,6 +49,38 @@ func TestOpsNeitherMutateNorAliasArguments(t *testing.T) {
 				},
 				"RerandomizeVec": func() []*big.Int {
 					return values(homo.RerandomizeVec(s, []*homo.Ciphertext{a, b, a}))
+				},
+				"LinCombInto": func() []*big.Int {
+					return []*big.Int{lin(t, s, 3*x-4*y, nil, []int64{3, -2, -2}, a, b, b).V}
+				},
+				"LinCombInto(-a)": func() []*big.Int {
+					return []*big.Int{lin(t, s, -x, nil, []int64{-1, 0}, a, b).V}
+				},
+				"LinCombInto(sum)": func() []*big.Int {
+					return []*big.Int{lin(t, s, 2*x+y, nil, nil, a, b, a).V}
+				},
+				"LinCombInto(1·a)": func() []*big.Int {
+					return []*big.Int{lin(t, s, x, nil, []int64{1}, a).V}
+				},
+				"LinCombInto(a)": func() []*big.Int {
+					return []*big.Int{lin(t, s, x, nil, nil, a).V}
+				},
+				"LinCombInto()": func() []*big.Int {
+					return []*big.Int{lin(t, s, 0, nil, nil).V}
+				},
+				"LinCombInto(dst)": func() []*big.Int {
+					dst := lin(t, s, y, nil, nil, b)
+					if got := lin(t, s, 2*x+y, dst, []int64{2, 1}, a, dst); got != dst {
+						t.Fatal("LinCombInto did not return its destination")
+					}
+					return []*big.Int{dst.V}
+				},
+				"DecryptSignedInto": func() []*big.Int {
+					dst := big.NewInt(99)
+					if got := homo.DecryptSignedInto(s, dst, b); got != dst || got.Int64() != y {
+						t.Fatalf("DecryptSignedInto = %v, want %d in the destination", got, y)
+					}
+					return []*big.Int{dst, homo.DecryptSignedInto(s, nil, a)}
 				},
 			}
 			if ad, ok := s.(homo.Adopter); ok {
@@ -79,8 +116,34 @@ func TestOpsNeitherMutateNorAliasArguments(t *testing.T) {
 				}
 				intact("returned a result aliasing")
 			}
+
+			// A destination from elsewhere is refused before it is written.
+			foreign := a.Clone()
+			foreign.Tag++
+			f0 := foreign.Clone()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("LinCombInto wrote into a foreign destination")
+					}
+				}()
+				homo.LinCombInto(s, foreign, nil, []*homo.Ciphertext{a, b})
+			}()
+			if !foreign.Equal(f0) {
+				t.Fatal("LinCombInto modified a destination it refused")
+			}
 		})
 	}
+}
+
+// lin runs homo.LinCombInto and checks the plaintext of the result.
+func lin(t *testing.T, s homo.Scheme, want int64, dst *homo.Ciphertext, coeffs []int64, xs ...*homo.Ciphertext) *homo.Ciphertext {
+	t.Helper()
+	r := homo.LinCombInto(s, dst, coeffs, xs)
+	if got := s.DecryptSigned(r).Int64(); got != want {
+		t.Fatalf("LinCombInto(%v) decrypts to %d, want %d", coeffs, got, want)
+	}
+	return r
 }
 
 func values(cs []*homo.Ciphertext) []*big.Int {

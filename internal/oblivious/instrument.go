@@ -34,6 +34,7 @@ func InstrumentScheme(inner homo.Scheme, sink *obs.Sink) homo.Scheme {
 	s.enc, s.dec = mk("encrypt"), mk("decrypt")
 	s.addVec, s.smulVec = mk("add_vec"), mk("scalar_mul_vec")
 	s.rerandVec, s.zeroVec, s.encVec = mk("rerandomize_vec"), mk("encrypt_zero_vec"), mk("encrypt_vec")
+	s.linComb = mk("lincomb")
 	return s
 }
 
@@ -50,6 +51,7 @@ type instrumentedScheme struct {
 
 	add, sub, smul, rerand, zero, enc, dec      opInstr
 	addVec, smulVec, rerandVec, zeroVec, encVec opInstr
+	linComb                                     opInstr
 }
 
 // observe records one finished operation. Designed for
@@ -154,6 +156,23 @@ func (s *instrumentedScheme) EncryptVec(ms []*big.Int) []*homo.Ciphertext {
 	return homo.EncryptVec(s.inner, ms)
 }
 
+// The destination-passing operations delegate through the homo helpers
+// for the same reason: Shamir keeps its in-place kernel behind the
+// wrapper, Paillier and Plain their serial fallback, and either way the
+// call is one observation — a fused combination counts once under
+// op="lincomb" however many terms it folds, a decrypt-into under
+// op="decrypt" beside DecryptSigned.
+
+func (s *instrumentedScheme) LinCombInto(dst *homo.Ciphertext, coeffs []int64, xs []*homo.Ciphertext) *homo.Ciphertext {
+	defer s.observe(s.linComb, time.Now())
+	return homo.LinCombInto(s.inner, dst, coeffs, xs)
+}
+
+func (s *instrumentedScheme) DecryptSignedInto(dst *big.Int, c *homo.Ciphertext) *big.Int {
+	defer s.observe(s.dec, time.Now())
+	return homo.DecryptSignedInto(s.inner, dst, c)
+}
+
 func (s *instrumentedScheme) Name() string { return s.inner.Name() }
 
 // Adopt delegates ciphertext adoption to the wrapped scheme so wire
@@ -166,7 +185,9 @@ func (s *instrumentedScheme) Adopt(c *homo.Ciphertext) (*homo.Ciphertext, error)
 }
 
 var (
-	_ homo.Scheme      = (*instrumentedScheme)(nil)
-	_ homo.Adopter     = (*instrumentedScheme)(nil)
-	_ homo.BatchScheme = (*instrumentedScheme)(nil)
+	_ homo.Scheme        = (*instrumentedScheme)(nil)
+	_ homo.Adopter       = (*instrumentedScheme)(nil)
+	_ homo.BatchScheme   = (*instrumentedScheme)(nil)
+	_ homo.LinCombiner   = (*instrumentedScheme)(nil)
+	_ homo.IntoDecryptor = (*instrumentedScheme)(nil)
 )

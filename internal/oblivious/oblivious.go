@@ -65,26 +65,6 @@ func Add(pub homo.Public, a, b *Counter) *Counter {
 	return fromVec(homo.AddVec(pub, a.vec(), b.vec()))
 }
 
-// AddInto accumulates b into acc componentwise in place: acc = acc+b.
-// Unlike Add it allocates no counter shell and no vec slices, so a
-// caller folding a whole neighbourhood into one reused scratch counter
-// generates no slice churn; the ciphertext objects themselves are
-// freshly produced (schemes treat ciphertexts as immutable), so acc's
-// previous field pointers — possibly shared with other counters — are
-// never mutated, only replaced.
-func AddInto(pub homo.Public, acc, b *Counter) {
-	if len(acc.Stamps) != len(b.Stamps) {
-		panic("oblivious: stamp slot mismatch")
-	}
-	acc.Sum = pub.Add(acc.Sum, b.Sum)
-	acc.Count = pub.Add(acc.Count, b.Count)
-	acc.Num = pub.Add(acc.Num, b.Num)
-	acc.Share = pub.Add(acc.Share, b.Share)
-	for i := range acc.Stamps {
-		acc.Stamps[i] = pub.Add(acc.Stamps[i], b.Stamps[i])
-	}
-}
-
 // Rerandomize refreshes every component so the recipient cannot tell
 // whether the counter changed (§5.2: "further rerandomized to conceal
 // from the receiver the fact that the counter was not changed").
@@ -107,6 +87,19 @@ func (c *Counter) Clone() *Counter {
 	return out
 }
 
+// BlindFactor draws the multiplicative blind of the sign SFE, uniform in
+// [1, 2^bits]. A caller may fold it into the coefficients of the linear
+// combination it blinds instead of scaling the result: r ≤ 2^40 by the
+// range check and the protocol's threshold numerators and denominators
+// are ≤ 2^20 (arm.Rational), so r·λ ≤ 2^60 cannot overflow an int64 —
+// core draws 16 bits, leaving r·λd ≤ 2^36.
+func BlindFactor(bits int, rng *rand.Rand) int64 {
+	if bits < 1 || bits > 40 {
+		panic("oblivious: blindBits out of range")
+	}
+	return rng.Int63n(1<<bits) + 1
+}
+
 // Blind multiplies an encrypted signed value by a fresh random
 // positive scalar, hiding its magnitude but preserving its sign — the
 // cheap ad-hoc sign-evaluation SFE of §5.1 (in place of a generic [9]
@@ -114,11 +107,7 @@ func (c *Counter) Clone() *Counter {
 // the controller decrypts and reveals only the sign. blindBits
 // controls the blinding range [1, 2^blindBits].
 func Blind(pub homo.Public, c *homo.Ciphertext, blindBits int, rng *rand.Rand) *homo.Ciphertext {
-	if blindBits < 1 || blindBits > 40 {
-		panic("oblivious: blindBits out of range")
-	}
-	r := rng.Int63n(1<<blindBits) + 1
-	return pub.ScalarMul(r, c)
+	return pub.ScalarMul(BlindFactor(blindBits, rng), c)
 }
 
 // SignOf decrypts a (blinded) value and returns its sign: −1, 0, +1.

@@ -78,8 +78,11 @@ func unpack(c *homo.Ciphertext, n int) []uint64 {
 // reference kernels: on arbitrary share vectors (not only ones a
 // dealing can produce) Add/Sub/ScalarMul/Decrypt must equal
 // AddSlices/SubSlices/ScaleSlice/ReconstructSlot on the extracted
-// shares, Rerandomize must preserve every packed slot, no op may touch
-// its operands, and Adopt must draw the field boundary exactly. Shares
+// shares, LinCombInto must equal their composition (coefficients 0, ±1,
+// MinInt64, MaxInt64 and m; nil coefficients; no terms; a destination
+// that is also an operand), Rerandomize must preserve every packed
+// slot, no op may touch its operands, and Adopt must draw the field
+// boundary exactly. Shares
 // come from data eight bytes at a time (mod P, zero-padded), first a
 // then b; the seeds pin the edge limbs and scalars at both widths.
 func FuzzLimbKernel(f *testing.F) {
@@ -150,9 +153,37 @@ func FuzzLimbKernel(f *testing.F) {
 		same("Add", s.Add(ca, cb), want)
 		shamir.SubSlices(want, a, b)
 		same("Sub", s.Sub(ca, cb), want)
-		mRes := new(big.Int).Mod(big.NewInt(m), s.PlaintextSpace()).Uint64()
-		shamir.ScaleSlice(want, a, mRes)
+		residue := func(c int64) uint64 { return new(big.Int).Mod(big.NewInt(c), s.PlaintextSpace()).Uint64() }
+		shamir.ScaleSlice(want, a, residue(m))
 		same("ScalarMul", s.ScalarMul(m, ca), want)
+
+		comb := func(coeffs []int64, xs ...[]uint64) []uint64 {
+			acc, term := make([]uint64, p.N), make([]uint64, p.N)
+			for j, x := range xs {
+				switch {
+				case coeffs == nil || coeffs[j] == 1:
+					shamir.AddSlices(acc, acc, x)
+				case coeffs[j] == -1:
+					shamir.SubSlices(acc, acc, x)
+				default:
+					shamir.ScaleSlice(term, x, residue(coeffs[j]))
+					shamir.AddSlices(acc, acc, term)
+				}
+			}
+			return acc
+		}
+		for _, c := range []int64{0, 1, -1, math.MinInt64, math.MaxInt64} {
+			coeffs := []int64{c, m}
+			same("LinCombInto", s.LinCombInto(nil, coeffs, []*homo.Ciphertext{ca, cb}), comb(coeffs, a, b))
+			dst := s.LinCombInto(nil, nil, []*homo.Ciphertext{ca}) // a copy of a this test owns
+			same("LinCombInto of one term", dst, a)
+			if got := s.LinCombInto(dst, coeffs, []*homo.Ciphertext{cb, dst}); got != dst {
+				t.Fatal("LinCombInto did not return its destination")
+			}
+			same("LinCombInto into an operand", dst, comb(coeffs, b, a))
+		}
+		same("LinCombInto without coefficients", s.LinCombInto(nil, nil, []*homo.Ciphertext{ca, cb, ca}), comb(nil, a, b, a))
+		same("LinCombInto of no terms", s.LinCombInto(nil, nil, nil), make([]uint64, p.N))
 
 		plain := new(big.Int).SetUint64(geo.ReconstructSlot(a, 0))
 		if got := s.Decrypt(ca); got.Cmp(plain) != 0 {

@@ -239,13 +239,28 @@ func (s *Scheme) Decrypt(c *homo.Ciphertext) *big.Int {
 	return new(big.Int).SetUint64(s.open(c))
 }
 
-// DecryptSigned reconstructs the plaintext decoded into (−P/2, P/2].
-func (s *Scheme) DecryptSigned(c *homo.Ciphertext) *big.Int {
+// openSigned reconstructs the plaintext decoded into (−P/2, P/2].
+func (s *Scheme) openSigned(c *homo.Ciphertext) int64 {
 	v := int64(s.open(c)) // < 2^61: fits
 	if v > int64(P>>1) {
 		v -= int64(P)
 	}
-	return big.NewInt(v)
+	return v
+}
+
+// DecryptSigned reconstructs the plaintext decoded into (−P/2, P/2].
+func (s *Scheme) DecryptSigned(c *homo.Ciphertext) *big.Int {
+	return big.NewInt(s.openSigned(c))
+}
+
+// DecryptSignedInto is DecryptSigned into the caller's integer: once
+// dst has held a nonzero value it has the one or two words any
+// plaintext needs, and the call allocates nothing.
+func (s *Scheme) DecryptSignedInto(dst *big.Int, c *homo.Ciphertext) *big.Int {
+	if dst == nil {
+		dst = new(big.Int)
+	}
+	return dst.SetInt64(s.openSigned(c))
 }
 
 // --- Public (homomorphic arithmetic) ------------------------------------
@@ -279,6 +294,51 @@ func (s *Scheme) ScalarMul(m int64, a *homo.Ciphertext) *homo.Ciphertext {
 		setShare(ws, i, fieldMul(share(wa, i), r))
 	}
 	return out
+}
+
+// LinCombInto is the fused op every homomorphic chain of the protocol
+// reduces to (homo.LinCombiner): dst = Σ coeffs[i]·xs[i] sharewise, nil
+// coeffs meaning the plain sum. Operands and destination alike pass the
+// limbs check; the combination is accumulated off to the side and
+// stored only after the last operand was read, so dst may be one of xs
+// and a panicking check leaves it untouched. With a destination the
+// call allocates nothing.
+func (s *Scheme) LinCombInto(dst *homo.Ciphertext, coeffs []int64, xs []*homo.Ciphertext) *homo.Ciphertext {
+	if coeffs != nil && len(coeffs) != len(xs) {
+		panic("shamir: LinCombInto length mismatch")
+	}
+	n := s.geo.p.N
+	var buf [16]uint64 // every product geometry's share vector, on the stack
+	acc := buf[:]
+	if n > len(buf) {
+		acc = make([]uint64, n)
+	}
+	acc = acc[:n]
+	for j, x := range xs {
+		wx, m := s.limbs(x), uint64(1)
+		if coeffs != nil {
+			m = fieldEncodeInt64(coeffs[j])
+		}
+		if m == 1 {
+			for i := range acc {
+				acc[i] = fieldAdd(acc[i], share(wx, i))
+			}
+			continue
+		}
+		for i := range acc {
+			acc[i] = fieldAdd(acc[i], fieldMul(share(wx, i), m))
+		}
+	}
+	var wd []big.Word
+	if dst == nil {
+		dst, wd = s.blank()
+	} else {
+		wd = s.limbs(dst)
+	}
+	for i, v := range acc {
+		setShare(wd, i, v)
+	}
+	return dst
 }
 
 // Rerandomize adds a fresh sharing of zero: the plaintext (every
@@ -398,6 +458,8 @@ func (s *Scheme) MaxCiphertextBytes() int {
 var (
 	_ homo.Scheme         = (*Scheme)(nil)
 	_ homo.BatchScheme    = (*Scheme)(nil)
+	_ homo.LinCombiner    = (*Scheme)(nil)
+	_ homo.IntoDecryptor  = (*Scheme)(nil)
 	_ homo.Adopter        = (*Scheme)(nil)
 	_ homo.WireCiphertext = (*Scheme)(nil)
 )

@@ -270,6 +270,8 @@ func TestConcurrentEncrypt(t *testing.T) {
 // parent of this gate read 5, 5, 4, 8, 7, 7, 9, 3, 6 in table order.
 // Encrypt of a value outside int64 — no protocol value is — adds
 // homo.EncodeMod's temporaries: 4 in all on 64-bit words, 5 on 32-bit.
+// The destination-passing ops write into storage the caller already
+// holds: nothing allocated with a destination, one result without.
 func TestSchemeOpAllocs(t *testing.T) {
 	for _, p := range []shamir.Params{
 		{K: 3, N: 7, W: 1}, // BENCHMARK.json's mine_churn_shamir
@@ -278,6 +280,8 @@ func TestSchemeOpAllocs(t *testing.T) {
 		s := newScheme(t, p)
 		a, b := s.EncryptInt(1234567), s.EncryptInt(-89)
 		m := big.NewInt(-424242)
+		dst, plain := s.LinCombInto(nil, nil, nil), new(big.Int)
+		coeffs, terms := []int64{1 << 20, 1 << 20, -3, -3}, []*homo.Ciphertext{a, b, b, a}
 		for _, op := range []struct {
 			name string
 			max  float64
@@ -292,6 +296,10 @@ func TestSchemeOpAllocs(t *testing.T) {
 			{"Encrypt", 2, func() { s.Encrypt(m) }},
 			{"Decrypt", 2, func() { s.Decrypt(a) }},
 			{"DecryptSigned", 2, func() { s.DecryptSigned(b) }},
+			{"LinCombInto(dst)", 0, func() { s.LinCombInto(dst, coeffs, terms) }},
+			{"LinCombInto(dst) sum", 0, func() { s.LinCombInto(dst, nil, terms) }},
+			{"LinCombInto(nil)", 2, func() { s.LinCombInto(nil, coeffs, terms) }},
+			{"DecryptSignedInto", 0, func() { s.DecryptSignedInto(plain, b) }},
 		} {
 			if got := testing.AllocsPerRun(200, op.run); got > op.max {
 				t.Errorf("%s %s: %v allocs/op, want ≤ %v", s.Name(), op.name, got, op.max)

@@ -162,16 +162,19 @@ func TestShamirBackedGrid(t *testing.T) {
 // TestSecureStepAllocBudgetShamir holds the secure step, not just the
 // plain sim tick, to an allocation budget, on BENCHMARK.json's churn
 // grid (mine_churn_shamir's geometry, thresholds and growth). Nearly
-// all of a step's mallocs are Shamir results, two heap objects each
-// since the scheme reads its operands' share limbs in place; the
-// operand-copying kernel before it measured 770k mallocs per step over
-// these early steps (1.23 M over the benchmark's 200), this one 288k.
+// all of a step's mallocs are Shamir results, two heap objects each.
+// What is left is what a step keeps or sends — accountant replies,
+// outgoing payloads and their stamps: the broker's SFE inputs are
+// fused ops into ciphertexts it owns and the controller decrypts into
+// one integer, so neither allocates. Per step over these early steps:
+// 770k with the operand-copying kernel, 288k with the in-place one,
+// 92k with the SFE inputs destination-passed.
 func TestSecureStepAllocBudgetShamir(t *testing.T) {
 	const (
 		resources, growth = 8, 10
 		seedTxns          = 1200
 		warm, measured    = 10, 20
-		budget            = 375_000 // 1.3 × the 288k measured per step
+		budget            = 120_000 // 1.3 × the 92,287 measured per step
 	)
 	all := GenerateQuestWith(QuestParams{NumTransactions: seedTxns + resources*growth*(warm+measured),
 		NumItems: 24, NumPatterns: 10, AvgTransLen: 5, AvgPatternLen: 2, Seed: 7})
