@@ -218,18 +218,22 @@ func (a *Accountant) numSlots() int { return len(a.neighbors) + 1 }
 // invariant (Σ = 1) holds from step zero, before the neighbour's first
 // real message arrives.
 func (a *Accountant) placeholderFor(v int) *oblivious.Counter {
-	c := oblivious.NewZero(a.pub, a.numSlots())
-	c.Share = a.enc.EncryptInt(a.shareVals[a.slotOf[v]])
-	return c
+	return a.placeholder(a.shareVals[a.slotOf[v]])
 }
 
 // localPlaceholder builds the initial ⊥ counter for a fresh candidate:
 // zero values carrying the accountant's own share, so full sums verify
 // before the first reply.
 func (a *Accountant) localPlaceholder() *oblivious.Counter {
-	c := oblivious.NewZero(a.pub, a.numSlots())
-	c.Share = a.enc.EncryptInt(a.shareVals[0])
-	return c
+	return a.placeholder(a.shareVals[0])
+}
+
+// placeholder builds a counter of encrypted zeros carrying share: one
+// batch of 3+slots zeros for the value and stamp fields, and the share
+// encrypted once, rather than a zero drawn for it and overwritten.
+func (a *Accountant) placeholder(share int64) *oblivious.Counter {
+	z := homo.EncryptZeroVec(a.pub, 3+a.numSlots())
+	return &oblivious.Counter{Sum: z[0], Count: z[1], Num: z[2], Share: a.enc.EncryptInt(share), Stamps: z[3:]}
 }
 
 // encryptedOne provisions an E(1) for the broker's padding dance

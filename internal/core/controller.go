@@ -88,6 +88,9 @@ type Controller struct {
 	// Per-rule output gate state (Algorithm 1's Output()).
 	outGates map[intern.Sym]*gateState
 
+	// last is the one full counter verify need not check again.
+	last verifiedCounter
+
 	// pendingReport is the detection raised by the latest SFE, if any.
 	pendingReport *MaliciousReport
 
@@ -241,19 +244,85 @@ func (c *Controller) takeReport() (MaliciousReport, bool) {
 	return r, true
 }
 
+// verifiedCounter is a one-slot memo of the last full counter that
+// passed verify: its rule, value copies of its share, count, num and
+// stamp ciphertexts (in that order), and its decrypted count and num.
+// A broker sends the same full counter again for each dirty edge of a
+// candidate, and again on later steps while nothing changed. Equal
+// ciphertexts have equal plaintexts, and a stamp equal to the last one
+// verified passes the replay check, so a counter equal to the slot
+// field for field passes verify with these totals — skipping the
+// decrypts changes no answer, report, audit entry or statistic. The
+// copies are compared by value, never by pointer: the broker overwrites
+// its scratch counter in place. One slot, not one per rule: it is what
+// consecutive SFEs repeat, and a per-rule memo would hold a counter's
+// worth of ciphertexts for every candidate. Never snapshotted.
+type verifiedCounter struct {
+	rule     intern.Sym // 0 (never issued by intern): empty
+	tag      uint64
+	vals     []big.Int
+	cnt, num int64
+}
+
+// counterField returns the i-th field of full in verifiedCounter order.
+func counterField(full *oblivious.Counter, i int) *homo.Ciphertext {
+	switch i {
+	case 0:
+		return full.Share
+	case 1:
+		return full.Count
+	case 2:
+		return full.Num
+	}
+	return full.Stamps[i-3]
+}
+
+// matches reports whether full, submitted for rule, equals the slot.
+func (m *verifiedCounter) matches(rule intern.Sym, full *oblivious.Counter) bool {
+	if m.rule != rule || len(m.vals) != 3+len(full.Stamps) {
+		return false
+	}
+	for i := range m.vals {
+		if ct := counterField(full, i); ct.Tag != m.tag || ct.V.Cmp(&m.vals[i]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// store copies a counter that passed verify, with its totals, into the
+// slot.
+func (m *verifiedCounter) store(rule intern.Sym, full *oblivious.Counter, cnt, num int64) {
+	n := 3 + len(full.Stamps)
+	if cap(m.vals) < n {
+		m.vals = make([]big.Int, n)
+	}
+	m.vals = m.vals[:n]
+	for i := range m.vals {
+		m.vals[i].Set(counterField(full, i).V)
+	}
+	m.rule, m.tag, m.cnt, m.num = rule, full.Share.Tag, cnt, num
+}
+
 // verify checks the share and timestamp fields of a full-neighbourhood
-// counter (Algorithm 3's first two steps). neighborAt maps stamp slots
-// (≥1) back to resource IDs for accusation; slot 0 is the accountant.
-// Returns false when a violation was detected (and records the
-// report).
-func (c *Controller) verify(rule intern.Sym, full *oblivious.Counter, neighborAt func(slot int) int) bool {
+// counter (Algorithm 3's first two steps) and decrypts its count and num
+// totals. neighborAt maps stamp slots (≥1) back to resource IDs for
+// accusation; slot 0 is the accountant. Returns ok=false when a
+// violation was detected (and records the report). A counter equal to
+// the last one that passed is answered from the memo (verifiedCounter).
+func (c *Controller) verify(rule intern.Sym, full *oblivious.Counter, neighborAt func(slot int) int) (cnt, num int64, ok bool) {
+	if c.last.matches(rule, full) {
+		return c.last.cnt, c.last.num, true
+	}
+	// A failing check below may already have advanced seen[rule].
+	c.last.rule = 0
 	if c.plainOf(full.Share) != 1 {
 		c.stats.Violations++
 		c.pendingReport = c.attributeShare(rule, neighborAt)
-		return false
+		return 0, 0, false
 	}
-	prev, ok := c.seen[rule]
-	if !ok {
+	prev, found := c.seen[rule]
+	if !found {
 		prev = make([]int64, len(full.Stamps))
 		c.seen[rule] = prev
 	}
@@ -280,11 +349,13 @@ func (c *Controller) verify(rule intern.Sym, full *oblivious.Counter, neighborAt
 			// reporters; a lone replaying broker stalls its own mining
 			// instead of framing the victim.
 			c.pendingReport = &MaliciousReport{Accused: accused, Reporter: c.id, Reason: reason}
-			return false
+			return 0, 0, false
 		}
 		prev[slot] = t
 	}
-	return true
+	cnt, num = c.plainOf(full.Count), c.plainOf(full.Num)
+	c.last.store(rule, full, cnt, num)
+	return cnt, num, true
 }
 
 // attributeShare turns a share-sum violation into a report. Without
@@ -330,8 +401,10 @@ func (c *Controller) attributeShare(rule intern.Sym, neighborAt func(int) int) *
 
 // remapSeen permutes every verified-timestamp vector into a new slot
 // geometry after an eviction; perm[newSlot] = oldSlot (built by the
-// broker from the accountant's positional re-slotting).
+// broker from the accountant's positional re-slotting). The verified
+// memo belongs to the old geometry and is dropped.
 func (c *Controller) remapSeen(perm []int) {
+	c.last.rule = 0
 	for rule, prev := range c.seen {
 		next := make([]int64, len(perm))
 		for ns, os := range perm {
@@ -364,6 +437,7 @@ func (c *Controller) dropEdgeGates(v int) {
 // a rebase marker is appended so offline admissibility checks split
 // their per-stream chains at the boundary.
 func (c *Controller) rebaseGates() {
+	c.last.rule = 0
 	for _, g := range c.sendGates {
 		g.gateCount, g.gateNum, g.freshed = 0, 0, false
 	}
@@ -395,11 +469,10 @@ func (c *Controller) SendDecision(rule intern.Sym, edge int, full *oblivious.Cou
 	recipientSlots int, recipientSlot int, neighborAt func(int) int) (send bool, stamps []*homo.Ciphertext, ok bool) {
 
 	c.stats.SFEs++
-	if !c.verify(rule, full, neighborAt) {
+	cnt, num, ok := c.verify(rule, full, neighborAt)
+	if !ok {
 		return false, nil, false
 	}
-	cnt := c.plainOf(full.Count)
-	num := c.plainOf(full.Num)
 	key := sendGateKey{rule: rule, edge: int32(edge)}
 	g, okG := c.sendGates[key]
 	if !okG {
@@ -483,11 +556,10 @@ func (c *Controller) OutputDecision(rule intern.Sym, full *oblivious.Counter,
 	blindDu *homo.Ciphertext, neighborAt func(int) int) (correct bool, ok bool) {
 
 	c.stats.SFEs++
-	if !c.verify(rule, full, neighborAt) {
+	cnt, num, ok := c.verify(rule, full, neighborAt)
+	if !ok {
 		return false, false
 	}
-	cnt := c.plainOf(full.Count)
-	num := c.plainOf(full.Num)
 	g, okG := c.outGates[rule]
 	if !okG {
 		g = &gateState{}

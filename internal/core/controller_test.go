@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/big"
 	mrand "math/rand"
 	"testing"
 
@@ -203,4 +204,164 @@ func TestLamportClockMonotone(t *testing.T) {
 		}
 		prev = v
 	}
+}
+
+// countingDec counts the decrypts made through it. Embedding the
+// homo.Scheme interface hides any DecryptSignedInto capability, so every
+// controller read lands in DecryptSigned.
+type countingDec struct {
+	homo.Scheme
+	n int
+}
+
+func (d *countingDec) Decrypt(c *homo.Ciphertext) *big.Int {
+	d.n++
+	return d.Scheme.Decrypt(c)
+}
+
+func (d *countingDec) DecryptSigned(c *homo.Ciphertext) *big.Int {
+	d.n++
+	return d.Scheme.DecryptSigned(c)
+}
+
+// mkCountingController is mkController with its decrypts counted.
+func mkCountingController(k int64) (*Controller, homo.Scheme, *countingDec) {
+	s := homo.NewPlain(96)
+	dec := &countingDec{Scheme: s}
+	cfg := Config{K: k}.withDefaults()
+	cfg.K = k
+	return newController(0, cfg, dec, s, s), s, dec
+}
+
+// decrypts returns how many decrypts f made through dec.
+func decrypts(dec *countingDec, f func()) int {
+	before := dec.n
+	f()
+	return dec.n - before
+}
+
+// TestVerifiedCounterSkipsRepeatDecrypts: a full counter equal, field by
+// field, to the last one that passed verification is not decrypted
+// again. The second SendDecision on the same counter (the broker's next
+// dirty edge of the candidate) decrypts only its two blinded signs, and
+// answers as the first did.
+func TestVerifiedCounterSkipsRepeatDecrypts(t *testing.T) {
+	ctl, s, dec := mkCountingController(2)
+	rng := mrand.New(mrand.NewSource(6))
+	blind := func(v int64) *homo.Ciphertext { return oblivious.Blind(s, s.EncryptInt(v), 8, rng) }
+	full := counter(s, 4, 10, 3, 1, 2, 7)
+	var send [2]bool
+	n := decrypts(dec, func() {
+		send[0], _, _ = ctl.SendDecision(intern.S("r"), 7, full, blind(5), blind(3), false, 3, 1, neighborAt)
+	})
+	if want := 1 + 2 + 2 + 2; n != want { // share, stamps, count and num, signs
+		t.Fatalf("first SFE: %d decrypts, want %d", n, want)
+	}
+	n = decrypts(dec, func() {
+		send[1], _, _ = ctl.SendDecision(intern.S("r"), 8, full, blind(5), blind(3), false, 3, 1, neighborAt)
+	})
+	if n != 2 {
+		t.Fatalf("repeat SFE on the same full counter: %d decrypts, want the 2 blinded signs", n)
+	}
+	if !send[0] || !send[1] {
+		t.Fatalf("answers %v, want both fresh sends", send)
+	}
+	if st := ctl.Stats(); st.SFEs != 2 || st.FreshDecisions != 2 || st.Violations != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+	// The memo is per rule: the same ciphertexts under another rule are
+	// verified in full.
+	if n := decrypts(dec, func() {
+		ctl.SendDecision(intern.S("r2"), 7, full, blind(5), blind(3), true, 3, 1, neighborAt)
+	}); n != 5 {
+		t.Fatalf("same counter, other rule: %d decrypts, want 5", n)
+	}
+}
+
+// TestVerifiedCounterFieldChangeTakesFullPath: a fresh encryption of the
+// same plaintext in any one field — share, count, num or a stamp — is a
+// different counter, verified in full.
+func TestVerifiedCounterFieldChangeTakesFullPath(t *testing.T) {
+	ctl, s, dec := mkCountingController(1)
+	rule := intern.S("r")
+	base := counter(s, 4, 10, 3, 1, 2, 7)
+	first := func(edge int, full *oblivious.Counter) int {
+		return decrypts(dec, func() {
+			if _, _, ok := ctl.SendDecision(rule, edge, full, s.EncryptZero(), s.EncryptZero(), true, 3, 1, neighborAt); !ok {
+				t.Fatalf("edge %d: verification failed", edge)
+			}
+		})
+	}
+	if n := first(1, base); n != 5 {
+		t.Fatalf("first counter: %d decrypts, want 5", n)
+	}
+	if n := first(2, base); n != 0 {
+		t.Fatalf("same counter again: %d decrypts, want 0", n)
+	}
+	for i := 0; i < 3+len(base.Stamps); i++ {
+		c := *base
+		c.Stamps = append([]*homo.Ciphertext(nil), base.Stamps...)
+		f := counterField(&c, i)
+		fresh := s.EncryptInt(s.DecryptSigned(f).Int64())
+		switch i {
+		case 0:
+			c.Share = fresh
+		case 1:
+			c.Count = fresh
+		case 2:
+			c.Num = fresh
+		default:
+			c.Stamps[i-3] = fresh
+		}
+		if n := first(10+i, &c); n != 5 {
+			t.Fatalf("field %d re-encrypted: %d decrypts, want the full 5", i, n)
+		}
+		// Back to base: the slot now holds c, so base is new again.
+		if n := first(20+i, base); n != 5 {
+			t.Fatalf("base after field %d: %d decrypts, want 5", i, n)
+		}
+	}
+}
+
+// TestVerifiedCounterReplayStillCaught: an older counter submitted after
+// a newer one misses the memo and raises the stale-stamp report.
+func TestVerifiedCounterReplayStillCaught(t *testing.T) {
+	ctl, s, _ := mkCountingController(1)
+	rng := mrand.New(mrand.NewSource(7))
+	blind := func() *homo.Ciphertext { return oblivious.Blind(s, s.EncryptInt(1), 8, rng) }
+	old := counter(s, 1, 5, 2, 1, 1, 5)
+	newer := counter(s, 2, 9, 2, 1, 1, 6)
+	for _, full := range []*oblivious.Counter{old, old, newer} {
+		if _, ok := ctl.OutputDecision(intern.S("r"), full, blind(), neighborAt); !ok {
+			t.Fatal("honest counter rejected")
+		}
+	}
+	if _, ok := ctl.OutputDecision(intern.S("r"), old, blind(), neighborAt); ok {
+		t.Fatal("replayed counter accepted")
+	}
+	rep, bad := ctl.takeReport()
+	if !bad || rep.Accused != neighborAt(1) || ctl.Stats().Violations != 1 {
+		t.Fatalf("replay report %+v (raised %v), violations %d", rep, bad, ctl.Stats().Violations)
+	}
+}
+
+// TestVerifiedCounterClearedOnEvict: an eviction re-slots every stamp
+// vector and re-anchors the gates, so the memo must not survive it.
+func TestVerifiedCounterClearedOnEvict(t *testing.T) {
+	e, resources, _ := buildSecureGrid(t, homo.NewPlain(96), 4, 1, 3, nil, nil)
+	e.Run(30)
+	for _, r := range resources {
+		if len(r.Broker.neighbors) < 2 {
+			continue
+		}
+		if r.Broker.ctl.last.rule == 0 {
+			t.Fatalf("resource %d: no verified counter after 30 steps", r.ID)
+		}
+		r.Broker.onNeighborEvict(r.Broker.neighbors[0])
+		if r.Broker.ctl.last.rule != 0 {
+			t.Fatalf("resource %d: verified counter survived an eviction", r.ID)
+		}
+		return
+	}
+	t.Fatal("no resource with two neighbours")
 }

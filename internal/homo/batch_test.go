@@ -12,7 +12,9 @@ import (
 	mrand "math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"secmr/internal/homo"
 	"secmr/internal/paillier"
@@ -254,6 +256,38 @@ func TestWorkerOverride(t *testing.T) {
 			if got := ts.scheme.DecryptSigned(c); got.Cmp(ms[i]) != 0 {
 				t.Fatalf("workers=%d slot %d: decrypt %v, want %v", w, i, got, ms[i])
 			}
+		}
+	}
+}
+
+// TestNestedParallelForCompletes: a ParallelFor called inside a pool
+// task must finish — the Paillier noise draw splits its product this
+// way inside EncryptZeroVec. With a buffered hand-off,
+// ParallelFor(4, …ParallelFor(2, …)) under GOMAXPROCS 2 queued helpers
+// that no idle worker would take, and hung at the outer call.
+func TestNestedParallelForCompletes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, w := range []int{2, 4} {
+		runtime.GOMAXPROCS(w)
+		var calls atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for rep := 0; rep < 50; rep++ {
+				homo.ParallelFor(4, func(int) {
+					homo.ParallelFor(2, func(int) {
+						homo.ParallelFor(2, func(int) { calls.Add(1) })
+					})
+				})
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("GOMAXPROCS %d: nested ParallelFor still running after 10 s (deadlock)", w)
+		}
+		if got := calls.Load(); got != 50*4*2*2 {
+			t.Fatalf("GOMAXPROCS %d: %d innermost calls, want %d", w, got, 50*4*2*2)
 		}
 	}
 }

@@ -9,7 +9,8 @@ package homo_test
 // (visible only with GOMAXPROCS > 1 on a multi-core host — on a 1-vCPU
 // runner batch and serial coincide by design); the
 // PaillierEncrypt/PaillierEncryptNoFixedBase pair quantifies the
-// fixed-base noise win, which is single-threaded and shows everywhere.
+// fixed-base noise win, which shows at -cpu 1 already (at -cpu > 1 the
+// table's two half-products also share the worker pool).
 
 import (
 	"crypto/rand"

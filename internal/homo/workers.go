@@ -14,10 +14,15 @@ import (
 // machine.
 //
 // The pool is lazily started on first parallel call and sized to
-// GOMAXPROCS. Submission never blocks: when every worker is busy the
-// caller simply runs its whole batch inline, which keeps nested
-// ParallelFor calls deadlock-free and makes the saturated path exactly
-// the serial path.
+// GOMAXPROCS. Submission never blocks, and the hand-off is unbuffered:
+// a task is handed over only to a worker parked on receive, which
+// starts it at once. When no worker is idle the caller runs the rest
+// of its batch inline — the saturated path is exactly the serial path.
+// That is what keeps nested ParallelFor calls (a pool task that itself
+// calls ParallelFor) deadlock-free: every task a caller waits for is
+// already running on a worker, never queued behind the task that
+// waits. A buffered hand-off would accept a helper no idle worker will
+// ever take, and its caller would wait for it forever.
 
 var (
 	poolOnce  sync.Once
@@ -30,7 +35,7 @@ var (
 // Workers park on the task channel when idle; the set never shrinks
 // (idle workers cost one blocked goroutine each).
 func ensureWorkers(n int) {
-	poolOnce.Do(func() { poolTasks = make(chan func(), 64) })
+	poolOnce.Do(func() { poolTasks = make(chan func()) })
 	poolMu.Lock()
 	for poolSize < n {
 		poolSize++
@@ -90,8 +95,8 @@ submit:
 		select {
 		case poolTasks <- task:
 		default:
-			// Pool saturated (e.g. nested batch): the caller covers the
-			// remaining work itself.
+			// No worker is parked (all busy, e.g. a nested batch, or
+			// not yet started): the caller covers the remaining work.
 			wg.Done()
 			break submit
 		}

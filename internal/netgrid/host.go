@@ -207,12 +207,14 @@ func (h *Host) StopTicking() {
 	h.wg.Wait()
 }
 
-// Close stops the ticker and the TCP endpoint. Idempotent.
+// Close stops the ticker and the TCP endpoint, then runs the close
+// hook (RecoverHost's journal detach): Node.Close waits for the
+// dispatch loop, so no message is handled after the hook. Idempotent.
 func (h *Host) Close() {
 	h.StopTicking()
+	h.node.Close()
 	if h.onClose != nil {
 		h.onClose()
 		h.onClose = nil
 	}
-	h.node.Close()
 }

@@ -24,18 +24,17 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"secmr/internal/fixedbase"
 	"secmr/internal/homo"
 	"secmr/internal/randpool"
 )
 
 var one = big.NewInt(1)
 
-// scratch pools the oversized intermediate products of the hot
-// homomorphic operations (a 1024-bit key multiplies 2048-bit residues
-// into 4096-bit products before reduction); reusing that scratch
-// roughly halves the bytes allocated per Add/Sub/Rerandomize/Encrypt.
-// Only intermediates live here — every ciphertext handed out is fresh.
+// scratch pools the oversized intermediate products of Add and of the
+// pooled or uniform noise path (a 1024-bit key multiplies 2048-bit
+// residues into 4096-bit products before reduction); reusing that
+// scratch roughly halves the bytes those allocate. Only intermediates
+// live here — every ciphertext handed out is fresh.
 var scratch = sync.Pool{New: func() any { return new(big.Int) }}
 
 // PublicKey holds the Paillier public parameters.
@@ -48,10 +47,24 @@ type PublicKey struct {
 // precomputation.
 type PrivateKey struct {
 	PublicKey
-	p, q   *big.Int // primes, p != q
-	p2, q2 *big.Int // p², q²
-	hp, hq *big.Int // CRT precomputed L_p(g^{p−1} mod p²)^{−1} mod p (resp. q)
-	pinvq  *big.Int // p^{−1} mod q for CRT recombination
+	p, q  *big.Int   // primes, p != q
+	crt   [2]crtHalf // the p-half and the q-half of a decryption
+	pinvq *big.Int   // p^{−1} mod q for CRT recombination
+}
+
+// crtHalf is one prime's share of CRT decryption: mp = L_p(c^{p−1} mod
+// p²)·h mod p.
+type crtHalf struct {
+	p, p2, pm1 *big.Int // p, p², p−1
+	h          *big.Int // L_p(g^{p−1} mod p²)^{−1} mod p
+}
+
+// open returns L_p(c^{p−1} mod p²)·h mod p.
+func (k *crtHalf) open(c *big.Int) *big.Int {
+	x := new(big.Int).Mod(c, k.p2)
+	x.Exp(x, k.pm1, k.p2)
+	x = lFunc(x, k.p)
+	return x.Mod(x.Mul(x, k.h), k.p)
 }
 
 // Scheme is a Paillier instance implementing homo.Scheme. The zero
@@ -69,7 +82,7 @@ type Scheme struct {
 	// unit) turns every online noise factor into a windowed
 	// fixed-base exponentiation — see noiseTable.
 	fbOnce    sync.Once
-	fbTable   *fixedbase.Table
+	fbTable   *fixedBase
 	fbDisable atomic.Bool
 }
 
@@ -110,28 +123,21 @@ func GenerateKey(rng io.Reader, bits int) (*Scheme, error) {
 
 func newScheme(p, q *big.Int) (*Scheme, error) {
 	n := new(big.Int).Mul(p, q)
-	n2 := new(big.Int).Mul(n, n)
 	priv := &PrivateKey{
-		PublicKey: PublicKey{N: n, N2: n2},
+		PublicKey: PublicKey{N: n, N2: new(big.Int).Mul(n, n)},
 		p:         p, q: q,
-		p2: new(big.Int).Mul(p, p),
-		q2: new(big.Int).Mul(q, q),
 	}
-	// hp = L_p((1+N)^{p−1} mod p²)^{−1} mod p, and symmetrically hq.
-	// (1+N)^{p−1} mod p² = 1 + (p−1)·N mod p², so
-	// L_p(...) = ((p−1)·N mod p²)/p ... computed the direct way below
-	// to keep the code obviously correct.
-	pm1 := new(big.Int).Sub(p, one)
-	qm1 := new(big.Int).Sub(q, one)
+	// h = L_p((1+N)^{p−1} mod p²)^{−1} mod p for each prime. (1+N)^{p−1}
+	// mod p² = 1 + (p−1)·N mod p², so L_p(...) = ((p−1)·N mod p²)/p ...
+	// computed the direct way below to keep the code obviously correct.
 	g := new(big.Int).Add(n, one)
-	gp := new(big.Int).Exp(g, pm1, priv.p2)
-	gq := new(big.Int).Exp(g, qm1, priv.q2)
-	lp := lFunc(gp, p)
-	lq := lFunc(gq, q)
-	priv.hp = new(big.Int).ModInverse(lp, p)
-	priv.hq = new(big.Int).ModInverse(lq, q)
-	if priv.hp == nil || priv.hq == nil {
-		return nil, errors.New("paillier: degenerate key (no CRT inverse)")
+	for i, pr := range []*big.Int{p, q} {
+		k := &priv.crt[i]
+		k.p, k.p2, k.pm1 = pr, new(big.Int).Mul(pr, pr), new(big.Int).Sub(pr, one)
+		k.h = new(big.Int).ModInverse(lFunc(new(big.Int).Exp(g, k.pm1, k.p2), pr), pr)
+		if k.h == nil {
+			return nil, errors.New("paillier: degenerate key (no CRT inverse)")
+		}
 	}
 	priv.pinvq = new(big.Int).ModInverse(p, q)
 	if priv.pinvq == nil {
@@ -178,18 +184,14 @@ func (s *Scheme) check(c *homo.Ciphertext) {
 
 // Encrypt encrypts m mod N.
 func (s *Scheme) Encrypt(m *big.Int) *homo.Ciphertext {
-	mm := homo.EncodeMod(m, s.pub.N)
-	// (1 + m·N) mod N²  — the g=N+1 fast path: one mulmod where the
-	// generic g^m costs a full modular exponentiation.
-	t := scratch.Get().(*big.Int)
-	t.Mul(mm, s.pub.N)
-	t.Add(t, one)
-	t.Mod(t, s.pub.N2)
-	// times r^N mod N² (pooled or fixed-base; see pool.go, noiseTable)
-	t.Mul(t, s.noiseFactor())
-	v := new(big.Int).Mod(t, s.pub.N2)
-	scratch.Put(t)
-	return &homo.Ciphertext{V: v, Tag: s.tag}
+	// (1 + m·N) mod N² — the g=N+1 fast path: one multiplication where
+	// the generic g^m costs a full modular exponentiation. m < N, so
+	// 1 + m·N < N² needs no reduction.
+	x := homo.EncodeMod(m, s.pub.N)
+	x.Mul(x, s.pub.N)
+	x.Add(x, one)
+	// times r^N mod N² (pooled or fixed-base; see pool.go)
+	return &homo.Ciphertext{V: s.withNoise(x), Tag: s.tag}
 }
 
 // EncryptInt encrypts an int64 (negatives via modular shifting).
@@ -200,27 +202,22 @@ func (s *Scheme) EncryptInt(m int64) *homo.Ciphertext {
 // EncryptZero returns a fresh encryption of 0.
 func (s *Scheme) EncryptZero() *homo.Ciphertext { return s.EncryptInt(0) }
 
-// Decrypt returns the plaintext in [0, N) using CRT.
+// Decrypt returns the plaintext in [0, N) using CRT. The p-half and the
+// q-half are independent exponentiations, run on the homo worker pool
+// (inline at GOMAXPROCS 1, or when no worker is idle).
 func (s *Scheme) Decrypt(c *homo.Ciphertext) *big.Int {
 	if s.priv == nil {
 		panic("paillier: Decrypt on a public-only scheme")
 	}
 	s.check(c)
-	pm1 := new(big.Int).Sub(s.priv.p, one)
-	qm1 := new(big.Int).Sub(s.priv.q, one)
-	// mp = L_p(c^{p−1} mod p²)·hp mod p
-	cp := new(big.Int).Exp(new(big.Int).Mod(c.V, s.priv.p2), pm1, s.priv.p2)
-	mp := lFunc(cp, s.priv.p)
-	mp.Mul(mp, s.priv.hp).Mod(mp, s.priv.p)
-	cq := new(big.Int).Exp(new(big.Int).Mod(c.V, s.priv.q2), qm1, s.priv.q2)
-	mq := lFunc(cq, s.priv.q)
-	mq.Mul(mq, s.priv.hq).Mod(mq, s.priv.q)
+	var half [2]*big.Int
+	homo.ParallelFor(2, func(i int) { half[i] = s.priv.crt[i].open(c.V) })
+	mp, mq := half[0], half[1]
 	// CRT: m = mp + p·((mq−mp)·p^{−1} mod q)
-	t := new(big.Int).Sub(mq, mp)
+	t := mq.Sub(mq, mp)
 	t.Mul(t, s.priv.pinvq).Mod(t, s.priv.q)
-	m := new(big.Int).Mul(t, s.priv.p)
-	m.Add(m, mp)
-	return m
+	m := t.Mul(t, s.priv.p)
+	return m.Add(m, mp)
 }
 
 // DecryptSigned decrypts and decodes into (−N/2, N/2].
@@ -264,11 +261,7 @@ func (s *Scheme) ScalarMul(m int64, a *homo.Ciphertext) *homo.Ciphertext {
 // Rerandomize multiplies by a fresh encryption of zero: c·r^N mod N².
 func (s *Scheme) Rerandomize(a *homo.Ciphertext) *homo.Ciphertext {
 	s.check(a)
-	t := scratch.Get().(*big.Int)
-	t.Mul(a.V, s.noiseFactor())
-	v := new(big.Int).Mod(t, s.pub.N2)
-	scratch.Put(t)
-	return &homo.Ciphertext{V: v, Tag: s.tag}
+	return &homo.Ciphertext{V: s.withNoise(a.V), Tag: s.tag}
 }
 
 // Adopt validates and re-tags a deserialized ciphertext: it must be a

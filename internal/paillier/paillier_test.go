@@ -3,6 +3,7 @@ package paillier
 import (
 	"crypto/rand"
 	"math/big"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -39,6 +40,71 @@ func TestDecryptUnsignedRange(t *testing.T) {
 	want := new(big.Int).Sub(s.PlaintextSpace(), big.NewInt(1))
 	if v.Cmp(want) != 0 {
 		t.Errorf("E(-1) decrypts to %s, want N-1=%s", v, want)
+	}
+}
+
+// textbookDecrypt is Paillier's decryption without CRT:
+// L(c^λ mod N²)·μ mod N, λ = lcm(p−1, q−1), μ = L(g^λ mod N²)^{−1} mod N.
+func textbookDecrypt(s *Scheme, c *big.Int) *big.Int {
+	n, n2 := s.pub.N, s.pub.N2
+	pm1, qm1 := new(big.Int).Sub(s.priv.p, one), new(big.Int).Sub(s.priv.q, one)
+	lambda := new(big.Int).Mul(pm1, qm1)
+	lambda.Div(lambda, new(big.Int).GCD(nil, nil, pm1, qm1))
+	g := new(big.Int).Add(n, one)
+	mu := new(big.Int).ModInverse(lFunc(new(big.Int).Exp(g, lambda, n2), n), n)
+	m := lFunc(new(big.Int).Exp(c, lambda, n2), n)
+	return m.Mod(m.Mul(m, mu), n)
+}
+
+// TestDecryptHalvesMatchTextbook holds the CRT decryption — its p- and
+// q-halves inline at GOMAXPROCS 1, on the worker pool at 4 — to the
+// textbook formula for {0, ±1, ±(N−1)/2, random}.
+func TestDecryptHalvesMatchTextbook(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	s := testScheme
+	half := new(big.Int).Rsh(new(big.Int).Sub(s.pub.N, one), 1)
+	ms := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(-1), half, new(big.Int).Neg(half)}
+	for i := 0; i < 4; i++ {
+		r, err := rand.Int(rand.Reader, s.pub.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, r)
+	}
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, m := range ms {
+			c := s.Encrypt(m)
+			want := textbookDecrypt(s, c.V)
+			if got := s.Decrypt(c); got.Cmp(want) != 0 || got.Cmp(homo.EncodeMod(m, s.pub.N)) != 0 {
+				t.Fatalf("GOMAXPROCS %d, m=%v: Decrypt %v, textbook %v", procs, m, got, want)
+			}
+			if m.Cmp(half) <= 0 {
+				if got := s.DecryptSigned(c); got.Cmp(m) != 0 {
+					t.Fatalf("GOMAXPROCS %d: DecryptSigned %v, want %v", procs, got, m)
+				}
+			}
+		}
+	}
+}
+
+// TestNoiseOpAllocs gates the allocations of Encrypt and Rerandomize on
+// the fixed-base path: 12 and 8 on amd64 (AllocsPerRun runs them at
+// GOMAXPROCS 1, so the noise halves run inline). The Mul+Mod table this
+// replaced made 492 and 489.
+func TestNoiseOpAllocs(t *testing.T) {
+	s := mustScheme(1024)
+	m, c := big.NewInt(123456), s.EncryptInt(7)
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{
+		{"Encrypt", func() { s.Encrypt(m) }},
+		{"Rerandomize", func() { s.Rerandomize(c) }},
+	} {
+		if got := testing.AllocsPerRun(20, op.run); got > 24 {
+			t.Errorf("%s: %v allocs/op, want ≤ 24", op.name, got)
+		}
 	}
 }
 

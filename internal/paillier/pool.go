@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"math/big"
 
-	"secmr/internal/fixedbase"
 	"secmr/internal/randpool"
 )
 
@@ -21,9 +20,11 @@ import (
 //
 //   - a fixed-base table (noiseTable, always on unless disabled): the
 //     scheme samples one random unit h at first use, precomputes
-//     windowed powers of hᴺ mod N², and draws each online factor as
-//     (hᴺ)^a for random a < N — ceil(|N|/4) multiplications instead of
-//     a full |N|-bit modular exponentiation, no extra cores needed.
+//     windowed powers of hᴺ mod N² in Montgomery form, and draws each
+//     online factor as (hᴺ)^a for random a < N — ceil(|N|/4)
+//     division-free Montgomery products instead of a full |N|-bit
+//     modular exponentiation, split in two halves over the worker pool
+//     when a core is idle (fixedbase.go).
 //
 // Both are optimizations only: operations remain correct (and the
 // plaintexts identical) with neither. The fixed-base trade-off is that
@@ -63,43 +64,44 @@ func (s *Scheme) uniformNoise() *big.Int {
 func (s *Scheme) UseFixedBaseNoise(enabled bool) { s.fbDisable.Store(!enabled) }
 
 // noiseTable lazily builds the fixed-base table over hᴺ mod N².
-func (s *Scheme) noiseTable() *fixedbase.Table {
+func (s *Scheme) noiseTable() *fixedBase {
 	s.fbOnce.Do(func() {
 		h := s.randomUnit()
 		hn := new(big.Int).Exp(h, s.pub.N, s.pub.N2)
-		s.fbTable = fixedbase.New(hn, s.pub.N2, s.pub.N.BitLen(), 4)
+		s.fbTable = newFixedBase(hn, s.pub.N2, s.pub.N.BitLen())
 	})
 	return s.fbTable
 }
 
-// fastNoise draws (hᴺ)^a for uniform a ∈ [1, N) via the fixed-base
-// table.
-func (s *Scheme) fastNoise() *big.Int {
+// withNoise returns x·rᴺ mod N² for x in [0, N²) and one fresh noise
+// factor: a pooled factor when one is ready; otherwise (hᴺ)^a for
+// uniform a ∈ [1, N), the product with x folded into the fixed-base
+// table's last Montgomery product; or, with the table disabled, a
+// uniform inline factor. Never blocks.
+func (s *Scheme) withNoise(x *big.Int) *big.Int {
+	s.poolMu.RLock()
+	p := s.pool
+	s.poolMu.RUnlock()
+	var r *big.Int
+	if p != nil {
+		r, _ = p.Get()
+	}
+	if r == nil && s.fbDisable.Load() {
+		r = s.uniformNoise()
+	}
+	if r != nil {
+		t := scratch.Get().(*big.Int)
+		v := new(big.Int).Mod(t.Mul(x, r), s.pub.N2)
+		scratch.Put(t)
+		return v
+	}
 	for {
 		a, err := rand.Int(rand.Reader, s.pub.N)
 		if err != nil {
 			panic("paillier: crypto/rand failure: " + err.Error())
 		}
 		if a.Sign() != 0 {
-			return s.noiseTable().Exp(a)
+			return s.noiseTable().expMul(a, x)
 		}
 	}
-}
-
-// noiseFactor returns a pooled factor when one is ready, the
-// fixed-base factor otherwise (or a uniform inline factor when the
-// table is disabled). Never blocks.
-func (s *Scheme) noiseFactor() *big.Int {
-	s.poolMu.RLock()
-	p := s.pool
-	s.poolMu.RUnlock()
-	if p != nil {
-		if v, ok := p.Get(); ok {
-			return v
-		}
-	}
-	if s.fbDisable.Load() {
-		return s.uniformNoise()
-	}
-	return s.fastNoise()
 }
