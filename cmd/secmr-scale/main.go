@@ -1,11 +1,14 @@
-// Command secmr-scale measures mega-grid scale-out (ISSUE 8): n
-// flyweight majority voters on a Barabási–Albert spanning tree inside
-// the sharded simulator, reporting resources vs. convergence steps vs.
-// wall-clock vs. peak RSS. The output is a benchjson-compatible JSON
-// array, so `benchjson -diff BENCH_scale.json new.json` gates
-// regressions in CI.
+// Command secmr-scale measures mega-grid scale-out: n flyweight
+// majority voters on a Barabási–Albert spanning tree inside the
+// simulator, stepped by min(GOMAXPROCS, n) workers, reporting resources
+// vs. convergence steps vs. wall-clock vs. peak RSS. The output is a
+// benchjson-compatible JSON array, so `benchjson -diff BENCH_scale.json
+// new.json` gates regressions in CI.
 //
-//	secmr-scale -n 1600,16000,100000,1000000 -shards 8 -o BENCH_scale.json
+//	secmr-scale -n 1600,16000,100000,1000000 -o BENCH_scale.json
+//
+// Set GOMAXPROCS to run at another width; the width used is reported
+// per point as the "workers" metric.
 //
 // Every run is checked, not just timed: after quiescence each voter's
 // decision must equal the ground-truth global majority, or the tool
@@ -20,7 +23,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -39,7 +41,6 @@ type result = benchfmt.Result
 func main() {
 	var (
 		sizes    = flag.String("n", "1600,16000,100000,1000000", "comma-separated resource counts")
-		shards   = flag.Int("shards", runtime.GOMAXPROCS(0), "event-loop shards")
 		seed     = flag.Int64("seed", 1, "seed (topology, votes and engine)")
 		maxSteps = flag.Int("maxsteps", 100000, "step budget per point")
 		out      = flag.String("o", "", "output file (default stdout)")
@@ -53,13 +54,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "secmr-scale: bad size %q\n", f)
 			os.Exit(2)
 		}
-		r, err := runPoint(n, *shards, *seed, *maxSteps)
+		r, err := runPoint(n, *seed, *maxSteps)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "secmr-scale:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "n=%d steps=%.0f wall=%s peak-rss=%.0fMB msgs=%.0f\n",
-			n, r.Metrics["steps"], time.Duration(r.NsPerOp), r.Metrics["peak-rss-mb"], r.Metrics["messages"])
+		fmt.Fprintf(os.Stderr, "n=%d workers=%.0f steps=%.0f wall=%s peak-rss=%.0fMB msgs=%.0f\n",
+			n, r.Metrics["workers"], r.Metrics["steps"], time.Duration(r.NsPerOp), r.Metrics["peak-rss-mb"], r.Metrics["messages"])
 		results = append(results, r)
 	}
 
@@ -71,7 +72,7 @@ func main() {
 
 // runPoint builds the n-resource grid, runs it to quiescence and
 // verifies every voter agrees with the ground truth.
-func runPoint(n, shards int, seed int64, maxSteps int) (result, error) {
+func runPoint(n int, seed int64, maxSteps int) (result, error) {
 	rng := rand.New(rand.NewSource(seed))
 	delays := topology.DelayRange{Min: 1, Max: 5}
 	tree := topology.BarabasiAlbert(n, 2, delays, rng).SpanningTree(0)
@@ -92,7 +93,7 @@ func runPoint(n, shards int, seed int64, maxSteps int) (result, error) {
 	}
 	want := 2*globalSum-globalCnt >= 0
 
-	e := sim.NewShardedEngine(tree, nodes, seed, shards)
+	e := sim.NewParallelEngine(tree, nodes, seed)
 	start := time.Now()
 	steps, ok := e.Quiesce(maxSteps)
 	wall := time.Since(start)
@@ -118,7 +119,7 @@ func runPoint(n, shards int, seed int64, maxSteps int) (result, error) {
 			"steps":       float64(steps),
 			"peak-rss-mb": peakRSSMB(),
 			"messages":    float64(e.Stats().Sent),
-			"shards":      float64(shards),
+			"workers":     float64(e.Workers()),
 		},
 	}, nil
 }

@@ -7,10 +7,10 @@ import (
 
 // TestRunPointConverges: the harness itself must prove convergence and
 // agreement, so a small point doubles as a correctness test of the
-// whole stack (BA topology → spanning tree → sharded engine →
+// whole stack (BA topology → spanning tree → parallel engine →
 // flyweight voters).
 func TestRunPointConverges(t *testing.T) {
-	r, err := runPoint(1600, 4, 1, 100000)
+	r, err := runPoint(1600, 1, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,19 +23,24 @@ func TestRunPointConverges(t *testing.T) {
 }
 
 // TestRunPointShardInvariance: the same seed must converge to the same
-// step count whatever the shard count — the scale harness leans on the
-// sharded engine's determinism guarantee.
+// step count whatever the width — the scale harness leans on the
+// engine's determinism guarantee — and each point reports its width.
 func TestRunPointShardInvariance(t *testing.T) {
-	a, err := runPoint(1600, 1, 7, 100000)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a, err := runPoint(1600, 7, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runPoint(1600, runtime.GOMAXPROCS(0), 7, 100000)
+	runtime.GOMAXPROCS(4)
+	b, err := runPoint(1600, 7, 100000)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if a.Metrics["workers"] != 1 || b.Metrics["workers"] != 4 {
+		t.Fatalf("reported widths %v and %v, want 1 and 4", a.Metrics["workers"], b.Metrics["workers"])
 	}
 	if a.Metrics["steps"] != b.Metrics["steps"] || a.Metrics["messages"] != b.Metrics["messages"] {
-		t.Fatalf("shards=1 (%v steps, %v msgs) vs shards=max (%v steps, %v msgs)",
+		t.Fatalf("workers=1 (%v steps, %v msgs) vs workers=4 (%v steps, %v msgs)",
 			a.Metrics["steps"], a.Metrics["messages"], b.Metrics["steps"], b.Metrics["messages"])
 	}
 }
@@ -46,7 +51,7 @@ func TestScaleSmoke100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k grid in -short mode")
 	}
-	r, err := runPoint(100000, runtime.GOMAXPROCS(0), 1, 100000)
+	r, err := runPoint(100000, 1, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}

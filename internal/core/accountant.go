@@ -65,6 +65,13 @@ type scanState struct {
 	sym        intern.Sym
 	pos        int
 	sum, count int64
+	// spare is the ⊥ counter the broker's last applied reply for this
+	// scan superseded (supersede), and the storage the next reply is
+	// dealt into. That counter is never published — messages carry
+	// rerandomised sums, never the ⊥ counter itself — so once replaced
+	// its ciphertexts are nobody else's. A tick that stages no reply
+	// drops it.
+	spare *oblivious.Counter
 }
 
 // newScanState starts a rule's scan at the top of the database.
@@ -266,28 +273,27 @@ func (a *Accountant) tick() {
 		}
 	}
 	for i, s := range a.scans {
-		if s.pos >= a.db.Len() {
-			continue
-		}
-		end := s.pos + a.cfg.ScanBudget
-		if end > a.db.Len() {
-			end = a.db.Len()
-		}
-		changed := false
-		for ; s.pos < end; s.pos++ {
-			t := a.db.Tx[s.pos]
-			if len(s.rule.LHS) == 0 || t.ContainsAll(s.rule.LHS) {
-				s.count++
-				changed = true
-				if t.ContainsAll(s.union) {
-					s.sum++
-				}
-			}
-		}
-		if changed {
+		if s.advance(a.db, a.cfg.ScanBudget) {
 			a.stage(i)
 		}
+		s.spare = nil
 	}
+}
+
+// advance counts up to budget more transactions of db and reports
+// whether the totals changed.
+func (s *scanState) advance(db *arm.Database, budget int) (changed bool) {
+	for end := min(s.pos+budget, db.Len()); s.pos < end; s.pos++ {
+		t := db.Tx[s.pos]
+		if len(s.rule.LHS) == 0 || t.ContainsAll(s.rule.LHS) {
+			s.count++
+			changed = true
+			if t.ContainsAll(s.union) {
+				s.sum++
+			}
+		}
+	}
+	return changed
 }
 
 // stage (re)stages a reply for scan index i.
@@ -301,8 +307,13 @@ func (a *Accountant) stage(i int) {
 // reply encrypts the rule's current totals as the ⊥ counter: the
 // share field carries the accountant's own share and the timestamp
 // vector carries E(t) in slot ⊥ (Algorithm 2's message structure).
+// With a spare the encryptions are dealt into its storage.
 func (a *Accountant) reply(s *scanState) *oblivious.Counter {
 	a.t++
+	if c := s.spare; c != nil {
+		s.spare = nil
+		return a.replyInto(c, s)
+	}
 	c := &oblivious.Counter{
 		Sum:    a.enc.EncryptInt(s.sum),
 		Count:  a.enc.EncryptInt(s.count),
@@ -315,6 +326,36 @@ func (a *Accountant) reply(s *scanState) *oblivious.Counter {
 		c.Stamps[i] = a.pub.EncryptZero()
 	}
 	return c
+}
+
+// replyInto is reply dealt into c, a superseded ⊥ counter; stamp slots
+// that a join or an eviction added or removed since are resized.
+func (a *Accountant) replyInto(c *oblivious.Counter, s *scanState) *oblivious.Counter {
+	enc := func(dst *homo.Ciphertext, m int64) *homo.Ciphertext { return homo.EncryptIntInto(a.enc, dst, m) }
+	c.Sum = enc(c.Sum, s.sum)
+	c.Count = enc(c.Count, s.count)
+	c.Num = enc(c.Num, 1)
+	c.Share = enc(c.Share, a.shareVals[0])
+	if n := a.numSlots(); len(c.Stamps) != n {
+		stamps := make([]*homo.Ciphertext, n)
+		copy(stamps, c.Stamps)
+		c.Stamps = stamps
+	}
+	c.Stamps[0] = enc(c.Stamps[0], a.t)
+	for i := 1; i < len(c.Stamps); i++ {
+		c.Stamps[i] = enc(c.Stamps[i], 0)
+	}
+	return c
+}
+
+// supersede hands the accountant the ⊥ counter a reply for scan i just
+// replaced. Behind an encryptor that deals into a destination the scan's
+// next reply is dealt into its storage; behind any other a spare would
+// save nothing, so none is kept.
+func (a *Accountant) supersede(i int, old *oblivious.Counter) {
+	if _, ok := a.enc.(homo.IntoEncryptor); ok {
+		a.scans[i].spare = old
+	}
 }
 
 // drainReplies hands staged replies to the broker as a dense slice

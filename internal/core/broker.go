@@ -106,19 +106,30 @@ type Broker struct {
 
 	// scratch and sfe are the broker's homo.LinCombInto destinations:
 	// the counter fullSum folds the neighbourhood into (honest path
-	// only), and Δ^uv, Δ^uv − Δ^u and their blinded forms for a sign SFE.
-	// The broker produced every ciphertext in them and owns it outright:
-	// they are handed to this resource's controller, which decrypts them
-	// inside the call, and overwritten by the next evaluation — never
-	// stored in a candidate or edge, transmitted, snapshotted, or shown
-	// to an Adversary hook. parts, ops and coef are the operand lists of
-	// those calls, kept here because a slice passed through the
-	// homo.Public interface would otherwise escape to the heap per call.
+	// only), Δ^uv, Δ^uv − Δ^u and their blinded forms for a sign SFE, and
+	// the num total transmit rerandomises. The broker produced every
+	// ciphertext in them and owns it outright: they are handed to this
+	// resource's controller, which decrypts them inside the call, or
+	// rerandomised into a fresh ciphertext, and overwritten by the next
+	// evaluation — never stored in a candidate or edge, transmitted,
+	// snapshotted, or shown to an Adversary hook. parts, ops and coef are
+	// the operand lists of those calls, kept here because a slice passed
+	// through the homo.Public interface would otherwise escape to the heap
+	// per call.
 	scratch oblivious.Counter
-	sfe     struct{ duv, diff, blind, blindDiff *homo.Ciphertext }
+	sfe     struct{ duv, diff, blind, blindDiff, num *homo.Ciphertext }
 	parts   []*oblivious.Counter
 	ops     []*homo.Ciphertext
 	coef    [4]int64
+
+	// recycle writes over what a step supersedes: each transmission's
+	// sum and count fold into the edge's retained sentSum/sentCount,
+	// which nothing else holds, and its num into sfe.num, and every
+	// replaced ⊥ counter goes back to the accountant as the storage of
+	// its scan's next reply (Accountant.supersede). Off while a hook could
+	// still hold one of them: an adversary sees every part and payload,
+	// and the padding dance swaps ⊥ sums in and out.
+	recycle bool
 
 	// shareEpoch is the accountant's current share-dealing epoch;
 	// inbound counters from other dealings are dropped.
@@ -149,6 +160,7 @@ type Broker struct {
 func newBroker(id int, cfg Config, pub homo.Public, acc *Accountant, ctl *Controller, adv Adversary) *Broker {
 	return &Broker{
 		id: id, cfg: cfg, pub: pub, acc: acc, ctl: ctl, adv: adv,
+		recycle: adv == nil && !cfg.PaddingDance,
 		links:   map[int]*brokerEdge{},
 		candIdx: map[intern.Sym]int32{},
 		history: map[intern.Sym]map[int][]*oblivious.Counter{},
@@ -343,6 +355,9 @@ func (b *Broker) applyAccountantReplies(tr Transport) {
 			if b.cfg.PaddingDance {
 				b.paddingDance(tr, c, reply)
 			}
+			if b.recycle {
+				b.acc.supersede(i, c.local)
+			}
 			c.local = reply
 			c.outDirty = true
 			for _, e := range c.edges {
@@ -481,15 +496,6 @@ func (b *Broker) fullSum(c *secCandidate) *oblivious.Counter {
 	return s
 }
 
-// sumValues aggregates only the value components (sum, count, num) of
-// the ⊥ counter and every inbound counter except the recipient's —
-// the outgoing payload of Update(v). The results are fresh ciphertexts,
-// not scratch: transmit retains them as the edge's sentSum/sentCount.
-func (b *Broker) sumValues(c *secCandidate, except int) (sum, count, num *homo.Ciphertext) {
-	parts := b.gather(c, except)
-	return b.sumField(nil, parts, sumOf), b.sumField(nil, parts, countOf), b.sumField(nil, parts, numOf)
-}
-
 // evaluateSends runs the per-edge send SFEs for every dirty
 // (candidate, edge) pair and transmits approved messages.
 func (b *Broker) evaluateSends(tr Transport) {
@@ -558,10 +564,21 @@ func (b *Broker) evaluateSends(tr Transport) {
 }
 
 // transmit builds and sends the payload for edge v with the given
-// timestamp vector, updating the edge's transmission state.
+// timestamp vector, updating the edge's transmission state. The payload
+// is Update(v): the value components (sum, count, num) of the ⊥ counter
+// and every inbound counter except the recipient's, each rerandomised;
+// the edge retains the unrandomised sum and count as sentSum/sentCount.
 func (b *Broker) transmit(tr Transport, c *secCandidate, v int, e *secEdge, stamps []*homo.Ciphertext) {
 	link := b.links[v]
-	sum, count, num := b.sumValues(c, v)
+	var sum, count, num *homo.Ciphertext
+	if b.recycle {
+		sum, count, num = e.sentSum, e.sentCount, b.sfe.num
+	}
+	parts := b.gather(c, v)
+	sum, count, num = b.sumField(sum, parts, sumOf), b.sumField(count, parts, countOf), b.sumField(num, parts, numOf)
+	if b.recycle {
+		b.sfe.num = num
+	}
 	out := &oblivious.Counter{
 		Sum:    b.pub.Rerandomize(sum),
 		Count:  b.pub.Rerandomize(count),

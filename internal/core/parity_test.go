@@ -8,6 +8,7 @@ import (
 	"math/big"
 	mrand "math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -25,11 +26,11 @@ import (
 	"secmr/internal/topology"
 )
 
-// buildParityGrid assembles the same secure grid at any shard count,
-// with a private high-capacity trace sink per resource — the
-// configuration under which per-node traces are bit-identical across
-// shard counts (see sim.Engine). mutate and advFor are optional.
-func buildParityGrid(t *testing.T, scheme homo.Scheme, shards int, mutate func(*Config),
+// buildParityGrid assembles the same secure grid on an engine of the
+// given width, with a private high-capacity trace sink per resource —
+// the configuration under which per-node traces are bit-identical
+// across widths (see sim.Engine). mutate and advFor are optional.
+func buildParityGrid(t *testing.T, scheme homo.Scheme, workers int, mutate func(*Config),
 	advFor func(id int) Adversary) (*sim.Engine, []*Resource, []*obs.Sink, arm.RuleSet) {
 	t.Helper()
 	const n, seed = 5, 3
@@ -65,7 +66,8 @@ func buildParityGrid(t *testing.T, scheme homo.Scheme, shards int, mutate func(*
 		resources[i] = NewResource(i, c, scheme, parts[i], nil, adv)
 		nodes[i] = resources[i]
 	}
-	return sim.NewShardedEngine(tree, nodes, seed, shards), resources, sinks, truth
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	return sim.NewParallelEngine(tree, nodes, seed), resources, sinks, truth
 }
 
 // parityDigest reduces a finished run to the two comparands: the union
@@ -97,9 +99,9 @@ func parityDigest(t *testing.T, resources []*Resource, sinks []*obs.Sink) (rules
 }
 
 // parityRun drives one fault-free grid for a fixed horizon.
-func parityRun(t *testing.T, scheme homo.Scheme, shards int) (rules []string, dag []byte) {
+func parityRun(t *testing.T, scheme homo.Scheme, workers int) (rules []string, dag []byte) {
 	t.Helper()
-	e, resources, sinks, _ := buildParityGrid(t, scheme, shards, nil, nil)
+	e, resources, sinks, _ := buildParityGrid(t, scheme, workers, nil, nil)
 	e.Run(300)
 	rules, _, dag = parityDigest(t, resources, sinks)
 	return rules, dag
@@ -125,7 +127,7 @@ func requireSameRun(t *testing.T, label string, gotRules, wantRules []string, go
 // sim.Engine: SHA-256 of the mined rule keys (sorted, newline-joined)
 // and of the merged forensics DAG text (168 rules, 3,842,608 DAG
 // bytes; both hashes repeat across processes). The run injects no
-// faults, so every engine at every shard count must reproduce it.
+// faults, so every engine at every width must reproduce it.
 const (
 	goldenParityRulesSHA = "f26e8671d3ee43331e1007c1d25de3e9d42d1cc88be24d547832d3f21ea3a652"
 	goldenParityDAGSHA   = "2de2366a6135330f7bcfb2e79bda2268dd838b42ed270c43d98847434f84eed9"
@@ -136,11 +138,17 @@ func shaHex(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// parityWidths are the engine widths the parity tests compare.
+var parityWidths = []int{2, 4, 16}
+
 // TestShardedSecureGridParity is the tentpole determinism check at the
 // protocol level: the full secure miner (oblivious counters, k-privacy
 // gates, share dealings, candidate generation) must produce the same
-// mined rules AND a byte-identical merged forensics DAG at 1, 4 and 16
-// shards, and the one-shard run must match the recorded reference.
+// mined rules AND a byte-identical merged forensics DAG at 1, 2, 4 and
+// 16 workers, and the one-worker run must match the recorded reference.
+// A Shamir grid repeats the width comparison with every resource
+// dealing on its own worker: its recycled ⊥ replies and transmit sums,
+// and the aux draws of concurrent dealers.
 func TestShardedSecureGridParity(t *testing.T) {
 	scheme := homo.NewPlain(96)
 	wantRules, wantDAG := parityRun(t, scheme, 1)
@@ -156,9 +164,16 @@ func TestShardedSecureGridParity(t *testing.T) {
 	if got := shaHex(wantDAG); got != goldenParityDAGSHA {
 		t.Fatalf("reference DAG (%d bytes) hashes to %s, golden %s", len(wantDAG), got, goldenParityDAGSHA)
 	}
-	for _, shards := range []int{4, 16} {
-		gotRules, gotDAG := parityRun(t, scheme, shards)
-		requireSameRun(t, fmt.Sprintf("shards=%d", shards), gotRules, wantRules, gotDAG, wantDAG)
+	for _, w := range parityWidths {
+		gotRules, gotDAG := parityRun(t, scheme, w)
+		requireSameRun(t, fmt.Sprintf("workers=%d", w), gotRules, wantRules, gotDAG, wantDAG)
+	}
+	sh := shamir.MustNew(shamir.Params{K: 2, N: 5, W: 1})
+	shRules, shDAG := parityRun(t, sh, 1)
+	requireSameRun(t, "shamir workers=1", shRules, wantRules, shDAG, shDAG)
+	for _, w := range parityWidths {
+		gotRules, gotDAG := parityRun(t, sh, w)
+		requireSameRun(t, fmt.Sprintf("shamir workers=%d", w), gotRules, shRules, gotDAG, shDAG)
 	}
 }
 
@@ -189,13 +204,12 @@ func (g gatedAdversary) TamperPayload(pub homo.Public, rule string, to int,
 // injector schedule that draws no randomness — a plain crash, an
 // amnesia crash rebuilt through Recover from a saved state image, a
 // partition and heal, and a resource corrupted mid-run with quarantine
-// on — and requires identical rules, evictions and DAG bytes at 1, 4
-// and 16 shards: every verdict depends only on structural state that
-// is fixed for the whole step.
+// on — and requires identical rules, evictions and DAG bytes at 1, 2, 4
+// and 16 workers.
 func TestShardedInjectScheduleParity(t *testing.T) {
 	scheme := homo.NewPlain(96)
 	const crashed, amnesiac, evil = 2, 1, 4
-	run := func(shards int) (rules []string, evictions string, dag []byte) {
+	run := func(workers int) (rules []string, evictions string, dag []byte) {
 		inj := faults.New(faults.Config{Seed: 3, Schedule: []faults.Event{
 			{At: 40, Crash: []int{crashed}},
 			{At: 60, Crash: []int{amnesiac}, Amnesia: true},
@@ -205,7 +219,7 @@ func TestShardedInjectScheduleParity(t *testing.T) {
 			{At: 120, Heal: true},
 			{At: 130, Corrupt: []int{evil}},
 		}})
-		e, resources, sinks, _ := buildParityGrid(t, scheme, shards,
+		e, resources, sinks, _ := buildParityGrid(t, scheme, workers,
 			func(cfg *Config) { cfg.LossyLinks = true; cfg.Quarantine.Enabled = true },
 			func(id int) Adversary {
 				if id != evil {
@@ -233,10 +247,10 @@ func TestShardedInjectScheduleParity(t *testing.T) {
 
 		fs := inj.Stats()
 		if recovered != 1 || fs.AmnesiaWipes != 1 || fs.CrashDrops == 0 || fs.CutDrops == 0 || fs.Corruptions != 1 {
-			t.Fatalf("shards=%d: schedule inert: recovered=%d faults=%+v", shards, recovered, fs)
+			t.Fatalf("workers=%d: schedule inert: recovered=%d faults=%+v", workers, recovered, fs)
 		}
 		if es := e.Stats(); es.Dropped != fs.CrashDrops+fs.CutDrops {
-			t.Fatalf("shards=%d: engine dropped %d, injector counted %+v", shards, es.Dropped, fs)
+			t.Fatalf("workers=%d: engine dropped %d, injector counted %+v", workers, es.Dropped, fs)
 		}
 		for i, r := range resources {
 			evictions += fmt.Sprintf("%d:%v ", i, r.Evicted())
@@ -249,23 +263,21 @@ func TestShardedInjectScheduleParity(t *testing.T) {
 		t.Fatalf("reference run: %d rules, evictions %s — nothing mined or the cheater went unnoticed",
 			len(wantRules), wantEvictions)
 	}
-	for _, shards := range []int{4, 16} {
-		gotRules, gotEvictions, gotDAG := run(shards)
+	for _, w := range parityWidths {
+		gotRules, gotEvictions, gotDAG := run(w)
 		if gotEvictions != wantEvictions {
-			t.Fatalf("shards=%d: evictions %s, one shard %s", shards, gotEvictions, wantEvictions)
+			t.Fatalf("workers=%d: evictions %s, one worker %s", w, gotEvictions, wantEvictions)
 		}
-		requireSameRun(t, fmt.Sprintf("shards=%d", shards), gotRules, wantRules, gotDAG, wantDAG)
+		requireSameRun(t, fmt.Sprintf("workers=%d", w), gotRules, wantRules, gotDAG, wantDAG)
 	}
 }
 
-// TestShardedLossyRunReachesOracle is the boundary case: probabilistic
-// injector faults (10% drop, 10% duplication) at 4 shards draw from the
-// injector's RNG in barrier order, so the run is not byte-equal to the
-// one-shard run — it is held to the oracle instead. Every resource must
-// mine exactly the ground-truth rule set, the loss audit over resource
-// and engine traces must attribute every lost message to a recorded
-// drop, and a repeat with the same (seed, shard count) must be
-// byte-identical.
+// TestShardedLossyRunReachesOracle: probabilistic injector faults (10%
+// drop, 10% duplication) with an engine-wide tracer, which holds the
+// engine at one worker. Every resource must mine exactly the
+// ground-truth rule set, the loss audit over resource and engine traces
+// must attribute every lost message to a recorded drop, and a repeat
+// must be byte-identical.
 func TestShardedLossyRunReachesOracle(t *testing.T) {
 	scheme := homo.NewPlain(96)
 	run := func() ([]string, []byte) {

@@ -18,7 +18,9 @@ import (
 // operands (natively on Shamir, through the serial fallback on Plain,
 // Paillier and a Shamir whose capability is hidden), and its one
 // exception — the destination — to its own: written only when it
-// carries this instance's tag.
+// carries this instance's tag. EncryptIntInto deals into its
+// destination where it is native and returns a fresh encryption
+// elsewhere.
 func TestOpsNeitherMutateNorAliasArguments(t *testing.T) {
 	sh := shamir.MustNew(shamir.Params{K: 3, N: 7, W: 1})
 	schemes := append([]testScheme{{"shamir", sh, true}, {"shamir-serial", struct{ homo.Scheme }{sh}, false}},
@@ -74,6 +76,17 @@ func TestOpsNeitherMutateNorAliasArguments(t *testing.T) {
 						t.Fatal("LinCombInto did not return its destination")
 					}
 					return []*big.Int{dst.V}
+				},
+				"EncryptIntInto(dst)": func() []*big.Int {
+					dst := s.EncryptInt(5)
+					got := homo.EncryptIntInto(s, dst, y)
+					if _, native := s.(homo.IntoEncryptor); native && got != dst {
+						t.Fatal("EncryptIntInto did not deal into its destination")
+					}
+					if v := s.DecryptSigned(got).Int64(); v != y {
+						t.Fatalf("EncryptIntInto decrypts to %d, want %d", v, y)
+					}
+					return []*big.Int{got.V, homo.EncryptIntInto(s, nil, x).V}
 				},
 				"DecryptSignedInto": func() []*big.Int {
 					dst := big.NewInt(99)

@@ -6,28 +6,30 @@ import (
 	"slices"
 )
 
-// Destination-passing capability: one fused linear combination and one
-// decrypt, each into storage the caller owns. A broker's SFE inputs
-// (the full-neighbourhood counter, the blinded Δs) are consumed by the
-// controller inside the call and dropped, and the controller reads
-// every plaintext as an int64 or a sign; producing those through Public
-// and Decryptor costs a fresh ciphertext or big.Int per op for values
-// nobody keeps.
+// Destination-passing capability: one fused linear combination, one
+// encryption and one decrypt, each into storage the caller owns. A
+// broker's SFE inputs (the full-neighbourhood counter, the blinded Δs)
+// are consumed by the controller inside the call and dropped, an
+// accountant's ⊥ reply supersedes a counter nobody else holds, and the
+// controller reads every plaintext as an int64 or a sign; producing
+// those through Public, Encryptor and Decryptor costs a fresh ciphertext
+// or big.Int per op for values nobody keeps.
 //
 // The capability is optional, like the batch one (batch.go): the
-// package helpers accept any Public/Decryptor and fall back to a serial
-// chain over Add/Sub/ScalarMul/DecryptSigned, so protocol code written
-// against the helpers runs unchanged — and plaintext-identically — over
-// schemes that never opted in. Shamir implements both natively over its
-// share limbs; Paillier and Plain ride the fallback.
+// package helpers accept any Public/Encryptor/Decryptor and fall back to
+// Add/Sub/ScalarMul, EncryptInt and DecryptSigned, so protocol
+// code written against the helpers runs unchanged — and plaintext-
+// identically — over schemes that never opted in. Shamir implements all
+// three natively over its share limbs; Paillier and Plain ride the
+// fallback.
 //
 // Ownership rule for a destination ciphertext: a non-nil dst must be a
-// result the caller obtained from LinCombInto on the same scheme and
-// has never published — not stored in a counter another party can
-// reach, not sent, not handed to a hook. Everything else in the system
-// treats ciphertexts as immutable and shares their pointers freely; a
-// destination is the one ciphertext that is overwritten, so it must be
-// reachable from its owner alone. dst may appear among xs.
+// ciphertext the caller obtained from the same scheme and has never
+// published — not stored in a counter another party can reach, not
+// sent, not handed to a hook. Everything else in the system treats
+// ciphertexts as immutable and shares their pointers freely; a
+// destination is overwritten, so it must be reachable from its owner
+// alone. A LinCombInto dst may appear among xs.
 
 // LinCombiner is the key-less fused capability.
 type LinCombiner interface {
@@ -36,6 +38,13 @@ type LinCombiner interface {
 	// encryption of zero, and a nil dst allocates a fresh result. The
 	// operands are never mutated (dst excepted, when it is one of them).
 	LinCombInto(dst *Ciphertext, coeffs []int64, xs []*Ciphertext) *Ciphertext
+}
+
+// IntoEncryptor is the accountant-side destination-passing capability.
+type IntoEncryptor interface {
+	// EncryptIntInto sets dst to a fresh encryption of m and returns it;
+	// a nil dst allocates.
+	EncryptIntInto(dst *Ciphertext, m int64) *Ciphertext
 }
 
 // IntoDecryptor is the controller-side destination-passing capability.
@@ -109,6 +118,17 @@ func linCombSerial(pub Public, coeffs []int64, xs []*Ciphertext) *Ciphertext {
 		return pub.ScalarMul(1, pos)
 	}
 	return pos
+}
+
+// EncryptIntInto encrypts m into dst when enc supports it. Otherwise it
+// returns enc.EncryptInt(m) and leaves dst alone: for a scheme without
+// the capability, writing a fresh result over dst would save nothing.
+// The result is always the return value.
+func EncryptIntInto(enc Encryptor, dst *Ciphertext, m int64) *Ciphertext {
+	if ie, ok := enc.(IntoEncryptor); ok {
+		return ie.EncryptIntInto(dst, m)
+	}
+	return enc.EncryptInt(m)
 }
 
 // DecryptSignedInto decrypts c to its signed plaintext in dst, without

@@ -160,12 +160,18 @@ func (s *instrumentedScheme) EncryptVec(ms []*big.Int) []*homo.Ciphertext {
 // for the same reason: Shamir keeps its in-place kernel behind the
 // wrapper, Paillier and Plain their serial fallback, and either way the
 // call is one observation — a fused combination counts once under
-// op="lincomb" however many terms it folds, a decrypt-into under
-// op="decrypt" beside DecryptSigned.
+// op="lincomb" however many terms it folds, an encrypt-into under
+// op="encrypt" beside EncryptInt, a decrypt-into under op="decrypt"
+// beside DecryptSigned.
 
 func (s *instrumentedScheme) LinCombInto(dst *homo.Ciphertext, coeffs []int64, xs []*homo.Ciphertext) *homo.Ciphertext {
 	defer s.observe(s.linComb, time.Now())
 	return homo.LinCombInto(s.inner, dst, coeffs, xs)
+}
+
+func (s *instrumentedScheme) EncryptIntInto(dst *homo.Ciphertext, m int64) *homo.Ciphertext {
+	defer s.observe(s.enc, time.Now())
+	return homo.EncryptIntInto(s.inner, dst, m)
 }
 
 func (s *instrumentedScheme) DecryptSignedInto(dst *big.Int, c *homo.Ciphertext) *big.Int {
@@ -189,5 +195,6 @@ var (
 	_ homo.Adopter       = (*instrumentedScheme)(nil)
 	_ homo.BatchScheme   = (*instrumentedScheme)(nil)
 	_ homo.LinCombiner   = (*instrumentedScheme)(nil)
+	_ homo.IntoEncryptor = (*instrumentedScheme)(nil)
 	_ homo.IntoDecryptor = (*instrumentedScheme)(nil)
 )

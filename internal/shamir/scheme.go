@@ -44,29 +44,17 @@ import (
 type Scheme struct {
 	geo *Geometry
 	tag uint64
-
-	// rng supplies the aux randomness that is the entire hiding margin.
-	// ChaCha8 seeded from crypto/rand: cryptographically strong draws
-	// at ~ns cost, mutex-guarded because netgrid hosts sharing one
-	// Scheme deal concurrently.
-	mu  sync.Mutex
-	rng *mrand.ChaCha8
 }
 
 var tagCounter atomic.Uint64
 
-// New builds a Scheme for the given geometry. The aux-randomness
-// generator is seeded from crypto/rand.
+// New builds a Scheme for the given geometry.
 func New(p Params) (*Scheme, error) {
 	geo, err := NewGeometry(p)
 	if err != nil {
 		return nil, err
 	}
-	var seed [32]byte
-	if _, err := rand.Read(seed[:]); err != nil {
-		return nil, fmt.Errorf("shamir: seeding rng: %w", err)
-	}
-	return &Scheme{geo: geo, tag: tagCounter.Add(1), rng: mrand.NewChaCha8(seed)}, nil
+	return &Scheme{geo: geo, tag: tagCounter.Add(1)}, nil
 }
 
 // MustNew is New for static parameters known to be valid.
@@ -100,21 +88,36 @@ var pBig = new(big.Int).SetUint64(P)
 // PlaintextSpace returns Z_P.
 func (s *Scheme) PlaintextSpace() *big.Int { return new(big.Int).Set(pBig) }
 
-// drawAux fills buf with uniform residues under the rng lock. One lock
-// round-trip covers a whole batch when callers pre-size buf.
+// auxStreams supplies the aux randomness that is the entire hiding
+// margin: ChaCha8 generators, each seeded from crypto/rand, so draws are
+// cryptographically strong at ~ns cost. A dealer takes a generator for
+// the length of one draw and puts it back; sync.Pool keeps one per P in
+// the steady state, so resources dealing on different cores (engine
+// workers, netgrid hosts) never wait on each other. A generator the
+// pool drops at a GC is replaced by a freshly seeded one.
+var auxStreams = sync.Pool{New: func() any {
+	var seed [32]byte
+	if _, err := rand.Read(seed[:]); err != nil {
+		panic(fmt.Sprintf("shamir: seeding aux stream: %v", err))
+	}
+	return mrand.NewChaCha8(seed)
+}}
+
+// drawAux fills buf with uniform residues from one pooled generator;
+// callers pre-size buf so a whole batch is one pool round-trip.
 func (s *Scheme) drawAux(buf []uint64) {
-	s.mu.Lock()
+	rng := auxStreams.Get().(*mrand.ChaCha8)
 	for i := range buf {
 		for {
 			// 61 uniform bits; only the single value P (= 2^61−1) is
 			// rejected, so the loop all but never repeats.
-			if v := s.rng.Uint64() >> 3; v < P {
+			if v := rng.Uint64() >> 3; v < P {
 				buf[i] = v
 				break
 			}
 		}
 	}
-	s.mu.Unlock()
+	auxStreams.Put(rng)
 }
 
 // --- ciphertext packing -------------------------------------------------
@@ -178,8 +181,10 @@ func (s *Scheme) blank() (*homo.Ciphertext, []big.Word) {
 
 // deal returns a fresh sharing of v (packed slot 0; the other slots
 // stay 0) added sharewise to base, or on its own when base is nil. aux
-// holds the dealing's K−1 uniform residues; nil draws them here.
-func (s *Scheme) deal(v uint64, aux []uint64, base []big.Word) *homo.Ciphertext {
+// holds the dealing's K−1 uniform residues; nil draws them here. The
+// sharing is written into dst's limbs, or into a new ciphertext when dst
+// is nil; base must not be dst's.
+func (s *Scheme) deal(dst *homo.Ciphertext, v uint64, aux []uint64, base []big.Word) *homo.Ciphertext {
 	p := s.geo.p
 	var buf [16]uint64 // keeps every product geometry's dealing on the stack
 	vals := buf[:]
@@ -193,7 +198,12 @@ func (s *Scheme) deal(v uint64, aux []uint64, base []big.Word) *homo.Ciphertext 
 	} else if copy(vals[p.W:], aux) != p.K-1 {
 		panic("shamir: dealing needs K-1 aux residues")
 	}
-	out, ws := s.blank()
+	var ws []big.Word
+	if dst == nil {
+		dst, ws = s.blank()
+	} else {
+		ws = s.limbs(dst)
+	}
 	for i := 0; i < p.N; i++ {
 		sh := s.geo.shareAt(i, vals)
 		if base != nil {
@@ -201,7 +211,7 @@ func (s *Scheme) deal(v uint64, aux []uint64, base []big.Word) *homo.Ciphertext 
 		}
 		setShare(ws, i, sh)
 	}
-	return out
+	return dst
 }
 
 // open reconstructs slot 0 from the first T shares — a single
@@ -221,16 +231,22 @@ func (s *Scheme) Encrypt(m *big.Int) *homo.Ciphertext {
 	if m.IsInt64() { // every protocol value; skips EncodeMod's temporaries
 		return s.EncryptInt(m.Int64())
 	}
-	return s.deal(homo.EncodeMod(m, pBig).Uint64(), nil, nil)
+	return s.deal(nil, homo.EncodeMod(m, pBig).Uint64(), nil, nil)
 }
 
 // EncryptInt deals the given int64.
 func (s *Scheme) EncryptInt(m int64) *homo.Ciphertext {
-	return s.deal(fieldEncodeInt64(m), nil, nil)
+	return s.deal(nil, fieldEncodeInt64(m), nil, nil)
+}
+
+// EncryptIntInto is EncryptInt dealt into dst's limbs (homo.IntoEncryptor):
+// with a destination the call allocates nothing.
+func (s *Scheme) EncryptIntInto(dst *homo.Ciphertext, m int64) *homo.Ciphertext {
+	return s.deal(dst, fieldEncodeInt64(m), nil, nil)
 }
 
 // EncryptZero returns a fresh sharing of zero.
-func (s *Scheme) EncryptZero() *homo.Ciphertext { return s.deal(0, nil, nil) }
+func (s *Scheme) EncryptZero() *homo.Ciphertext { return s.deal(nil, 0, nil, nil) }
 
 // --- Decryptor ----------------------------------------------------------
 
@@ -345,7 +361,7 @@ func (s *Scheme) LinCombInto(dst *homo.Ciphertext, coeffs []int64, xs []*homo.Ci
 // packed slot) is preserved while every share changes uniformly, so
 // the recipient cannot tell whether the underlying counter moved.
 func (s *Scheme) Rerandomize(a *homo.Ciphertext) *homo.Ciphertext {
-	return s.deal(0, nil, s.limbs(a))
+	return s.deal(nil, 0, nil, s.limbs(a))
 }
 
 // --- batch capability ---------------------------------------------------
@@ -381,8 +397,8 @@ func (s *Scheme) ScalarVec(ms []int64, xs []*homo.Ciphertext) []*homo.Ciphertext
 }
 
 // dealVec deals a fresh sharing of every vs[i] — onto bases[i] when
-// bases is non-nil — drawing the whole batch's aux randomness under one
-// lock round-trip.
+// bases is non-nil — drawing the whole batch's aux randomness in one
+// draw.
 func (s *Scheme) dealVec(vs []uint64, bases []*homo.Ciphertext) []*homo.Ciphertext {
 	k1 := s.geo.p.K - 1
 	aux := make([]uint64, len(vs)*k1)
@@ -393,7 +409,7 @@ func (s *Scheme) dealVec(vs []uint64, bases []*homo.Ciphertext) []*homo.Cipherte
 		if bases != nil {
 			base = s.limbs(bases[i])
 		}
-		out[i] = s.deal(v, aux[i*k1:(i+1)*k1], base)
+		out[i] = s.deal(nil, v, aux[i*k1:(i+1)*k1], base)
 	}
 	return out
 }
@@ -460,6 +476,7 @@ var (
 	_ homo.BatchScheme    = (*Scheme)(nil)
 	_ homo.LinCombiner    = (*Scheme)(nil)
 	_ homo.IntoDecryptor  = (*Scheme)(nil)
+	_ homo.IntoEncryptor  = (*Scheme)(nil)
 	_ homo.Adopter        = (*Scheme)(nil)
 	_ homo.WireCiphertext = (*Scheme)(nil)
 )

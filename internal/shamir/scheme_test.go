@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"math/big"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"secmr/internal/homo"
@@ -243,24 +244,48 @@ func TestSchemeName(t *testing.T) {
 	}
 }
 
+// TestConcurrentEncrypt: dealers on several goroutines, each drawing
+// aux residues from its own pooled stream, through every dealing entry
+// point. Run with -race. Every share vector must open to its plaintext,
+// and no two dealings of one value may share a vector — two goroutines
+// handed the same stream state would repeat one.
 func TestConcurrentEncrypt(t *testing.T) {
-	// The rng mutex must make concurrent dealing safe; run with -race.
 	s := newScheme(t, shamir.Params{K: 3, N: 8, W: 1})
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
+	const dealers, rounds = 8, 200
+	vecs := make([][]string, dealers)
+	var wg sync.WaitGroup
+	for g := 0; g < dealers; g++ {
+		wg.Add(1)
 		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 200; i++ {
-				m := int64(g*1000 + i)
-				if got := s.DecryptSigned(s.EncryptInt(m)).Int64(); got != m {
-					t.Errorf("concurrent round-trip: got %d want %d", got, m)
-					return
+			defer wg.Done()
+			dst := s.EncryptZero()
+			for i := 0; i < rounds; i++ {
+				m := int64(i % 7)
+				deals := []*homo.Ciphertext{s.EncryptInt(m), s.EncryptIntInto(dst, m), s.Rerandomize(s.EncryptInt(m))}
+				deals = append(deals, s.EncryptZeroVec(2)...)
+				for j, c := range deals {
+					want := m
+					if j > 2 {
+						want = 0
+					}
+					if got := s.DecryptSigned(c).Int64(); got != want {
+						t.Errorf("dealer %d: vector %d opens to %d, want %d", g, j, got, want)
+						return
+					}
+					vecs[g] = append(vecs[g], c.V.Text(16))
 				}
 			}
 		}(g)
 	}
-	for g := 0; g < 4; g++ {
-		<-done
+	wg.Wait()
+	seen := map[string]bool{}
+	for _, vs := range vecs {
+		for _, v := range vs {
+			if seen[v] {
+				t.Fatalf("two dealings produced the same share vector %s", v)
+			}
+			seen[v] = true
+		}
 	}
 }
 
@@ -271,7 +296,9 @@ func TestConcurrentEncrypt(t *testing.T) {
 // Encrypt of a value outside int64 — no protocol value is — adds
 // homo.EncodeMod's temporaries: 4 in all on 64-bit words, 5 on 32-bit.
 // The destination-passing ops write into storage the caller already
-// holds: nothing allocated with a destination, one result without.
+// holds: nothing allocated with a destination, one result without. The
+// aux draw behind every dealing allocates nothing either once its
+// pooled stream exists.
 func TestSchemeOpAllocs(t *testing.T) {
 	for _, p := range []shamir.Params{
 		{K: 3, N: 7, W: 1}, // BENCHMARK.json's mine_churn_shamir
@@ -300,6 +327,7 @@ func TestSchemeOpAllocs(t *testing.T) {
 			{"LinCombInto(dst) sum", 0, func() { s.LinCombInto(dst, nil, terms) }},
 			{"LinCombInto(nil)", 2, func() { s.LinCombInto(nil, coeffs, terms) }},
 			{"DecryptSignedInto", 0, func() { s.DecryptSignedInto(plain, b) }},
+			{"EncryptIntInto(dst)", 0, func() { s.EncryptIntInto(dst, -5) }},
 		} {
 			if got := testing.AllocsPerRun(200, op.run); got > op.max {
 				t.Errorf("%s %s: %v allocs/op, want ≤ %v", s.Name(), op.name, got, op.max)

@@ -9,13 +9,12 @@ import (
 // Golden reference outputs of the single-heap engine, recorded at
 // commit 8275c4e before the sharded scheduler was folded into Engine.
 // That engine was the reference the sharded parity tests compared
-// against; these constants keep the reference as data. Any engine, at
-// any shard count the comment on each constant names, must reproduce
-// them exactly.
+// against; these constants keep the reference as data. The engine must
+// reproduce them exactly at every width: its barrier routes sends in
+// the single-heap engine's order.
 
 // goldenHashFaults is TestShardedParityWithEngine's reference run:
-// chainGraph/chainNodes(60), seed 42, Faults{0.2, 0.15}, 80 steps. The
-// hash-keyed fault rolls make it hold at every shard count.
+// chainGraph/chainNodes(60), seed 42, Faults{0.2, 0.15}, 80 steps.
 var (
 	goldenHashFaultsDigests = []uint64{
 		0x6175bdee29289c17, 0xe6cad25ef31687ac, 0xbc42a415d2449758, 0xaa1b26303fb50b07,
@@ -40,8 +39,7 @@ var (
 // goldenInject is the same 60-node chain, seed 42, 80 steps, under the
 // full injector (goldenInjectConfig). The injector draws from one
 // sequential RNG, so this run pins the order of Decide calls, the
-// per-link FIFO clamp and the heap keys of the one-shard engine; it is
-// not expected to hold at other shard counts.
+// per-link FIFO clamp and the delivery keys.
 var (
 	goldenInjectDigests = []uint64{
 		0x4c007043622e6209, 0x463d998204826fdc, 0x26506a4994887228, 0x54b7cb5031a9e35e,

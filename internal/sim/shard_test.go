@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"secmr/internal/faults"
+	"secmr/internal/obs"
 	"secmr/internal/topology"
 )
 
@@ -60,56 +63,43 @@ func chainNodes(n int) []Node {
 	return nodes
 }
 
+// chain returns the chainNode itself, or the one a wrapper embeds.
+func (n *chainNode) chain() *chainNode { return n }
+
 func digests(nodes []Node) []uint64 {
 	out := make([]uint64, len(nodes))
 	for i, n := range nodes {
-		out[i] = n.(*chainNode).digest
+		out[i] = n.(interface{ chain() *chainNode }).chain().digest
 	}
 	return out
 }
 
-// TestShardedParityWithEngine: a fixed seed at several shard counts
-// must reproduce the one-shard engine's per-node digests and message
-// counters exactly — with fault injection enabled, since the Faults
-// rolls are hash-based.
+// widths are the worker counts the parity tests hold to the one-worker
+// reference: more workers than cores and than a chunk of nodes, too.
+var widths = []int{1, 2, 4, 16}
+
+// TestShardedParityWithEngine: a fixed seed at every width must
+// reproduce the recorded one-worker per-node digests and message
+// counters exactly — with hash-keyed Faults enabled.
 func TestShardedParityWithEngine(t *testing.T) {
 	const steps = 80
 	faults := Faults{DropProb: 0.2, DupProb: 0.15}
-
-	ref := NewEngine(chainGraph(t), chainNodes(60), 42)
-	ref.Faults = faults
-	ref.Run(steps)
-	want := digests(ref.nodes)
-	wantStats := ref.Stats()
-	if wantStats.Dropped == 0 || wantStats.Duplicated == 0 {
-		t.Fatalf("fault injection inert: %+v", wantStats)
-	}
-	checkDigests(t, "reference", want, goldenHashFaultsDigests)
-	if wantStats != goldenHashFaultsStats {
-		t.Fatalf("reference stats %+v, golden %+v", wantStats, goldenHashFaultsStats)
-	}
-
-	for _, shards := range []int{1, 4, 16} {
-		e := NewShardedEngine(chainGraph(t), chainNodes(60), 42, shards)
+	for _, w := range widths {
+		e := newEngine(chainGraph(t), chainNodes(60), 42, w)
 		e.Faults = faults
 		e.Run(steps)
-		got := digests(e.nodes)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: node %d digest %x, engine %x", shards, i, got[i], want[i])
-			}
-		}
-		if st := e.Stats(); st != wantStats {
-			t.Fatalf("shards=%d: stats %+v, engine %+v", shards, st, wantStats)
+		checkDigests(t, fmt.Sprintf("workers=%d", w), digests(e.nodes), goldenHashFaultsDigests)
+		if st := e.Stats(); st != goldenHashFaultsStats {
+			t.Fatalf("workers=%d: stats %+v, golden %+v", w, st, goldenHashFaultsStats)
 		}
 	}
 }
 
-// TestShardedRepeatDeterminism: two identical sharded runs are
+// TestShardedRepeatDeterminism: two identical parallel runs are
 // bit-identical (guards against map-order or scheduling leaks).
 func TestShardedRepeatDeterminism(t *testing.T) {
 	run := func() []uint64 {
-		e := NewShardedEngine(chainGraph(t), chainNodes(60), 7, 8)
+		e := newEngine(chainGraph(t), chainNodes(60), 7, 8)
 		e.Faults = Faults{DropProb: 0.1, DupProb: 0.1}
 		e.Run(60)
 		return digests(e.nodes)
@@ -122,14 +112,13 @@ func TestShardedRepeatDeterminism(t *testing.T) {
 	}
 }
 
-// TestInjectScheduleParityAcrossShards: an injector schedule that draws
-// no randomness — crash/restart, amnesia crash rebuilt through Recover,
-// partition/heal — decides from structural state that is fixed for the
-// whole step, so digests, engine stats and fault stats must be
-// identical at every shard count.
+// TestInjectScheduleParityAcrossShards: an injector schedule —
+// crash/restart, amnesia crash rebuilt through Recover, partition/heal
+// — gives identical digests, engine stats and fault stats at every
+// width, the rejoin sends of the rebuilt node included.
 func TestInjectScheduleParityAcrossShards(t *testing.T) {
-	run := func(shards int) ([]uint64, Stats, faults.Stats) {
-		e := NewShardedEngine(chainGraph(t), chainNodes(60), 42, shards)
+	run := func(w int) ([]uint64, Stats, faults.Stats) {
+		e := newEngine(chainGraph(t), chainNodes(60), 42, w)
 		inj := faults.New(faults.Config{Seed: 42, Schedule: []faults.Event{
 			{At: 3, Crash: []int{3}},
 			{At: 5, Crash: []int{7}, Amnesia: true},
@@ -138,7 +127,7 @@ func TestInjectScheduleParityAcrossShards(t *testing.T) {
 			{At: 11, Heal: true},
 		}})
 		e.Inject = inj
-		e.Recover = func(id NodeID) Node { return &chainNode{id: id} }
+		e.Recover = func(id NodeID) Node { return &rejoinChainNode{chainNode{id: id}} }
 		e.Run(80)
 		return digests(e.nodes), e.Stats(), inj.Stats()
 	}
@@ -150,42 +139,47 @@ func TestInjectScheduleParityAcrossShards(t *testing.T) {
 		t.Fatalf("engine dropped %d, injector counted %d crash + %d cut",
 			wantStats.Dropped, wantFaults.CrashDrops, wantFaults.CutDrops)
 	}
-	for _, shards := range []int{4, 16} {
-		got, st, fs := run(shards)
-		checkDigests(t, "inject schedule", got, want)
+	for _, w := range widths[1:] {
+		got, st, fs := run(w)
+		checkDigests(t, fmt.Sprintf("inject schedule, workers=%d", w), got, want)
 		if st != wantStats || fs != wantFaults {
-			t.Fatalf("shards=%d: stats %+v %+v, one shard %+v %+v", shards, st, fs, wantStats, wantFaults)
+			t.Fatalf("workers=%d: stats %+v %+v, one worker %+v %+v", w, st, fs, wantStats, wantFaults)
 		}
 	}
 }
 
-// TestInjectProbabilisticRepeatsPerShardCount: the injector's RNG draws
-// happen in barrier order, so a lossy run is deterministic for a fixed
-// (seed, shard count) — and keeps the drop accounting exact — though
-// not byte-equal across shard counts.
+// rejoinChainNode is a chainNode rebuilt after amnesia: it greets its
+// neighbours again from OnRejoin, so the rejoin sends' place in the
+// barrier order is part of what the parity tests compare.
+type rejoinChainNode struct{ chainNode }
+
+func (n *rejoinChainNode) OnRejoin(ctx *Context) { n.Init(ctx) }
+
+// TestInjectProbabilisticRepeatsPerShardCount: the injector's RNG is
+// drawn at the barrier in one-worker order, so a lossy, jittered run
+// reproduces the recorded one-worker reference at every width, and
+// keeps the drop accounting exact.
 func TestInjectProbabilisticRepeatsPerShardCount(t *testing.T) {
-	run := func() ([]uint64, Stats, faults.Stats) {
-		e := NewShardedEngine(chainGraph(t), chainNodes(60), 42, 4)
+	for _, w := range widths {
+		e := newEngine(chainGraph(t), chainNodes(60), 42, w)
 		inj := faults.New(goldenInjectConfig())
 		e.Inject = inj
 		e.Run(80)
-		return digests(e.nodes), e.Stats(), inj.Stats()
-	}
-	a, aStats, aFaults := run()
-	b, bStats, bFaults := run()
-	checkDigests(t, "repeat", b, a)
-	if aStats != bStats || aFaults != bFaults {
-		t.Fatalf("identical runs differ: %+v %+v vs %+v %+v", aStats, aFaults, bStats, bFaults)
-	}
-	if aStats.Dropped != aFaults.Dropped+aFaults.CrashDrops+aFaults.CutDrops {
-		t.Fatalf("engine dropped %d, injector counted %+v", aStats.Dropped, aFaults)
+		checkDigests(t, fmt.Sprintf("inject, workers=%d", w), digests(e.nodes), goldenInjectDigests)
+		st, fs := e.Stats(), inj.Stats()
+		if st != goldenInjectStats {
+			t.Fatalf("workers=%d: engine stats %+v, golden %+v", w, st, goldenInjectStats)
+		}
+		if st.Dropped != fs.Dropped+fs.CrashDrops+fs.CutDrops {
+			t.Fatalf("workers=%d: engine dropped %d, injector counted %+v", w, st.Dropped, fs)
+		}
 	}
 }
 
 // TestShardedQuiesceAndAddLink exercises the non-Step API surface.
 func TestShardedQuiesceAndAddLink(t *testing.T) {
 	g := topology.Line(4, topology.DelayRange{Min: 2, Max: 2}, rand.New(rand.NewSource(1)))
-	e := NewShardedEngine(g, chainNodes(4), 1, 2)
+	e := newEngine(g, chainNodes(4), 1, 2)
 	if _, ok := e.Quiesce(500); !ok {
 		t.Fatal("did not quiesce")
 	}
@@ -194,6 +188,72 @@ func TestShardedQuiesceAndAddLink(t *testing.T) {
 	e.Run(10)
 	if e.nodes[0].(*chainNode).recvd == before {
 		t.Fatal("new link carried no traffic")
+	}
+}
+
+// TestParallelEngineWidth: NewParallelEngine takes W from GOMAXPROCS,
+// capped by the node count, NewEngine stays at one, and an engine-wide
+// tracer holds any engine at one.
+func TestParallelEngineWidth(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	g := chainGraph(t)
+	if w := NewParallelEngine(g, chainNodes(60), 1).Workers(); w != 8 {
+		t.Fatalf("GOMAXPROCS 8, 60 nodes: %d workers", w)
+	}
+	line := topology.Line(3, topology.DelayRange{Min: 1, Max: 1}, rand.New(rand.NewSource(1)))
+	if w := NewParallelEngine(line, chainNodes(3), 1).Workers(); w != 3 {
+		t.Fatalf("GOMAXPROCS 8, 3 nodes: %d workers", w)
+	}
+	if w := NewEngine(g, chainNodes(60), 1).Workers(); w != 1 {
+		t.Fatalf("NewEngine: %d workers", w)
+	}
+	e := NewParallelEngine(g, chainNodes(60), 1)
+	e.SetObs(obs.NewSink())
+	if w := e.Workers(); w != 1 {
+		t.Fatalf("engine-wide tracer: %d workers", w)
+	}
+}
+
+// sinkNode sends one message to node 0 on every tick and never replies:
+// on a star it is one-way traffic into the hub.
+type sinkNode struct{ self NodeID }
+
+func (n *sinkNode) Init(ctx *Context)               { n.self = ctx.Self() }
+func (n *sinkNode) OnMessage(*Context, NodeID, any) {}
+func (n *sinkNode) OnTick(ctx *Context) {
+	if n.self != 0 {
+		ctx.Send(0, int64(n.self))
+	}
+}
+
+// TestFreelistBoundedByInFlight: one-way traffic on a star at several
+// workers. Sends draw from the one freelist and every event the hub
+// consumes goes back to it, so the free events never outnumber the peak,
+// over steps, of the events in flight at a step's start plus the sends
+// the step made. Freelists kept per worker drift instead: the hub's side
+// only ever receives and the leaves' side only ever sends, so one grows
+// by the leaves' traffic every step.
+func TestFreelistBoundedByInFlight(t *testing.T) {
+	const leaves = 15
+	g := topology.Star(leaves+1, topology.DelayRange{Min: 1, Max: 3}, rand.New(rand.NewSource(4)))
+	nodes := make([]Node, leaves+1)
+	for i := range nodes {
+		nodes[i] = &sinkNode{}
+	}
+	for _, w := range []int{2, 4} {
+		e := newEngine(g, nodes, 1, w)
+		bound := 0
+		for step := 0; step < 300; step++ {
+			inFlight, sent := e.Pending(), e.Stats().Sent
+			e.Step()
+			bound = max(bound, inFlight+int(e.Stats().Sent-sent))
+			if free := len(e.pool.free); free > bound {
+				t.Fatalf("workers=%d step %d: %d free events, bound %d", w, step, free, bound)
+			}
+		}
+		if e.Stats().Delivered < 300*leaves/2 {
+			t.Fatalf("workers=%d: too little traffic (%+v)", w, e.Stats())
+		}
 	}
 }
 
@@ -274,11 +334,11 @@ func BenchmarkStepAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedStep measures step throughput at 8 shards and a
-// mid-size node count.
-func BenchmarkShardedStep(b *testing.B) {
+// BenchmarkParallelStep measures step throughput at GOMAXPROCS workers
+// and a mid-size node count.
+func BenchmarkParallelStep(b *testing.B) {
 	g := topology.Ring(4096, topology.DelayRange{Min: 1, Max: 2}, rand.New(rand.NewSource(2)))
-	e := NewShardedEngine(g, chainNodes(4096), 3, 8)
+	e := NewParallelEngine(g, chainNodes(4096), 3)
 	e.Run(20)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -15,14 +15,17 @@
 // (deliver-at, sender, per-sender sequence, duplicate index), a total
 // order derived purely from each message's identity — never from the
 // engine's own execution interleave. That is what lets one Engine run
-// per-shard event loops in parallel and stay deterministic (see Engine).
+// its nodes on several goroutines and stay deterministic (see Engine).
 // Real sockets and wall-clock concurrency are internal/netgrid's job.
 package sim
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"secmr/internal/faults"
 	"secmr/internal/obs"
@@ -71,13 +74,19 @@ type TraceClocked interface {
 // fseq is the sender's send counter and dup distinguishes fault-
 // injected duplicates. Nothing in the key depends on when (or on which
 // goroutine) the send executed, which is the determinism foundation
-// sharding stands on.
+// the parallel phase stands on.
 type event struct {
 	at   int64
 	from NodeID
 	fseq int64
 	dup  int32
+	// mark is written by the receiver's worker once the handler ran: where
+	// the receiver's staged sends ended at that point, so the barrier knows
+	// which of them this delivery made.
+	mark int32
 	to   NodeID
+	// next links the receiver's due deliveries of one step, in key order.
+	next *event
 	// payload is the message body.
 	payload any
 	// cc is the message's causal context, minted at send time;
@@ -85,49 +94,55 @@ type event struct {
 	cc obs.CausalCtx
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.at != b.at {
-		return a.at < b.at
+// sameStepOrder orders events due at the same step by the rest of the
+// key, (from, fseq, dup).
+func sameStepOrder(a, b *event) int {
+	if c := cmp.Compare(a.from, b.from); c != 0 {
+		return c
 	}
-	if a.from != b.from {
-		return a.from < b.from
+	if c := cmp.Compare(a.fseq, b.fseq); c != 0 {
+		return c
 	}
-	if a.fseq != b.fseq {
-		return a.fseq < b.fseq
-	}
-	return a.dup < b.dup
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return cmp.Compare(a.dup, b.dup)
 }
 
-// eventPool is a freelist of event structs. At scale the per-message
+// eventPool is the freelist of event structs. At scale the per-message
 // heap allocation is pure churn — every delivered event is recycled, so
 // the steady-state tick path allocates no events at all.
-type eventPool struct{ free []*event }
+type eventPool struct {
+	free []*event
+	// taken counts the events at the top of free that take handed out
+	// since the last settle.
+	taken atomic.Int64
+}
 
-func (p *eventPool) get() *event {
-	if n := len(p.free); n > 0 {
-		ev := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return ev
+// take hands out a free event, or a new one once the freelist is
+// exhausted. Workers call it concurrently during the parallel phase,
+// when nothing else touches the pool.
+func (p *eventPool) take() *event {
+	if i := int(p.taken.Add(1)); i <= len(p.free) {
+		return p.free[len(p.free)-i]
 	}
 	return &event{}
 }
 
+// settle removes the events take handed out from the freelist.
+func (p *eventPool) settle() {
+	if n := min(int(p.taken.Swap(0)), len(p.free)); n > 0 {
+		clear(p.free[len(p.free)-n:])
+		p.free = p.free[:len(p.free)-n]
+	}
+}
+
+// get is take for the barrier, which owns the freelist outright.
+func (p *eventPool) get() *event {
+	ev := p.take()
+	p.settle()
+	return ev
+}
+
 func (p *eventPool) put(ev *event) {
+	p.settle()
 	*ev = event{}
 	p.free = append(p.free, ev)
 }
@@ -147,8 +162,7 @@ type Stats struct {
 //
 // Decisions are a pure hash of (engine seed, sender, receiver, send
 // sequence) rather than draws from a sequential RNG stream, so a
-// message's fate never depends on how sends interleave — the property
-// that keeps fault decisions identical at every shard count.
+// message's fate depends on nothing but its identity.
 type Faults struct {
 	DropProb float64 // probability a message is silently lost
 	DupProb  float64 // probability a message is delivered twice
@@ -188,41 +202,47 @@ func faultRolls(seed int64, from, to NodeID, fseq int64) (a, b float64) {
 	return float64(mix64(h+1)>>11) / (1 << 53), float64(mix64(h+2)>>11) / (1 << 53)
 }
 
-// Engine hosts the nodes and drives time. Nodes are partitioned
-// round-robin across shards; each shard owns one event heap and, in the
-// parallel phase of a step, one goroutine that delivers its nodes' due
-// messages and ticks them. Every send is staged in the sender's shard
-// outbox; the single-threaded barrier that ends the step applies the
-// fault verdicts and routes the survivors into the destination shards'
-// heaps. NewEngine builds the one-shard case, which runs inline with no
-// goroutines.
+// Engine hosts the nodes and drives time. A step has a parallel phase
+// and a barrier. In the parallel phase each node is one unit of work:
+// its due deliveries in key order, then its tick. W workers claim nodes
+// from a shared counter, highest overlay degree first, so a hub starts
+// early instead of landing on a worker that already holds its share of
+// leaves. Every send is staged in the outbox of the worker running the
+// sender, where each node's sends form one contiguous run. The barrier
+// then routes the staged sends — fault verdict, delay, delivery wheel —
+// and hands the next step's due events to their receivers.
 //
-// Why a fixed seed gives the same results at any shard count:
+// NewEngine runs one worker, inline. NewParallelEngine runs
+// W = min(GOMAXPROCS, nodes). W drops to 1 while an engine-wide tracer
+// is installed (SetObs): one obs.Tracer numbers events in Emit order,
+// so concurrent workers would interleave its sequence numbers.
+//
+// Why a fixed seed gives the same results at any W:
 //
 //  1. Handlers only mutate their own node's state, and every link has
 //     delay ≥ 1, so nothing a node does at step t is observable by any
 //     other node within step t: the parallel phase has no cross-node
 //     data flow.
 //  2. Event order is content-addressed (see event), so each node's
-//     delivery sequence does not depend on which goroutine enqueued the
-//     events or in what order.
-//  3. Within a shard, deliveries happen in heap order and ticks in
-//     ascending node id; the barrier visits shards by index and each
-//     outbox in staging order — at one shard, exactly send order.
+//     delivery sequence does not depend on which goroutine ran it.
+//  3. The barrier routes staged sends in one-worker order: the sends of
+//     each delivery in the delivery's key order, then each node's tick
+//     sends in ascending node id. Every delivered event records where
+//     its handler's sends ended in the receiver's run (event.mark), which
+//     is all the merge needs. So the injector's RNG draws and the
+//     per-link FIFO clamps see the same sequence at every W, and
+//     seeded fault runs — probabilistic ones included — are
+//     bit-identical across widths.
 //
-// The boundary: Faults rolls hash the message identity, and an Inject
-// schedule that draws no randomness (crash, amnesia and Recover,
-// partition/heal, corrupt) decides from structural state fixed for the
-// whole step, so under either, results and per-node traces are
-// bit-identical at every shard count. Inject's probabilistic faults
-// (drop, duplicate, jitter) draw from one sequential RNG in barrier
-// order, which depends on the shard count: such a run is deterministic
-// for a fixed (seed, shard count) and is held to the oracle and the
-// loss audit, not to byte parity across shard counts. Likewise an
-// engine-wide sink (SetObs) is safe at any shard count, but past one
-// shard the Seq interleave of concurrent shards' events is not
-// deterministic — use per-resource sinks (core.Config.Obs) when
-// byte-stable merged traces matter.
+// There is one event freelist. Sends draw from it concurrently, through
+// one atomic counter; the barrier returns every delivered or dropped
+// event to it. So nothing drifts between per-worker lists, and the
+// engine never holds more events than the peak of in flight plus one
+// step's sends, whatever the traffic pattern.
+//
+// Per-resource sinks (core.Config.Obs) that share one tracer without
+// SetObs still interleave their Seq numbers past one worker; give each
+// resource its own sink when byte-stable merged traces matter.
 type Engine struct {
 	Graph  *topology.Graph
 	Faults Faults
@@ -240,16 +260,29 @@ type Engine struct {
 	// restored, in which case the node is crashed again and stays down
 	// for good (a machine that lost its memory and has no disk never
 	// rejoins). Without a Recover hook every amnesiac restart is lost.
-	// It runs at the top of Step, before any shard goroutine starts.
+	// It runs at the top of Step, before the parallel phase.
 	Recover func(id NodeID) Node
 
-	nodes  []Node
-	ctxs   []Context
-	shards []*shard
-	fseqs  []int64 // per-sender send counters (the event-order key)
-	// clocks holds engine-owned trace clocks for nodes that are not
-	// TraceClocked, filled lazily by the owner shard.
-	clocks []*obs.Clock
+	nodes []Node
+	ctxs  []Context
+	slots []slot
+	// wheel holds the events in flight by delivery step, wheel[at mod
+	// len(wheel)]: each is due within len(wheel) steps, so one bucket is
+	// one step's deliveries. inFlight counts them, pool holds the recycled
+	// events, and due this step's deliveries in key order. All of it is
+	// the barrier's.
+	wheel    [][]*event
+	inFlight int
+	pool     eventPool
+	due      []*event
+	// wks holds one outbox per worker, W of them; order is the claim
+	// order of the parallel phase, claim the shared counter and chunk the
+	// nodes one claim takes.
+	wks   []worker
+	order []NodeID
+	chunk int
+	claim atomic.Int64
+	stats Stats
 	// lastAt tracks the latest scheduled delivery per directed link so
 	// injected jitter cannot reorder a FIFO link (barrier-only).
 	lastAt map[[2]int]int64
@@ -266,71 +299,81 @@ type Engine struct {
 	obsStep      *obs.Gauge
 }
 
-// shard is one shared-nothing partition: its heap, outbox, freelist
-// and counters are touched only by its own goroutine during the
-// parallel phase and only by the barrier thread between phases.
-type shard struct {
-	eng    *Engine
-	owned  []NodeID
-	queue  eventHeap
-	outbox []*event
-	pool   eventPool
-	// curHops is the hop count of the message currently being delivered
-	// (0 between deliveries), so sends made from inside OnMessage inherit
-	// the chain depth.
-	curHops int
-	stats   Stats
+// slot is one node's engine-side state. During the parallel phase only
+// the worker that claimed the node touches it; between phases, only the
+// barrier.
+type slot struct {
+	// head and tail link this step's due deliveries, in key order.
+	head, tail *event
+	// The node's staged sends are wks[w].outbox[routed:end]; routed
+	// advances as the barrier routes them.
+	w, routed, end int32
+	fseq           int64 // sends so far: the event-order key's sequence
+	// clock is the engine-owned trace clock of a node that is not
+	// TraceClocked, allocated on first use.
+	clock *obs.Clock
 }
 
-// NewEngine builds a one-shard engine over the graph; nodes[i] is
+// worker is one goroutine's share of the parallel phase.
+type worker struct {
+	outbox []*event
+	// hops is the hop count of the message being delivered (0 between
+	// deliveries), so sends made inside OnMessage inherit the chain depth.
+	hops int
+}
+
+// NewEngine builds a one-worker engine over the graph; nodes[i] is
 // hosted at graph node i.
 func NewEngine(g *topology.Graph, nodes []Node, seed int64) *Engine {
-	return NewShardedEngine(g, nodes, seed, 1)
+	return newEngine(g, nodes, seed, 1)
 }
 
-// NewShardedEngine is NewEngine with an explicit shard count (clamped
-// to [1, len(nodes)]); node i is owned by shard i%nshards.
-func NewShardedEngine(g *topology.Graph, nodes []Node, seed int64, nshards int) *Engine {
+// NewParallelEngine is NewEngine with W = min(GOMAXPROCS, nodes)
+// workers, read once here.
+func NewParallelEngine(g *topology.Graph, nodes []Node, seed int64) *Engine {
+	return newEngine(g, nodes, seed, runtime.GOMAXPROCS(0))
+}
+
+func newEngine(g *topology.Graph, nodes []Node, seed int64, workers int) *Engine {
 	if len(nodes) != g.N {
 		panic(fmt.Sprintf("sim: %d nodes for a %d-node graph", len(nodes), g.N))
 	}
-	nshards = max(1, min(nshards, len(nodes)))
 	e := &Engine{
 		Graph:  g,
 		nodes:  nodes,
 		seed:   seed,
-		fseqs:  make([]int64, len(nodes)),
-		clocks: make([]*obs.Clock, len(nodes)),
 		ctxs:   make([]Context, len(nodes)),
-		shards: make([]*shard, nshards),
+		slots:  make([]slot, len(nodes)),
+		wks:    make([]worker, max(1, min(workers, len(nodes)))),
 		lastAt: map[[2]int]int64{},
 	}
-	for s := range e.shards {
-		e.shards[s] = &shard{eng: e}
-	}
-	// Round-robin placement spreads hub nodes of skewed topologies
-	// (preferential attachment) across shards; pre-size each heap from
-	// its owners' total degree — the steady-state in-flight population
-	// is about one message per directed link, so the heap never
-	// reallocates mid-run.
-	degs := make([]int, nshards)
 	for i := range nodes {
-		s := i % nshards
-		e.shards[s].owned = append(e.shards[s].owned, i)
-		degs[s] += g.Degree(i)
 		e.ctxs[i] = Context{e: e, self: i}
 	}
-	for s, sh := range e.shards {
-		sh.queue = make(eventHeap, 0, degs[s])
-	}
+	e.setOrder()
 	return e
+}
+
+// setOrder rebuilds the claim order: descending degree, ties by id. A
+// node's step costs about its degree (one evaluation and one message
+// per edge), so handing out the longest tasks first keeps the workers
+// finishing together. A chunk is one node until the grid is large
+// enough that the claim counter itself would contend.
+func (e *Engine) setOrder() {
+	e.order = e.order[:0]
+	for i := range e.nodes {
+		e.order = append(e.order, i)
+	}
+	slices.SortStableFunc(e.order, func(a, b NodeID) int {
+		return cmp.Compare(e.Graph.Degree(b), e.Graph.Degree(a))
+	})
+	e.chunk = max(1, len(e.nodes)/(64*len(e.wks)))
 }
 
 // SetObs installs engine-level telemetry: message counters, the
 // pending-queue gauge, and transport trace events (EvMsgSend,
-// EvMsgDeliver, EvMsgDrop). Counters and gauges are atomics, so they
-// aggregate across shards and a concurrent scrape never races the
-// engine. Call before the first Step.
+// EvMsgDeliver, EvMsgDrop). A sink with a tracer holds the engine at
+// one worker (see Engine). Call before the first Step.
 func (e *Engine) SetObs(sink *obs.Sink) {
 	reg := sink.Registry()
 	e.obsTr = sink.Tracer()
@@ -340,6 +383,15 @@ func (e *Engine) SetObs(sink *obs.Sink) {
 	e.obsDup = reg.Counter("secmr_sim_messages_total", "Engine message outcomes.", "outcome", "duplicated")
 	e.obsPending = reg.Gauge("secmr_sim_pending_messages", "Undelivered messages in the engine queue.")
 	e.obsStep = reg.Gauge("secmr_sim_step", "Current simulation step.")
+}
+
+// Workers returns W, the number of goroutines that run a step's
+// parallel phase.
+func (e *Engine) Workers() int {
+	if e.obsTr != nil {
+		return 1
+	}
+	return len(e.wks)
 }
 
 // Now returns the current step.
@@ -352,59 +404,25 @@ func (e *Engine) Node(i NodeID) Node { return e.nodes[i] }
 func (e *Engine) NumNodes() int { return len(e.nodes) }
 
 // Pending reports the number of undelivered messages.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, s := range e.shards {
-		n += len(s.queue)
-	}
-	return n
-}
+func (e *Engine) Pending() int { return e.inFlight }
 
-// Stats returns a copy of the counters, summed across shards.
-func (e *Engine) Stats() Stats {
-	var st Stats
-	for _, s := range e.shards {
-		st.Sent += s.stats.Sent
-		st.Delivered += s.stats.Delivered
-		st.Dropped += s.stats.Dropped
-		st.Duplicated += s.stats.Duplicated
-	}
-	return st
-}
-
-func (e *Engine) shardOf(id NodeID) *shard { return e.shards[id%len(e.shards)] }
+// Stats returns a copy of the counters.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // clockOf returns the trace clock for node id: the node's own when it
 // is TraceClocked (looked up per call, so recovery swaps take effect),
-// otherwise a lazily allocated engine-owned one. Only the owner shard
-// (or the barrier thread) touches a node's slot, so no locking.
+// otherwise the engine-owned one in its slot.
 func (e *Engine) clockOf(id NodeID) *obs.Clock {
 	if tc, ok := e.nodes[id].(TraceClocked); ok {
 		if ck := tc.TraceClock(); ck != nil {
 			return ck
 		}
 	}
-	if e.clocks[id] == nil {
-		e.clocks[id] = obs.NewClock()
+	s := &e.slots[id]
+	if s.clock == nil {
+		s.clock = obs.NewClock()
 	}
-	return e.clocks[id]
-}
-
-// parallel runs fn once per shard and waits; a single shard runs inline.
-func (e *Engine) parallel(fn func(*shard)) {
-	if len(e.shards) == 1 {
-		fn(e.shards[0])
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(e.shards))
-	for _, s := range e.shards {
-		go func(s *shard) {
-			defer wg.Done()
-			fn(s)
-		}(s)
-	}
-	wg.Wait()
+	return s.clock
 }
 
 // init runs every node's Init once (at now=0, so a bootstrap send over
@@ -414,14 +432,8 @@ func (e *Engine) init() {
 		return
 	}
 	e.inited = true
-	e.parallel((*shard).initNodes)
+	e.runNodes(true)
 	e.exchange()
-}
-
-func (s *shard) initNodes() {
-	for _, id := range s.owned {
-		s.eng.nodes[id].Init(&s.eng.ctxs[id])
-	}
 }
 
 // Step advances the simulation by one tick: the injector's schedule and
@@ -441,97 +453,188 @@ func (e *Engine) Step() {
 			e.recoverNode(id)
 		}
 	}
-	e.parallel((*shard).run)
+	e.collect()
+	e.runNodes(false)
 	e.exchange()
 	e.obsPending.Set(float64(e.Pending()))
 	e.obsStep.Set(float64(e.now))
 }
 
-// run is a shard's parallel half-step: due deliveries in heap order,
-// then ticks in ascending node id.
-func (s *shard) run() {
-	e := s.eng
-	for len(s.queue) > 0 && s.queue[0].at <= e.now {
-		ev := heap.Pop(&s.queue).(*event)
+// collect moves the step's due events from the wheel into their
+// receivers' inboxes, recording the key order in e.due. An event for a
+// node the injector holds down is lost here.
+func (e *Engine) collect() {
+	if len(e.wheel) == 0 {
+		return
+	}
+	// The bucket becomes e.due, compacted in place as events are dropped,
+	// and the empty e.due's storage the bucket's.
+	b := &e.wheel[e.now%int64(len(e.wheel))]
+	due := *b
+	*b, e.due = e.due[:0], due[:0]
+	e.inFlight -= len(due)
+	slices.SortFunc(due, sameStepOrder)
+	for _, ev := range due {
 		if e.Inject != nil && e.Inject.Down(ev.to) {
 			e.Inject.CountCrashDrop()
-			s.drop(ev, faults.CauseCrash)
+			e.drop(ev, faults.CauseCrash)
 			continue
 		}
-		s.stats.Delivered++
+		e.stats.Delivered++
 		e.obsDelivered.Inc()
-		// Merge the sender's clock value before the handler runs, so every
-		// event the handler emits orders after the matching send.
-		lc := e.clockOf(ev.to).Merge(ev.cc.OSeq)
-		if e.obsTr != nil {
-			e.obsTr.Emit(obs.Event{Type: obs.EvMsgDeliver, Step: e.now, Node: ev.to, Peer: ev.from, LC: lc}.WithCausal(ev.cc))
+		if s := &e.slots[ev.to]; s.tail == nil {
+			s.head, s.tail = ev, ev
+		} else {
+			s.tail.next, s.tail = ev, ev
 		}
-		s.curHops = ev.cc.Hops
-		e.nodes[ev.to].OnMessage(&e.ctxs[ev.to], ev.from, ev.payload)
-		s.curHops = 0
-		s.pool.put(ev)
-	}
-	for _, id := range s.owned {
-		if e.Inject != nil && e.Inject.Down(id) {
-			continue
-		}
-		e.nodes[id].OnTick(&e.ctxs[id])
+		e.due = append(e.due, ev)
 	}
 }
 
+// runNodes is the parallel phase: every node visited once, by W
+// workers claiming chunks of e.order. One worker runs inline.
+func (e *Engine) runNodes(init bool) {
+	w := e.Workers()
+	if w == 1 {
+		for _, id := range e.order {
+			e.visit(0, id, init)
+		}
+		return
+	}
+	e.claim.Store(0)
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for i := 1; i < w; i++ {
+		go func() {
+			defer wg.Done()
+			e.work(i, init)
+		}()
+	}
+	e.work(0, init)
+	wg.Wait()
+}
+
+// work is worker w's loop: claim the next chunk of the order, visit it,
+// until the order is exhausted.
+func (e *Engine) work(w int, init bool) {
+	for {
+		end := int(e.claim.Add(int64(e.chunk)))
+		start := end - e.chunk
+		if start >= len(e.order) {
+			return
+		}
+		for _, id := range e.order[start:min(end, len(e.order))] {
+			e.visit(w, id, init)
+		}
+	}
+}
+
+// visit runs one node's share of a step on worker w: its due deliveries
+// in key order, then its tick — or, in the init phase, its Init.
+func (e *Engine) visit(w int, id NodeID, init bool) {
+	n, ctx, wk := e.nodes[id], &e.ctxs[id], &e.wks[w]
+	s := e.stage(w, id)
+	if init {
+		n.Init(ctx)
+		return
+	}
+	for ev := s.head; ev != nil; ev = ev.next {
+		// Merge the sender's clock value before the handler runs, so every
+		// event the handler emits orders after the matching send.
+		lc := e.clockOf(id).Merge(ev.cc.OSeq)
+		if e.obsTr != nil {
+			e.obsTr.Emit(obs.Event{Type: obs.EvMsgDeliver, Step: e.now, Node: id, Peer: ev.from, LC: lc}.WithCausal(ev.cc))
+		}
+		wk.hops = ev.cc.Hops
+		n.OnMessage(ctx, ev.from, ev.payload)
+		wk.hops = 0
+		ev.mark = s.end
+	}
+	s.head, s.tail = nil, nil
+	if e.Inject != nil && e.Inject.Down(id) {
+		return
+	}
+	n.OnTick(ctx)
+}
+
+// stage starts node id's run of staged sends at the end of worker w's
+// outbox.
+func (e *Engine) stage(w int, id NodeID) *slot {
+	s := &e.slots[id]
+	s.w, s.routed = int32(w), int32(len(e.wks[w].outbox))
+	s.end = s.routed
+	return s
+}
+
 // drop records the loss of one event and recycles it.
-func (s *shard) drop(ev *event, cause string) {
-	e := s.eng
-	s.stats.Dropped++
+func (e *Engine) drop(ev *event, cause string) {
+	e.stats.Dropped++
 	e.obsDropped.Inc()
 	if e.obsTr != nil {
 		e.obsTr.Emit(obs.Event{Type: obs.EvMsgDrop, Step: e.now, Node: ev.from, Peer: ev.to, Detail: cause}.WithCausal(ev.cc))
 	}
-	s.pool.put(ev)
+	e.pool.put(ev)
 }
 
-// send stages a message in the sender's shard outbox; the fault verdict
-// and routing happen at the barrier. Everything touched here — the
-// sender's fseq counter, trace clock and shard — is owned by the
-// sending node's shard, and the graph is immutable during a step.
+// send stages a message in the sender's outbox; the fault verdict and
+// routing happen at the barrier. Everything touched here — the sender's
+// slot and trace clock — belongs to the sending node, and the graph is
+// immutable during a step.
 func (e *Engine) send(from, to NodeID, payload any) {
 	if !e.Graph.HasEdge(from, to) {
 		panic(fmt.Sprintf("sim: node %d sending to non-neighbor %d", from, to))
 	}
-	s := e.shardOf(from)
-	s.stats.Sent++
-	e.obsSent.Inc()
-	e.fseqs[from]++
+	s := &e.slots[from]
+	wk := &e.wks[s.w]
+	s.fseq++
 	// Mint the message's causal identity: one sender-clock tick per send,
 	// shared by every fault-injected duplicate. Hops chains through the
 	// delivery currently being handled, if any.
-	cc := obs.CausalCtx{Origin: from, OSeq: e.clockOf(from).Tick(), Hops: s.curHops + 1}
+	cc := obs.CausalCtx{Origin: from, OSeq: e.clockOf(from).Tick(), Hops: wk.hops + 1}
 	if e.obsTr != nil {
 		e.obsTr.Emit(obs.Event{Type: obs.EvMsgSend, Step: e.now, Node: from, Peer: to, LC: cc.OSeq}.WithCausal(cc))
 	}
-	ev := s.pool.get()
-	*ev = event{from: from, fseq: e.fseqs[from], to: to, payload: payload, cc: cc}
-	s.outbox = append(s.outbox, ev)
+	ev := e.pool.take()
+	*ev = event{from: from, fseq: s.fseq, to: to, payload: payload, cc: cc}
+	wk.outbox = append(wk.outbox, ev)
+	s.end = int32(len(wk.outbox))
 }
 
-// exchange is the single-threaded barrier: every staged send gets its
-// fault verdict and the surviving copies go into the destination
-// shards' heaps. The visiting order (shard index, then staging order)
-// fixes the order of the injector's RNG draws and FIFO clamps; by the
-// content-addressed heap key, delivery order would be the same under
-// any routing order.
+// exchange is the barrier. It routes the staged sends in one-worker
+// order — each delivery's sends in the delivery's key order, then the
+// rest of every node's run (tick, Init or join sends) by ascending node
+// id — recycling each delivered event once its sends are routed.
 func (e *Engine) exchange() {
-	for _, s := range e.shards {
-		for i, ev := range s.outbox {
-			s.outbox[i] = nil
-			e.route(s, ev)
-		}
-		s.outbox = s.outbox[:0]
+	for i, ev := range e.due {
+		e.flushTo(ev.to, ev.mark)
+		e.pool.put(ev)
+		e.due[i] = nil
+	}
+	e.due = e.due[:0]
+	for id := range e.slots {
+		e.flushTo(id, e.slots[id].end)
+	}
+	for w := range e.wks {
+		e.wks[w].outbox = e.wks[w].outbox[:0]
 	}
 }
 
-// route applies fault injection to one staged send from shard s.
-func (e *Engine) route(s *shard, ev *event) {
+// flushTo routes node id's staged sends up to outbox index end.
+func (e *Engine) flushTo(id NodeID, end int32) {
+	s := &e.slots[id]
+	out := e.wks[s.w].outbox
+	for i := s.routed; i < end; i++ {
+		e.route(out[i])
+		out[i] = nil
+	}
+	s.routed = end
+}
+
+// route applies fault injection to one staged send and schedules the
+// surviving copies.
+func (e *Engine) route(ev *event) {
+	e.stats.Sent++
+	e.obsSent.Inc()
 	copies, cause := 0, faults.CauseInjected
 	var extra []int64 // per-copy injected delay; nil without an injector
 	if e.Inject != nil {
@@ -544,17 +647,17 @@ func (e *Engine) route(s *shard, ev *event) {
 		copies = e.Faults.copies(e.seed, ev.from, ev.to, ev.fseq)
 	}
 	if copies == 0 {
-		s.drop(ev, cause)
+		e.drop(ev, cause)
 		return
 	}
 	base := e.now + int64(e.Graph.Delay(ev.from, ev.to))
-	dst, link := e.shardOf(ev.to), [2]int{ev.from, ev.to}
+	link := [2]int{ev.from, ev.to}
 	for c := 0; c < copies; c++ {
 		cp := ev
 		if c > 0 {
-			s.stats.Duplicated++
+			e.stats.Duplicated++
 			e.obsDup.Inc()
-			cp = dst.pool.get()
+			cp = e.pool.get()
 			*cp = *ev
 			cp.dup = int32(c)
 		}
@@ -566,13 +669,38 @@ func (e *Engine) route(s *shard, ev *event) {
 			}
 			e.lastAt[link] = cp.at
 		}
-		heap.Push(&dst.queue, cp)
+		e.schedule(cp)
+	}
+}
+
+// schedule puts an event in flight.
+func (e *Engine) schedule(ev *event) {
+	if d := ev.at - e.now; d >= int64(len(e.wheel)) {
+		e.growWheel(d + 1)
+	}
+	b := &e.wheel[ev.at%int64(len(e.wheel))]
+	*b = append(*b, ev)
+	e.inFlight++
+}
+
+// growWheel re-buckets the events in flight over a wheel of at least n
+// steps.
+func (e *Engine) growWheel(n int64) {
+	old := e.wheel
+	e.wheel = make([][]*event, max(n, 2*int64(len(old))))
+	for _, b := range old {
+		for _, ev := range b {
+			i := ev.at % int64(len(e.wheel))
+			e.wheel[i] = append(e.wheel[i], ev)
+		}
 	}
 }
 
 // recoverNode replaces an amnesiac node's wiped instance with whatever
-// the Recover hook rebuilds from durable state. When recovery is
-// impossible the node is crashed again permanently.
+// the Recover hook rebuilds from durable state, and routes its rejoin
+// sends at once — ahead of everything the step stages, as one worker
+// would. When recovery is impossible the node is crashed again
+// permanently.
 func (e *Engine) recoverNode(id NodeID) {
 	var repl Node
 	if e.Recover != nil {
@@ -584,7 +712,9 @@ func (e *Engine) recoverNode(id NodeID) {
 	}
 	e.nodes[id] = repl
 	if r, ok := repl.(Rejoiner); ok {
+		s := e.stage(0, id)
 		r.OnRejoin(&e.ctxs[id])
+		e.flushTo(id, s.end)
 	}
 }
 
@@ -598,17 +728,23 @@ func (e *Engine) ReplaceNode(id NodeID, n Node) { e.nodes[id] = n }
 // the communication tree) and notifies both endpoints if they
 // implement NeighborJoiner. Call between steps; the join handlers run
 // on the caller's goroutine and any sends they stage are routed
-// immediately.
+// immediately, u's before v's.
 func (e *Engine) AddLink(u, v NodeID, delay int) {
 	e.init()
 	e.Graph.AddEdge(u, v, delay)
+	e.setOrder()
+	e.join(u, v)
+	e.join(v, u)
+}
+
+// join tells u about its new neighbour v and routes what u sends in
+// reply.
+func (e *Engine) join(u, v NodeID) {
 	if j, ok := e.nodes[u].(NeighborJoiner); ok {
+		s := e.stage(0, u)
 		j.OnNeighborJoin(&e.ctxs[u], v)
+		e.flushTo(u, s.end)
 	}
-	if j, ok := e.nodes[v].(NeighborJoiner); ok {
-		j.OnNeighborJoin(&e.ctxs[v], u)
-	}
-	e.exchange()
 }
 
 // Run advances n steps.
@@ -620,8 +756,8 @@ func (e *Engine) Run(n int) {
 
 // RunUntil steps until pred returns true or maxSteps elapse, returning
 // the number of steps taken and whether pred was satisfied. pred runs
-// at the barrier (no shard goroutine is live), so it may inspect node
-// state freely.
+// at the barrier (no worker is live), so it may inspect node state
+// freely.
 func (e *Engine) RunUntil(pred func() bool, maxSteps int) (int, bool) {
 	e.init()
 	for i := 0; i < maxSteps; i++ {

@@ -417,8 +417,10 @@ type miner interface {
 //
 // All methods are safe for concurrent use: a monitoring goroutine may
 // poll Stats, Quality, FaultStats, Output or Reports while another
-// drives Step. (The simulation itself stays single-threaded — the
-// mutex only serialises facade access.)
+// drives Step; the mutex serialises facade access. Inside a step the
+// resources run on min(GOMAXPROCS, Resources) engine workers, one
+// worker while Telemetry is set (sim.Engine), and a fixed Seed gives
+// the same run at every width.
 type Grid struct {
 	mu     sync.Mutex
 	cfg    GridConfig
@@ -666,7 +668,7 @@ func NewGridWithFeedSources(db *Database, feeds []FeedSource, cfg GridConfig) (*
 		g.miners = append(g.miners, m)
 		nodes[i] = m
 	}
-	g.engine = sim.NewEngine(tree, nodes, cfg.Seed)
+	g.engine = sim.NewParallelEngine(tree, nodes, cfg.Seed)
 	if cfg.Persist != nil {
 		g.engine.Recover = g.recoverNode
 	}
