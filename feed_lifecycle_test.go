@@ -57,15 +57,15 @@ func TestFeedSourcesNilShortExhausted(t *testing.T) {
 	defer grid.Close()
 	before := make([]int, 4)
 	for i := range before {
-		before[i] = grid.parts[i].Len()
+		before[i] = grid.miners[i].DBSize()
 	}
 	grid.Step(40) // feed 0 is dry after 3 steps; keep going well past that
-	if got, want := grid.parts[0].Len(), before[0]+extra.Len(); got != want {
+	if got, want := grid.miners[0].DBSize(), before[0]+extra.Len(); got != want {
 		t.Fatalf("fed resource grew to %d txns, want %d", got, want)
 	}
 	for i := 1; i < 4; i++ {
-		if grid.parts[i].Len() != before[i] {
-			t.Fatalf("unfed resource %d grew: %d -> %d", i, before[i], grid.parts[i].Len())
+		if grid.miners[i].DBSize() != before[i] {
+			t.Fatalf("unfed resource %d grew: %d -> %d", i, before[i], grid.miners[i].DBSize())
 		}
 	}
 	if r, p := grid.Quality(); r < 0 || r > 1 || p < 0 || p > 1 {
@@ -111,7 +111,7 @@ func TestFeedLateArrivalsConverge(t *testing.T) {
 		if rest := pfs[i].Tail(); len(rest) != 0 {
 			t.Fatalf("feed %d still holds %d txns after absorption steps", i, len(rest))
 		}
-		total += grid.parts[i].Len()
+		total += grid.miners[i].DBSize()
 	}
 	if total != full.Len() {
 		t.Fatalf("grid absorbed %d of %d txns", total, full.Len())

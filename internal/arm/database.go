@@ -68,7 +68,13 @@ func (db *Database) Freq(x Itemset) float64 {
 // the transactions containing lhs ∪ rhs — the (count, sum) pair a
 // confidence vote needs.
 func (db *Database) SupportPair(lhs, rhs Itemset) (countLHS, countBoth int) {
-	for _, t := range db.Tx {
+	return db.SupportPairFrom(0, lhs, rhs)
+}
+
+// SupportPairFrom is SupportPair over the transactions from index from
+// on: the tail an incremental scan stopped at from has not counted yet.
+func (db *Database) SupportPairFrom(from int, lhs, rhs Itemset) (countLHS, countBoth int) {
+	for _, t := range db.Tx[from:] {
 		if t.ContainsAll(lhs) {
 			countLHS++
 			if t.ContainsAll(rhs) {

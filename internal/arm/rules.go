@@ -95,6 +95,16 @@ func ParseRuleKey(key string) (Rule, error) {
 	return Rule{LHS: lhs, RHS: rhs, Kind: kind}, nil
 }
 
+// RuleCount is a rule with its counts over one resource's local
+// database: Count transactions contain the LHS (every transaction, for
+// an empty LHS) and Sum of them contain LHS ∪ RHS — the pair
+// Database.SupportPair returns. Key is Rule.Key(), kept by the miner.
+type RuleCount struct {
+	Rule       Rule
+	Key        string
+	Count, Sum int64
+}
+
 // RuleSet is a set of rules keyed by Rule.Key().
 type RuleSet map[string]Rule
 

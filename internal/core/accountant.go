@@ -296,6 +296,15 @@ func (s *scanState) advance(db *arm.Database, budget int) (changed bool) {
 	return changed
 }
 
+// localCounts returns scan i's (count, sum) over the whole current
+// database: the running totals over db.Tx[:pos] plus the tail the scan
+// has not reached yet, so a SupportPair rescan returns the same pair.
+func (a *Accountant) localCounts(i int) (count, sum int64) {
+	s := a.scans[i]
+	cl, cb := a.db.SupportPairFrom(s.pos, s.rule.LHS, s.rule.RHS)
+	return s.count + int64(cl), s.sum + int64(cb)
+}
+
 // stage (re)stages a reply for scan index i.
 func (a *Accountant) stage(i int) {
 	if a.replies[i] == nil {

@@ -64,6 +64,10 @@ type secCandidate struct {
 	lambdaN, lambdaD int64
 	local            *oblivious.Counter // the ⊥ counter (accountant replies)
 	edges            map[int]*secEdge
+	// companion is, for a confidence rule, the index of the frequency
+	// candidate of its union (−1 until it exists); the output filter
+	// reads that candidate's vote.
+	companion int32
 	// outDirty marks that some input ciphertext was replaced since the
 	// last Output() SFE; when clear, the controller's answer is
 	// necessarily its cache (totals unchanged), so the broker skips the
@@ -98,6 +102,9 @@ type Broker struct {
 	// registration order — addCandidate appends to both in lockstep.
 	cands   []*secCandidate
 	candIdx map[intern.Sym]int32
+	// waiting holds the confidence candidates whose companion does not
+	// exist yet, by the companion's symbol.
+	waiting map[intern.Sym][]*secCandidate
 	step    int64
 
 	// keyBuf is the scratch buffer ruleSym encodes rule keys into; the
@@ -163,6 +170,7 @@ func newBroker(id int, cfg Config, pub homo.Public, acc *Accountant, ctl *Contro
 		recycle: adv == nil && !cfg.PaddingDance,
 		links:   map[int]*brokerEdge{},
 		candIdx: map[intern.Sym]int32{},
+		waiting: map[intern.Sym][]*secCandidate{},
 		history: map[intern.Sym]map[int][]*oblivious.Counter{},
 		rng:     rand.New(rand.NewSource(int64(id)*104729 + 7)),
 		// Disabled telemetry by default; NewResource swaps in the
@@ -251,11 +259,33 @@ func (b *Broker) addCandidate(rule arm.Rule) *secCandidate {
 			sentCount: b.pub.EncryptZero(),
 		}
 	}
-	b.candIdx[sym] = int32(len(b.cands))
-	b.cands = append(b.cands, c)
+	b.appendCand(c)
 	b.acc.register(rule, sym)
 	b.stats.CandidatesSeen++
 	return c
+}
+
+// appendCand adds c to the candidate table and links it to its
+// companion, or every waiting confidence candidate to it.
+func (b *Broker) appendCand(c *secCandidate) {
+	i := int32(len(b.cands))
+	b.candIdx[c.sym] = i
+	b.cands = append(b.cands, c)
+	c.companion = -1
+	if c.rule.Kind == arm.ThresholdConf {
+		comp := arm.NewRule(nil, c.rule.Union(), arm.ThresholdFreq)
+		sym := b.ruleSym(&comp)
+		if j, ok := b.candIdx[sym]; ok {
+			c.companion = j
+		} else {
+			b.waiting[sym] = append(b.waiting[sym], c)
+		}
+	} else if w, ok := b.waiting[c.sym]; ok {
+		for _, d := range w {
+			d.companion = i
+		}
+		delete(b.waiting, c.sym)
+	}
 }
 
 // onShareGrant stores a neighbour's grant; edges become usable for
@@ -794,35 +824,33 @@ const refreshEvery = 20
 
 // Output assembles R̃_u from the controller's cached answers without
 // running SFEs.
-func (b *Broker) Output() arm.RuleSet {
-	return b.assembleOutput(func(i int, c *secCandidate) bool { return b.ctl.PeekOutput(c.sym) })
-}
+func (b *Broker) Output() arm.RuleSet { return b.assembleOutput(b.peek) }
 
-// assembleOutput applies the "confident rules between frequent
-// itemsets" filter: a confidence rule is reported only when its own
-// vote and its union's frequency vote both pass. decide receives each
-// candidate with its index (answers are index-parallel during a
-// generation pass).
+// peek is Output's decision: the controller's cached answer.
+func (b *Broker) peek(_ int, c *secCandidate) bool { return b.ctl.PeekOutput(c.sym) }
+
+// assembleOutput collects the candidates inOutput admits. decide
+// receives each candidate with its index (answers are index-parallel
+// during a generation pass).
 func (b *Broker) assembleOutput(decide func(i int, c *secCandidate) bool) arm.RuleSet {
 	out := arm.RuleSet{}
 	for i, c := range b.cands {
-		if c.rule.Kind != arm.ThresholdFreq {
-			continue
-		}
-		if decide(i, c) {
-			out.Add(c.rule)
-		}
-	}
-	for i, c := range b.cands {
-		if c.rule.Kind != arm.ThresholdConf {
-			continue
-		}
-		companion := arm.NewRule(nil, c.rule.Union(), arm.ThresholdFreq)
-		if decide(i, c) && out.Has(companion) {
+		if b.inOutput(i, decide) {
 			out.Add(c.rule)
 		}
 	}
 	return out
+}
+
+// inOutput applies the "confident rules between frequent itemsets"
+// filter to candidate i: a confidence rule is reported only when its own
+// vote and its union's frequency vote both pass.
+func (b *Broker) inOutput(i int, decide func(i int, c *secCandidate) bool) bool {
+	c := b.cands[i]
+	if c.rule.Kind == arm.ThresholdConf {
+		return decide(i, c) && c.companion >= 0 && decide(int(c.companion), b.cands[c.companion])
+	}
+	return decide(i, c)
 }
 
 // DebugAggregate decrypts a candidate's full aggregate through the

@@ -320,6 +320,22 @@ func (r *Resource) MembershipEpoch() int { return r.membershipEpoch }
 // query).
 func (r *Resource) Output() arm.RuleSet { return r.Broker.Output() }
 
+// AppendOutputCounts appends every rule of R̃_u to dst with its local
+// counts over the whole current database (Accountant.localCounts). The
+// counts are this resource's own data: scoring them discloses nothing
+// the protocol would not.
+func (r *Resource) AppendOutputCounts(dst []arm.RuleCount) []arm.RuleCount {
+	b, peek := r.Broker, r.Broker.peek
+	for i, c := range b.cands {
+		if b.inOutput(i, peek) {
+			// Scan i is candidate i: addCandidate registers both in lockstep.
+			count, sum := r.Accountant.localCounts(i)
+			dst = append(dst, arm.RuleCount{Rule: c.rule, Key: c.key, Count: count, Sum: sum})
+		}
+	}
+	return dst
+}
+
 // Stats returns broker counters.
 func (r *Resource) Stats() BrokerStats { return r.Broker.stats }
 

@@ -471,8 +471,7 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 			}
 			c.edges[v] = e
 		}
-		b.candIdx[sym] = int32(len(b.cands))
-		b.cands = append(b.cands, c)
+		b.appendCand(c)
 	}
 
 	c := res.Controller

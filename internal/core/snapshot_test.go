@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"secmr/internal/arm"
 	"secmr/internal/homo"
 	"secmr/internal/intern"
 )
@@ -99,6 +101,65 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					i, key, s1, c1, n1, s2, c2, n2)
 			}
 		}
+	}
+}
+
+// keyedOutput is the reference for Broker.Output: each confidence
+// rule's companion is looked up by key among the passing frequency
+// rules, as the broker did before it linked companions once.
+func keyedOutput(b *Broker) arm.RuleSet {
+	out := arm.RuleSet{}
+	for _, c := range b.cands {
+		if c.rule.Kind == arm.ThresholdFreq && b.ctl.PeekOutput(c.sym) {
+			out.Add(c.rule)
+		}
+	}
+	for _, c := range b.cands {
+		comp := arm.NewRule(nil, c.rule.Union(), arm.ThresholdFreq)
+		if c.rule.Kind == arm.ThresholdConf && b.ctl.PeekOutput(c.sym) && out.Has(comp) {
+			out.Add(c.rule)
+		}
+	}
+	return out
+}
+
+// TestOutputCompanionLinks holds Output to the keyed reference while
+// candidates still arrive (a confidence rule received from a neighbour
+// is created before its companion) and on resources restored from a
+// snapshot, which rebuild the links.
+func TestOutputCompanionLinks(t *testing.T) {
+	scheme := homo.NewPlain(96)
+	e, resources, _ := buildSecureGrid(t, scheme, 5, 2, 7, nil, nil)
+	same := func(step int, what string, got, want arm.RuleSet) {
+		t.Helper()
+		if len(got) != len(want) || got.IntersectCount(want) != len(want) {
+			t.Fatalf("step %d %s: output has %d rules, keyed reference %d (%d shared)",
+				step, what, len(got), len(want), got.IntersectCount(want))
+		}
+	}
+	for step := 10; step <= 150; step += 10 {
+		e.Run(10)
+		for i, r := range resources {
+			same(step, fmt.Sprintf("resource %d", i), r.Output(), keyedOutput(r.Broker))
+		}
+	}
+	for i, r := range resources {
+		restored, err := RestoreResource(i, r.cfg, scheme, r.EncodeState())
+		if err != nil {
+			t.Fatalf("restore resource %d: %v", i, err)
+		}
+		same(150, fmt.Sprintf("restored resource %d", i), restored.Output(), keyedOutput(r.Broker))
+	}
+	// The receive handler's order, which a mid-run grid seldom reaches:
+	// the confidence rule first, then its companion.
+	b := resources[0].Broker
+	late := b.addCandidate(arm.NewRule(arm.Itemset{98}, arm.Itemset{99}, arm.ThresholdConf))
+	if late.companion != -1 {
+		t.Fatalf("companion linked before it exists: %d", late.companion)
+	}
+	b.addCandidate(arm.NewRule(nil, arm.Itemset{98, 99}, arm.ThresholdFreq))
+	if want := int32(len(b.cands) - 1); late.companion != want {
+		t.Fatalf("late companion linked to %d, want %d", late.companion, want)
 	}
 }
 

@@ -115,7 +115,11 @@ type edgeState struct {
 // candidate is the per-rule mining state at one resource.
 type candidate struct {
 	rule             arm.Rule
+	key              string // rule.Key()
 	lambdaN, lambdaD int64
+	// companion is, for a confidence rule, the frequency candidate of its
+	// union (nil until it exists); Output reads its vote.
+	companion *candidate
 	// scan state: next local transaction index to count.
 	pos                  int
 	localSum, localCount int64
@@ -205,9 +209,12 @@ type Resource struct {
 	feed arm.Feed
 
 	cands map[string]*candidate
-	// order keeps candidate keys in creation order for deterministic
+	// order keeps candidates in creation order for deterministic
 	// per-tick walks.
-	order     []string
+	order []*candidate
+	// waiting holds the confidence candidates whose companion does not
+	// exist yet, by the companion's key.
+	waiting   map[string][]*candidate
 	neighbors []int
 	stats     Stats
 	step      int64
@@ -230,7 +237,8 @@ func NewResource(id int, cfg Config, local *arm.Database, feed []arm.Transaction
 // database without precomputing the stream.
 func NewResourceFeed(id int, cfg Config, local *arm.Database, feed arm.Feed) *Resource {
 	cfg = cfg.withDefaults()
-	r := &Resource{ID: id, cfg: cfg, db: local, feed: feed, cands: map[string]*candidate{}}
+	r := &Resource{ID: id, cfg: cfg, db: local, feed: feed, cands: map[string]*candidate{},
+		waiting: map[string][]*candidate{}}
 	for _, i := range cfg.Universe {
 		r.addCandidate(arm.NewRule(nil, arm.Itemset{i}, arm.ThresholdFreq))
 	}
@@ -260,9 +268,20 @@ func (r *Resource) addCandidate(rule arm.Rule) *candidate {
 		return nil
 	}
 	ln, ld := arm.Rational(r.cfg.Th.Lambda(rule.Kind))
-	c := &candidate{rule: rule, lambdaN: ln, lambdaD: ld, edges: map[int]*edgeState{}}
+	c := &candidate{rule: rule, key: key, lambdaN: ln, lambdaD: ld, edges: map[int]*edgeState{}}
 	r.cands[key] = c
-	r.order = append(r.order, key)
+	r.order = append(r.order, c)
+	if rule.Kind == arm.ThresholdConf {
+		comp := arm.NewRule(nil, rule.Union(), arm.ThresholdFreq).Key()
+		if c.companion = r.cands[comp]; c.companion == nil {
+			r.waiting[comp] = append(r.waiting[comp], c)
+		}
+	} else if w, ok := r.waiting[key]; ok {
+		for _, d := range w {
+			d.companion = c
+		}
+		delete(r.waiting, key)
+	}
 	return c
 }
 
@@ -335,8 +354,7 @@ func (r *Resource) growDB() {
 // scan advances every candidate's counter by up to ScanBudget
 // transactions, updating the local vote.
 func (r *Resource) scan() {
-	for _, key := range r.order {
-		c := r.cands[key]
+	for _, c := range r.order {
 		if c.pos >= r.db.Len() {
 			continue
 		}
@@ -375,8 +393,7 @@ const refreshEvery = 20
 // evaluateSends walks every (candidate, edge) whose payload changed and
 // applies the mode's send rule.
 func (r *Resource) evaluateSends(ctx *sim.Context) {
-	for _, key := range r.order {
-		c := r.cands[key]
+	for _, c := range r.order {
 		for _, v := range r.neighbors {
 			e := c.edges[v]
 			refresh := false
@@ -445,12 +462,12 @@ func (r *Resource) kPrivateSendDecision(c *candidate, v int, e *edgeState) bool 
 // refreshDecision runs one controller query for the candidate: in
 // ModeKPrivate a fresh answer is granted only when both counters grew
 // by ≥ k since the last fresh answer (Algorithm 1's Output());
-// otherwise the cached previous answer stands. Mutating: only the
+// otherwise the cached previous answer stands. ModePlain answers every
+// read fresh (peekDecision), so it caches nothing. Mutating: only the
 // protocol itself (the periodic candidate-generation pass) calls this.
-func (r *Resource) refreshDecision(c *candidate) bool {
+func (r *Resource) refreshDecision(c *candidate) {
 	switch r.cfg.Mode {
 	case ModePlain:
-		return c.deltaU() >= 0
 	case ModeKPrivate:
 		_, cnt, num := c.known()
 		// The num clause mirrors core's gateState.open: an unchanged
@@ -465,7 +482,6 @@ func (r *Resource) refreshDecision(c *candidate) bool {
 		} else {
 			r.stats.GatedDecisions++
 		}
-		return c.cachedOutput
 	default:
 		panic("majorityrule: unknown mode")
 	}
@@ -488,35 +504,35 @@ func (r *Resource) peekDecision(c *candidate) bool {
 // candidate always exists: GenerateCandidates and the receive handler
 // both insert it).
 func (r *Resource) Output() arm.RuleSet {
-	return r.collectOutput(r.peekDecision)
-}
-
-// collectOutput assembles R̃_u using the given per-candidate decision
-// function.
-func (r *Resource) collectOutput(decide func(*candidate) bool) arm.RuleSet {
 	out := arm.RuleSet{}
-	// Evaluate frequency rules first so confidence rules can consult
-	// them within one pass.
-	freqTrue := map[string]bool{}
-	for key, c := range r.cands {
-		if c.rule.Kind == arm.ThresholdFreq {
-			freqTrue[key] = decide(c)
-		}
-	}
-	for _, c := range r.cands {
-		switch c.rule.Kind {
-		case arm.ThresholdFreq:
-			if freqTrue[c.rule.Key()] {
-				out.Add(c.rule)
-			}
-		case arm.ThresholdConf:
-			companion := arm.NewRule(nil, c.rule.Union(), arm.ThresholdFreq)
-			if decide(c) && freqTrue[companion.Key()] {
-				out.Add(c.rule)
-			}
+	for _, c := range r.order {
+		if r.inOutput(c) {
+			out.Add(c.rule)
 		}
 	}
 	return out
+}
+
+// inOutput reports whether c belongs to R̃_u (see Output).
+func (r *Resource) inOutput(c *candidate) bool {
+	if c.rule.Kind == arm.ThresholdConf {
+		return r.peekDecision(c) && c.companion != nil && r.peekDecision(c.companion)
+	}
+	return r.peekDecision(c)
+}
+
+// AppendOutputCounts appends every rule of R̃_u to dst with its local
+// counts over the whole current database: the running scan totals plus
+// the transactions the scan has not reached yet.
+func (r *Resource) AppendOutputCounts(dst []arm.RuleCount) []arm.RuleCount {
+	for _, c := range r.order {
+		if r.inOutput(c) {
+			cl, cb := r.db.SupportPairFrom(c.pos, c.rule.LHS, c.rule.RHS)
+			dst = append(dst, arm.RuleCount{Rule: c.rule, Key: c.key,
+				Count: c.localCount + int64(cl), Sum: c.localSum + int64(cb)})
+		}
+	}
+	return dst
 }
 
 // generateCandidates runs Algorithm 4's periodic pass: query the
@@ -524,7 +540,10 @@ func (r *Resource) collectOutput(decide func(*candidate) bool) arm.RuleSet {
 // derive new candidates from the believed-correct set, and wire them
 // to the overlay.
 func (r *Resource) generateCandidates(ctx *sim.Context) {
-	truth := r.collectOutput(r.refreshDecision)
+	for _, c := range r.order {
+		r.refreshDecision(c)
+	}
+	truth := r.Output()
 	existing := arm.RuleSet{}
 	for _, c := range r.cands {
 		existing.Add(c.rule)

@@ -91,6 +91,54 @@ func TestKPrivateSlowerThanPlain(t *testing.T) {
 	}
 }
 
+// keyedOutput is the reference for Output: each confidence rule's
+// companion is looked up by key among the passing frequency rules, as
+// Output did before it linked companions once.
+func keyedOutput(r *Resource) arm.RuleSet {
+	out := arm.RuleSet{}
+	for _, c := range r.cands {
+		if c.rule.Kind == arm.ThresholdFreq && r.peekDecision(c) {
+			out.Add(c.rule)
+		}
+	}
+	for _, c := range r.cands {
+		comp := arm.NewRule(nil, c.rule.Union(), arm.ThresholdFreq)
+		if c.rule.Kind == arm.ThresholdConf && r.peekDecision(c) && out.Has(comp) {
+			out.Add(c.rule)
+		}
+	}
+	return out
+}
+
+// TestOutputCompanionLinks holds Output to the keyed reference in both
+// modes while candidates still arrive: a confidence rule received from a
+// neighbour is created before its companion.
+func TestOutputCompanionLinks(t *testing.T) {
+	for _, mode := range []Mode{ModePlain, ModeKPrivate} {
+		e, resources, _, _ := buildGrid(t, mode, 6, 2, 5)
+		for step := 10; step <= 200; step += 10 {
+			e.Run(10)
+			for i, r := range resources {
+				got, want := r.Output(), keyedOutput(r)
+				if len(got) != len(want) || got.IntersectCount(want) != len(want) {
+					t.Fatalf("%s step %d resource %d: output has %d rules, keyed reference %d (%d shared)",
+						mode, step, i, len(got), len(want), got.IntersectCount(want))
+				}
+			}
+		}
+		// The receive handler's order, which a mid-run grid seldom
+		// reaches: the confidence rule first, then its companion.
+		r := resources[0]
+		late := r.addCandidate(arm.NewRule(arm.Itemset{98}, arm.Itemset{99}, arm.ThresholdConf))
+		if late.companion != nil {
+			t.Fatal("companion linked before it exists")
+		}
+		if comp := r.addCandidate(arm.NewRule(nil, arm.Itemset{98, 99}, arm.ThresholdFreq)); late.companion != comp {
+			t.Fatal("late companion not linked")
+		}
+	}
+}
+
 func TestSingleResourceMatchesApriori(t *testing.T) {
 	// One resource, no neighbors: after scanning its whole database the
 	// output must equal the centralized ground truth of its partition.

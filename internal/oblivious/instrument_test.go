@@ -2,6 +2,7 @@ package oblivious
 
 import (
 	"math/big"
+	"sync"
 	"testing"
 
 	"secmr/internal/homo"
@@ -84,6 +85,45 @@ func TestInstrumentSchemeCryptoTraceIsExplicitOnly(t *testing.T) {
 	evs := sink.Tr.Events(obs.Filter{})
 	if len(evs) != 1 || evs[0].Type != obs.EvCryptoOp || evs[0].Detail != "encrypt" {
 		t.Fatalf("crypto trace wrong: %+v", evs)
+	}
+}
+
+// TestInstrumentSchemeCryptoTraceToggleUnderLoad flips EvCryptoOp on
+// and off while several goroutines run ops through the decorator, whose
+// every op reads the filter without the tracer's lock. Run with -race.
+func TestInstrumentSchemeCryptoTraceToggleUnderLoad(t *testing.T) {
+	sink := obs.NewSink()
+	s := InstrumentScheme(homo.NewPlain(64), sink)
+	on := obs.Filter{Types: []obs.EventType{obs.EvCryptoOp}}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				s.Add(s.EncryptInt(int64(i)), s.EncryptZero())
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		if i%2 == 0 {
+			sink.Tr.SetFilter(on)
+		} else {
+			sink.Tr.SetFilter(obs.Filter{})
+		}
+	}
+	wg.Wait()
+
+	sink.Tr.SetFilter(obs.Filter{})
+	before := sink.Tr.Len()
+	s.EncryptInt(1)
+	if sink.Tr.Len() != before {
+		t.Fatal("crypto op traced after EvCryptoOp was switched off")
+	}
+	sink.Tr.SetFilter(on)
+	s.EncryptInt(1)
+	if sink.Tr.Len() != before+1 {
+		t.Fatal("crypto op not traced after EvCryptoOp was switched on")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // EventType names one kind of trace event. The full vocabulary is
@@ -126,6 +127,10 @@ type Tracer struct {
 	nodes   map[int]bool       // nil = all
 	sink    *bufio.Writer
 	sinkErr error
+	// explicit publishes types to ExplicitlyEnabled without the mutex:
+	// SetFilter replaces the map, never writes into it, so a reader may
+	// hold the one it loaded.
+	explicit atomic.Pointer[map[EventType]bool]
 }
 
 // NewTracer builds a tracer with the given ring capacity (minimum 1).
@@ -151,6 +156,8 @@ func (t *Tracer) SetFilter(f Filter) {
 			t.types[ty] = true
 		}
 	}
+	types := t.types
+	t.explicit.Store(&types)
 	if len(f.Nodes) > 0 {
 		t.nodes = make(map[int]bool, len(f.Nodes))
 		for _, n := range f.Nodes {
@@ -196,14 +203,14 @@ func (t *Tracer) SinkErr() error {
 
 // ExplicitlyEnabled reports whether the current filter lists ty by
 // name. High-volume emitters (crypto ops) gate on this, so they stay
-// silent under the default record-everything filter.
+// silent under the default record-everything filter. It takes no lock:
+// every crypto op asks.
 func (t *Tracer) ExplicitlyEnabled(ty EventType) bool {
 	if t == nil {
 		return false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.types != nil && t.types[ty]
+	types := t.explicit.Load()
+	return types != nil && (*types)[ty]
 }
 
 // accepts applies the filter; caller holds t.mu.

@@ -299,6 +299,8 @@ func TestGridPollingIsRaceSafe(t *testing.T) {
 	poll(func() { grid.SampleQuality() })
 	poll(func() { grid.FaultStats() })
 	poll(func() { grid.Output(0) })
+	poll(func() { grid.ScoredOutput(1) })
+	poll(func() { grid.ScoredOutput(2) })
 	poll(func() { grid.Reports() })
 	poll(func() { grid.Stalled(); grid.Steps() })
 	poll(func() {

@@ -28,13 +28,16 @@
 package secmr
 
 import (
+	"cmp"
 	crand "crypto/rand"
 	"fmt"
 	"math/big"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"secmr/internal/arm"
@@ -410,6 +413,10 @@ func (c GridConfig) withDefaults() GridConfig {
 type miner interface {
 	sim.Node
 	Output() RuleSet
+	// AppendOutputCounts appends every rule of Output with its counts
+	// over the resource's whole current database.
+	AppendOutputCounts(dst []arm.RuleCount) []arm.RuleCount
+	DBSize() int
 }
 
 // Grid is a simulated data grid mining one (conceptually global)
@@ -426,8 +433,10 @@ type Grid struct {
 	cfg    GridConfig
 	engine *sim.Engine
 	miners []miner
-	parts  []*arm.Database  // local partitions, indexed by resource
 	secure []*core.Resource // non-nil entries only for AlgorithmSecure
+	// counts is ScoredOutput's scratch, reused so that a read allocates
+	// only its result.
+	counts []arm.RuleCount
 	closed bool
 	inject *faults.Injector // non-nil when cfg.Faults or a scheduled adversary is set
 	truth  RuleSet
@@ -619,7 +628,6 @@ func NewGridWithFeedSources(db *Database, feeds []FeedSource, cfg GridConfig) (*
 		}
 		g.flight = fr
 	}
-	g.parts = parts
 	nodes := make([]sim.Node, cfg.Resources)
 	for i := 0; i < cfg.Resources; i++ {
 		var feed FeedSource
@@ -911,36 +919,37 @@ type RuleScore struct {
 
 // ScoredOutput returns resource i's interim rule set annotated with
 // local support and confidence, sorted by descending support then
-// rule key for deterministic output.
+// rule key for deterministic output. The counts come from the
+// resource's running scan totals, not a rescan of its database, so a
+// read costs O(rules) and allocates only its result.
 func (g *Grid) ScoredOutput(i int) []RuleScore {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := g.miners[i].Output()
-	db := g.parts[i]
-	scored := make([]RuleScore, 0, len(out))
-	for _, r := range out {
-		s := RuleScore{Rule: r, Confidence: 1}
-		if len(r.LHS) > 0 {
-			countLHS, countBoth := db.SupportPair(r.LHS, r.RHS)
-			if countLHS > 0 {
-				s.Confidence = float64(countBoth) / float64(countLHS)
-			} else {
-				s.Confidence = 0
-			}
-			if n := db.Len(); n > 0 {
-				s.Support = float64(countBoth) / float64(n)
-			}
-		} else {
-			s.Support = db.Freq(r.Union())
+	m := g.miners[i]
+	g.counts = m.AppendOutputCounts(g.counts[:0])
+	// Support is Sum/|DB| for every rule, so descending Sum is descending
+	// Support.
+	slices.SortFunc(g.counts, func(a, b arm.RuleCount) int {
+		if c := cmp.Compare(b.Sum, a.Sum); c != 0 {
+			return c
 		}
-		scored = append(scored, s)
-	}
-	sort.Slice(scored, func(a, b int) bool {
-		if scored[a].Support != scored[b].Support {
-			return scored[a].Support > scored[b].Support
-		}
-		return scored[a].Rule.Key() < scored[b].Rule.Key()
+		return strings.Compare(a.Key, b.Key)
 	})
+	n := float64(m.DBSize())
+	scored := make([]RuleScore, len(g.counts))
+	for j, rc := range g.counts {
+		s := RuleScore{Rule: rc.Rule, Confidence: 1}
+		if n > 0 {
+			s.Support = float64(rc.Sum) / n
+		}
+		if len(rc.Rule.LHS) > 0 {
+			s.Confidence = 0
+			if rc.Count > 0 {
+				s.Confidence = float64(rc.Sum) / float64(rc.Count)
+			}
+		}
+		scored[j] = s
+	}
 	return scored
 }
 
