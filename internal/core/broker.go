@@ -137,6 +137,12 @@ type Broker struct {
 	// still hold one of them: an adversary sees every part and payload,
 	// and the padding dance swaps ⊥ sums in and out.
 	recycle bool
+	// payloads is the grid-wide free list (Config.Payloads) when the
+	// ownership rule holds here: recycle, at-most-once delivery (no
+	// LossyLinks) and a scheme that deals into a destination natively.
+	// Superseded inbound counters go onto it and transmit deals its
+	// payload into one taken from it; nil otherwise.
+	payloads *Payloads
 
 	// shareEpoch is the accountant's current share-dealing epoch;
 	// inbound counters from other dealings are dropped.
@@ -165,7 +171,7 @@ type Broker struct {
 }
 
 func newBroker(id int, cfg Config, pub homo.Public, acc *Accountant, ctl *Controller, adv Adversary) *Broker {
-	return &Broker{
+	b := &Broker{
 		id: id, cfg: cfg, pub: pub, acc: acc, ctl: ctl, adv: adv,
 		recycle: adv == nil && !cfg.PaddingDance,
 		links:   map[int]*brokerEdge{},
@@ -177,6 +183,10 @@ func newBroker(id int, cfg Config, pub homo.Public, acc *Accountant, ctl *Contro
 		// resource-wide set (see newController).
 		tel: newTelemetry(id, nil, func() int64 { return 0 }),
 	}
+	if b.recycle && !cfg.LossyLinks && homo.DealsInto(pub) {
+		b.payloads = cfg.Payloads
+	}
+	return b
 }
 
 // ruleSym interns a rule's canonical key without allocating on the
@@ -351,6 +361,12 @@ func (b *Broker) onRuleMsg(from int, m RuleCipherMsg) {
 			b.history[c.sym] = h
 		}
 		h[from] = append(h[from], e.inbound)
+	}
+	if b.payloads != nil && e.inbound != m.Counter {
+		// The counter this one supersedes is the receiver's alone. A
+		// repeat delivery of the one the edge stores is not a supersession:
+		// handing it back would deal into a counter still in use.
+		b.payloads.put(e.inbound)
 	}
 	e.inbound = m.Counter
 	c.outDirty = true
@@ -561,7 +577,7 @@ func (b *Broker) evaluateSends(tr Transport) {
 				full = b.fullSum(c)
 			}
 			if refresh {
-				b.transmit(tr, c, v, e, b.ctl.RefreshStamps(link.grant.NumSlots, link.grant.Slot))
+				b.transmit(tr, c, v, e)
 				continue
 			}
 			// Δ^uv and Δ^uv − Δ^u, blinded for the sign SFE. Both are
@@ -580,26 +596,32 @@ func (b *Broker) evaluateSends(tr Transport) {
 			t.blind = b.linComb(t.blind, 1, [4]int64{r}, [4]*homo.Ciphertext{t.duv})
 			r = oblivious.BlindFactor(blindBits, b.rng)
 			t.blindDiff = b.linComb(t.blindDiff, 1, [4]int64{r}, [4]*homo.Ciphertext{t.diff})
-			send, stamps, ok := b.ctl.SendDecision(c.sym, v, full, t.blind, t.blindDiff,
-				first, link.grant.NumSlots, link.grant.Slot, neighborAt)
+			send, ok := b.ctl.SendDecision(c.sym, v, full, t.blind, t.blindDiff, first, neighborAt)
 			if !ok {
 				return // violation detected; Resource will halt us
 			}
 			if !send {
 				continue
 			}
-			b.transmit(tr, c, v, e, stamps)
+			b.transmit(tr, c, v, e)
 		}
 	}
 }
 
-// transmit builds and sends the payload for edge v with the given
-// timestamp vector, updating the edge's transmission state. The payload
-// is Update(v): the value components (sum, count, num) of the ⊥ counter
-// and every inbound counter except the recipient's, each rerandomised;
-// the edge retains the unrandomised sum and count as sentSum/sentCount.
-func (b *Broker) transmit(tr Transport, c *secCandidate, v int, e *secEdge, stamps []*homo.Ciphertext) {
+// transmit builds and sends the payload for edge v, updating the edge's
+// transmission state. The payload is Update(v): the controller's
+// timestamp vector for the recipient, then the value components (sum,
+// count, num) of the ⊥ counter and every inbound counter except the
+// recipient's, each rerandomised; the edge retains the unrandomised sum
+// and count as sentSum/sentCount. With a free list the payload is dealt
+// into a counter some receiver superseded, stamps included.
+func (b *Broker) transmit(tr Transport, c *secCandidate, v int, e *secEdge) {
 	link := b.links[v]
+	out := b.payloads.get()
+	if out == nil {
+		out = &oblivious.Counter{}
+	}
+	out.Stamps = b.ctl.outgoingStamps(out.Stamps, link.grant.NumSlots, link.grant.Slot)
 	var sum, count, num *homo.Ciphertext
 	if b.recycle {
 		sum, count, num = e.sentSum, e.sentCount, b.sfe.num
@@ -609,13 +631,10 @@ func (b *Broker) transmit(tr Transport, c *secCandidate, v int, e *secEdge, stam
 	if b.recycle {
 		b.sfe.num = num
 	}
-	out := &oblivious.Counter{
-		Sum:    b.pub.Rerandomize(sum),
-		Count:  b.pub.Rerandomize(count),
-		Num:    b.pub.Rerandomize(num),
-		Share:  b.pub.Rerandomize(link.grant.Share),
-		Stamps: stamps,
-	}
+	out.Sum = homo.RerandomizeInto(b.pub, out.Sum, sum)
+	out.Count = homo.RerandomizeInto(b.pub, out.Count, count)
+	out.Num = homo.RerandomizeInto(b.pub, out.Num, num)
+	out.Share = homo.RerandomizeInto(b.pub, out.Share, link.grant.Share)
 	if b.adv != nil {
 		if tampered := b.adv.TamperPayload(b.pub, c.key, v, out); tampered != nil {
 			out = tampered

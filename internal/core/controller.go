@@ -452,9 +452,10 @@ func (c *Controller) rebaseGates() {
 // SendDecision is the SFE a broker runs before transmitting on one
 // edge (§5.1's first SFE occasion). Inputs: the full-neighbourhood
 // counter (verification fields + the x1/x2 totals of Cond), and the
-// blinded Δ^uv and Δ^uv−Δ^u. Output: whether to send, and — when
-// sending — the timestamp vector for the recipient (Algorithm 3's
-// reply). Returns ok=false when verification failed.
+// blinded Δ^uv and Δ^uv−Δ^u. Output: whether to send; the broker then
+// asks for the recipient's timestamp vector (outgoingStamps, Algorithm
+// 3's reply) as it builds the payload. Returns ok=false when
+// verification failed.
 //
 // Gate semantics (DESIGN.md §2 resolution 2): a fresh Majority-Rule
 // evaluation is granted only when both totals grew by ≥ k since the
@@ -465,13 +466,12 @@ func (c *Controller) rebaseGates() {
 // equivalent of the plaintext no-op suppression, computed from totals
 // the controller legitimately holds for the gate).
 func (c *Controller) SendDecision(rule intern.Sym, edge int, full *oblivious.Counter,
-	blindDuv, blindDiff *homo.Ciphertext, firstContact bool,
-	recipientSlots int, recipientSlot int, neighborAt func(int) int) (send bool, stamps []*homo.Ciphertext, ok bool) {
+	blindDuv, blindDiff *homo.Ciphertext, firstContact bool, neighborAt func(int) int) (send, ok bool) {
 
 	c.stats.SFEs++
 	cnt, num, ok := c.verify(rule, full, neighborAt)
 	if !ok {
-		return false, nil, false
+		return false, false
 	}
 	key := sendGateKey{rule: rule, edge: int32(edge)}
 	g, okG := c.sendGates[key]
@@ -512,38 +512,47 @@ func (c *Controller) SendDecision(rule intern.Sym, edge int, full *oblivious.Cou
 	if c.adv != nil {
 		send = c.adv.TamperAnswer("send", intern.Str(rule), send)
 	}
-	if !send {
-		return false, nil, true
-	}
-	return true, c.outgoingStamps(recipientSlots, recipientSlot), true
+	return send, true
 }
 
-// RefreshStamps produces the timestamp vector for an anti-entropy
-// refresh transmission — the same Lamport stamping as a decision-
-// approved send (the refresh itself is timer-triggered, so no SFE
-// decision is involved).
-func (c *Controller) RefreshStamps(slots, slot int) []*homo.Ciphertext {
-	return c.outgoingStamps(slots, slot)
-}
-
-// outgoingStamps builds the recipient-slot-space timestamp vector:
-// zero everywhere except the sender's designated slot, which carries
-// the next Lamport time (Algorithm 3's reply).
-func (c *Controller) outgoingStamps(slots, slot int) []*homo.Ciphertext {
+// outgoingStamps builds the timestamp vector of one transmission, in the
+// recipient's slot space: zero everywhere except the sender's designated
+// slot, which carries the next Lamport time (Algorithm 3's reply). A
+// decision-approved send and a timer-driven anti-entropy refresh are
+// stamped alike. A nil dst yields fresh encryptions, the EncryptInt and
+// EncryptZero calls a grid without a payload free list has always made;
+// otherwise dst is a recycled payload's stamp vector, owned by the
+// caller, and the vector is dealt into its storage (EncryptIntInto,
+// zeros included).
+func (c *Controller) outgoingStamps(dst []*homo.Ciphertext, slots, slot int) []*homo.Ciphertext {
 	c.clock++
 	if c.onClockLease != nil && c.clock > c.clockLease {
 		c.clockLease = c.clock + clockLeaseStep
 		c.onClockLease(c.clockLease)
 	}
-	out := make([]*homo.Ciphertext, slots)
-	for i := range out {
-		if i == slot {
-			out[i] = c.enc.EncryptInt(c.clock)
-		} else {
-			out[i] = c.pub.EncryptZero()
+	if dst == nil {
+		out := make([]*homo.Ciphertext, slots)
+		for i := range out {
+			if i == slot {
+				out[i] = c.enc.EncryptInt(c.clock)
+			} else {
+				out[i] = c.pub.EncryptZero()
+			}
 		}
+		return out
 	}
-	return out
+	if cap(dst) < slots {
+		dst = append(dst[:cap(dst)], make([]*homo.Ciphertext, slots-cap(dst))...)
+	}
+	dst = dst[:slots]
+	for i := range dst {
+		var m int64
+		if i == slot {
+			m = c.clock
+		}
+		dst[i] = homo.EncryptIntInto(c.enc, dst[i], m)
+	}
+	return dst
 }
 
 // OutputDecision is the SFE behind Algorithm 1's Output(): whether the

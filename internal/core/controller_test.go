@@ -142,8 +142,10 @@ func TestSendDecisionFirstContactAndSuppression(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(4))
 	blind := func(v int64) *homo.Ciphertext { return oblivious.Blind(s, s.EncryptInt(v), 8, rng) }
 	full := counter(s, 1, 2, 1, 1, 1, 0)
-	// First contact always sends and returns stamps.
-	send, stamps, ok := ctl.SendDecision(intern.S("r"), 7, full, blind(0), blind(0), true, 4, 2, neighborAt)
+	// First contact always sends; the payload is stamped for the
+	// recipient's slot space.
+	send, ok := ctl.SendDecision(intern.S("r"), 7, full, blind(0), blind(0), true, neighborAt)
+	stamps := ctl.outgoingStamps(nil, 4, 2)
 	if !ok || !send || len(stamps) != 4 {
 		t.Fatalf("first contact: send=%v stamps=%d ok=%v", send, len(stamps), ok)
 	}
@@ -155,7 +157,7 @@ func TestSendDecisionFirstContactAndSuppression(t *testing.T) {
 		t.Fatal("non-designated slot nonzero")
 	}
 	// Unchanged totals: suppressed.
-	send, _, ok = ctl.SendDecision(intern.S("r"), 7, counter(s, 1, 2, 1, 1, 2, 0), blind(0), blind(0), false, 4, 2, neighborAt)
+	send, ok = ctl.SendDecision(intern.S("r"), 7, counter(s, 1, 2, 1, 1, 2, 0), blind(0), blind(0), false, neighborAt)
 	if !ok || send {
 		t.Fatalf("unchanged totals must be suppressed: send=%v", send)
 	}
@@ -163,7 +165,7 @@ func TestSendDecisionFirstContactAndSuppression(t *testing.T) {
 		t.Fatal("suppression not counted")
 	}
 	// Changed but sub-k growth: the data-independent default (send).
-	send, _, ok = ctl.SendDecision(intern.S("r"), 7, counter(s, 2, 3, 2, 1, 3, 0), blind(9), blind(9), false, 4, 2, neighborAt)
+	send, ok = ctl.SendDecision(intern.S("r"), 7, counter(s, 2, 3, 2, 1, 3, 0), blind(9), blind(9), false, neighborAt)
 	if !ok || !send {
 		t.Fatalf("in-gate default must be send: send=%v", send)
 	}
@@ -174,20 +176,20 @@ func TestSendDecisionFreshUsesMajorityCondition(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(5))
 	blind := func(v int64) *homo.Ciphertext { return oblivious.Blind(s, s.EncryptInt(v), 8, rng) }
 	// First contact bootstraps.
-	ctl.SendDecision(intern.S("r"), 7, counter(s, 1, 2, 1, 1, 1, 0), blind(0), blind(0), true, 3, 1, neighborAt)
+	ctl.SendDecision(intern.S("r"), 7, counter(s, 1, 2, 1, 1, 1, 0), blind(0), blind(0), true, neighborAt)
 	// Growth ≥ k in both: fresh evaluation of the §4.1 condition.
 	// Δuv = +5, Δuv − Δu = +3 → (Δuv ≥ 0 ∧ Δuv > Δu) → send.
-	send, _, ok := ctl.SendDecision(intern.S("r"), 7, counter(s, 4, 6, 3, 1, 2, 0), blind(5), blind(3), false, 3, 1, neighborAt)
+	send, ok := ctl.SendDecision(intern.S("r"), 7, counter(s, 4, 6, 3, 1, 2, 0), blind(5), blind(3), false, neighborAt)
 	if !ok || !send {
 		t.Fatalf("positive-overshoot must send: %v", send)
 	}
 	// Again with growth: Δuv = +5, diff = −3 → condition false.
-	send, _, ok = ctl.SendDecision(intern.S("r"), 7, counter(s, 9, 11, 5, 1, 3, 0), blind(5), blind(-3), false, 3, 1, neighborAt)
+	send, ok = ctl.SendDecision(intern.S("r"), 7, counter(s, 9, 11, 5, 1, 3, 0), blind(5), blind(-3), false, neighborAt)
 	if !ok || send {
 		t.Fatalf("agreeing edge must not send: %v", send)
 	}
 	// Negative branch: Δuv = −5, diff = −2 (Δuv < Δu) → send.
-	send, _, ok = ctl.SendDecision(intern.S("r"), 7, counter(s, 12, 16, 7, 1, 4, 0), blind(-5), blind(-2), false, 3, 1, neighborAt)
+	send, ok = ctl.SendDecision(intern.S("r"), 7, counter(s, 12, 16, 7, 1, 4, 0), blind(-5), blind(-2), false, neighborAt)
 	if !ok || !send {
 		t.Fatalf("negative-overshoot must send: %v", send)
 	}
@@ -197,7 +199,7 @@ func TestLamportClockMonotone(t *testing.T) {
 	ctl, s := mkController(1)
 	prev := int64(0)
 	for i := 0; i < 5; i++ {
-		stamps := ctl.outgoingStamps(2, 1)
+		stamps := ctl.outgoingStamps(nil, 2, 1)
 		v := s.DecryptSigned(stamps[1]).Int64()
 		if v <= prev {
 			t.Fatalf("clock not strictly increasing: %d then %d", prev, v)
@@ -252,13 +254,13 @@ func TestVerifiedCounterSkipsRepeatDecrypts(t *testing.T) {
 	full := counter(s, 4, 10, 3, 1, 2, 7)
 	var send [2]bool
 	n := decrypts(dec, func() {
-		send[0], _, _ = ctl.SendDecision(intern.S("r"), 7, full, blind(5), blind(3), false, 3, 1, neighborAt)
+		send[0], _ = ctl.SendDecision(intern.S("r"), 7, full, blind(5), blind(3), false, neighborAt)
 	})
 	if want := 1 + 2 + 2 + 2; n != want { // share, stamps, count and num, signs
 		t.Fatalf("first SFE: %d decrypts, want %d", n, want)
 	}
 	n = decrypts(dec, func() {
-		send[1], _, _ = ctl.SendDecision(intern.S("r"), 8, full, blind(5), blind(3), false, 3, 1, neighborAt)
+		send[1], _ = ctl.SendDecision(intern.S("r"), 8, full, blind(5), blind(3), false, neighborAt)
 	})
 	if n != 2 {
 		t.Fatalf("repeat SFE on the same full counter: %d decrypts, want the 2 blinded signs", n)
@@ -272,7 +274,7 @@ func TestVerifiedCounterSkipsRepeatDecrypts(t *testing.T) {
 	// The memo is per rule: the same ciphertexts under another rule are
 	// verified in full.
 	if n := decrypts(dec, func() {
-		ctl.SendDecision(intern.S("r2"), 7, full, blind(5), blind(3), true, 3, 1, neighborAt)
+		ctl.SendDecision(intern.S("r2"), 7, full, blind(5), blind(3), true, neighborAt)
 	}); n != 5 {
 		t.Fatalf("same counter, other rule: %d decrypts, want 5", n)
 	}
@@ -287,7 +289,7 @@ func TestVerifiedCounterFieldChangeTakesFullPath(t *testing.T) {
 	base := counter(s, 4, 10, 3, 1, 2, 7)
 	first := func(edge int, full *oblivious.Counter) int {
 		return decrypts(dec, func() {
-			if _, _, ok := ctl.SendDecision(rule, edge, full, s.EncryptZero(), s.EncryptZero(), true, 3, 1, neighborAt); !ok {
+			if _, ok := ctl.SendDecision(rule, edge, full, s.EncryptZero(), s.EncryptZero(), true, neighborAt); !ok {
 				t.Fatalf("edge %d: verification failed", edge)
 			}
 		})

@@ -87,6 +87,11 @@ type Config struct {
 	// instead of halting the grid, and mining continues among the
 	// survivors.
 	Quarantine QuarantineConfig
+	// Payloads, when non-nil, is the grid-wide free list superseded
+	// inbound counters go to and transmits deal their payloads from. A
+	// broker uses it only where the ownership rule holds (see Payloads and
+	// newBroker); nil deals every payload into fresh storage.
+	Payloads *Payloads
 }
 
 // QuarantineConfig parameterizes the Byzantine quarantine response.
@@ -334,6 +339,22 @@ func (r *Resource) AppendOutputCounts(dst []arm.RuleCount) []arm.RuleCount {
 		}
 	}
 	return dst
+}
+
+// EachStoredCounter calls fn with every counter the broker stores: per
+// candidate, in creation order, its ⊥ counter (from = −1) and then its
+// inbound counters in neighbour order. Diagnostic use: fn must neither
+// keep nor modify them.
+func (r *Resource) EachStoredCounter(fn func(rule string, from int, c *oblivious.Counter)) {
+	b := r.Broker
+	for _, c := range b.cands {
+		fn(c.key, -1, c.local)
+		for _, v := range b.neighbors {
+			if e, ok := c.edges[v]; ok {
+				fn(c.key, v, e.inbound)
+			}
+		}
+	}
 }
 
 // Stats returns broker counters.

@@ -18,9 +18,9 @@ import (
 // operands (natively on Shamir, through the serial fallback on Plain,
 // Paillier and a Shamir whose capability is hidden), and its one
 // exception — the destination — to its own: written only when it
-// carries this instance's tag. EncryptIntInto deals into its
-// destination where it is native and returns a fresh encryption
-// elsewhere.
+// carries this instance's tag. EncryptIntInto and RerandomizeInto deal
+// into their destination where they are native and return a fresh
+// encryption elsewhere.
 func TestOpsNeitherMutateNorAliasArguments(t *testing.T) {
 	sh := shamir.MustNew(shamir.Params{K: 3, N: 7, W: 1})
 	schemes := append([]testScheme{{"shamir", sh, true}, {"shamir-serial", struct{ homo.Scheme }{sh}, false}},
@@ -87,6 +87,20 @@ func TestOpsNeitherMutateNorAliasArguments(t *testing.T) {
 						t.Fatalf("EncryptIntInto decrypts to %d, want %d", v, y)
 					}
 					return []*big.Int{got.V, homo.EncryptIntInto(s, nil, x).V}
+				},
+				"RerandomizeInto(dst)": func() []*big.Int {
+					dst := s.EncryptInt(5)
+					got := homo.RerandomizeInto(s, dst, b)
+					if _, native := s.(homo.IntoRerandomizer); native && got != dst {
+						t.Fatal("RerandomizeInto did not deal into its destination")
+					}
+					if got.Equal(b) {
+						t.Fatal("RerandomizeInto returned its operand's ciphertext")
+					}
+					if v := s.DecryptSigned(got).Int64(); v != y {
+						t.Fatalf("RerandomizeInto decrypts to %d, want %d", v, y)
+					}
+					return []*big.Int{got.V, homo.RerandomizeInto(s, nil, a).V}
 				},
 				"DecryptSignedInto": func() []*big.Int {
 					dst := big.NewInt(99)

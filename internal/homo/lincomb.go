@@ -7,21 +7,22 @@ import (
 )
 
 // Destination-passing capability: one fused linear combination, one
-// encryption and one decrypt, each into storage the caller owns. A
-// broker's SFE inputs (the full-neighbourhood counter, the blinded Δs)
-// are consumed by the controller inside the call and dropped, an
-// accountant's ⊥ reply supersedes a counter nobody else holds, and the
-// controller reads every plaintext as an int64 or a sign; producing
+// encryption, one refresh and one decrypt, each into storage the caller
+// owns. A broker's SFE inputs (the full-neighbourhood counter, the
+// blinded Δs) are consumed by the controller inside the call and
+// dropped, an accountant's ⊥ reply supersedes a counter nobody else
+// holds, a payload is dealt into a counter its receiver superseded, and
+// the controller reads every plaintext as an int64 or a sign; producing
 // those through Public, Encryptor and Decryptor costs a fresh ciphertext
 // or big.Int per op for values nobody keeps.
 //
 // The capability is optional, like the batch one (batch.go): the
 // package helpers accept any Public/Encryptor/Decryptor and fall back to
-// Add/Sub/ScalarMul, EncryptInt and DecryptSigned, so protocol
-// code written against the helpers runs unchanged — and plaintext-
-// identically — over schemes that never opted in. Shamir implements all
-// three natively over its share limbs; Paillier and Plain ride the
-// fallback.
+// Add/Sub/ScalarMul, EncryptInt, Rerandomize and DecryptSigned, so
+// protocol code written against the helpers runs unchanged — and
+// plaintext-identically — over schemes that never opted in. Shamir
+// implements all four natively over its share limbs; Paillier and Plain
+// ride the fallback.
 //
 // Ownership rule for a destination ciphertext: a non-nil dst must be a
 // ciphertext the caller obtained from the same scheme and has never
@@ -45,6 +46,14 @@ type IntoEncryptor interface {
 	// EncryptIntInto sets dst to a fresh encryption of m and returns it;
 	// a nil dst allocates.
 	EncryptIntInto(dst *Ciphertext, m int64) *Ciphertext
+}
+
+// IntoRerandomizer is the key-less destination-passing refresh.
+type IntoRerandomizer interface {
+	// RerandomizeInto sets dst to a fresh encryption of a's plaintext and
+	// returns it; a nil dst allocates. a is never mutated, and must not
+	// be dst.
+	RerandomizeInto(dst, a *Ciphertext) *Ciphertext
 }
 
 // IntoDecryptor is the controller-side destination-passing capability.
@@ -129,6 +138,25 @@ func EncryptIntInto(enc Encryptor, dst *Ciphertext, m int64) *Ciphertext {
 		return ie.EncryptIntInto(dst, m)
 	}
 	return enc.EncryptInt(m)
+}
+
+// RerandomizeInto refreshes a into dst when pub supports it. Otherwise
+// it returns pub.Rerandomize(a) and leaves dst alone, like
+// EncryptIntInto. The result is always the return value.
+func RerandomizeInto(pub Public, dst, a *Ciphertext) *Ciphertext {
+	if r, ok := pub.(IntoRerandomizer); ok {
+		return r.RerandomizeInto(dst, a)
+	}
+	return pub.Rerandomize(a)
+}
+
+// DealsInto reports whether s encrypts and refreshes into a destination
+// natively (IntoEncryptor and IntoRerandomizer both): only then is
+// ciphertext storage worth keeping for reuse.
+func DealsInto(s Public) bool {
+	_, enc := s.(IntoEncryptor)
+	_, rr := s.(IntoRerandomizer)
+	return enc && rr
 }
 
 // DecryptSignedInto decrypts c to its signed plaintext in dst, without

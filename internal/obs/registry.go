@@ -63,6 +63,18 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
+// AddValue is Add returning the count after it (0 for nil), for callers
+// that key a decision on their own position in the sequence.
+func (c *Counter) AddValue(n int64) int64 {
+	if c == nil {
+		return 0
+	}
+	if n <= 0 {
+		return c.v.Load()
+	}
+	return c.v.Add(n)
+}
+
 // Value returns the current count (0 for nil).
 func (c *Counter) Value() int64 {
 	if c == nil {
@@ -124,16 +136,23 @@ var DefLatencyBuckets = []float64{
 var MsgsPerFrameBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records one sample standing for n observations of v: n is
+// added to v's bucket and to the count, n·v to the sum. A sampler that
+// keeps 1 value in n records it this way, so that _count and _sum still
+// estimate the whole population. n ≤ 0 is ignored.
+func (h *Histogram) ObserveN(v float64, n int64) {
+	if h == nil || n <= 0 {
 		return
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	h.counts[i].Add(n)
+	h.count.Add(n)
+	w := float64(n) * v
 	for {
 		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + w)
 		if h.sum.CompareAndSwap(old, next) {
 			return
 		}

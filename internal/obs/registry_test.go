@@ -39,6 +39,51 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveNWeightsOneSample: ObserveN(v, n) is n
+// observations of v — n into v's bucket and the count, n·v into the sum
+// — and a non-positive weight records nothing. AddValue reports the
+// count it left.
+func TestHistogramObserveNWeightsOneSample(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("secmr_test_seconds", "a histogram", []float64{1, 2})
+	h.ObserveN(1.5, 64)
+	h.ObserveN(0.5, 1)
+	h.ObserveN(3, 0)
+	h.ObserveN(3, -2)
+	if h.Count() != 65 {
+		t.Fatalf("hist count = %d, want 65", h.Count())
+	}
+	if math.Abs(h.Sum()-96.5) > 1e-9 {
+		t.Fatalf("hist sum = %v, want 64·1.5 + 0.5", h.Sum())
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`secmr_test_seconds_bucket{le="1"} 1`,
+		`secmr_test_seconds_bucket{le="2"} 65`,
+		`secmr_test_seconds_bucket{le="+Inf"} 65`,
+		`secmr_test_seconds_count 65`,
+	} {
+		if !strings.Contains(b.String(), line+"\n") {
+			t.Fatalf("exposition lacks %q:\n%s", line, b.String())
+		}
+	}
+
+	c := r.Counter("secmr_test_total", "a counter")
+	if got := c.AddValue(3); got != 3 {
+		t.Fatalf("AddValue(3) = %d, want 3", got)
+	}
+	if got := c.AddValue(0); got != 3 {
+		t.Fatalf("AddValue(0) = %d, want the unchanged 3", got)
+	}
+	var nilC *Counter
+	if nilC.AddValue(5) != 0 {
+		t.Fatal("nil counter's AddValue must read 0")
+	}
+}
+
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x", "")

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -128,7 +129,10 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	if wait, err := s.admit(t, txs); err != nil {
+	if wait, err := s.admit(t, txs); errors.Is(err, errCeiling) {
+		httpError(w, http.StatusInsufficientStorage, "%v", err)
+		return
+	} else if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	} else if wait > 0 {

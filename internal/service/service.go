@@ -14,6 +14,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -114,6 +115,11 @@ type Service struct {
 	inflight atomic.Int64
 	steps    atomic.Int64
 	epoch    atomic.Int64 // last published epoch (monotone across restarts)
+	// dbLen counts the grid's database as admitted: the seed plus every
+	// transaction answered 202, queued or absorbed. maxDB is the ceiling
+	// the grid's sign SFE can vote on (Grid.MaxDBLen).
+	dbLen atomic.Int64
+	maxDB int64
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -128,6 +134,7 @@ type Service struct {
 	cIngestBytes *obs.Counter
 	cShedRate    *obs.Counter
 	cShedBytes   *obs.Counter
+	cShedCeiling *obs.Counter
 	cPublishes   *obs.Counter
 	hIngestBatch *obs.Histogram
 }
@@ -170,6 +177,8 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s.grid = grid
+	s.dbLen.Store(int64(seed.Len()))
+	s.maxDB = grid.MaxDBLen()
 
 	// Epoch continuity: never publish at or below anything the store
 	// already holds, or a restart would wedge every Put as stale.
@@ -194,6 +203,7 @@ func New(cfg Config) (*Service, error) {
 		s.cIngestBytes = reg.Counter("service_ingest_bytes_total", "Byte charge of admitted transactions.")
 		s.cShedRate = reg.Counter("service_shed_total", "Ingest batches shed by admission control.", "reason", "rate")
 		s.cShedBytes = reg.Counter("service_shed_total", "Ingest batches shed by admission control.", "reason", "inflight")
+		s.cShedCeiling = reg.Counter("service_shed_total", "Ingest batches shed by admission control.", "reason", "ceiling")
 		s.cPublishes = reg.Counter("service_publishes_total", "Rule-set publish rounds completed.")
 		s.hIngestBatch = reg.Histogram("service_ingest_batch_txns", "Admitted batch sizes.",
 			[]float64{1, 4, 16, 64, 256, 1024, 4096})
@@ -238,30 +248,50 @@ func (s *Service) lookup(id string) (*tenant, error) {
 	return s.registerLocked(id)
 }
 
+// errCeiling refuses a batch that would take the grid's database past
+// what its sign SFE can vote on (Grid.MaxDBLen): mined rules would be
+// silently wrong from there on, and no retry can help.
+var errCeiling = errors.New("service: the grid's database would pass the ceiling its encrypted votes can count to")
+
+// reserve adds n to a counter unless that would take it past limit.
+func reserve(v *atomic.Int64, n, limit int64) bool {
+	for {
+		cur := v.Load()
+		if cur+n > limit {
+			return false
+		}
+		if v.CompareAndSwap(cur, cur+n) {
+			return true
+		}
+	}
+}
+
 // admit runs admission control for a batch and, when admitted, queues
 // it on the tenant's resource feed. shedFor > 0 means shed: retry
-// after that long.
+// after that long. errCeiling means refused for good.
 func (s *Service) admit(t *tenant, txs []arm.Transaction) (shedFor time.Duration, err error) {
+	n := int64(len(txs))
+	// The ceiling first: past it retrying cannot help, so it is no shed.
+	if !reserve(&s.dbLen, n, s.maxDB) {
+		s.cShedCeiling.Inc()
+		return 0, errCeiling
+	}
 	var bytes int64
 	for _, tx := range txs {
 		bytes += txCost(tx)
 	}
-	// Budget first (cheap atomic); bucket second, so a shed-by-budget
+	// Budget next (cheap atomic); bucket last, so a shed-by-budget
 	// batch doesn't burn the tenant's tokens.
-	for {
-		cur := s.inflight.Load()
-		if cur+bytes > s.cfg.MaxInflightBytes {
-			s.cShedBytes.Inc()
-			// The loop drains GrowthPerStep×resources per StepEvery;
-			// one step is the natural retry grain.
-			return s.cfg.StepEvery + time.Millisecond, nil
-		}
-		if s.inflight.CompareAndSwap(cur, cur+bytes) {
-			break
-		}
+	if !reserve(&s.inflight, bytes, s.cfg.MaxInflightBytes) {
+		s.dbLen.Add(-n)
+		s.cShedBytes.Inc()
+		// The loop drains GrowthPerStep×resources per StepEvery;
+		// one step is the natural retry grain.
+		return s.cfg.StepEvery + time.Millisecond, nil
 	}
 	if ok, wait := t.bucket.take(len(txs), s.cfg.Now()); !ok {
 		s.inflight.Add(-bytes)
+		s.dbLen.Add(-n)
 		s.cShedRate.Inc()
 		return wait + time.Millisecond, nil
 	}

@@ -231,6 +231,64 @@ func TestServiceInflightBudgetShedding(t *testing.T) {
 	}
 }
 
+// TestServiceRefusesPastTheCeiling: the service counts the grid's
+// database — seed plus every admitted transaction — against the ceiling
+// its sign SFE can vote on, and refuses a batch that would pass it with
+// 507 (not 429: retrying cannot help), counted under
+// service_shed_total{reason="ceiling"}. A refused batch leaves the count
+// alone, and a batch that lands exactly on the ceiling is admitted. The
+// ceiling is lowered white-box to five transactions above the seed;
+// by default it is the grid's own (Grid.MaxDBLen).
+func TestServiceRefusesPastTheCeiling(t *testing.T) {
+	cfg := testConfig(store.NewMem())
+	cfg.Obs = secmr.NewTelemetry()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.maxDB != s.grid.MaxDBLen() {
+		t.Fatalf("ceiling %d, want the grid's %d", s.maxDB, s.grid.MaxDBLen())
+	}
+	seedLen := int64(cfg.Seed.Len())
+	if s.dbLen.Load() != seedLen {
+		t.Fatalf("database counted at %d, want the %d seed transactions", s.dbLen.Load(), seedLen)
+	}
+	s.maxDB = seedLen + 5
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	three := map[string]any{"txns": [][]int{{1}, {2}, {3}}}
+	two := map[string]any{"txns": [][]int{{1}, {2}}}
+	for i, step := range []struct {
+		batch map[string]any
+		want  int
+	}{
+		{three, http.StatusAccepted},
+		{three, http.StatusInsufficientStorage},
+		{two, http.StatusAccepted},
+		{map[string]any{"txns": [][]int{{1}}}, http.StatusInsufficientStorage},
+	} {
+		resp := post(t, srv, "/v1/tenants/a/txns", step.batch)
+		resp.Body.Close()
+		if resp.StatusCode != step.want {
+			t.Fatalf("batch %d: status %d, want %d", i, resp.StatusCode, step.want)
+		}
+		if step.want != http.StatusAccepted && resp.Header.Get("Retry-After") != "" {
+			t.Fatalf("batch %d: a refusal past the ceiling invites a retry", i)
+		}
+	}
+	if got := s.dbLen.Load(); got != seedLen+5 {
+		t.Fatalf("database counted at %d, want %d", got, seedLen+5)
+	}
+	if got := s.cShedCeiling.Value(); got != 2 {
+		t.Fatalf(`service_shed_total{reason="ceiling"} = %d, want 2`, got)
+	}
+	if s.cShedRate.Value() != 0 || s.cShedBytes.Value() != 0 {
+		t.Fatal("a ceiling refusal was counted as a rate or budget shed")
+	}
+}
+
 func TestServiceRestartKeepsTenantsAndEpochs(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})

@@ -364,6 +364,12 @@ func (s *Scheme) Rerandomize(a *homo.Ciphertext) *homo.Ciphertext {
 	return s.deal(nil, 0, nil, s.limbs(a))
 }
 
+// RerandomizeInto is Rerandomize dealt into dst's limbs
+// (homo.IntoRerandomizer): with a destination the call allocates nothing.
+func (s *Scheme) RerandomizeInto(dst, a *homo.Ciphertext) *homo.Ciphertext {
+	return s.deal(dst, 0, nil, s.limbs(a))
+}
+
 // --- batch capability ---------------------------------------------------
 
 // The batch interfaces are implemented with plain loops over the
@@ -472,11 +478,12 @@ func (s *Scheme) MaxCiphertextBytes() int {
 }
 
 var (
-	_ homo.Scheme         = (*Scheme)(nil)
-	_ homo.BatchScheme    = (*Scheme)(nil)
-	_ homo.LinCombiner    = (*Scheme)(nil)
-	_ homo.IntoDecryptor  = (*Scheme)(nil)
-	_ homo.IntoEncryptor  = (*Scheme)(nil)
-	_ homo.Adopter        = (*Scheme)(nil)
-	_ homo.WireCiphertext = (*Scheme)(nil)
+	_ homo.Scheme           = (*Scheme)(nil)
+	_ homo.BatchScheme      = (*Scheme)(nil)
+	_ homo.LinCombiner      = (*Scheme)(nil)
+	_ homo.IntoDecryptor    = (*Scheme)(nil)
+	_ homo.IntoEncryptor    = (*Scheme)(nil)
+	_ homo.IntoRerandomizer = (*Scheme)(nil)
+	_ homo.Adopter          = (*Scheme)(nil)
+	_ homo.WireCiphertext   = (*Scheme)(nil)
 )

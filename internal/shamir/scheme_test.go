@@ -328,6 +328,8 @@ func TestSchemeOpAllocs(t *testing.T) {
 			{"LinCombInto(nil)", 2, func() { s.LinCombInto(nil, coeffs, terms) }},
 			{"DecryptSignedInto", 0, func() { s.DecryptSignedInto(plain, b) }},
 			{"EncryptIntInto(dst)", 0, func() { s.EncryptIntInto(dst, -5) }},
+			{"RerandomizeInto(dst)", 0, func() { s.RerandomizeInto(dst, a) }},
+			{"RerandomizeInto(nil)", 2, func() { s.RerandomizeInto(nil, a) }},
 		} {
 			if got := testing.AllocsPerRun(200, op.run); got > op.max {
 				t.Errorf("%s %s: %v allocs/op, want ≤ %v", s.Name(), op.name, got, op.max)

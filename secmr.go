@@ -31,6 +31,7 @@ import (
 	"cmp"
 	crand "crypto/rand"
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"path/filepath"
@@ -452,6 +453,13 @@ type Grid struct {
 	// so Close can stop them deterministically.
 	intros []*IntrospectionServer
 
+	// payloads is the grid-wide free list of superseded payload counters
+	// (core.Payloads); nil where recycling cannot hold (see payloadsFor).
+	payloads *core.Payloads
+	// maxDB is core.MaxDBLen for the grid's scheme and thresholds, capped
+	// at MaxInt64 (see MaxDBLen).
+	maxDB int64
+
 	// Durability plumbing; populated only when cfg.Persist is set.
 	coreCfg  core.Config // per-resource config sans feed, for recovery
 	scheme   homo.Scheme // the (possibly instrumented) grid scheme
@@ -534,14 +542,19 @@ func NewGridWithFeedSources(db *Database, feeds []FeedSource, cfg GridConfig) (*
 
 	var scheme, rawScheme homo.Scheme
 	var stopPool func()
+	maxDB := int64(math.MaxInt64)
 	if cfg.Algorithm == AlgorithmSecure {
 		scheme, err = buildScheme(cfg)
 		if err != nil {
 			return nil, err
 		}
-		if limit := core.MaxDBLen(scheme.PlaintextSpace(), th); limit.Cmp(big.NewInt(int64(db.Len()))) < 0 {
+		limit := core.MaxDBLen(scheme.PlaintextSpace(), th)
+		if limit.Cmp(big.NewInt(int64(db.Len()))) < 0 {
 			return nil, fmt.Errorf("secmr: %d transactions overflow %s at MinFreq=%v MinConf=%v: a blinded vote must stay within ±(M−1)/2 of its plaintext space M=%v, which admits at most %v transactions",
 				db.Len(), scheme.Name(), cfg.MinFreq, cfg.MinConf, scheme.PlaintextSpace(), limit)
+		}
+		if limit.IsInt64() {
+			maxDB = limit.Int64()
 		}
 		rawScheme = scheme // pre-instrumentation, for key-material export
 		if sc, ok := scheme.(*paillier.Scheme); ok && cfg.NoisePool > 0 {
@@ -553,7 +566,7 @@ func NewGridWithFeedSources(db *Database, feeds []FeedSource, cfg GridConfig) (*
 	}
 
 	g := &Grid{cfg: cfg, truth: truth, obs: cfg.Telemetry, stopPool: stopPool,
-		scheme: scheme}
+		scheme: scheme, maxDB: maxDB, payloads: payloadsFor(cfg, rawScheme)}
 	// Fault injection and live adversaries share one injector: scheduled
 	// corruptions (AdversarySpec.From) ride the fault schedule, so one
 	// seed replays the whole chaos run, Byzantine flips included. The
@@ -642,7 +655,8 @@ func NewGridWithFeedSources(db *Database, feeds []FeedSource, cfg GridConfig) (*
 				GrowthPerStep: cfg.GrowthPerStep, K: int64(cfg.K),
 				MaxRuleItems: cfg.MaxRuleItems, IntraDelay: true,
 				PaddingDance: cfg.PaddingDance, LossyLinks: cfg.Faults != nil,
-				Obs: cfg.Telemetry, Audit: cfg.Audit, Quarantine: cfg.Quarantine}
+				Obs: cfg.Telemetry, Audit: cfg.Audit, Quarantine: cfg.Quarantine,
+				Payloads: g.payloads}
 			g.coreCfg = c
 			r := core.NewResourceFeed(i, c, scheme, parts[i], feed, advFor[i])
 			if cfg.Persist != nil {
@@ -707,6 +721,33 @@ func buildTopology(t Topology, n int, rng *rand.Rand) (*topology.Graph, error) {
 		return nil, fmt.Errorf("secmr: unknown topology %q", t)
 	}
 }
+
+// payloadsPerResource sizes the grid-wide payload free list: enough for
+// every counter a step's deliveries supersede before its transmits take
+// them back, on the workloads measured.
+const payloadsPerResource = 256
+
+// payloadsFor builds the payload free list for a secure grid whose
+// scheme deals into a destination natively (Shamir), or returns nil.
+// An adversary hook may keep or forward any payload it sees, which
+// breaks the receiver-owns-it rule for the whole grid, not only at the
+// cheating broker, so adversaries turn the list off here. Every other
+// condition is the broker's (core.Payloads): Faults arm LossyLinks and
+// PaddingDance clears recycle, and either leaves the list unused.
+func payloadsFor(cfg GridConfig, raw homo.Scheme) *core.Payloads {
+	if raw == nil || len(cfg.Adversaries) > 0 || !homo.DealsInto(raw) {
+		return nil
+	}
+	return core.NewPayloads(payloadsPerResource * cfg.Resources)
+}
+
+// MaxDBLen is the largest global database, seed plus every transaction a
+// feed adds, that the grid's sign SFE can vote on (core.MaxDBLen); past
+// it a blinded vote wraps and the mined rules are silently wrong, so a
+// caller that grows the database must stop there. It is math.MaxInt64
+// when nothing bounds it: an algorithm without encrypted votes, or a
+// ceiling past int64.
+func (g *Grid) MaxDBLen() int64 { return g.maxDB }
 
 // persistDir is resource i's durable state directory.
 func (g *Grid) persistDir(i int) string {

@@ -1,6 +1,7 @@
 package secmr
 
 import (
+	"math"
 	"math/big"
 	"runtime"
 	"strconv"
@@ -319,6 +320,31 @@ func TestPlaintextRangeBound(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "1100 transactions overflow paillier-48") ||
 		!strings.Contains(err.Error(), "at most") {
 		t.Fatalf("oversized database not refused by name and bound: %v", err)
+	}
+}
+
+// TestGridMaxDBLen: the facade exposes the ceiling it checked the seed
+// database against, so that whoever grows the database can keep to it:
+// core.MaxDBLen for a secure grid, math.MaxInt64 where no scheme bounds
+// the votes.
+func TestGridMaxDBLen(t *testing.T) {
+	db := smallDB(300, 5)
+	for _, tc := range []struct {
+		alg  Algorithm
+		want int64
+	}{
+		{AlgorithmSecure, 8_388_607}, // Shamir at MinFreq = 1/3: 2^23−1
+		{AlgorithmPlain, math.MaxInt64},
+	} {
+		g, err := NewGrid(db, GridConfig{Algorithm: tc.alg, Crypto: CryptoShamir, Resources: 4, K: 2,
+			MinFreq: 1.0 / 3, MinConf: 0.7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.MaxDBLen(); got != tc.want {
+			t.Errorf("%s: MaxDBLen = %d, want %d", tc.alg, got, tc.want)
+		}
+		g.Close()
 	}
 }
 
