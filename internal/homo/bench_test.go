@@ -228,6 +228,20 @@ func BenchmarkShamirEncrypt(b *testing.B) {
 	}
 }
 
+// BenchmarkShamirEncryptIntInto deals into a destination the caller
+// owns, as a transmit's stamps and the accountant's ⊥ counters do (the
+// benchmark's mine_churn_shamir makes about 16k encryptions a step):
+// the dealing kernel with no allocation around it.
+func BenchmarkShamirEncryptIntInto(b *testing.B) {
+	s := benchShamir(b)
+	dst := s.EncryptInt(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		homo.EncryptIntInto(s, dst, 123456)
+	}
+}
+
 func BenchmarkShamirDecrypt(b *testing.B) {
 	s := benchShamir(b)
 	c := s.EncryptInt(123456)

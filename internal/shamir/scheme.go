@@ -40,10 +40,17 @@ import (
 // share per 64-bit limb, most-significant limb forced to 1 so the bit
 // length (64N+1) is a pure function of the geometry: wire sizes never
 // depend on share values, adoption can validate shape in O(1), and the
-// canonical big-endian wire form is injective.
+// canonical big-endian wire form is injective. A fresh ciphertext is one
+// heap object: the homo.Ciphertext header, its big.Int and the limb
+// array together (a cell), the limb slice capped at its length. Only a
+// geometry whose limbs outgrow the largest cell keeps the limb array
+// as a second object.
 type Scheme struct {
 	geo *Geometry
 	tag uint64
+	// cell is the limb capacity of this geometry's one-object
+	// ciphertexts, 0 when the limbs outgrow every cell.
+	cell int
 }
 
 var tagCounter atomic.Uint64
@@ -54,7 +61,14 @@ func New(p Params) (*Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scheme{geo: geo, tag: tagCounter.Add(1)}, nil
+	s := &Scheme{geo: geo, tag: tagCounter.Add(1)}
+	for _, c := range cellWords {
+		if c >= s.words() {
+			s.cell = c
+			break
+		}
+	}
+	return s, nil
 }
 
 // MustNew is New for static parameters known to be valid.
@@ -91,10 +105,11 @@ func (s *Scheme) PlaintextSpace() *big.Int { return new(big.Int).Set(pBig) }
 // auxStreams supplies the aux randomness that is the entire hiding
 // margin: ChaCha8 generators, each seeded from crypto/rand, so draws are
 // cryptographically strong at ~ns cost. A dealer takes a generator for
-// the length of one draw and puts it back; sync.Pool keeps one per P in
-// the steady state, so resources dealing on different cores (engine
-// workers, netgrid hosts) never wait on each other. A generator the
-// pool drops at a GC is replaced by a freshly seeded one.
+// the length of one dealing (or one batch's draw) and puts it back;
+// sync.Pool keeps one per P in the steady state, so resources dealing
+// on different cores (engine workers, netgrid hosts) never wait on each
+// other. A generator the pool drops at a GC is replaced by a freshly
+// seeded one.
 var auxStreams = sync.Pool{New: func() any {
 	var seed [32]byte
 	if _, err := rand.Read(seed[:]); err != nil {
@@ -103,19 +118,23 @@ var auxStreams = sync.Pool{New: func() any {
 	return mrand.NewChaCha8(seed)
 }}
 
+// drawResidue returns one uniform residue from rng.
+func drawResidue(rng *mrand.ChaCha8) uint64 {
+	for {
+		// 61 uniform bits; only the single value P (= 2^61−1) is
+		// rejected, so the loop all but never repeats.
+		if v := rng.Uint64() >> 3; v < P {
+			return v
+		}
+	}
+}
+
 // drawAux fills buf with uniform residues from one pooled generator;
 // callers pre-size buf so a whole batch is one pool round-trip.
 func (s *Scheme) drawAux(buf []uint64) {
 	rng := auxStreams.Get().(*mrand.ChaCha8)
 	for i := range buf {
-		for {
-			// 61 uniform bits; only the single value P (= 2^61−1) is
-			// rejected, so the loop all but never repeats.
-			if v := rng.Uint64() >> 3; v < P {
-				buf[i] = v
-				break
-			}
-		}
+		buf[i] = drawResidue(rng)
 	}
 	auxStreams.Put(rng)
 }
@@ -147,6 +166,10 @@ func setShare(ws []big.Word, i int, v uint64) {
 	ws[2*i], ws[2*i+1] = big.Word(v), big.Word(v>>32)
 }
 
+// words returns the limb count of this geometry's ciphertexts, the
+// sentinel limb included.
+func (s *Scheme) words() int { return s.geo.p.N*wordsPerShare + 1 }
+
 // limbs returns the share limbs (sentinel included) of a ciphertext
 // produced or adopted by this instance; the tag check makes cross-scheme
 // mix-ups panic exactly like the other backends. The result is c's own
@@ -163,39 +186,69 @@ func (s *Scheme) limbs(c *homo.Ciphertext) []big.Word {
 	return ws
 }
 
+// cell is one ciphertext's whole storage: header, big.Int and limb
+// array L in one heap object. An op's first read of an operand's limbs
+// then lands next to the header it has just read, instead of missing
+// the cache a second time on a separate limb array — before cells,
+// that read was the secure step's largest single cost.
+type cell[L any] struct {
+	c homo.Ciphertext
+	v big.Int
+	l L
+}
+
+// cellWords are the limb capacities a geometry chooses among, smallest
+// first: 8 holds the 3-of-7 ciphertexts of the benchmark on 64-bit
+// words, 16 the same ciphertexts on 32-bit ones, where a share spans
+// two words.
+var cellWords = [...]int{8, 16, 32}
+
 // blank returns a ciphertext of this instance with all-zero shares, and
-// its limbs for the caller to fill before anyone else sees it. Header
-// and big.Int are one object, so a result costs two allocations, and
-// its limbs are fresh: it never aliases an operand.
+// its limbs for the caller to fill before anyone else sees it. It is
+// the only constructor of a ciphertext: one allocation (two past the
+// largest cell), and fresh storage that never aliases an operand. The
+// limb slice's capacity is its length, so no big.Int op on V can write
+// past it.
 func (s *Scheme) blank() (*homo.Ciphertext, []big.Word) {
-	box := new(struct {
-		c homo.Ciphertext
-		v big.Int
-	})
-	top := s.geo.p.N * wordsPerShare
-	ws := make([]big.Word, top+1)
-	ws[top] = 1 // sentinel limb: constant bit length 64N+1
-	box.c = homo.Ciphertext{V: box.v.SetBits(ws), Tag: s.tag}
-	return &box.c, ws
+	n := s.words()
+	var (
+		c  *homo.Ciphertext
+		v  *big.Int
+		ws []big.Word
+	)
+	switch s.cell {
+	case 8:
+		x := new(cell[[8]big.Word])
+		c, v, ws = &x.c, &x.v, x.l[:n:n]
+	case 16:
+		x := new(cell[[16]big.Word])
+		c, v, ws = &x.c, &x.v, x.l[:n:n]
+	case 32:
+		x := new(cell[[32]big.Word])
+		c, v, ws = &x.c, &x.v, x.l[:n:n]
+	default:
+		x := new(cell[struct{}])
+		c, v, ws = &x.c, &x.v, make([]big.Word, n)
+	}
+	ws[n-1] = 1 // sentinel limb: constant bit length 64N+1
+	*c = homo.Ciphertext{V: v.SetBits(ws), Tag: s.tag}
+	return c, ws
 }
 
 // deal returns a fresh sharing of v (packed slot 0; the other slots
 // stay 0) added sharewise to base, or on its own when base is nil. aux
-// holds the dealing's K−1 uniform residues; nil draws them here. The
-// sharing is written into dst's limbs, or into a new ciphertext when dst
-// is nil; base must not be dst's.
+// holds the dealing's K−1 uniform residues; nil draws each one from a
+// pooled stream when it is consumed. The sharing is written into dst's
+// limbs, or into a new ciphertext when dst is nil; base must not be
+// dst's.
+//
+// Dealing is coefficient-major: each pass folds one more defining
+// value into all N shares, accumulating in the destination limbs, so
+// the N evaluations are independent chains rather than N serial
+// Horner runs, and no buffer of defining values is needed at any K.
 func (s *Scheme) deal(dst *homo.Ciphertext, v uint64, aux []uint64, base []big.Word) *homo.Ciphertext {
 	p := s.geo.p
-	var buf [16]uint64 // keeps every product geometry's dealing on the stack
-	vals := buf[:]
-	if p.Threshold() > len(buf) {
-		vals = make([]uint64, p.Threshold())
-	}
-	vals = vals[:p.Threshold()] // secrets ‖ aux
-	vals[0] = v
-	if aux == nil {
-		s.drawAux(vals[p.W:])
-	} else if copy(vals[p.W:], aux) != p.K-1 {
+	if aux != nil && len(aux) != p.K-1 {
 		panic("shamir: dealing needs K-1 aux residues")
 	}
 	var ws []big.Word
@@ -204,12 +257,55 @@ func (s *Scheme) deal(dst *homo.Ciphertext, v uint64, aux []uint64, base []big.W
 	} else {
 		ws = s.limbs(dst)
 	}
-	for i := 0; i < p.N; i++ {
-		sh := s.geo.shareAt(i, vals)
-		if base != nil {
-			sh = fieldAdd(sh, share(base, i))
+	var rng *mrand.ChaCha8
+	if aux == nil && p.K > 1 {
+		rng = auxStreams.Get().(*mrand.ChaCha8)
+	}
+	next := func(a int) uint64 { // aux residue a
+		if rng != nil {
+			return drawResidue(rng)
 		}
-		setShare(ws, i, sh)
+		return aux[a]
+	}
+	if rows := s.geo.deal; rows != nil {
+		// Packed: share i = Σ_j deal[i][j]·vals[j] over the defining
+		// values vals = v ‖ 0 … ‖ aux.
+		for i, row := range rows {
+			setShare(ws, i, fieldMul(row[0], v))
+		}
+		for a := 0; a < p.K-1; a++ {
+			r := next(a)
+			for i, row := range rows {
+				setShare(ws, i, fieldAdd(share(ws, i), fieldMul(row[p.W+a], r)))
+			}
+		}
+	} else {
+		// Unpacked: f(x) = v + Σ_a aux[a]·x^(a+1) at x = 1 … N by
+		// Horner's rule, top coefficient first.
+		top := v
+		if p.K > 1 {
+			top = next(p.K - 2)
+		}
+		for i := 0; i < p.N; i++ {
+			setShare(ws, i, top)
+		}
+		for a := p.K - 3; a >= -1; a-- {
+			c := v
+			if a >= 0 {
+				c = next(a)
+			}
+			for i := 0; i < p.N; i++ {
+				setShare(ws, i, fieldAdd(fieldMul(share(ws, i), uint64(i+1)), c))
+			}
+		}
+	}
+	if rng != nil {
+		auxStreams.Put(rng)
+	}
+	if base != nil {
+		for i := 0; i < p.N; i++ {
+			setShare(ws, i, fieldAdd(share(ws, i), share(base, i)))
+		}
 	}
 	return dst
 }
@@ -315,21 +411,18 @@ func (s *Scheme) ScalarMul(m int64, a *homo.Ciphertext) *homo.Ciphertext {
 // LinCombInto is the fused op every homomorphic chain of the protocol
 // reduces to (homo.LinCombiner): dst = Σ coeffs[i]·xs[i] sharewise, nil
 // coeffs meaning the plain sum. Operands and destination alike pass the
-// limbs check; the combination is accumulated off to the side and
-// stored only after the last operand was read, so dst may be one of xs
-// and a panicking check leaves it untouched. With a destination the
-// call allocates nothing.
+// limbs check before any share is stored. The combination is
+// accumulated on the stack in runs of up to 16 shares — one run at
+// every product geometry — and each run is stored only after every
+// operand's same shares were read, so dst may be one of xs and a
+// panicking check leaves it untouched. With a destination the call
+// allocates nothing, at any N.
 func (s *Scheme) LinCombInto(dst *homo.Ciphertext, coeffs []int64, xs []*homo.Ciphertext) *homo.Ciphertext {
 	if coeffs != nil && len(coeffs) != len(xs) {
 		panic("shamir: LinCombInto length mismatch")
 	}
-	n := s.geo.p.N
-	var buf [16]uint64 // every product geometry's share vector, on the stack
-	acc := buf[:]
-	if n > len(buf) {
-		acc = make([]uint64, n)
-	}
-	acc = acc[:n]
+	var buf [linCombRun]uint64
+	acc := buf[:min(s.geo.p.N, linCombRun)]
 	for j, x := range xs {
 		wx, m := s.limbs(x), uint64(1)
 		if coeffs != nil {
@@ -354,7 +447,38 @@ func (s *Scheme) LinCombInto(dst *homo.Ciphertext, coeffs []int64, xs []*homo.Ci
 	for i, v := range acc {
 		setShare(wd, i, v)
 	}
+	if s.geo.p.N > linCombRun {
+		s.linCombTail(wd, coeffs, xs)
+	}
 	return dst
+}
+
+// linCombRun is the shares LinCombInto accumulates per run: every
+// product geometry's whole share vector.
+const linCombRun = 16
+
+// linCombTail is LinCombInto past its first run, for N > linCombRun:
+// the remaining shares into wd, one run at a time, every operand
+// already checked.
+func (s *Scheme) linCombTail(wd []big.Word, coeffs []int64, xs []*homo.Ciphertext) {
+	var buf [linCombRun]uint64
+	for lo := linCombRun; lo < s.geo.p.N; lo += linCombRun {
+		acc := buf[:min(s.geo.p.N-lo, linCombRun)]
+		clear(acc)
+		for j, x := range xs {
+			m := uint64(1)
+			if coeffs != nil {
+				m = fieldEncodeInt64(coeffs[j])
+			}
+			wx := x.V.Bits()[lo*wordsPerShare:]
+			for i := range acc {
+				acc[i] = fieldAdd(acc[i], fieldMul(share(wx, i), m))
+			}
+		}
+		for i, v := range acc {
+			setShare(wd, lo+i, v)
+		}
+	}
 }
 
 // Rerandomize adds a fresh sharing of zero: the plaintext (every

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"math/big"
+	"math/bits"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -290,21 +291,30 @@ func TestConcurrentEncrypt(t *testing.T) {
 }
 
 // TestSchemeOpAllocs is the per-op allocation gate for the Shamir
-// workloads' homo layer: every result is two heap objects (the
-// header+big.Int box and its limb slice) and no operand is copied. The
-// parent of this gate read 5, 5, 4, 8, 7, 7, 9, 3, 6 in table order.
-// Encrypt of a value outside int64 — no protocol value is — adds
-// homo.EncodeMod's temporaries: 4 in all on 64-bit words, 5 on 32-bit.
-// The destination-passing ops write into storage the caller already
-// holds: nothing allocated with a destination, one result without. The
-// aux draw behind every dealing allocates nothing either once its
-// pooled stream exists.
+// workloads' homo layer: every result is one heap object (header,
+// big.Int and limbs together) wherever the limbs fit the largest
+// 32-word cell, two past it, and no operand is copied. The parent of
+// this gate read 5, 5, 4, 8, 7, 7, 9, 3, 6 in table order, and the
+// parent of one-object ciphertexts 2 for every fresh result. Encrypt of
+// a value outside int64 — no protocol value is — adds homo.EncodeMod's
+// three temporaries. The
+// destination-passing ops write into storage the caller already holds:
+// nothing allocated with a destination at any geometry (the 16-of-20
+// and 20-of-24 rows outgrow a 16-element stack buffer), one result
+// without. The aux draw behind every dealing allocates nothing either
+// once its pooled stream exists.
 func TestSchemeOpAllocs(t *testing.T) {
 	for _, p := range []shamir.Params{
-		{K: 3, N: 7, W: 1}, // BENCHMARK.json's mine_churn_shamir
-		{K: 2, N: 6, W: 1}, // BENCH_homo.json
+		{K: 3, N: 7, W: 1},   // BENCHMARK.json's mine_churn_shamir
+		{K: 2, N: 6, W: 1},   // BENCH_homo.json
+		{K: 16, N: 20, W: 1}, // the facade at k = 16 with four spare holders
+		{K: 20, N: 24, W: 1},
 	} {
 		s := newScheme(t, p)
+		fresh := 1.0 // allocations per fresh result
+		if p.N*64/bits.UintSize+1 > 32 {
+			fresh = 2
+		}
 		a, b := s.EncryptInt(1234567), s.EncryptInt(-89)
 		m := big.NewInt(-424242)
 		dst, plain := s.LinCombInto(nil, nil, nil), new(big.Int)
@@ -314,26 +324,127 @@ func TestSchemeOpAllocs(t *testing.T) {
 			max  float64
 			run  func()
 		}{
-			{"Add", 2, func() { s.Add(a, b) }},
-			{"Sub", 2, func() { s.Sub(a, b) }},
-			{"ScalarMul", 2, func() { s.ScalarMul(-77, a) }},
-			{"Rerandomize", 2, func() { s.Rerandomize(a) }},
-			{"EncryptInt", 2, func() { s.EncryptInt(-5) }},
-			{"EncryptZero", 2, func() { s.EncryptZero() }},
-			{"Encrypt", 2, func() { s.Encrypt(m) }},
+			{"Add", fresh, func() { s.Add(a, b) }},
+			{"Sub", fresh, func() { s.Sub(a, b) }},
+			{"ScalarMul", fresh, func() { s.ScalarMul(-77, a) }},
+			{"Rerandomize", fresh, func() { s.Rerandomize(a) }},
+			{"EncryptInt", fresh, func() { s.EncryptInt(-5) }},
+			{"EncryptZero", fresh, func() { s.EncryptZero() }},
+			{"Encrypt", fresh, func() { s.Encrypt(m) }},
 			{"Decrypt", 2, func() { s.Decrypt(a) }},
 			{"DecryptSigned", 2, func() { s.DecryptSigned(b) }},
 			{"LinCombInto(dst)", 0, func() { s.LinCombInto(dst, coeffs, terms) }},
 			{"LinCombInto(dst) sum", 0, func() { s.LinCombInto(dst, nil, terms) }},
-			{"LinCombInto(nil)", 2, func() { s.LinCombInto(nil, coeffs, terms) }},
+			{"LinCombInto(nil)", fresh, func() { s.LinCombInto(nil, coeffs, terms) }},
 			{"DecryptSignedInto", 0, func() { s.DecryptSignedInto(plain, b) }},
 			{"EncryptIntInto(dst)", 0, func() { s.EncryptIntInto(dst, -5) }},
 			{"RerandomizeInto(dst)", 0, func() { s.RerandomizeInto(dst, a) }},
-			{"RerandomizeInto(nil)", 2, func() { s.RerandomizeInto(nil, a) }},
+			{"RerandomizeInto(nil)", fresh, func() { s.RerandomizeInto(nil, a) }},
 		} {
 			if got := testing.AllocsPerRun(200, op.run); got > op.max {
 				t.Errorf("%s %s: %v allocs/op, want ≤ %v", s.Name(), op.name, got, op.max)
 			}
+		}
+	}
+}
+
+// TestLinCombIntoPastOneRun: at N > 16 LinCombInto accumulates in
+// several runs of 16 shares. Every run must equal the composition of
+// Add and ScalarMul, also when the destination is an operand, and an
+// operand that fails its check must leave the destination untouched.
+func TestLinCombIntoPastOneRun(t *testing.T) {
+	for _, p := range []shamir.Params{{K: 16, N: 20, W: 1}, {K: 3, N: 33, W: 1}, {K: 20, N: 48, W: 1}} {
+		s := newScheme(t, p)
+		a, b := s.EncryptInt(1234567), s.EncryptInt(-89)
+		coeffs := []int64{-3, 1 << 40}
+		want := s.Add(s.ScalarMul(coeffs[0], a), s.ScalarMul(coeffs[1], b))
+		if got := s.LinCombInto(nil, coeffs, []*homo.Ciphertext{a, b}); got.V.Cmp(want.V) != 0 {
+			t.Fatalf("%s: LinCombInto differs from Add∘ScalarMul", s.Name())
+		}
+		dst := s.LinCombInto(nil, nil, []*homo.Ciphertext{a}) // a copy of a this test owns
+		if s.LinCombInto(dst, coeffs, []*homo.Ciphertext{dst, b}); dst.V.Cmp(want.V) != 0 {
+			t.Fatalf("%s: LinCombInto into an operand differs from Add∘ScalarMul", s.Name())
+		}
+		if got := s.DecryptSigned(dst).Int64(); got != -3*1234567-89<<40 {
+			t.Fatalf("%s: opens to %d", s.Name(), got)
+		}
+		before := dst.V.Text(16)
+		func() {
+			defer func() { _ = recover() }()
+			s.LinCombInto(dst, nil, []*homo.Ciphertext{a, newScheme(t, p).EncryptInt(1)})
+			t.Fatalf("%s: a foreign operand did not panic", s.Name())
+		}()
+		if dst.V.Text(16) != before {
+			t.Fatalf("%s: a failed check changed the destination", s.Name())
+		}
+	}
+}
+
+// freshResults returns one ciphertext from every op that returns fresh
+// storage, in allocation order.
+func freshResults(t *testing.T, s *shamir.Scheme) []*homo.Ciphertext {
+	t.Helper()
+	a, b := s.EncryptInt(1234567), s.EncryptInt(-89)
+	adopted, err := s.Adopt(&homo.Ciphertext{V: new(big.Int).Set(a.V)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []*homo.Ciphertext{a, b, adopted,
+		s.Add(a, b), s.Sub(a, b), s.ScalarMul(-77, a), s.Rerandomize(a),
+		s.EncryptZero(), s.Encrypt(new(big.Int).Lsh(big.NewInt(1), 70)),
+		s.LinCombInto(nil, []int64{3, -1}, []*homo.Ciphertext{a, b}), s.RerandomizeInto(nil, b)}
+	out = append(out, s.EncryptZeroVec(3)...)
+	return append(out, s.RerandomizeVec([]*homo.Ciphertext{a, b})...)
+}
+
+// cellGeometries covers every cell size on 64-bit words (8, 16 and
+// 32 limbs), the two-object fallback past the largest, and a packed
+// geometry.
+var cellGeometries = []shamir.Params{
+	{K: 3, N: 7, W: 1}, {K: 2, N: 6, W: 1}, {K: 4, N: 8, W: 1}, {K: 8, N: 12, W: 1},
+	{K: 16, N: 20, W: 1}, {K: 20, N: 24, W: 1}, {K: 30, N: 31, W: 1}, {K: 3, N: 40, W: 1},
+	{K: 2, N: 8, W: 3},
+}
+
+// TestFreshLimbsCappedAtLength: a fresh ciphertext's limb slice has no
+// spare capacity, so a big.Int op on V that grows it reallocates
+// rather than writing on into the rest of its cell.
+func TestFreshLimbsCappedAtLength(t *testing.T) {
+	for _, p := range cellGeometries {
+		s := newScheme(t, p)
+		for i, c := range freshResults(t, s) {
+			if ws := c.V.Bits(); cap(ws) != len(ws) {
+				t.Errorf("%s: result %d has %d limbs of capacity %d", s.Name(), i, len(ws), cap(ws))
+			}
+		}
+	}
+}
+
+// TestFreshCiphertextsDoNotOverlap: a write through one fresh
+// ciphertext's limbs, to their full capacity, and a big.Int op that
+// grows its value in place, leave every ciphertext allocated before or
+// after it unchanged.
+func TestFreshCiphertextsDoNotOverlap(t *testing.T) {
+	for _, p := range cellGeometries {
+		s := newScheme(t, p)
+		cs := freshResults(t, s)
+		want := make([]string, len(cs))
+		for i, c := range cs {
+			want[i] = c.V.Text(16)
+		}
+		for k, c := range cs {
+			ws := c.V.Bits()
+			ws = ws[:cap(ws)]
+			for i := range ws {
+				ws[i] = ^big.Word(0)
+			}
+			c.V.Lsh(c.V, 64)
+			for i, o := range cs {
+				if i != k && o.V.Text(16) != want[i] {
+					t.Fatalf("%s: writing result %d changed result %d", s.Name(), k, i)
+				}
+			}
+			want[k] = c.V.Text(16)
 		}
 	}
 }

@@ -163,13 +163,14 @@ func TestShamirBackedGrid(t *testing.T) {
 // TestSecureStepAllocBudgetShamir holds the secure step, not just the
 // plain sim tick, to an allocation budget, on BENCHMARK.json's churn
 // grid (mine_churn_shamir's geometry, thresholds and growth). Nearly
-// all of a step's mallocs are Shamir results, two heap objects each.
+// all of a step's mallocs are Shamir results, one heap object each.
 // What is left is what a step keeps or sends — accountant replies,
 // outgoing payloads and their stamps: the broker's SFE inputs are
 // fused ops into ciphertexts it owns and the controller decrypts into
 // one integer, so neither allocates. Per step over these early steps:
 // 770k with the operand-copying kernel, 288k with the in-place one,
-// 92k with the SFE inputs destination-passed.
+// 92k with the SFE inputs destination-passed, 32k with payloads dealt
+// into superseded counters, 22k with one-object ciphertexts.
 func TestSecureStepAllocBudgetShamir(t *testing.T) {
 	const (
 		resources, growth = 8, 10
