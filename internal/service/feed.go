@@ -7,22 +7,30 @@ import (
 	"secmr/internal/arm"
 )
 
+// maxQueueSteps bounds every resource feed to this many mining steps of
+// absorption: maxQueueSteps × GrowthPerStep queued transactions. A
+// transaction admitted into a full-but-not-over feed waits at most this
+// many steps, on any machine and backend, before its resource absorbs
+// it. DESIGN §14.2 says why 32.
+const maxQueueSteps = 32
+
 // liveFeed is the bridge between a tenant ingestion handler and a grid
-// resource: an unbounded-by-itself FIFO whose admission is bounded
-// upstream (token buckets + the global in-flight byte budget), drained
-// by the mining loop at GrowthPerStep transactions per step.
+// resource: a FIFO of at most max transactions, drained by the mining
+// loop at GrowthPerStep transactions per step. Its bytes also count
+// against the global in-flight budget, charged by admit and returned by
+// Pull.
 //
 // Push runs on HTTP handler goroutines; Pull and Tail run inside
 // Grid.Step / snapshot under the grid mutex — hence the local lock.
 type liveFeed struct {
 	mu       sync.Mutex
 	q        []arm.Transaction
-	costs    []int64 // per-transaction byte charge, parallel to q
+	max      int
 	inflight *atomic.Int64
 }
 
-func newLiveFeed(inflight *atomic.Int64) *liveFeed {
-	return &liveFeed{inflight: inflight}
+func newLiveFeed(inflight *atomic.Int64, max int) *liveFeed {
+	return &liveFeed{inflight: inflight, max: max}
 }
 
 // txCost is the byte charge one transaction holds against the global
@@ -32,14 +40,22 @@ func txCost(tx arm.Transaction) int64 {
 }
 
 // push enqueues a batch whose cost was already admitted against the
-// budget.
-func (f *liveFeed) push(txs []arm.Transaction) {
+// budget, unless it would take the feed past max: then it queues
+// nothing and reports false. depth is the queue length after the call.
+func (f *liveFeed) push(txs []arm.Transaction) (depth int, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, tx := range txs {
-		f.q = append(f.q, tx)
-		f.costs = append(f.costs, txCost(tx))
+	if len(f.q)+len(txs) > f.max {
+		return len(f.q), false
 	}
+	f.q = append(f.q, txs...)
+	return len(f.q), true
+}
+
+// full reports whether push would refuse any batch at all: the
+// predicate handleIngest checks before it decodes a body.
+func (f *liveFeed) full() bool {
+	return f.depth() >= f.max
 }
 
 // Pull implements arm.Feed: pop one transaction and release its budget
@@ -51,12 +67,12 @@ func (f *liveFeed) Pull() (arm.Transaction, bool) {
 		return nil, false
 	}
 	tx := f.q[0]
-	f.inflight.Add(-f.costs[0])
-	f.q, f.costs = f.q[1:], f.costs[1:]
+	f.inflight.Add(-txCost(tx))
+	f.q = f.q[1:]
 	if len(f.q) == 0 {
-		// Reset the backing arrays so a drained feed doesn't pin the
+		// Reset the backing array so a drained feed doesn't pin the
 		// high-water-mark allocation forever.
-		f.q, f.costs = nil, nil
+		f.q = nil
 	}
 	return tx, true
 }

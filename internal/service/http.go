@@ -68,6 +68,7 @@ func (s *Service) Handler() http.Handler {
 				"epoch":          s.epoch.Load(),
 				"tenants":        tenants,
 				"inflight_bytes": s.inflight.Load(),
+				"backlog_txns":   s.backlog(),
 			}
 		},
 	})
@@ -89,10 +90,47 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// retryAfter renders a shed's wait as a Retry-After value: whole
+// seconds, rounded up, at least one.
+func retryAfter(wait time.Duration) string {
+	return strconv.Itoa(max(1, int(math.Ceil(wait.Seconds()))))
+}
+
+// backlogShedBody is the whole body of a backlog shed, encoded once:
+// under a saturated front door it is nearly every reply.
+var backlogShedBody = func() []byte {
+	b, _ := json.Marshal(map[string]string{"error": errBacklog.Error()})
+	return append(b, '\n')
+}()
+
+var jsonContentType = []string{"application/json"}
+
+// shedBacklog answers a batch its tenant's full feed refuses: 429, a
+// Retry-After of one step and a constant body, with nothing formatted
+// or encoded per reply. The header value slices are shared; net/http
+// only reads them.
+func (s *Service) shedBacklog(w http.ResponseWriter) {
+	s.cShedBacklog.Inc()
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Retry-After"] = s.backlogRetryAfter
+	w.WriteHeader(http.StatusTooManyRequests)
+	_, _ = w.Write(backlogShedBody)
+}
+
 func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("tenant")
 	if !tenantIDPattern.MatchString(id) {
 		httpError(w, http.StatusBadRequest, "invalid tenant id")
+		return
+	}
+	// A registered tenant whose feed cannot take one more transaction is
+	// shed before its body is read, so the shed costs no JSON decode.
+	// The peek registers no one: an unknown tenant is registered only
+	// once its body decodes.
+	t := s.known(id)
+	if t != nil && s.feeds[t.resource].full() {
+		s.shedBacklog(w)
 		return
 	}
 	var req ingestRequest
@@ -124,30 +162,27 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	t, err := s.lookup(id)
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if wait, err := s.admit(t, txs); errors.Is(err, errCeiling) {
-		httpError(w, http.StatusInsufficientStorage, "%v", err)
-		return
-	} else if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	} else if wait > 0 {
-		secs := int(math.Ceil(wait.Seconds()))
-		if secs < 1 {
-			secs = 1
+	if t == nil {
+		var err error
+		if t, err = s.lookup(id); err != nil {
+			httpError(w, http.StatusServiceUnavailable, "%v", err)
+			return
 		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		httpError(w, http.StatusTooManyRequests, "shed: retry in %v", wait.Round(time.Millisecond))
-		return
 	}
-	writeJSON(w, http.StatusAccepted, ingestResponse{
-		Accepted: len(txs),
-		Queue:    s.feeds[t.resource].depth(),
-	})
+	depth, wait, err := s.admit(t, txs)
+	switch {
+	case errors.Is(err, errBacklog):
+		s.shedBacklog(w)
+	case errors.Is(err, errCeiling):
+		httpError(w, http.StatusInsufficientStorage, "%v", err)
+	case err != nil:
+		httpError(w, http.StatusInternalServerError, "%v", err)
+	case wait > 0:
+		w.Header().Set("Retry-After", retryAfter(wait))
+		httpError(w, http.StatusTooManyRequests, "shed: retry in %v", wait.Round(time.Millisecond))
+	default:
+		writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: len(txs), Queue: depth})
+	}
 }
 
 func (s *Service) handleRules(w http.ResponseWriter, r *http.Request) {

@@ -44,3 +44,11 @@ func (b *tokenBucket) take(n int, now time.Time) (ok bool, retryAfter time.Durat
 	}
 	return false, time.Duration(deficit / b.rate * float64(time.Second))
 }
+
+// refund gives back n tokens a successful take debited, for a batch a
+// later gate refused.
+func (b *tokenBucket) refund(n int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.tokens = min(b.tokens+float64(n), b.burst)
+}

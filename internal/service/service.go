@@ -6,11 +6,13 @@
 // filters and a change cursor.
 //
 // Admission control happens before anything reaches the grid: a
-// per-tenant token bucket bounds each tenant's transaction rate, and a
-// global in-flight byte budget sheds load with 429 + Retry-After while
-// the mining loop catches up — so the transport send queues behind the
-// grid never overflow; overload is absorbed at the front door and
-// counted in service_shed_total.
+// per-tenant token bucket bounds each tenant's transaction rate, a
+// global in-flight byte budget bounds queued bytes, and every resource
+// feed holds at most maxQueueSteps steps of absorption. Each sheds load
+// with 429 + Retry-After while the mining loop catches up — so the
+// transport send queues behind the grid never overflow, and no admitted
+// transaction waits more than maxQueueSteps steps; overload is absorbed
+// at the front door and counted in service_shed_total.
 package service
 
 import (
@@ -53,7 +55,9 @@ type Config struct {
 	TenantBurst int
 	// MaxInflightBytes is the global budget for queued-but-unmined
 	// transaction bytes; past it every ingest sheds with 429 until the
-	// mining loop drains (default 64 MiB).
+	// mining loop drains (default 64 MiB). It guards against huge
+	// transactions: the transaction count per feed is bounded apart
+	// from it, at maxQueueSteps × GrowthPerStep.
 	MaxInflightBytes int64
 	// MaxTenants caps tenant registrations (default 1<<20).
 	MaxTenants int
@@ -120,6 +124,8 @@ type Service struct {
 	// the grid's sign SFE can vote on (Grid.MaxDBLen).
 	dbLen atomic.Int64
 	maxDB int64
+	// backlogRetryAfter is the Retry-After of every backlog shed.
+	backlogRetryAfter []string
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -135,6 +141,7 @@ type Service struct {
 	cShedRate    *obs.Counter
 	cShedBytes   *obs.Counter
 	cShedCeiling *obs.Counter
+	cShedBacklog *obs.Counter
 	cPublishes   *obs.Counter
 	hIngestBatch *obs.Histogram
 }
@@ -168,7 +175,7 @@ func New(cfg Config) (*Service, error) {
 	feeds := make([]secmr.FeedSource, resources)
 	s.feeds = make([]*liveFeed, resources)
 	for i := range feeds {
-		s.feeds[i] = newLiveFeed(&s.inflight)
+		s.feeds[i] = newLiveFeed(&s.inflight, maxQueueSteps*cfg.Grid.GrowthPerStep)
 		feeds[i] = s.feeds[i]
 	}
 	cfg.Grid.Telemetry = cfg.Obs
@@ -179,6 +186,7 @@ func New(cfg Config) (*Service, error) {
 	s.grid = grid
 	s.dbLen.Store(int64(seed.Len()))
 	s.maxDB = grid.MaxDBLen()
+	s.backlogRetryAfter = []string{retryAfter(s.retryStep())}
 
 	// Epoch continuity: never publish at or below anything the store
 	// already holds, or a restart would wedge every Put as stale.
@@ -204,11 +212,14 @@ func New(cfg Config) (*Service, error) {
 		s.cShedRate = reg.Counter("service_shed_total", "Ingest batches shed by admission control.", "reason", "rate")
 		s.cShedBytes = reg.Counter("service_shed_total", "Ingest batches shed by admission control.", "reason", "inflight")
 		s.cShedCeiling = reg.Counter("service_shed_total", "Ingest batches shed by admission control.", "reason", "ceiling")
+		s.cShedBacklog = reg.Counter("service_shed_total", "Ingest batches shed by admission control.", "reason", "backlog")
 		s.cPublishes = reg.Counter("service_publishes_total", "Rule-set publish rounds completed.")
 		s.hIngestBatch = reg.Histogram("service_ingest_batch_txns", "Admitted batch sizes.",
 			[]float64{1, 4, 16, 64, 256, 1024, 4096})
 		reg.GaugeFunc("service_inflight_bytes", "Queued-but-unmined transaction bytes against the budget.",
 			func() float64 { return float64(s.inflight.Load()) })
+		reg.GaugeFunc("service_backlog_txns", "Transactions queued in the resource feeds, not yet absorbed.",
+			func() float64 { return float64(s.backlog()) })
 		reg.GaugeFunc("service_tenants", "Registered tenants.", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -248,10 +259,31 @@ func (s *Service) lookup(id string) (*tenant, error) {
 	return s.registerLocked(id)
 }
 
+// known returns the tenant if it is registered, nil if not; it never
+// registers one.
+func (s *Service) known(id string) *tenant {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tenants[id]
+}
+
+// backlog is the transaction count queued across every resource feed.
+func (s *Service) backlog() int {
+	n := 0
+	for _, f := range s.feeds {
+		n += f.depth()
+	}
+	return n
+}
+
 // errCeiling refuses a batch that would take the grid's database past
 // what its sign SFE can vote on (Grid.MaxDBLen): mined rules would be
 // silently wrong from there on, and no retry can help.
 var errCeiling = errors.New("service: the grid's database would pass the ceiling its encrypted votes can count to")
+
+// errBacklog sheds a batch that would take its tenant's resource feed
+// past maxQueueSteps steps of absorption.
+var errBacklog = fmt.Errorf("service: shed: the resource feed holds %d steps of absorption", maxQueueSteps)
 
 // reserve adds n to a counter unless that would take it past limit.
 func reserve(v *atomic.Int64, n, limit int64) bool {
@@ -267,14 +299,16 @@ func reserve(v *atomic.Int64, n, limit int64) bool {
 }
 
 // admit runs admission control for a batch and, when admitted, queues
-// it on the tenant's resource feed. shedFor > 0 means shed: retry
-// after that long. errCeiling means refused for good.
-func (s *Service) admit(t *tenant, txs []arm.Transaction) (shedFor time.Duration, err error) {
+// it on the tenant's resource feed and returns the feed's depth.
+// shedFor > 0 means shed: retry after that long. errBacklog means shed
+// because the feed is full (retry after a step); errCeiling means
+// refused for good.
+func (s *Service) admit(t *tenant, txs []arm.Transaction) (depth int, shedFor time.Duration, err error) {
 	n := int64(len(txs))
 	// The ceiling first: past it retrying cannot help, so it is no shed.
 	if !reserve(&s.dbLen, n, s.maxDB) {
 		s.cShedCeiling.Inc()
-		return 0, errCeiling
+		return 0, 0, errCeiling
 	}
 	var bytes int64
 	for _, tx := range txs {
@@ -285,22 +319,35 @@ func (s *Service) admit(t *tenant, txs []arm.Transaction) (shedFor time.Duration
 	if !reserve(&s.inflight, bytes, s.cfg.MaxInflightBytes) {
 		s.dbLen.Add(-n)
 		s.cShedBytes.Inc()
-		// The loop drains GrowthPerStep×resources per StepEvery;
-		// one step is the natural retry grain.
-		return s.cfg.StepEvery + time.Millisecond, nil
+		return 0, s.retryStep(), nil
 	}
 	if ok, wait := t.bucket.take(len(txs), s.cfg.Now()); !ok {
 		s.inflight.Add(-bytes)
 		s.dbLen.Add(-n)
 		s.cShedRate.Inc()
-		return wait + time.Millisecond, nil
+		return 0, wait + time.Millisecond, nil
 	}
-	s.feeds[t.resource].push(txs)
+	// The feed bound last, exactly, under the feed's lock: every gate
+	// before it gives its reservation back.
+	depth, ok := s.feeds[t.resource].push(txs)
+	if !ok {
+		t.bucket.refund(len(txs))
+		s.inflight.Add(-bytes)
+		s.dbLen.Add(-n)
+		return 0, 0, errBacklog
+	}
 	t.ingested.Add(int64(len(txs)))
 	s.cIngestTxns.Add(int64(len(txs)))
 	s.cIngestBytes.Add(bytes)
 	s.hIngestBatch.Observe(float64(len(txs)))
-	return 0, nil
+	return depth, 0, nil
+}
+
+// retryStep is the Retry-After for a shed the mining loop clears: it
+// drains GrowthPerStep per resource per StepEvery, so one step is the
+// natural retry grain.
+func (s *Service) retryStep() time.Duration {
+	return s.cfg.StepEvery + time.Millisecond
 }
 
 // Start launches the background mining loop (at most once).

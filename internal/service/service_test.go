@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -385,7 +388,9 @@ func TestServiceRestartKeepsTenantsAndEpochs(t *testing.T) {
 }
 
 func TestServiceRejectsBadInput(t *testing.T) {
-	s, err := New(testConfig(store.NewMem()))
+	cfg := testConfig(store.NewMem())
+	cfg.Obs = secmr.NewTelemetry()
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,6 +404,7 @@ func TestServiceRejectsBadInput(t *testing.T) {
 	}{
 		{"/v1/tenants/bad%20id/txns", `{"txns":[[1]]}`, http.StatusBadRequest},
 		{"/v1/tenants/a/txns", `{"txns":[]}`, http.StatusBadRequest},
+		{"/v1/tenants/a/txns", `{"txns":[[]]}`, http.StatusBadRequest},
 		{"/v1/tenants/a/txns", `{"txns":[[-1]]}`, http.StatusBadRequest},
 		{"/v1/tenants/a/txns", `not json`, http.StatusBadRequest},
 	} {
@@ -411,6 +417,11 @@ func TestServiceRejectsBadInput(t *testing.T) {
 			t.Errorf("%s %q: status %d want %d", tc.path, tc.body, resp.StatusCode, tc.want)
 		}
 	}
+	// Neither the pre-decode backlog peek nor a body that does not
+	// decode to a batch registers the tenant.
+	if got := metric(t, s, "service_tenants", ""); got != 0 {
+		t.Fatalf("service_tenants = %v after bad bodies only", got)
+	}
 	resp, err := http.Get(srv.URL + "/v1/tenants/a/rules?min_support=zzz")
 	if err != nil {
 		t.Fatal(err)
@@ -418,5 +429,187 @@ func TestServiceRejectsBadInput(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad filter: %d", resp.StatusCode)
+	}
+}
+
+// ingest posts body to tenant id straight through the handler, without
+// a socket.
+func ingest(h http.Handler, id, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/tenants/"+id+"/txns", strings.NewReader(body)))
+	return rec
+}
+
+// batchOf encodes n one-item transactions as an ingest body.
+func batchOf(n int) string {
+	return "{\"txns\":[" + strings.TrimSuffix(strings.Repeat("[1],", n), ",") + "]}"
+}
+
+// metric reads one series from the service's registry.
+func metric(t *testing.T, s *Service, name, labels string) float64 {
+	t.Helper()
+	for _, p := range s.cfg.Obs.Registry().Snapshot() {
+		if p.Name == name && p.Labels == labels {
+			return p.Value
+		}
+	}
+	t.Fatalf("%s{%s} is not exported", name, labels)
+	return 0
+}
+
+// TestServiceShedsOnBacklog: a feed holds at most maxQueueSteps ×
+// GrowthPerStep transactions. A batch past that is answered 429 with a
+// Retry-After and counted under service_shed_total{reason="backlog"};
+// it gives back its |DB| reservation, its in-flight bytes and its
+// bucket tokens. Once the feed is full, a batch is shed before its body
+// is decoded. Other resources' feeds are untouched. The service is
+// never started, so nothing drains: a kill -9 here would lose exactly
+// the feeds' contents, at most maxQueueSteps × GrowthPerStep per
+// resource (DESIGN §14.5).
+func TestServiceShedsOnBacklog(t *testing.T) {
+	now := time.Unix(1000, 0)
+	cfg := testConfig(store.NewMem())
+	cfg.Obs = secmr.NewTelemetry()
+	cfg.TenantRate, cfg.TenantBurst = 1, 1<<20
+	cfg.Now = func() time.Time { return now }
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	bound := maxQueueSteps * s.cfg.Grid.GrowthPerStep
+	if got := metric(t, s, "service_shed_total", `reason="backlog"`); got != 0 {
+		t.Fatalf(`service_shed_total{reason="backlog"} = %v before any shed`, got)
+	}
+
+	// Tenant a lands on resource 0, tenant b on resource 1.
+	for _, id := range []string{"a", "b"} {
+		if rec := ingest(h, id, batchOf(1)); rec.Code != http.StatusAccepted {
+			t.Fatalf("register %s: %d", id, rec.Code)
+		}
+	}
+	a := s.known("a")
+	if rec := ingest(h, "a", batchOf(bound-2)); rec.Code != http.StatusAccepted {
+		t.Fatalf("filling to one below the bound: %d", rec.Code)
+	}
+	dbLen, inflight, tokens := s.dbLen.Load(), s.inflight.Load(), a.bucket.tokens
+
+	// Two more do not fit: the feed refuses them and every gate before
+	// it gives its reservation back.
+	rec := ingest(h, "a", batchOf(2))
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("batch past the bound: %d, Retry-After %q", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if !bytes.Equal(rec.Body.Bytes(), backlogShedBody) || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("backlog shed reply %q (%s)", rec.Body.String(), rec.Header().Get("Content-Type"))
+	}
+	if s.dbLen.Load() != dbLen || s.inflight.Load() != inflight || a.bucket.tokens != tokens {
+		t.Fatalf("shed batch kept its reservations: dbLen %d→%d, inflight %d→%d, tokens %v→%v",
+			dbLen, s.dbLen.Load(), inflight, s.inflight.Load(), tokens, a.bucket.tokens)
+	}
+	if got := s.feeds[a.resource].depth(); got != bound-1 {
+		t.Fatalf("feed depth %d after a refused batch, want %d", got, bound-1)
+	}
+
+	// One more lands exactly on the bound.
+	rec = ingest(h, "a", batchOf(1))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("batch onto the bound: %d", rec.Code)
+	}
+	var ack ingestResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || ack.Queue != bound {
+		t.Fatalf("ack %s (%v), want queue %d", rec.Body.String(), err, bound)
+	}
+
+	// A full feed sheds before decoding: a body that is not JSON at all
+	// gets the 429, not a 400.
+	if rec := ingest(h, "a", "not json"); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("full feed, undecodable body: %d, want 429 before decoding", rec.Code)
+	}
+	if got := metric(t, s, "service_shed_total", `reason="backlog"`); got != 2 {
+		t.Fatalf(`service_shed_total{reason="backlog"} = %v, want 2`, got)
+	}
+	for _, reason := range []string{"rate", "inflight", "ceiling"} {
+		if got := metric(t, s, "service_shed_total", `reason="`+reason+`"`); got != 0 {
+			t.Fatalf(`a backlog shed was counted as reason=%q (%v)`, reason, got)
+		}
+	}
+
+	// Tenant b's resource has its own feed.
+	if rec := ingest(h, "b", batchOf(3)); rec.Code != http.StatusAccepted {
+		t.Fatalf("tenant on another resource: %d", rec.Code)
+	}
+	if got, want := metric(t, s, "service_backlog_txns", ""), float64(bound+4); got != want {
+		t.Fatalf("service_backlog_txns = %v, want %v", got, want)
+	}
+	if got := len(s.feeds[a.resource].Tail()); got != bound {
+		t.Fatalf("resource %d holds %d unabsorbed transactions, want the bound %d", a.resource, got, bound)
+	}
+}
+
+// TestServiceBacklogBoundUnderFlood: concurrent batches from tenants
+// sharing one resource never take its feed past the bound — not even by
+// the batches in flight — and every refused batch gives its |DB| and
+// byte reservations back.
+func TestServiceBacklogBoundUnderFlood(t *testing.T) {
+	cfg := testConfig(store.NewMem())
+	cfg.Grid.GrowthPerStep = 2
+	cfg.TenantRate, cfg.TenantBurst = 1e9, 1<<30
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	bound := maxQueueSteps * cfg.Grid.GrowthPerStep
+	// t0..t7 round-robin over 4 resources: t0 and t4 share resource 0.
+	for i := 0; i < 8; i++ {
+		if rec := ingest(h, fmt.Sprintf("t%d", i), batchOf(1)); rec.Code != http.StatusAccepted {
+			t.Fatalf("register t%d: %d", i, rec.Code)
+		}
+	}
+	var wg sync.WaitGroup
+	var accepted atomic.Int64
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			id := []string{"t0", "t4"}[g%2]
+			for i := 0; i < 100; i++ {
+				n := 1 + (g+i)%3
+				switch rec := ingest(h, id, batchOf(n)); rec.Code {
+				case http.StatusAccepted:
+					accepted.Add(int64(n))
+				case http.StatusTooManyRequests:
+				default:
+					t.Errorf("status %d", rec.Code)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	f := s.feeds[0]
+	if got := f.depth(); got != bound {
+		t.Fatalf("feed depth %d after the flood, want exactly the bound %d", got, bound)
+	}
+	if got := int64(bound - 2); accepted.Load() != got {
+		t.Fatalf("%d transactions answered 202 during the flood, want %d", accepted.Load(), got)
+	}
+	var cost int64
+	for _, tx := range f.Tail() {
+		cost += txCost(tx)
+	}
+	for _, g := range s.feeds[1:] {
+		for _, tx := range g.Tail() {
+			cost += txCost(tx)
+		}
+	}
+	if s.inflight.Load() != cost {
+		t.Fatalf("in-flight bytes %d, queued transactions cost %d", s.inflight.Load(), cost)
+	}
+	if want := int64(cfg.Seed.Len() + s.backlog()); s.dbLen.Load() != want {
+		t.Fatalf("database counted at %d, want seed + queued = %d", s.dbLen.Load(), want)
 	}
 }
