@@ -1,4 +1,4 @@
-package secmr
+package secmr_test
 
 // Benchmark harness: one benchmark per figure of the paper's
 // evaluation (§6) plus the ablations DESIGN.md calls out. Each figure
@@ -15,6 +15,7 @@ import (
 	"os"
 	"testing"
 
+	"secmr"
 	"secmr/internal/experiments"
 )
 
@@ -137,11 +138,11 @@ func BenchmarkFigure4PrivacyParameter(b *testing.B) {
 // three protocol stacks at identical scale — the price of the
 // malicious-participant machinery.
 func BenchmarkAblationMachinery(b *testing.B) {
-	for _, alg := range []Algorithm{AlgorithmPlain, AlgorithmKPrivate, AlgorithmSecure} {
+	for _, alg := range []secmr.Algorithm{secmr.AlgorithmPlain, secmr.AlgorithmKPrivate, secmr.AlgorithmSecure} {
 		b.Run(string(alg), func(b *testing.B) {
-			db := GenerateQuestWith(QuestParams{NumTransactions: 1200, NumItems: 24,
+			db := secmr.GenerateQuestWith(secmr.QuestParams{NumTransactions: 1200, NumItems: 24,
 				NumPatterns: 10, AvgTransLen: 5, AvgPatternLen: 2, Seed: 1})
-			grid, err := NewGrid(db, GridConfig{Algorithm: alg, Resources: 8, K: 3,
+			grid, err := secmr.NewGrid(db, secmr.GridConfig{Algorithm: alg, Resources: 8, K: 3,
 				MinFreq: 0.12, MinConf: 0.6, ScanBudget: 50, MaxRuleItems: 3, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
@@ -165,9 +166,9 @@ func BenchmarkAblationPaddingDance(b *testing.B) {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			db := GenerateQuestWith(QuestParams{NumTransactions: 800, NumItems: 20,
+			db := secmr.GenerateQuestWith(secmr.QuestParams{NumTransactions: 800, NumItems: 20,
 				NumPatterns: 8, AvgTransLen: 5, AvgPatternLen: 2, Seed: 2})
-			grid, err := NewGrid(db, GridConfig{Algorithm: AlgorithmSecure,
+			grid, err := secmr.NewGrid(db, secmr.GridConfig{Algorithm: secmr.AlgorithmSecure,
 				Resources: 8, K: 3, MinFreq: 0.12, MinConf: 0.6, ScanBudget: 50,
 				MaxRuleItems: 3, PaddingDance: dance, Seed: 2})
 			if err != nil {
@@ -211,9 +212,9 @@ func BenchmarkAblationMessageComplexity(b *testing.B) {
 // secure mining to 90/90 quality on a small grid.
 func BenchmarkEndToEndSecureMining(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		db := GenerateQuestWith(QuestParams{NumTransactions: 1200, NumItems: 24,
+		db := secmr.GenerateQuestWith(secmr.QuestParams{NumTransactions: 1200, NumItems: 24,
 			NumPatterns: 10, AvgTransLen: 5, AvgPatternLen: 2, Seed: 1})
-		grid, err := NewGrid(db, GridConfig{Algorithm: AlgorithmSecure, Resources: 8,
+		grid, err := secmr.NewGrid(db, secmr.GridConfig{Algorithm: secmr.AlgorithmSecure, Resources: 8,
 			K: 3, MinFreq: 0.12, MinConf: 0.6, ScanBudget: 50, MaxRuleItems: 3, Seed: 1})
 		if err != nil {
 			b.Fatal(err)

@@ -30,7 +30,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "seed")
 		sample   = flag.Int("sample", 0, "override the sampling period (steps); finer sampling sharpens steps-to-90% at extra cost")
 		ksFlag   = flag.String("ks", "", "comma-separated k values for Figure 4 (default scale-dependent)")
-		jobs     = flag.Int("jobs", 1, "run up to this many figure configurations concurrently (results are identical at any value; >1 pays off only with spare cores)")
 	)
 	flag.Parse()
 
@@ -47,7 +46,6 @@ func main() {
 	if *sample > 0 {
 		sc.SampleEvery = *sample
 	}
-	sc.Concurrency = *jobs
 
 	run2 := *fig == "2" || *fig == "all"
 	run3 := *fig == "3" || *fig == "all"
@@ -78,7 +76,9 @@ func main() {
 			if err := metrics.WriteCSV(f, series...); err != nil {
 				fatal(err)
 			}
-			f.Close()
+			if err := f.Close(); err != nil {
+				fatal(err)
+			}
 			fmt.Printf("(series written to %s)\n", *csvPath)
 		}
 		fmt.Println()

@@ -64,11 +64,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "seed")
 		csvPath   = flag.String("csv", "", "also write the convergence series as CSV to this file")
 
-		// Crypto-performance knob (see DESIGN.md §7): the noise pool
-		// precomputes Paillier encryption randomness in the background.
-		// It needs a spare core; leave it alone on single-vCPU hosts.
-		noisePool = flag.Int("noise-pool", 0, "precomputed-randomness pool capacity for the cryptosystem (0 = off)")
-
 		// Chaos knobs (see internal/faults): any non-zero setting arms
 		// the injector and the protocol's loss-recovery timers.
 		drop      = flag.Float64("drop", 0, "per-message drop probability")
@@ -170,7 +165,6 @@ func main() {
 			EvictQuorum: *evictQuorum,
 		},
 		Telemetry: tel, StallPatience: *stallAfter, FlightDir: *flightDir,
-		NoisePool: *noisePool,
 	})
 	if err != nil {
 		fatal(err)
@@ -222,7 +216,9 @@ func main() {
 		if err := metrics.WriteCSV(f, series); err != nil {
 			fatal(err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("# series written to %s\n", *csvPath)
 	}
 	rec, prec := grid.SampleQuality()

@@ -9,31 +9,22 @@
 package experiments
 
 import (
-	"fmt"
-	"math/rand"
-	"sync"
-
+	"secmr"
 	"secmr/internal/arm"
-	"secmr/internal/core"
-	"secmr/internal/hashing"
-	"secmr/internal/homo"
-	"secmr/internal/majorityrule"
 	"secmr/internal/metrics"
 	"secmr/internal/quest"
-	"secmr/internal/sim"
-	"secmr/internal/topology"
 )
 
 // Algorithm selects which miner an experiment runs.
-type Algorithm string
+type Algorithm = secmr.Algorithm
 
 const (
 	// AlgPlain is Majority-Rule [20] (no privacy).
-	AlgPlain Algorithm = "majority-rule"
+	AlgPlain = secmr.AlgorithmPlain
 	// AlgKPrivate is the honest-but-curious k-private variant [15].
-	AlgKPrivate Algorithm = "k-private"
+	AlgKPrivate = secmr.AlgorithmKPrivate
 	// AlgSecure is Secure-Majority-Rule (this paper).
-	AlgSecure Algorithm = "secure"
+	AlgSecure = secmr.AlgorithmSecure
 )
 
 // Algorithms lists the Figure 2 competitors in paper order.
@@ -56,12 +47,6 @@ type Scale struct {
 	MinFreq        float64
 	MinConf        float64
 	Seed           int64
-	// Concurrency caps how many independent figure configurations run
-	// at once (0 or 1 = serial). Each configuration is a self-contained
-	// simulation with its own seeded rng, so results are identical at
-	// any concurrency — only wall-clock changes. Useful on multi-core
-	// hosts; on a single vCPU it only adds scheduling overhead.
-	Concurrency int
 }
 
 // CI is the test/bench-sized scale: minutes, not days.
@@ -89,72 +74,6 @@ func Paper() Scale {
 	}
 }
 
-// runJobs executes n independent jobs with at most conc in flight,
-// collecting the first error. Jobs write results into caller-owned
-// indexed slices, so output order never depends on scheduling.
-func runJobs(conc, n int, job func(i int) error) error {
-	if conc < 1 {
-		conc = 1
-	}
-	if conc > n {
-		conc = n
-	}
-	if conc == 1 {
-		for i := 0; i < n; i++ {
-			if err := job(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	sem := make(chan struct{}, conc)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := job(i); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// miner is the common face of the three resource implementations.
-type miner interface {
-	sim.Node
-	Output() arm.RuleSet
-}
-
-// grid is one assembled experiment instance.
-type grid struct {
-	engine *sim.Engine
-	miners []miner
-	truth  arm.RuleSet
-	sc     Scale
-}
-
-// avgQuality returns mean recall/precision across resources.
-func (g *grid) avgQuality() (float64, float64) {
-	outs := make([]arm.RuleSet, len(g.miners))
-	for i, m := range g.miners {
-		outs[i] = m.Output()
-	}
-	return metrics.Average(outs, g.truth)
-}
-
 // scans converts a step count to local-database scans (§6: one scan
 // per LocalDB/ScanBudget steps).
 func (sc Scale) scans(step int) float64 {
@@ -164,19 +83,15 @@ func (sc Scale) scans(step int) float64 {
 	return float64(step) * float64(sc.ScanBudget) / float64(sc.LocalDB)
 }
 
-// universe enumerates the item domain.
-func (sc Scale) universe() arm.Itemset {
-	u := make(arm.Itemset, sc.NumItems)
-	for i := range u {
-		u[i] = arm.Item(i)
-	}
-	return u
-}
-
-// buildGrid assembles one simulation: Quest data partitioned with the
-// pairwise-independent hasher over a BA-overlay spanning tree.
-func buildGrid(alg Algorithm, sc Scale, preset string, scheme homo.Scheme) (*grid, error) {
-	rng := rand.New(rand.NewSource(sc.Seed))
+// newGrid assembles one Figure 2/4 simulation through the facade: a
+// Quest database of Resources×LocalDB transactions, partitioned with
+// the pairwise-independent hasher over a BA-overlay spanning tree,
+// plus per-resource feeds of fresh transactions from the same
+// generator when the scale grows the database. paillierBits > 0 runs
+// the secure miner over real Paillier; otherwise over the plain
+// stand-in (the figures count protocol steps, which are scheme
+// independent).
+func newGrid(alg Algorithm, sc Scale, preset string, paillierBits int) (*secmr.Grid, error) {
 	params, err := quest.Preset(preset, sc.Resources*sc.LocalDB, sc.Seed)
 	if err != nil {
 		return nil, err
@@ -185,62 +100,38 @@ func buildGrid(alg Algorithm, sc Scale, preset string, scheme homo.Scheme) (*gri
 	params.NumPatterns = sc.NumPatterns
 	gen := quest.NewGenerator(params)
 	global := gen.Generate(params.NumTransactions)
-	th := arm.Thresholds{MinFreq: sc.MinFreq, MinConf: sc.MinConf}
-	universe := sc.universe()
-	truth := arm.GroundTruth(global, th, universe, sc.MaxRuleItems)
-	parts := hashing.Partition(global, sc.Resources, rng)
-	// Dynamic feeds: fresh transactions from the same generator.
-	feeds := make([][]arm.Transaction, sc.Resources)
+	var feeds [][]arm.Transaction
 	if sc.GrowthPerStep > 0 {
+		feeds = make([][]arm.Transaction, sc.Resources)
 		perResource := sc.MaxSteps * sc.GrowthPerStep / 50 // bounded feed
 		for i := range feeds {
 			feeds[i] = gen.Generate(perResource).Tx
 		}
 	}
-	ba := topology.BarabasiAlbert(sc.Resources, 2, topology.DelayRange{Min: 1, Max: 3}, rng)
-	tree := ba.SpanningTree(0)
-	g := &grid{truth: truth, sc: sc}
-	nodes := make([]sim.Node, sc.Resources)
-	for i := 0; i < sc.Resources; i++ {
-		var m miner
-		switch alg {
-		case AlgPlain, AlgKPrivate:
-			mode := majorityrule.ModePlain
-			if alg == AlgKPrivate {
-				mode = majorityrule.ModeKPrivate
-			}
-			cfg := majorityrule.Config{Th: th, Universe: universe,
-				ScanBudget: sc.ScanBudget, CandidateEvery: sc.CandidateEvery,
-				GrowthPerStep: sc.GrowthPerStep, K: sc.K, Mode: mode,
-				MaxRuleItems: sc.MaxRuleItems}
-			m = majorityrule.NewResource(i, cfg, parts[i], feeds[i])
-		case AlgSecure:
-			cfg := core.Config{Th: th, Universe: universe,
-				ScanBudget: sc.ScanBudget, CandidateEvery: sc.CandidateEvery,
-				GrowthPerStep: sc.GrowthPerStep, K: sc.K,
-				MaxRuleItems: sc.MaxRuleItems, IntraDelay: true}
-			m = core.NewResource(i, cfg, scheme, parts[i], feeds[i], nil)
-		default:
-			return nil, fmt.Errorf("experiments: unknown algorithm %q", alg)
-		}
-		g.miners = append(g.miners, m)
-		nodes[i] = m
+	crypto := secmr.CryptoPlain
+	if paillierBits > 0 {
+		crypto = secmr.CryptoPaillier
 	}
-	g.engine = sim.NewEngine(tree, nodes, sc.Seed)
-	return g, nil
+	return secmr.NewGridWithFeed(global, feeds, secmr.GridConfig{
+		Algorithm: alg, Resources: sc.Resources, K: int(sc.K),
+		MinFreq: sc.MinFreq, MinConf: sc.MinConf,
+		ScanBudget: sc.ScanBudget, CandidateEvery: sc.CandidateEvery,
+		GrowthPerStep: sc.GrowthPerStep, MaxRuleItems: sc.MaxRuleItems,
+		Crypto: crypto, PaillierBits: paillierBits, Seed: sc.Seed,
+	})
 }
 
-// ConvergenceRun drives a grid until recall and precision reach the
+// convergenceRun drives a grid until recall and precision reach the
 // target (or MaxSteps), sampling a metrics.Series along the way.
-func (g *grid) convergenceRun(label string, target float64) *metrics.Series {
+func convergenceRun(g *secmr.Grid, sc Scale, label string, target float64) *metrics.Series {
 	s := &metrics.Series{Label: label}
-	for step := 0; step <= g.sc.MaxSteps; step += g.sc.SampleEvery {
-		rec, prec := g.avgQuality()
-		s.Add(metrics.Point{Step: int64(step), Scans: g.sc.scans(step), Recall: rec, Precision: prec})
+	for step := 0; step <= sc.MaxSteps; step += sc.SampleEvery {
+		rec, prec := g.Quality()
+		s.Add(metrics.Point{Step: int64(step), Scans: sc.scans(step), Recall: rec, Precision: prec})
 		if rec >= target && prec >= target {
 			break
 		}
-		g.engine.Run(g.sc.SampleEvery)
+		g.Step(sc.SampleEvery)
 	}
 	return s
 }

@@ -16,19 +16,12 @@ import (
 	"secmr/internal/topology"
 )
 
-// newPaillier generates a grid-wide Paillier key pair.
-func newPaillier(bits int) (homo.Scheme, error) {
-	return paillier.GenerateKey(crand.Reader, bits)
-}
-
-// schemeFor builds the homomorphic scheme an experiment runs over.
-// The figures measure convergence in protocol steps — a scheme-
-// independent quantity — so the default is the plain stand-in; pass
-// paillierBits > 0 to pay real cryptography (used by the ablation
-// benches and available from cmd/experiments -paillier).
+// schemeFor builds the homomorphic scheme the single-itemset runs use:
+// the plain stand-in, or Paillier when paillierBits > 0 (the figures
+// count protocol steps, which are scheme independent).
 func schemeFor(paillierBits int) (homo.Scheme, error) {
 	if paillierBits > 0 {
-		return newPaillier(paillierBits)
+		return paillier.GenerateKey(crand.Reader, paillierBits)
 	}
 	return homo.NewPlain(96), nil
 }
@@ -52,44 +45,22 @@ type Figure2Row struct {
 // on T5I2, T10I4 and T20I6 for the three algorithms. Returns one row
 // per (database, algorithm).
 func Figure2(sc Scale, paillierBits int) ([]Figure2Row, error) {
-	scheme, err := schemeFor(paillierBits)
-	if err != nil {
-		return nil, err
-	}
-	// One job per (database, algorithm) curve; Scale.Concurrency runs
-	// them in parallel. Every scheme (including the real cryptosystems)
-	// is safe for concurrent use, and each job seeds its own rng inside
-	// buildGrid, so the rows are identical at any concurrency.
-	type curve struct {
-		preset string
-		alg    Algorithm
-	}
-	var jobs []curve
+	var rows []Figure2Row
 	for _, preset := range quest.PresetNames() {
 		for _, alg := range Algorithms() {
-			jobs = append(jobs, curve{preset, alg})
+			g, err := newGrid(alg, sc, preset, paillierBits)
+			if err != nil {
+				return nil, err
+			}
+			series := convergenceRun(g, sc, fmt.Sprintf("%s/%s", preset, alg), 0.9)
+			row := Figure2Row{Database: preset, Algorithm: alg, Series: series, ScansTo90: -1}
+			if p, ok := firstReachBoth(series, 0.9); ok {
+				row.ScansTo90 = p.Scans
+			}
+			final := series.Final()
+			row.FinalRecall, row.FinalPrecision = final.Recall, final.Precision
+			rows = append(rows, row)
 		}
-	}
-	rows := make([]Figure2Row, len(jobs))
-	err = runJobs(sc.Concurrency, len(jobs), func(i int) error {
-		j := jobs[i]
-		g, err := buildGrid(j.alg, sc, j.preset, scheme)
-		if err != nil {
-			return err
-		}
-		label := fmt.Sprintf("%s/%s", j.preset, j.alg)
-		series := g.convergenceRun(label, 0.9)
-		row := Figure2Row{Database: j.preset, Algorithm: j.alg, Series: series, ScansTo90: -1}
-		if p, ok := firstReachBoth(series, 0.9); ok {
-			row.ScansTo90 = p.Scans
-		}
-		final := series.Final()
-		row.FinalRecall, row.FinalPrecision = final.Recall, final.Precision
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rows, nil
 }
@@ -147,52 +118,38 @@ func Figure3(sc Scale, resourceCounts []int, significances []float64, paillierBi
 	if err != nil {
 		return nil, err
 	}
-	const lambda = 0.5
-	type combo struct {
-		sig float64
-		n   int
-	}
-	var jobs []combo
+	var out []Figure3Point
 	for _, sig := range significances {
 		for _, n := range resourceCounts {
-			jobs = append(jobs, combo{sig, n})
+			run := singleItemsetRun(sc, scheme, n, sig)
+			out = append(out, Figure3Point{Resources: n, Significance: sig,
+				StepsTo90: run.StepsTo90, Converged: run.Converged})
 		}
-	}
-	out := make([]Figure3Point, len(jobs))
-	err = runJobs(sc.Concurrency, len(jobs), func(i int) error {
-		j := jobs[i]
-		steps, converged := figure3Run(sc, scheme, j.n, lambda, j.sig)
-		out[i] = Figure3Point{Resources: j.n, Significance: j.sig,
-			StepsTo90: steps, Converged: converged}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
 
-// figure3Run builds the single-itemset grid and measures steps to 90%
-// correct deciders.
-func figure3Run(sc Scale, scheme homo.Scheme, n int, lambda, sig float64) (int, bool) {
+// singleItemsetRun builds the paper's "special case of a single
+// itemset" on n secure resources and runs it until 90% of them decide
+// the itemset's status correctly (or MaxSteps), counting the messages
+// sent. Each resource holds LocalDB single-item transactions, the same
+// deterministic vote split around λ·(1+sig), so the global vote lands
+// exactly at the requested significance. Figure 3 and
+// MessageComplexity share it. The exact per-resource split is why it
+// wires core resources itself rather than going through the facade,
+// which hash-partitions one global database.
+func singleItemsetRun(sc Scale, scheme homo.Scheme, n int, sig float64) MessagePoint {
+	const lambda = 0.5
 	rng := rand.New(rand.NewSource(sc.Seed))
-	p := lambda * (1 + sig) // positive-vote fraction
-	if p > 1 {
-		p = 1
-	}
-	universe := arm.NewItemset(1)
-	th := arm.Thresholds{MinFreq: lambda, MinConf: 0.99}
-	cfg := core.Config{Th: th, Universe: universe, ScanBudget: sc.ScanBudget,
+	p := min(lambda*(1+sig), 1) // positive-vote fraction
+	cfg := core.Config{Th: arm.Thresholds{MinFreq: lambda, MinConf: 0.99},
+		Universe: arm.NewItemset(1), ScanBudget: sc.ScanBudget,
 		CandidateEvery: sc.CandidateEvery, K: sc.K, MaxRuleItems: 1, IntraDelay: true}
-	ba := topology.BarabasiAlbert(n, 2, topology.DelayRange{Min: 1, Max: 3}, rng)
-	tree := ba.SpanningTree(0)
+	tree := topology.BarabasiAlbert(n, 2, topology.DelayRange{Min: 1, Max: 3}, rng).SpanningTree(0)
+	pos := int(p*float64(sc.LocalDB) + 0.5)
 	resources := make([]*core.Resource, n)
 	nodes := make([]sim.Node, n)
-	for i := 0; i < n; i++ {
-		// Deterministic per-resource vote split around p, with the
-		// residue spread across resources so the global fraction is
-		// exact.
-		pos := int(p*float64(sc.LocalDB) + 0.5)
+	for i := range resources {
 		db := &arm.Database{}
 		for j := 0; j < sc.LocalDB; j++ {
 			if j < pos {
@@ -204,25 +161,29 @@ func figure3Run(sc Scale, scheme homo.Scheme, n int, lambda, sig float64) (int, 
 		resources[i] = core.NewResource(i, cfg, scheme, db, nil, nil)
 		nodes[i] = resources[i]
 	}
-	engine := sim.NewEngine(tree, nodes, sc.Seed)
+	engine := sim.NewParallelEngine(tree, nodes, sc.Seed)
 	target := arm.NewRule(nil, arm.NewItemset(1), arm.ThresholdFreq)
 	want := sig >= 0 // positive significance ⇒ frequent
-	correct := func() float64 {
+	pt := MessagePoint{Resources: n, Significance: sig, StepsTo90: sc.MaxSteps}
+	for step := 0; step <= sc.MaxSteps; step += sc.SampleEvery {
 		good := 0
 		for _, r := range resources {
 			if r.Output().Has(target) == want {
 				good++
 			}
 		}
-		return float64(good) / float64(n)
-	}
-	for step := 0; step <= sc.MaxSteps; step += sc.SampleEvery {
-		if correct() >= 0.9 {
-			return step, true
+		if float64(good) >= 0.9*float64(n) {
+			pt.StepsTo90, pt.Converged = step, true
+			break
 		}
 		engine.Run(sc.SampleEvery)
 	}
-	return sc.MaxSteps, false
+	var total int64
+	for _, r := range resources {
+		total += r.Stats().MessagesSent
+	}
+	pt.MsgsPerResource = float64(total) / float64(n)
+	return pt
 }
 
 // RenderFigure3 prints the scalability table: rows = resource counts,
@@ -258,33 +219,24 @@ type Figure4Point struct {
 // a function of the privacy parameter k — the paper finds the
 // dependency logarithmic.
 func Figure4(sc Scale, ks []int64, paillierBits int) ([]Figure4Point, error) {
-	scheme, err := schemeFor(paillierBits)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Figure4Point, len(ks))
-	err = runJobs(sc.Concurrency, len(ks), func(i int) error {
+	var out []Figure4Point
+	for _, k := range ks {
 		s := sc
-		s.K = ks[i]
-		g, err := buildGrid(AlgSecure, s, "T10I4", scheme)
+		s.K = k
+		g, err := newGrid(AlgSecure, s, "T10I4", paillierBits)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		pt := Figure4Point{K: ks[i], StepsTo90: s.MaxSteps}
+		pt := Figure4Point{K: k, StepsTo90: s.MaxSteps}
 		for step := 0; step <= s.MaxSteps; step += s.SampleEvery {
-			rec, _ := g.avgQuality()
-			if rec >= 0.9 {
+			if rec, _ := g.Quality(); rec >= 0.9 {
 				pt.StepsTo90, pt.Converged = step, true
 				break
 			}
-			g.engine.Run(s.SampleEvery)
+			g.Step(s.SampleEvery)
 		}
 		pt.Scans = s.scans(pt.StepsTo90)
-		out[i] = pt
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		out = append(out, pt)
 	}
 	return out, nil
 }

@@ -3,13 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
-
-	"secmr/internal/arm"
-	"secmr/internal/core"
-	"secmr/internal/homo"
-	"secmr/internal/sim"
-	"secmr/internal/topology"
 )
 
 // MessagePoint is one sample of the communication-locality experiment.
@@ -34,72 +27,11 @@ func MessageComplexity(sc Scale, resourceCounts []int, sig float64, paillierBits
 	if err != nil {
 		return nil, err
 	}
-	const lambda = 0.5
 	out := make([]MessagePoint, len(resourceCounts))
-	err = runJobs(sc.Concurrency, len(resourceCounts), func(i int) error {
-		pt, err := messageRun(sc, scheme, resourceCounts[i], lambda, sig)
-		if err != nil {
-			return err
-		}
-		out[i] = pt
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for i, n := range resourceCounts {
+		out[i] = singleItemsetRun(sc, scheme, n, sig)
 	}
 	return out, nil
-}
-
-func messageRun(sc Scale, scheme homo.Scheme, n int, lambda, sig float64) (MessagePoint, error) {
-	rng := rand.New(rand.NewSource(sc.Seed))
-	p := lambda * (1 + sig)
-	if p > 1 {
-		p = 1
-	}
-	universe := arm.NewItemset(1)
-	th := arm.Thresholds{MinFreq: lambda, MinConf: 0.99}
-	cfg := core.Config{Th: th, Universe: universe, ScanBudget: sc.ScanBudget,
-		CandidateEvery: sc.CandidateEvery, K: sc.K, MaxRuleItems: 1, IntraDelay: true}
-	ba := topology.BarabasiAlbert(n, 2, topology.DelayRange{Min: 1, Max: 3}, rng)
-	tree := ba.SpanningTree(0)
-	resources := make([]*core.Resource, n)
-	nodes := make([]sim.Node, n)
-	pos := int(p*float64(sc.LocalDB) + 0.5)
-	for i := 0; i < n; i++ {
-		db := &arm.Database{}
-		for j := 0; j < sc.LocalDB; j++ {
-			if j < pos {
-				db.Append(arm.NewItemset(1))
-			} else {
-				db.Append(arm.NewItemset(2))
-			}
-		}
-		resources[i] = core.NewResource(i, cfg, scheme, db, nil, nil)
-		nodes[i] = resources[i]
-	}
-	engine := sim.NewEngine(tree, nodes, sc.Seed)
-	target := arm.NewRule(nil, arm.NewItemset(1), arm.ThresholdFreq)
-	want := sig >= 0
-	pt := MessagePoint{Resources: n, Significance: sig, StepsTo90: sc.MaxSteps}
-	for step := 0; step <= sc.MaxSteps; step += sc.SampleEvery {
-		good := 0
-		for _, r := range resources {
-			if r.Output().Has(target) == want {
-				good++
-			}
-		}
-		if float64(good) >= 0.9*float64(n) {
-			pt.StepsTo90, pt.Converged = step, true
-			break
-		}
-		engine.Run(sc.SampleEvery)
-	}
-	var total int64
-	for _, r := range resources {
-		total += r.Stats().MessagesSent
-	}
-	pt.MsgsPerResource = float64(total) / float64(n)
-	return pt, nil
 }
 
 // RenderMessageComplexity prints the locality table.

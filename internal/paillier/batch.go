@@ -10,7 +10,7 @@ import (
 // (Encrypt, EncryptZero, Rerandomize — modular exponentiations) fan
 // their elementwise big.Int work out over the shared homo worker pool.
 // All Scheme operations are already safe for concurrent use (immutable
-// keys, sync.Pool scratch, channel-backed noise pool), so each element
+// keys, sync.Pool scratch, a once-built noise table), so each element
 // simply runs the serial operation on a worker; outputs land at their
 // input's index, making the batch plaintext-identical to the serial
 // loop. The cheap ones (Add, ScalarMul — a few modular multiplications)

@@ -25,15 +25,14 @@ import (
 	"sync/atomic"
 
 	"secmr/internal/homo"
-	"secmr/internal/randpool"
 )
 
 var one = big.NewInt(1)
 
 // scratch pools the oversized intermediate products of Add and of the
-// pooled or uniform noise path (a 1024-bit key multiplies 2048-bit
-// residues into 4096-bit products before reduction); reusing that
-// scratch roughly halves the bytes those allocate. Only intermediates
+// uniform noise path (a 1024-bit key multiplies 2048-bit residues into
+// 4096-bit products before reduction); reusing that scratch roughly
+// halves the bytes those allocate. Only intermediates
 // live here — every ciphertext handed out is fresh.
 var scratch = sync.Pool{New: func() any { return new(big.Int) }}
 
@@ -73,10 +72,6 @@ type Scheme struct {
 	pub  PublicKey
 	priv *PrivateKey // nil for a public-only instance
 	tag  uint64
-
-	// pool optionally holds precomputed noise factors (see pool.go).
-	poolMu sync.RWMutex
-	pool   *randpool.Pool[*big.Int]
 
 	// Fixed-base noise: a one-time table over hᴺ mod N² (h a random
 	// unit) turns every online noise factor into a windowed
@@ -190,7 +185,7 @@ func (s *Scheme) Encrypt(m *big.Int) *homo.Ciphertext {
 	x := homo.EncodeMod(m, s.pub.N)
 	x.Mul(x, s.pub.N)
 	x.Add(x, one)
-	// times r^N mod N² (pooled or fixed-base; see pool.go)
+	// times r^N mod N² (fixed-base or uniform; see pool.go)
 	return &homo.Ciphertext{V: s.withNoise(x), Tag: s.tag}
 }
 

@@ -3,55 +3,26 @@ package paillier
 import (
 	"crypto/rand"
 	"math/big"
-
-	"secmr/internal/randpool"
 )
 
 // Encryption and rerandomization each consume one noise factor
 // r^N mod N² — the dominant modular exponentiation on the accountant's
-// hot path (every vote-count update re-encrypts two counters). Two
-// complementary accelerations exist:
+// hot path (every vote-count update re-encrypts two counters). The
+// scheme draws it from a fixed-base table (noiseTable, on unless
+// disabled): it samples one random unit h at first use, precomputes
+// windowed powers of hᴺ mod N² in Montgomery form, and draws each
+// online factor as (hᴺ)^a for random a < N — ceil(|N|/4) division-free
+// Montgomery products instead of a full |N|-bit modular
+// exponentiation, split in two halves over the worker pool when a core
+// is idle (fixedbase.go).
 //
-//   - a precomputed-randomness pool (StartNoisePool, built on the
-//     scheme-agnostic internal/randpool): background workers keep
-//     uniformly-drawn factors ready so the protocol thread only
-//     multiplies. Needs spare cores; on a single-CPU host the workers
-//     compete with the protocol thread and the pool is a wash.
-//
-//   - a fixed-base table (noiseTable, always on unless disabled): the
-//     scheme samples one random unit h at first use, precomputes
-//     windowed powers of hᴺ mod N² in Montgomery form, and draws each
-//     online factor as (hᴺ)^a for random a < N — ceil(|N|/4)
-//     division-free Montgomery products instead of a full |N|-bit
-//     modular exponentiation, split in two halves over the worker pool
-//     when a core is idle (fixedbase.go).
-//
-// Both are optimizations only: operations remain correct (and the
-// plaintexts identical) with neither. The fixed-base trade-off is that
-// noise units are drawn from the cyclic subgroup ⟨h⟩ rather than all of
-// Z*_N — the standard precomputation compromise (cf. Paillier '99 §6 on
-// shrinking the encryption workload); deployments wanting strictly
-// uniform noise call UseFixedBaseNoise(false) and rely on the pool.
-
-// StartNoisePool launches `workers` background goroutines keeping up
-// to `buffer` precomputed uniform noise factors ready. It returns a
-// stop function; calling it (once) drains the workers. Starting a
-// second pool replaces the first (the old one must be stopped by its
-// own stop function).
-func (s *Scheme) StartNoisePool(buffer, workers int) (stop func()) {
-	p := randpool.New(buffer, workers, s.uniformNoise)
-	s.poolMu.Lock()
-	s.pool = p
-	s.poolMu.Unlock()
-	return func() {
-		p.Stop()
-		s.poolMu.Lock()
-		if s.pool == p {
-			s.pool = nil
-		}
-		s.poolMu.Unlock()
-	}
-}
+// The table is an optimization only: operations remain correct (and the
+// plaintexts identical) without it. Its trade-off is that noise units
+// are drawn from the cyclic subgroup ⟨h⟩ rather than all of Z*_N — the
+// standard precomputation compromise (cf. Paillier '99 §6 on shrinking
+// the encryption workload); deployments wanting strictly uniform noise
+// call UseFixedBaseNoise(false) and pay one inline |N|-bit modular
+// exponentiation per factor.
 
 // uniformNoise computes one factor from a uniform unit of Z*_N.
 func (s *Scheme) uniformNoise() *big.Int {
@@ -74,24 +45,13 @@ func (s *Scheme) noiseTable() *fixedBase {
 }
 
 // withNoise returns x·rᴺ mod N² for x in [0, N²) and one fresh noise
-// factor: a pooled factor when one is ready; otherwise (hᴺ)^a for
-// uniform a ∈ [1, N), the product with x folded into the fixed-base
-// table's last Montgomery product; or, with the table disabled, a
-// uniform inline factor. Never blocks.
+// factor: (hᴺ)^a for uniform a ∈ [1, N), the product with x folded into
+// the fixed-base table's last Montgomery product; or, with the table
+// disabled, a uniform inline factor.
 func (s *Scheme) withNoise(x *big.Int) *big.Int {
-	s.poolMu.RLock()
-	p := s.pool
-	s.poolMu.RUnlock()
-	var r *big.Int
-	if p != nil {
-		r, _ = p.Get()
-	}
-	if r == nil && s.fbDisable.Load() {
-		r = s.uniformNoise()
-	}
-	if r != nil {
+	if s.fbDisable.Load() {
 		t := scratch.Get().(*big.Int)
-		v := new(big.Int).Mod(t.Mul(x, r), s.pub.N2)
+		v := new(big.Int).Mod(t.Mul(x, s.uniformNoise()), s.pub.N2)
 		scratch.Put(t)
 		return v
 	}

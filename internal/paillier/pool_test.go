@@ -1,85 +1,29 @@
 package paillier
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
+import "testing"
 
-func TestNoisePoolCorrectness(t *testing.T) {
+// TestUniformNoiseRoundTrip: with the fixed-base table off, every noise
+// factor is a uniform unit drawn inline; plaintexts must round-trip and
+// ciphertexts stay probabilistic.
+func TestUniformNoiseRoundTrip(t *testing.T) {
 	s := mustScheme(128)
-	stop := s.StartNoisePool(16, 2)
-	defer stop()
-	// Give the workers a moment to fill the buffer, then encrypt a lot:
-	// plaintexts must round-trip and ciphertexts stay probabilistic.
-	time.Sleep(10 * time.Millisecond)
+	s.UseFixedBaseNoise(false)
 	seen := map[string]bool{}
-	for i := 0; i < 50; i++ {
-		c := s.EncryptInt(int64(i % 7))
-		if got := s.DecryptSigned(c).Int64(); got != int64(i%7) {
-			t.Fatalf("pooled encrypt round trip: %d != %d", got, i%7)
+	for i := 0; i < 20; i++ {
+		c := s.EncryptInt(int64(i%7) - 3)
+		if got := s.DecryptSigned(c).Int64(); got != int64(i%7)-3 {
+			t.Fatalf("uniform-noise round trip: %d != %d", got, i%7-3)
 		}
 		if seen[c.V.String()] {
-			t.Fatal("pooled noise factor reused: identical ciphertexts")
+			t.Fatal("uniform noise factor reused: identical ciphertexts")
 		}
 		seen[c.V.String()] = true
 	}
-	r := s.Rerandomize(s.EncryptInt(9))
-	if s.Decrypt(r).Int64() != 9 {
-		t.Fatal("pooled rerandomize broke plaintext")
+	if s.fbTable != nil {
+		t.Fatal("fixed-base table built with the table disabled")
 	}
-}
-
-func TestNoisePoolStopIdempotent(t *testing.T) {
-	s := mustScheme(64)
-	stop := s.StartNoisePool(4, 1)
-	stop()
-	stop() // second call must not hang or panic
-	// Scheme still works without the pool.
-	if s.Decrypt(s.EncryptInt(5)).Int64() != 5 {
-		t.Fatal("scheme broken after pool stop")
-	}
-}
-
-func TestNoisePoolConcurrentUse(t *testing.T) {
-	s := mustScheme(128)
-	stop := s.StartNoisePool(32, 2)
-	defer stop()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				v := int64(g*100 + i)
-				if s.DecryptSigned(s.EncryptInt(v)).Int64() != v {
-					t.Errorf("concurrent pooled encrypt wrong for %d", v)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-func TestNoisePoolValidation(t *testing.T) {
-	s := mustScheme(64)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero buffer")
-		}
-	}()
-	s.StartNoisePool(0, 1)
-}
-
-func BenchmarkEncryptPooled(b *testing.B) {
-	s := mustScheme(1024)
-	stop := s.StartNoisePool(256, 4)
-	defer stop()
-	time.Sleep(200 * time.Millisecond) // warm the pool
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.EncryptInt(int64(i))
+	if r := s.Rerandomize(s.EncryptInt(9)); s.Decrypt(r).Int64() != 9 {
+		t.Fatal("uniform-noise rerandomize broke the plaintext")
 	}
 }
 

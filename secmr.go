@@ -328,11 +328,6 @@ type GridConfig struct {
 	// `secmr-trace flight` even when nothing was scraping the live
 	// introspection endpoint. See obs.FlightRecorder.
 	FlightDir string
-	// NoisePool, when positive, starts a background precomputed-
-	// randomness pool of that capacity on the grid's cryptosystem
-	// (Paillier noise factors r^N; ignored by the other schemes). Only
-	// useful with spare cores. Stop the workers with Grid.Close.
-	NoisePool int
 	// Persist, when non-nil, turns on durable state (AlgorithmSecure
 	// only): snapshots + WAL per resource under Persist.Dir, and
 	// crash-with-amnesia recovery — an amnesiac crash (FaultEvent.
@@ -446,9 +441,6 @@ type Grid struct {
 	// (see healQuarantined).
 	healed map[int]bool
 
-	// stopPool stops the cryptosystem's background noise workers
-	// (non-nil only when cfg.NoisePool > 0 started one).
-	stopPool func()
 	// intros tracks introspection servers started via ServeIntrospection
 	// so Close can stop them deterministically.
 	intros []*IntrospectionServer
@@ -541,7 +533,6 @@ func NewGridWithFeedSources(db *Database, feeds []FeedSource, cfg GridConfig) (*
 	tree := overlay.SpanningTree(0)
 
 	var scheme, rawScheme homo.Scheme
-	var stopPool func()
 	maxDB := int64(math.MaxInt64)
 	if cfg.Algorithm == AlgorithmSecure {
 		scheme, err = buildScheme(cfg)
@@ -557,15 +548,12 @@ func NewGridWithFeedSources(db *Database, feeds []FeedSource, cfg GridConfig) (*
 			maxDB = limit.Int64()
 		}
 		rawScheme = scheme // pre-instrumentation, for key-material export
-		if sc, ok := scheme.(*paillier.Scheme); ok && cfg.NoisePool > 0 {
-			stopPool = sc.StartNoisePool(cfg.NoisePool, 1)
-		}
 		// Crypto-op counters/latency histograms ride on the scheme
 		// itself; with a nil sink this returns scheme unwrapped.
 		scheme = oblivious.InstrumentScheme(scheme, cfg.Telemetry)
 	}
 
-	g := &Grid{cfg: cfg, truth: truth, obs: cfg.Telemetry, stopPool: stopPool,
+	g := &Grid{cfg: cfg, truth: truth, obs: cfg.Telemetry,
 		scheme: scheme, maxDB: maxDB, payloads: payloadsFor(cfg, rawScheme)}
 	// Fault injection and live adversaries share one injector: scheduled
 	// corruptions (AdversarySpec.From) ride the fault schedule, so one
@@ -887,10 +875,9 @@ func (g *Grid) evictionsLocked() []int {
 	return out
 }
 
-// Close shuts the grid down: stops the background crypto workers (the
-// noise pool started by GridConfig.NoisePool), detaches and closes the
-// durability journals, flushes a final flight-recorder dump, and stops
-// every introspection server started via ServeIntrospection.
+// Close shuts the grid down: detaches and closes the durability
+// journals, flushes a final flight-recorder dump, and stops every
+// introspection server started via ServeIntrospection.
 // Idempotent and safe to call concurrently with Step or SampleQuality
 // — both become no-ops once Close has run (read-only accessors like
 // Output, Quality and Stats keep working on the final state).
@@ -901,10 +888,6 @@ func (g *Grid) Close() {
 		return
 	}
 	g.closed = true
-	if g.stopPool != nil {
-		g.stopPool()
-		g.stopPool = nil
-	}
 	for i, j := range g.journals {
 		if j == nil {
 			continue
