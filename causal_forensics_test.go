@@ -7,10 +7,12 @@ package secmr
 // cheater with an evidence chain anchored at the adversary-activation
 // event, (c) a loss audit in which every lost transmission is
 // attributed to an injected fault — zero unexplained — and (d) a
-// flight-recorder dump for the eviction, loadable offline.
+// flight-recorder dump for the eviction, loadable offline. The
+// eviction and the loss audit must hold at other fault seeds too.
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -18,10 +20,10 @@ import (
 	"secmr/internal/obs"
 )
 
-// causalRun executes one fixed-seed adversarial run with the trace
-// streamed to JSONL and the flight recorder armed, returning the
-// merged DAG and the flight directory.
-func causalRun(t *testing.T) (*forensics.DAG, string) {
+// causalRun executes one adversarial run at grid seed 9 and the given
+// fault seed, with the trace streamed to JSONL and the flight recorder
+// armed, returning the merged DAG and the flight directory.
+func causalRun(t *testing.T, faultSeed int64) (*forensics.DAG, string) {
 	t.Helper()
 	tel := NewTelemetry()
 	var trace bytes.Buffer
@@ -33,7 +35,7 @@ func causalRun(t *testing.T) (*forensics.DAG, string) {
 		MaxRuleItems: 2, Seed: 9,
 		Quarantine:  QuarantineConfig{Enabled: true},
 		Adversaries: []AdversarySpec{{Node: 4, Kind: "forge-share", From: 100}},
-		Faults:      &FaultConfig{Seed: 9, DropProb: 0.05},
+		Faults:      &FaultConfig{Seed: faultSeed, DropProb: 0.05},
 		Telemetry:   tel,
 		FlightDir:   flightDir,
 	})
@@ -63,7 +65,7 @@ func TestCausalForensicsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-message adversarial run")
 	}
-	dag, flightDir := causalRun(t)
+	dag, flightDir := causalRun(t, 9)
 
 	// (a) Byte-stable DAG: an identical second run prints the identical
 	// merged causal DAG.
@@ -71,7 +73,7 @@ func TestCausalForensicsEndToEnd(t *testing.T) {
 	if err := dag.WriteText(&text1); err != nil {
 		t.Fatal(err)
 	}
-	dag2, _ := causalRun(t)
+	dag2, _ := causalRun(t, 9)
 	if err := dag2.WriteText(&text2); err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +84,55 @@ func TestCausalForensicsEndToEnd(t *testing.T) {
 		t.Fatal("no causal transmissions in trace")
 	}
 
-	// (b) Eviction forensics: the true cheater, with the activation
-	// anchor and a cryptographic-evidence accusation.
+	checkEvictionAndLosses(t, dag)
+
+	// (d) The flight recorder captured the eviction, and the dump loads.
+	dumps := obs.ListFlightDumps(flightDir)
+	if len(dumps) == 0 {
+		t.Fatal("no flight dumps")
+	}
+	var evictDump *obs.FlightDump
+	for _, d := range dumps {
+		fd, err := obs.ReadFlightDump(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fd.State["reason"] == "evict" {
+			evictDump = fd
+		}
+	}
+	if evictDump == nil {
+		t.Fatalf("no evict dump among %v", dumps)
+	}
+	if evictDump.State["evicted_member"] != float64(4) {
+		t.Fatalf("evict dump names %v", evictDump.State["evicted_member"])
+	}
+	if len(evictDump.Events) == 0 || !strings.Contains(evictDump.Metrics, "secmr_") {
+		t.Fatal("evict dump missing trace ring or metrics snapshot")
+	}
+	// The dump's ring is itself forensics input: it must contain the
+	// eviction events.
+	if got := forensics.Merge(evictDump.Events).Evictions().Evicted(); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("flight-dump forensics evicted = %v", got)
+	}
+
+	// The eviction on evidence and the loss audit do not hinge on the
+	// fault seed. The runs go one at a time: each holds its whole trace.
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("fault-seed=", seed), func(t *testing.T) {
+			dag, _ := causalRun(t, seed)
+			checkEvictionAndLosses(t, dag)
+		})
+	}
+}
+
+// checkEvictionAndLosses is (b) and (c): the DAG names the true
+// cheater, evicted by every honest resource on evidence and anchored at
+// its scheduled activation, and every lost transmission is attributed
+// to the injected drop fault — an unexplained loss would mean the trace
+// has a hole.
+func checkEvictionAndLosses(t *testing.T, dag *forensics.DAG) {
+	t.Helper()
 	ef := dag.Evictions()
 	if got := ef.Evicted(); len(got) != 1 || got[0] != 4 {
 		t.Fatalf("forensics evicted = %v, want [4]", got)
@@ -135,35 +184,5 @@ func TestCausalForensicsEndToEnd(t *testing.T) {
 				t.Fatalf("loss %v attributed to %q; only injected drops ran", l.Key, c)
 			}
 		}
-	}
-
-	// (d) The flight recorder captured the eviction, and the dump loads.
-	dumps := obs.ListFlightDumps(flightDir)
-	if len(dumps) == 0 {
-		t.Fatal("no flight dumps")
-	}
-	var evictDump *obs.FlightDump
-	for _, d := range dumps {
-		fd, err := obs.ReadFlightDump(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fd.State["reason"] == "evict" {
-			evictDump = fd
-		}
-	}
-	if evictDump == nil {
-		t.Fatalf("no evict dump among %v", dumps)
-	}
-	if evictDump.State["evicted_member"] != float64(4) {
-		t.Fatalf("evict dump names %v", evictDump.State["evicted_member"])
-	}
-	if len(evictDump.Events) == 0 || !strings.Contains(evictDump.Metrics, "secmr_") {
-		t.Fatal("evict dump missing trace ring or metrics snapshot")
-	}
-	// The dump's ring is itself forensics input: it must contain the
-	// eviction events.
-	if got := forensics.Merge(evictDump.Events).Evictions().Evicted(); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("flight-dump forensics evicted = %v", got)
 	}
 }

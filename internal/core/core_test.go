@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"secmr/internal/arm"
+	"secmr/internal/faults"
 	"secmr/internal/hashing"
 	"secmr/internal/homo"
 	"secmr/internal/metrics"
@@ -279,7 +280,7 @@ func TestGracefulUnderMessageLoss(t *testing.T) {
 	// wrong is ever claimed).
 	scheme := homo.NewPlain(96)
 	e, resources, truth := buildSecureGrid(t, scheme, 6, 2, 12, nil, nil)
-	e.Faults.DropProb = 0.05
+	e.Inject = faults.New(faults.Config{Seed: 12, DropProb: 0.05})
 	e.Run(1500)
 	rec, prec := avgQuality(resources, truth)
 	if rec < 0.5 {
@@ -303,7 +304,7 @@ func TestConvergesUnderDuplication(t *testing.T) {
 	// idempotent replacements and duplicate stamps pass the ≥ T̃ check.
 	scheme := homo.NewPlain(96)
 	e, resources, truth := buildSecureGrid(t, scheme, 5, 2, 13, nil, nil)
-	e.Faults.DupProb = 0.2
+	e.Inject = faults.New(faults.Config{Seed: 13, DupProb: 0.2})
 	rec, prec := 0.0, 0.0
 	for step := 0; step < 2500; step += 50 {
 		e.Run(50)

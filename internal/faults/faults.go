@@ -7,22 +7,24 @@
 // and consult it on every link event.
 //
 // The model is composable: probabilistic link faults (drop,
-// duplication, delay jitter, reordering) layer on top of structural
-// state (crashed nodes, a partition of the node set), and structural
-// state can be driven either imperatively (Crash/Restart/Partition/
-// Heal — what the TCP transport's tests do in wall-clock time) or
-// declaratively through a step-indexed Schedule replayed by Advance
-// (what the simulator does, keeping runs reproducible).
+// duplication, delay jitter) layer on top of structural state (crashed
+// nodes, a partition of the node set), and structural state can be
+// driven either imperatively (Crash/Restart/Partition/Heal — what the
+// TCP transport's tests do in wall-clock time) or declaratively through
+// a step-indexed Schedule replayed by Advance (what the simulator does,
+// keeping runs reproducible).
 //
-// All randomness comes from one seeded RNG guarded by a mutex, so a
-// given (Config, call sequence) pair always produces the same verdict
-// sequence. Under the discrete-event simulator the call sequence is
-// itself deterministic, which makes whole chaos runs replayable from a
-// single seed.
+// A message's probabilistic fate is a pure hash of (Seed, sender,
+// receiver, the sender's per-message sequence number): nothing in a
+// verdict depends on the order in which the runtimes submit messages.
+// Runtimes that step their nodes concurrently therefore need no merge
+// to replay a chaos run from a single seed.
 package faults
 
 import (
-	"math/rand"
+	"cmp"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"secmr/internal/obs"
@@ -42,15 +44,8 @@ type Config struct {
 	// simulator, TCP) clamp jittered deliveries so ordering is
 	// preserved — jitter stretches latency without reordering.
 	DelayJitter int
-	// ReorderWindow, when positive, adds a uniform extra delay in
-	// [0, ReorderWindow] ticks *without* FIFO clamping, so messages on
-	// one link may overtake each other. Protocols that rely on per-link
-	// FIFO (the secure miner's timestamp verification does) should not
-	// enable it; it exists for transports/protocols that tolerate
-	// reordering.
-	ReorderWindow int
 	// Schedule lists structural events (crashes, restarts, partitions)
-	// replayed by Advance in At order.
+	// replayed by Advance in At order, whatever order they are given in.
 	Schedule []Event
 }
 
@@ -100,16 +95,17 @@ type Stats struct {
 	Corruptions int64
 }
 
-// Verdict is the fate of one message. When Drop is false, Extra holds
-// one extra-delay value (in ticks) per copy to deliver; len(Extra) is
-// 1 normally and 2 for a duplicated message. Cause names why a Drop
+// Verdict is the fate of one message. When Drop is false, Copies is
+// how many copies to deliver — 1 normally, 2 for a duplicated message —
+// and Extra[c] is copy c's extra delay in ticks. Cause names why a Drop
 // verdict fired ("crash", "partition-cut" or "injected"), so trace
 // events and loss forensics can attribute every lost message to the
 // fault that ate it.
 type Verdict struct {
-	Drop  bool
-	Cause string
-	Extra []int64
+	Drop   bool
+	Cause  string
+	Copies int
+	Extra  [2]int64
 }
 
 // Drop-cause vocabulary stamped into Verdict.Cause and, by the
@@ -125,7 +121,6 @@ const (
 type Injector struct {
 	mu      sync.Mutex
 	cfg     Config
-	rng     *rand.Rand
 	down    map[int]bool
 	group   map[int]int // node -> partition group (while partitioned)
 	parted  bool
@@ -134,9 +129,8 @@ type Injector struct {
 	// amnesiac marks down nodes whose crash wiped their in-memory
 	// state; their restart is diverted to the recovery path.
 	amnesiac map[int]bool
-	// byz marks nodes flipped to Byzantine by Corrupt events (or the
-	// imperative Corrupt method); attack.Scheduled adversaries consult
-	// it through Byzantine.
+	// byz marks nodes flipped to Byzantine by Corrupt events;
+	// attack.Scheduled adversaries consult it through Byzantine.
 	byz map[int]bool
 	// recovered queues amnesiac nodes whose restart fired, for the
 	// hosting runtime to drain (TakeRecovered) and rebuild.
@@ -148,12 +142,13 @@ type Injector struct {
 	tr *obs.Tracer
 }
 
-// New builds an injector. The schedule is replayed by Advance in the
-// order given; events must be sorted by At.
+// New builds an injector. Advance replays the schedule in At order;
+// events with equal At keep the order given.
 func New(cfg Config) *Injector {
+	cfg.Schedule = slices.Clone(cfg.Schedule)
+	slices.SortStableFunc(cfg.Schedule, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
 	return &Injector{
 		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		down:     map[int]bool{},
 		amnesiac: map[int]bool{},
 		byz:      map[int]bool{},
@@ -225,19 +220,6 @@ func (in *Injector) Advance(now int64) {
 			}
 		}
 	}
-}
-
-// Corrupt flips a node to Byzantine immediately (the imperative
-// counterpart of a scheduled Corrupt event).
-func (in *Injector) Corrupt(node int) {
-	in.mu.Lock()
-	if !in.byz[node] {
-		in.byz[node] = true
-		in.stats.Corruptions++
-		in.cCorrupt.Inc()
-		in.tr.Emit(obs.Event{Type: obs.EvCorrupt, Node: node, Peer: -1, Detail: "imperative"})
-	}
-	in.mu.Unlock()
 }
 
 // Byzantine reports whether a node has been flipped to Byzantine.
@@ -340,14 +322,13 @@ func (in *Injector) cutLocked(u, v int) bool {
 	return okU && okV && gu != gv
 }
 
-// Reorders reports whether verdicts may violate per-link FIFO (the
-// runtime then skips its FIFO clamp).
-func (in *Injector) Reorders() bool { return in.cfg.ReorderWindow > 0 }
-
-// Decide returns the fate of one message from u to v: dropped when
-// either endpoint is down or the link is cut or the drop probability
-// fires; otherwise one or two copies, each with an extra delay.
-func (in *Injector) Decide(from, to int) Verdict {
+// Decide returns the fate of message seq from u to v: dropped when
+// either endpoint is down or the link is cut or the drop roll fires;
+// otherwise one or two copies, each with an extra delay. The rolls are
+// a hash of (Seed, from, to, seq), so seq must name the message among
+// the sender's sends to v — a per-sender or per-link counter — and the
+// verdict does not depend on when Decide is called.
+func (in *Injector) Decide(from, to int, seq int64) Verdict {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.down[from] || in.down[to] {
@@ -360,33 +341,53 @@ func (in *Injector) Decide(from, to int) Verdict {
 		in.cCut.Inc()
 		return Verdict{Drop: true, Cause: CauseCut}
 	}
-	if in.cfg.DropProb > 0 && in.rng.Float64() < in.cfg.DropProb {
+	h := messageHash(in.cfg.Seed, from, to, seq)
+	if in.cfg.DropProb > 0 && roll(h, 1) < in.cfg.DropProb {
 		in.stats.Dropped++
 		in.cDrop.Inc()
 		return Verdict{Drop: true, Cause: CauseInjected}
 	}
-	copies := 1
-	if in.cfg.DupProb > 0 && in.rng.Float64() < in.cfg.DupProb {
-		copies = 2
+	v := Verdict{Copies: 1}
+	if in.cfg.DupProb > 0 && roll(h, 2) < in.cfg.DupProb {
+		v.Copies = 2
 		in.stats.Duplicated++
 		in.cDup.Inc()
 	}
-	extra := make([]int64, copies)
-	for i := range extra {
-		var d int64
-		if in.cfg.DelayJitter > 0 {
-			d += in.rng.Int63n(int64(in.cfg.DelayJitter) + 1)
+	if in.cfg.DelayJitter > 0 {
+		for c := range v.Copies {
+			// The high word of a 64×64 product is uniform over [0, J].
+			d, _ := bits.Mul64(mix64(h+3+uint64(c)), uint64(in.cfg.DelayJitter)+1)
+			if d > 0 {
+				in.stats.Delayed++
+				in.cDelay.Inc()
+			}
+			v.Extra[c] = int64(d)
 		}
-		if in.cfg.ReorderWindow > 0 {
-			d += in.rng.Int63n(int64(in.cfg.ReorderWindow) + 1)
-		}
-		if d > 0 {
-			in.stats.Delayed++
-			in.cDelay.Inc()
-		}
-		extra[i] = d
 	}
-	return Verdict{Extra: extra}
+	return v
+}
+
+// mix64 is the splitmix64 finalizer — a cheap, well-distributed bit
+// mixer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// messageHash is a message's identity folded into one word; roll and
+// the jitter draws derive independent values from it.
+func messageHash(seed int64, from, to int, seq int64) uint64 {
+	return mix64(uint64(seed)*0x9e3779b97f4a7c15 ^ mix64(uint64(from)+0xbf58476d1ce4e5b9) ^
+		mix64(uint64(to)+0x94d049bb133111eb) ^ uint64(seq))
+}
+
+// roll is the message's i-th uniform draw in [0,1).
+func roll(h, i uint64) float64 {
+	return float64(mix64(h+i)>>11) / (1 << 53)
 }
 
 // CountCrashDrop records a message that was already in flight when its

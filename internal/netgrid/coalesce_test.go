@@ -221,3 +221,46 @@ func TestMalformedBatchKillsOnlyOffendingConn(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestSeededLinkFaultsReproduce: Send numbers each link's frames, so a
+// seeded injector gives the n-th frame on a link the fate a fresh
+// injector's Decide(from, to, n) gives it — dropped frames never
+// arrive, duplicated ones arrive twice, in order — however the run's
+// goroutines interleave.
+func TestSeededLinkFaultsReproduce(t *testing.T) {
+	cfg := faults.Config{Seed: 3, DropProb: 0.3, DupProb: 0.3}
+	a, err := Start(0, func(int, []byte) {}, authOpt(0, Options{Faults: faults.New(cfg)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	rx := &collector{}
+	b, err := Start(1, rx.handle, authOpt(1, Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := a.Connect(map[int]string{1: b.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	ref := faults.New(cfg)
+	var want []string
+	for i := 1; i <= 60; i++ {
+		f := fmt.Sprintf("f%02d", i)
+		if err := a.Send(1, []byte(f)); err != nil {
+			t.Fatal(err)
+		}
+		if v := ref.Decide(0, 1, int64(i)); !v.Drop {
+			for range v.Copies {
+				want = append(want, f)
+			}
+		}
+	}
+	if st := ref.Stats(); st.Dropped == 0 || st.Duplicated == 0 {
+		t.Fatalf("reference verdicts exercise nothing: %+v", st)
+	}
+	got := waitFrames(t, rx, len(want), 5*time.Second)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("delivered %q,\nreference verdicts give %q", got, want)
+	}
+}

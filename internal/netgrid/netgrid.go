@@ -198,6 +198,10 @@ type peer struct {
 	superv   bool
 	kick     chan struct{} // wakes the supervisor after a link death
 	wake     chan struct{} // wakes the sender goroutine (buffered, 1)
+	// frames numbers the frames Send submits to the fault injector, so
+	// a seeded fault regime gives each link's n-th frame the same fate
+	// in every run.
+	frames atomic.Int64
 }
 
 // signal wakes the peer's sender goroutine (coalescing-friendly: many
@@ -765,20 +769,16 @@ func (n *Node) Send(to int, frame []byte) error {
 	var one [2][]byte // room for the injector's duplicate, off the heap
 	entries := append(one[:0], frame)
 	if inj := n.opt.Faults; inj != nil {
-		v := inj.Decide(n.id, to)
+		v := inj.Decide(n.id, to, p.frames.Add(1))
 		if v.Drop {
-			cause := v.Cause
-			if cause == "" {
-				cause = faults.CauseInjected
-			}
 			cc, _ := core.PeekCausalCtx(frame)
-			n.emit(obs.Event{Type: obs.EvMsgDrop, Node: n.id, Peer: to, Detail: cause}.WithCausal(cc))
+			n.emit(obs.Event{Type: obs.EvMsgDrop, Node: n.id, Peer: to, Detail: v.Cause}.WithCausal(cc))
 			putFrameBuf(frame)
 			return nil // lost in transit: indistinguishable from a send
 		}
 		// One entry per copy the verdict delivers. Duplicates need their
 		// own buffer: each is recycled independently.
-		for i := 1; i < len(v.Extra); i++ {
+		for i := 1; i < v.Copies; i++ {
 			entries = append(entries, append(getFrameBuf(), frame...))
 		}
 	}

@@ -63,6 +63,16 @@ func chainNodes(n int) []Node {
 	return nodes
 }
 
+// mix64 is the splitmix64 finalizer, chainNode's digest mixer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
 // chain returns the chainNode itself, or the one a wrapper embeds.
 func (n *chainNode) chain() *chainNode { return n }
 
@@ -80,13 +90,12 @@ var widths = []int{1, 2, 4, 16}
 
 // TestShardedParityWithEngine: a fixed seed at every width must
 // reproduce the recorded one-worker per-node digests and message
-// counters exactly — with hash-keyed Faults enabled.
+// counters exactly — with hash-keyed drop and duplicate rolls enabled.
 func TestShardedParityWithEngine(t *testing.T) {
 	const steps = 80
-	faults := Faults{DropProb: 0.2, DupProb: 0.15}
 	for _, w := range widths {
-		e := newEngine(chainGraph(t), chainNodes(60), 42, w)
-		e.Faults = faults
+		e := newEngine(chainGraph(t), chainNodes(60), w)
+		e.Inject = faults.New(faults.Config{Seed: 42, DropProb: 0.2, DupProb: 0.15})
 		e.Run(steps)
 		checkDigests(t, fmt.Sprintf("workers=%d", w), digests(e.nodes), goldenHashFaultsDigests)
 		if st := e.Stats(); st != goldenHashFaultsStats {
@@ -99,8 +108,8 @@ func TestShardedParityWithEngine(t *testing.T) {
 // bit-identical (guards against map-order or scheduling leaks).
 func TestShardedRepeatDeterminism(t *testing.T) {
 	run := func() []uint64 {
-		e := newEngine(chainGraph(t), chainNodes(60), 7, 8)
-		e.Faults = Faults{DropProb: 0.1, DupProb: 0.1}
+		e := newEngine(chainGraph(t), chainNodes(60), 8)
+		e.Inject = faults.New(faults.Config{Seed: 7, DropProb: 0.1, DupProb: 0.1})
 		e.Run(60)
 		return digests(e.nodes)
 	}
@@ -118,7 +127,7 @@ func TestShardedRepeatDeterminism(t *testing.T) {
 // width, the rejoin sends of the rebuilt node included.
 func TestInjectScheduleParityAcrossShards(t *testing.T) {
 	run := func(w int) ([]uint64, Stats, faults.Stats) {
-		e := newEngine(chainGraph(t), chainNodes(60), 42, w)
+		e := newEngine(chainGraph(t), chainNodes(60), w)
 		inj := faults.New(faults.Config{Seed: 42, Schedule: []faults.Event{
 			{At: 3, Crash: []int{3}},
 			{At: 5, Crash: []int{7}, Amnesia: true},
@@ -155,13 +164,13 @@ type rejoinChainNode struct{ chainNode }
 
 func (n *rejoinChainNode) OnRejoin(ctx *Context) { n.Init(ctx) }
 
-// TestInjectProbabilisticRepeatsPerShardCount: the injector's RNG is
-// drawn at the barrier in one-worker order, so a lossy, jittered run
-// reproduces the recorded one-worker reference at every width, and
-// keeps the drop accounting exact.
+// TestInjectProbabilisticRepeatsPerShardCount: the injector's rolls
+// are keyed by message identity, so a lossy, jittered run reproduces
+// the recorded one-worker reference at every width, and keeps the drop
+// accounting exact.
 func TestInjectProbabilisticRepeatsPerShardCount(t *testing.T) {
 	for _, w := range widths {
-		e := newEngine(chainGraph(t), chainNodes(60), 42, w)
+		e := newEngine(chainGraph(t), chainNodes(60), w)
 		inj := faults.New(goldenInjectConfig())
 		e.Inject = inj
 		e.Run(80)
@@ -179,7 +188,7 @@ func TestInjectProbabilisticRepeatsPerShardCount(t *testing.T) {
 // TestShardedQuiesceAndAddLink exercises the non-Step API surface.
 func TestShardedQuiesceAndAddLink(t *testing.T) {
 	g := topology.Line(4, topology.DelayRange{Min: 2, Max: 2}, rand.New(rand.NewSource(1)))
-	e := newEngine(g, chainNodes(4), 1, 2)
+	e := newEngine(g, chainNodes(4), 2)
 	if _, ok := e.Quiesce(500); !ok {
 		t.Fatal("did not quiesce")
 	}
@@ -241,7 +250,7 @@ func TestFreelistBoundedByInFlight(t *testing.T) {
 		nodes[i] = &sinkNode{}
 	}
 	for _, w := range []int{2, 4} {
-		e := newEngine(g, nodes, 1, w)
+		e := newEngine(g, nodes, w)
 		bound := 0
 		for step := 0; step < 300; step++ {
 			inFlight, sent := e.Pending(), e.Stats().Sent
@@ -254,30 +263,6 @@ func TestFreelistBoundedByInFlight(t *testing.T) {
 		if e.Stats().Delivered < 300*leaves/2 {
 			t.Fatalf("workers=%d: too little traffic (%+v)", w, e.Stats())
 		}
-	}
-}
-
-// TestEngineParityAcrossHashedFaultProbabilities pins the legacy
-// Faults statistical behavior after the switch from sequential RNG to
-// hash-based rolls: drops and dups land near their probabilities.
-func TestHashedFaultRollRates(t *testing.T) {
-	f := Faults{DropProb: 0.3, DupProb: 0.2}
-	drops, dups := 0, 0
-	const n = 20000
-	for i := int64(0); i < n; i++ {
-		switch f.copies(99, 1, 2, i) {
-		case 0:
-			drops++
-		case 2:
-			dups++
-		}
-	}
-	if got := float64(drops) / n; got < 0.27 || got > 0.33 {
-		t.Fatalf("drop rate %.3f, want ≈0.30", got)
-	}
-	// dups are rolled only on non-dropped messages: 0.7 * 0.2 = 0.14.
-	if got := float64(dups) / n; got < 0.11 || got > 0.17 {
-		t.Fatalf("dup rate %.3f, want ≈0.14", got)
 	}
 }
 

@@ -80,10 +80,6 @@ type event struct {
 	from NodeID
 	fseq int64
 	dup  int32
-	// mark is written by the receiver's worker once the handler ran: where
-	// the receiver's staged sends ended at that point, so the barrier knows
-	// which of them this delivery made.
-	mark int32
 	to   NodeID
 	// next links the receiver's due deliveries of one step, in key order.
 	next *event
@@ -155,62 +151,15 @@ type Stats struct {
 	Duplicated int64 // extra copies created by fault injection
 }
 
-// Faults configures simple probabilistic fault injection on every
-// link. It predates internal/faults and remains for lightweight tests;
-// the full model (partitions, crash schedules, jitter, deterministic
-// replay) is Engine.Inject.
-//
-// Decisions are a pure hash of (engine seed, sender, receiver, send
-// sequence) rather than draws from a sequential RNG stream, so a
-// message's fate depends on nothing but its identity.
-type Faults struct {
-	DropProb float64 // probability a message is silently lost
-	DupProb  float64 // probability a message is delivered twice
-}
-
-// copies returns how many copies of the message should be scheduled:
-// 0 dropped, 1 normal, 2 duplicated.
-func (f Faults) copies(seed int64, from, to NodeID, fseq int64) int {
-	if f.DropProb <= 0 && f.DupProb <= 0 {
-		return 1
-	}
-	drop, dup := faultRolls(seed, from, to, fseq)
-	if f.DropProb > 0 && drop < f.DropProb {
-		return 0
-	}
-	if f.DupProb > 0 && dup < f.DupProb {
-		return 2
-	}
-	return 1
-}
-
-// mix64 is the splitmix64 finalizer — a cheap, well-distributed bit
-// mixer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// faultRolls derives two uniform [0,1) draws from a message identity.
-func faultRolls(seed int64, from, to NodeID, fseq int64) (a, b float64) {
-	h := mix64(uint64(seed)*0x9e3779b97f4a7c15 ^ mix64(uint64(from)+0xbf58476d1ce4e5b9) ^
-		mix64(uint64(to)+0x94d049bb133111eb) ^ uint64(fseq))
-	return float64(mix64(h+1)>>11) / (1 << 53), float64(mix64(h+2)>>11) / (1 << 53)
-}
-
 // Engine hosts the nodes and drives time. A step has a parallel phase
 // and a barrier. In the parallel phase each node is one unit of work:
 // its due deliveries in key order, then its tick. W workers claim nodes
 // from a shared counter, highest overlay degree first, so a hub starts
 // early instead of landing on a worker that already holds its share of
 // leaves. Every send is staged in the outbox of the worker running the
-// sender, where each node's sends form one contiguous run. The barrier
-// then routes the staged sends — fault verdict, delay, delivery wheel —
-// and hands the next step's due events to their receivers.
+// sender. The barrier then routes each worker's outbox front to back —
+// fault verdict, delay, delivery wheel — and hands the next step's due
+// events to their receivers.
 //
 // NewEngine runs one worker, inline. NewParallelEngine runs
 // W = min(GOMAXPROCS, nodes). W drops to 1 while an engine-wide tracer
@@ -225,13 +174,12 @@ func faultRolls(seed int64, from, to NodeID, fseq int64) (a, b float64) {
 //     data flow.
 //  2. Event order is content-addressed (see event), so each node's
 //     delivery sequence does not depend on which goroutine ran it.
-//  3. The barrier routes staged sends in one-worker order: the sends of
-//     each delivery in the delivery's key order, then each node's tick
-//     sends in ascending node id. Every delivered event records where
-//     its handler's sends ended in the receiver's run (event.mark), which
-//     is all the merge needs. So the injector's RNG draws and the
-//     per-link FIFO clamps see the same sequence at every W, and
-//     seeded fault runs — probabilistic ones included — are
+//  3. Routing order does not matter either. The injector's verdict is a
+//     hash of the message's identity (sender, receiver, fseq), not a
+//     draw from a shared stream. The per-link FIFO clamp only compares
+//     sends on one link, and those all come from one node, which one
+//     worker visits per step, so they sit in one outbox in send order.
+//     So seeded fault runs — probabilistic ones included — are
 //     bit-identical across widths.
 //
 // There is one event freelist. Sends draw from it concurrently, through
@@ -244,14 +192,13 @@ func faultRolls(seed int64, from, to NodeID, fseq int64) (a, b float64) {
 // SetObs still interleave their Seq numbers past one worker; give each
 // resource its own sink when byte-stable merged traces matter.
 type Engine struct {
-	Graph  *topology.Graph
-	Faults Faults
-	// Inject, when set, is the full fault-injection middleware: every
-	// send is submitted to it (drop/duplicate/delay/partition), nodes
-	// it marks down neither tick nor receive, and its event schedule is
-	// advanced once per step. Jittered deliveries are clamped to
-	// preserve per-link FIFO unless the injector permits reordering.
-	// The Faults knobs are ignored while an injector is installed.
+	Graph *topology.Graph
+	// Inject, when set, is the fault-injection middleware: every send
+	// is submitted to it with the sender's send counter as its sequence
+	// number (drop/duplicate/delay/partition), nodes it marks down
+	// neither tick nor receive, and its event schedule is advanced once
+	// per step. Jittered deliveries are clamped to preserve per-link
+	// FIFO.
 	Inject *faults.Injector
 	// Recover, when set, rebuilds a node after a crash-with-amnesia
 	// restart (faults.Event.Amnesia, Injector.CrashAmnesia): it receives
@@ -287,7 +234,6 @@ type Engine struct {
 	// injected jitter cannot reorder a FIFO link (barrier-only).
 	lastAt map[[2]int]int64
 	now    int64
-	seed   int64
 	inited bool
 	// engine-level telemetry, resolved once by SetObs (nil = off).
 	obsTr        *obs.Tracer
@@ -305,10 +251,8 @@ type Engine struct {
 type slot struct {
 	// head and tail link this step's due deliveries, in key order.
 	head, tail *event
-	// The node's staged sends are wks[w].outbox[routed:end]; routed
-	// advances as the barrier routes them.
-	w, routed, end int32
-	fseq           int64 // sends so far: the event-order key's sequence
+	w          int   // the worker whose outbox stages the node's sends
+	fseq       int64 // sends so far: the event-order key's sequence
 	// clock is the engine-owned trace clock of a node that is not
 	// TraceClocked, allocated on first use.
 	clock *obs.Clock
@@ -323,25 +267,25 @@ type worker struct {
 }
 
 // NewEngine builds a one-worker engine over the graph; nodes[i] is
-// hosted at graph node i.
+// hosted at graph node i. The engine draws no randomness of its own:
+// seed is unused, and fault rolls take theirs from Inject.
 func NewEngine(g *topology.Graph, nodes []Node, seed int64) *Engine {
-	return newEngine(g, nodes, seed, 1)
+	return newEngine(g, nodes, 1)
 }
 
 // NewParallelEngine is NewEngine with W = min(GOMAXPROCS, nodes)
 // workers, read once here.
 func NewParallelEngine(g *topology.Graph, nodes []Node, seed int64) *Engine {
-	return newEngine(g, nodes, seed, runtime.GOMAXPROCS(0))
+	return newEngine(g, nodes, runtime.GOMAXPROCS(0))
 }
 
-func newEngine(g *topology.Graph, nodes []Node, seed int64, workers int) *Engine {
+func newEngine(g *topology.Graph, nodes []Node, workers int) *Engine {
 	if len(nodes) != g.N {
 		panic(fmt.Sprintf("sim: %d nodes for a %d-node graph", len(nodes), g.N))
 	}
 	e := &Engine{
 		Graph:  g,
 		nodes:  nodes,
-		seed:   seed,
 		ctxs:   make([]Context, len(nodes)),
 		slots:  make([]slot, len(nodes)),
 		wks:    make([]worker, max(1, min(workers, len(nodes)))),
@@ -532,8 +476,8 @@ func (e *Engine) work(w int, init bool) {
 // visit runs one node's share of a step on worker w: its due deliveries
 // in key order, then its tick — or, in the init phase, its Init.
 func (e *Engine) visit(w int, id NodeID, init bool) {
-	n, ctx, wk := e.nodes[id], &e.ctxs[id], &e.wks[w]
-	s := e.stage(w, id)
+	n, ctx, wk, s := e.nodes[id], &e.ctxs[id], &e.wks[w], &e.slots[id]
+	s.w = w
 	if init {
 		n.Init(ctx)
 		return
@@ -548,22 +492,12 @@ func (e *Engine) visit(w int, id NodeID, init bool) {
 		wk.hops = ev.cc.Hops
 		n.OnMessage(ctx, ev.from, ev.payload)
 		wk.hops = 0
-		ev.mark = s.end
 	}
 	s.head, s.tail = nil, nil
 	if e.Inject != nil && e.Inject.Down(id) {
 		return
 	}
 	n.OnTick(ctx)
-}
-
-// stage starts node id's run of staged sends at the end of worker w's
-// outbox.
-func (e *Engine) stage(w int, id NodeID) *slot {
-	s := &e.slots[id]
-	s.w, s.routed = int32(w), int32(len(e.wks[w].outbox))
-	s.end = s.routed
-	return s
 }
 
 // drop records the loss of one event and recycles it.
@@ -597,37 +531,24 @@ func (e *Engine) send(from, to NodeID, payload any) {
 	ev := e.pool.take()
 	*ev = event{from: from, fseq: s.fseq, to: to, payload: payload, cc: cc}
 	wk.outbox = append(wk.outbox, ev)
-	s.end = int32(len(wk.outbox))
 }
 
-// exchange is the barrier. It routes the staged sends in one-worker
-// order — each delivery's sends in the delivery's key order, then the
-// rest of every node's run (tick, Init or join sends) by ascending node
-// id — recycling each delivered event once its sends are routed.
+// exchange is the barrier. It routes every worker's outbox front to
+// back, then recycles the step's delivered events.
 func (e *Engine) exchange() {
+	for w := range e.wks {
+		out := e.wks[w].outbox
+		for i, ev := range out {
+			e.route(ev)
+			out[i] = nil
+		}
+		e.wks[w].outbox = out[:0]
+	}
 	for i, ev := range e.due {
-		e.flushTo(ev.to, ev.mark)
 		e.pool.put(ev)
 		e.due[i] = nil
 	}
 	e.due = e.due[:0]
-	for id := range e.slots {
-		e.flushTo(id, e.slots[id].end)
-	}
-	for w := range e.wks {
-		e.wks[w].outbox = e.wks[w].outbox[:0]
-	}
-}
-
-// flushTo routes node id's staged sends up to outbox index end.
-func (e *Engine) flushTo(id NodeID, end int32) {
-	s := &e.slots[id]
-	out := e.wks[s.w].outbox
-	for i := s.routed; i < end; i++ {
-		e.route(out[i])
-		out[i] = nil
-	}
-	s.routed = end
 }
 
 // route applies fault injection to one staged send and schedules the
@@ -635,24 +556,17 @@ func (e *Engine) flushTo(id NodeID, end int32) {
 func (e *Engine) route(ev *event) {
 	e.stats.Sent++
 	e.obsSent.Inc()
-	copies, cause := 0, faults.CauseInjected
-	var extra []int64 // per-copy injected delay; nil without an injector
+	v := faults.Verdict{Copies: 1}
 	if e.Inject != nil {
-		if v := e.Inject.Decide(ev.from, ev.to); v.Drop {
-			cause = v.Cause
-		} else {
-			copies, extra = len(v.Extra), v.Extra
-		}
-	} else {
-		copies = e.Faults.copies(e.seed, ev.from, ev.to, ev.fseq)
+		v = e.Inject.Decide(ev.from, ev.to, ev.fseq)
 	}
-	if copies == 0 {
-		e.drop(ev, cause)
+	if v.Drop {
+		e.drop(ev, v.Cause)
 		return
 	}
 	base := e.now + int64(e.Graph.Delay(ev.from, ev.to))
 	link := [2]int{ev.from, ev.to}
-	for c := 0; c < copies; c++ {
+	for c := range v.Copies {
 		cp := ev
 		if c > 0 {
 			e.stats.Duplicated++
@@ -661,12 +575,9 @@ func (e *Engine) route(ev *event) {
 			*cp = *ev
 			cp.dup = int32(c)
 		}
-		cp.at = base
-		if extra != nil {
-			cp.at += extra[c]
-			if !e.Inject.Reorders() && cp.at < e.lastAt[link] {
-				cp.at = e.lastAt[link] // jitter must not reorder a FIFO link
-			}
+		cp.at = base + v.Extra[c]
+		if e.Inject != nil {
+			cp.at = max(cp.at, e.lastAt[link]) // jitter must not reorder a FIFO link
 			e.lastAt[link] = cp.at
 		}
 		e.schedule(cp)
@@ -698,8 +609,7 @@ func (e *Engine) growWheel(n int64) {
 
 // recoverNode replaces an amnesiac node's wiped instance with whatever
 // the Recover hook rebuilds from durable state, and routes its rejoin
-// sends at once — ahead of everything the step stages, as one worker
-// would. When recovery is impossible the node is crashed again
+// sends at once. When recovery is impossible the node is crashed again
 // permanently.
 func (e *Engine) recoverNode(id NodeID) {
 	var repl Node
@@ -712,9 +622,9 @@ func (e *Engine) recoverNode(id NodeID) {
 	}
 	e.nodes[id] = repl
 	if r, ok := repl.(Rejoiner); ok {
-		s := e.stage(0, id)
+		e.slots[id].w = 0
 		r.OnRejoin(&e.ctxs[id])
-		e.flushTo(id, s.end)
+		e.exchange()
 	}
 }
 
@@ -741,9 +651,9 @@ func (e *Engine) AddLink(u, v NodeID, delay int) {
 // reply.
 func (e *Engine) join(u, v NodeID) {
 	if j, ok := e.nodes[u].(NeighborJoiner); ok {
-		s := e.stage(0, u)
+		e.slots[u].w = 0
 		j.OnNeighborJoin(&e.ctxs[u], v)
-		e.flushTo(u, s.end)
+		e.exchange()
 	}
 }
 

@@ -572,7 +572,7 @@ func NewGridWithFeedSources(db *Database, feeds []FeedSource, cfg GridConfig) (*
 		needInject := cfg.Faults != nil
 		if len(cfg.Adversaries) > 0 {
 			advFor = map[int]core.Adversary{}
-			sched := append([]FaultEvent(nil), faultCfg.Schedule...)
+			faultCfg.Schedule = slices.Clip(faultCfg.Schedule) // append below must not write the caller's array
 			for _, spec := range cfg.Adversaries {
 				if spec.Node < 0 || spec.Node >= cfg.Resources {
 					return nil, fmt.Errorf("secmr: adversary node %d outside [0,%d)", spec.Node, cfg.Resources)
@@ -587,11 +587,9 @@ func NewGridWithFeedSources(db *Database, feeds []FeedSource, cfg GridConfig) (*
 				advFor[spec.Node] = adv
 				if spec.From > 0 {
 					needInject = true
-					sched = append(sched, FaultEvent{At: spec.From, Corrupt: []int{spec.Node}})
+					faultCfg.Schedule = append(faultCfg.Schedule, FaultEvent{At: spec.From, Corrupt: []int{spec.Node}})
 				}
 			}
-			sort.SliceStable(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
-			faultCfg.Schedule = sched
 		}
 		if needInject {
 			g.inject = faults.New(faultCfg)
