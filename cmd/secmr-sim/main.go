@@ -60,7 +60,7 @@ func main() {
 		steps     = flag.Int("steps", 3000, "maximum simulation steps")
 		sample    = flag.Int("sample", 50, "sampling period for the convergence table")
 		paillier  = flag.Int("paillier", 0, "Paillier modulus bits (0 = plain stand-in scheme)")
-		crypto    = flag.String("crypto", "", "crypto backend: plain, paillier or shamir (empty = plain, or paillier when -paillier is set)")
+		crypto    = flag.String("crypto", "", "crypto backend: plain, paillier or shamir (empty = plain, or paillier when -paillier is set); shamir messages carry every share, so any broker or link observer can open them")
 		seed      = flag.Int64("seed", 1, "seed")
 		csvPath   = flag.String("csv", "", "also write the convergence series as CSV to this file")
 

@@ -17,7 +17,10 @@
 //	                                           evidence/quorum -> quarantine
 //	secmr-trace flight DIR [subcommand]        load black-box flight-recorder dumps
 //	                                           (secmr-sim -flight-dir); with no
-//	                                           subcommand, list dumps and state
+//	                                           subcommand, list dumps and state;
+//	                                           dag, losses or evict analyse the
+//	                                           newest dump whose reason names the
+//	                                           analysis, else the newest dump
 //
 // All output is deterministic for a given input set: a fixed-seed
 // simulator run produces a byte-identical DAG and byte-identical
@@ -28,6 +31,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"secmr/internal/forensics"
 	"secmr/internal/obs"
@@ -154,7 +159,7 @@ func runEvict(args []string) error {
 
 // runFlight reads black-box dumps: with just a directory it lists every
 // dump and its state; with a trailing subcommand (dag, losses, evict)
-// it runs that analysis over the newest dump's trace.
+// it runs that analysis over one dump's trace (see flightDump).
 func runFlight(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("flight: directory required")
@@ -175,11 +180,11 @@ func runFlight(args []string) error {
 		}
 		return nil
 	}
-	fd, err := obs.ReadFlightDump(dumps[len(dumps)-1])
+	fd, err := obs.ReadFlightDump(flightDump(dumps, rest[0]))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("# newest dump %s (reason=%v)\n", fd.Dir, fd.State["reason"])
+	fmt.Printf("# dump %s (reason=%v)\n", fd.Dir, fd.State["reason"])
 	d := forensics.Merge(fd.Events)
 	switch rest[0] {
 	case "dag":
@@ -191,4 +196,16 @@ func runFlight(args []string) error {
 	default:
 		return fmt.Errorf("flight: unknown analysis %q (want dag, losses or evict)", rest[0])
 	}
+}
+
+// flightDump picks the dump an analysis reads: the newest one whose
+// reason names it (evict reads the newest *-evict dump, not the close
+// dump written after it), otherwise the newest dump.
+func flightDump(dumps []string, analysis string) string {
+	for i := len(dumps) - 1; i >= 0; i-- {
+		if strings.HasSuffix(filepath.Base(dumps[i]), "-"+analysis) {
+			return dumps[i]
+		}
+	}
+	return dumps[len(dumps)-1]
 }

@@ -37,7 +37,7 @@ func main() {
 		storeDir = flag.String("store.dir", "", "result-store directory (empty = in-memory, no durability)")
 
 		algorithm = flag.String("algorithm", "secure", "mining algorithm: secure | k-private | majority-rule")
-		crypto    = flag.String("crypto", "plain", "crypto backend for -algorithm secure: plain | paillier | shamir")
+		crypto    = flag.String("crypto", "plain", "crypto backend for -algorithm secure: plain | paillier | shamir (shamir messages carry every share, so any broker or link observer can open them)")
 		resources = flag.Int("resources", 8, "grid resources")
 		k         = flag.Int("k", 4, "privacy parameter k")
 		minFreq   = flag.Float64("minfreq", 0.3, "MinFreq threshold")

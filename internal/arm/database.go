@@ -30,6 +30,18 @@ func (db *Database) Len() int { return len(db.Tx) }
 // Model").
 func (db *Database) Append(tx ...Transaction) { db.Tx = append(db.Tx, tx...) }
 
+// Absorb appends up to n transactions pulled from f: one step of
+// dynamic-database growth. A nil feed is a static database.
+func (db *Database) Absorb(f Feed, n int) {
+	for ; f != nil && n > 0; n-- {
+		tx, ok := f.Pull()
+		if !ok {
+			return
+		}
+		db.Append(tx)
+	}
+}
+
 // Slice returns a view database over transactions [lo, hi).
 func (db *Database) Slice(lo, hi int) *Database {
 	return &Database{Tx: db.Tx[lo:hi]}

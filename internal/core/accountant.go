@@ -59,12 +59,11 @@ type Accountant struct {
 	replySpare []*oblivious.Counter
 }
 
+// scanState is one rule's Algorithm 2 vote (arm.Tally) plus the
+// accountant's reply bookkeeping for it.
 type scanState struct {
-	rule       arm.Rule
-	union      arm.Itemset // rule.Union(): tick tests it against every scanned transaction
-	sym        intern.Sym
-	pos        int
-	sum, count int64
+	arm.Tally
+	sym intern.Sym
 	// spare is the ⊥ counter the broker's last applied reply for this
 	// scan superseded (supersede), and the storage the next reply is
 	// dealt into. That counter is never published — messages carry
@@ -76,7 +75,7 @@ type scanState struct {
 
 // newScanState starts a rule's scan at the top of the database.
 func newScanState(rule arm.Rule, sym intern.Sym) *scanState {
-	return &scanState{rule: rule, union: rule.Union(), sym: sym}
+	return &scanState{Tally: arm.NewTally(rule), sym: sym}
 }
 
 func newAccountant(id int, cfg Config, enc homo.Encryptor, pub homo.Public, local *arm.Database, feed Feed) *Accountant {
@@ -263,46 +262,13 @@ func (a *Accountant) register(rule arm.Rule, sym intern.Sym) {
 // up to ScanBudget transactions, staging an encrypted reply for each
 // rule whose counters changed.
 func (a *Accountant) tick() {
-	if a.feed != nil {
-		for i := 0; i < a.cfg.GrowthPerStep; i++ {
-			tx, ok := a.feed.Pull()
-			if !ok {
-				break
-			}
-			a.db.Append(tx)
-		}
-	}
+	a.db.Absorb(a.feed, a.cfg.GrowthPerStep)
 	for i, s := range a.scans {
-		if s.advance(a.db, a.cfg.ScanBudget) {
+		if s.Advance(a.db, a.cfg.ScanBudget) {
 			a.stage(i)
 		}
 		s.spare = nil
 	}
-}
-
-// advance counts up to budget more transactions of db and reports
-// whether the totals changed.
-func (s *scanState) advance(db *arm.Database, budget int) (changed bool) {
-	for end := min(s.pos+budget, db.Len()); s.pos < end; s.pos++ {
-		t := db.Tx[s.pos]
-		if len(s.rule.LHS) == 0 || t.ContainsAll(s.rule.LHS) {
-			s.count++
-			changed = true
-			if t.ContainsAll(s.union) {
-				s.sum++
-			}
-		}
-	}
-	return changed
-}
-
-// localCounts returns scan i's (count, sum) over the whole current
-// database: the running totals over db.Tx[:pos] plus the tail the scan
-// has not reached yet, so a SupportPair rescan returns the same pair.
-func (a *Accountant) localCounts(i int) (count, sum int64) {
-	s := a.scans[i]
-	cl, cb := a.db.SupportPairFrom(s.pos, s.rule.LHS, s.rule.RHS)
-	return s.count + int64(cl), s.sum + int64(cb)
 }
 
 // stage (re)stages a reply for scan index i.
@@ -324,8 +290,8 @@ func (a *Accountant) reply(s *scanState) *oblivious.Counter {
 		return a.replyInto(c, s)
 	}
 	c := &oblivious.Counter{
-		Sum:    a.enc.EncryptInt(s.sum),
-		Count:  a.enc.EncryptInt(s.count),
+		Sum:    a.enc.EncryptInt(s.Sum),
+		Count:  a.enc.EncryptInt(s.Count),
 		Num:    a.enc.EncryptInt(1),
 		Share:  a.enc.EncryptInt(a.shareVals[0]),
 		Stamps: make([]*homo.Ciphertext, a.numSlots()),
@@ -341,8 +307,8 @@ func (a *Accountant) reply(s *scanState) *oblivious.Counter {
 // that a join or an eviction added or removed since are resized.
 func (a *Accountant) replyInto(c *oblivious.Counter, s *scanState) *oblivious.Counter {
 	enc := func(dst *homo.Ciphertext, m int64) *homo.Ciphertext { return homo.EncryptIntInto(a.enc, dst, m) }
-	c.Sum = enc(c.Sum, s.sum)
-	c.Count = enc(c.Count, s.count)
+	c.Sum = enc(c.Sum, s.Sum)
+	c.Count = enc(c.Count, s.Count)
 	c.Num = enc(c.Num, 1)
 	c.Share = enc(c.Share, a.shareVals[0])
 	if n := a.numSlots(); len(c.Stamps) != n {

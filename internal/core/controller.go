@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"secmr/internal/arm"
 	"secmr/internal/homo"
 	"secmr/internal/intern"
 	"secmr/internal/oblivious"
@@ -149,37 +150,13 @@ type sendGateKey struct {
 	edge int32
 }
 
-// gateState is the k-gate bookkeeping for one decision stream.
+// gateState is the k-gate bookkeeping for one decision stream: the
+// gate itself (arm.Gate) plus the controller's query history.
 type gateState struct {
-	gateCount, gateNum int64 // totals at the last fresh evaluation
+	arm.Gate
 	lastCount, lastNum int64 // totals at the last query (no-op suppression)
 	queried            bool
-	freshed            bool // a first fresh answer has been granted
 	cached             bool // last answer (output gates)
-}
-
-// open evaluates the k-gate: a fresh (data-dependent) answer is
-// granted when the vote count grew by ≥ k AND the resource count
-// either grew by ≥ k or is exactly unchanged since the last fresh
-// answer. The latter clause resolves a contradiction in the paper
-// (DESIGN.md §2): Definition 3.1 taken literally freezes every output
-// once the resource set saturates, defeating the dynamic-database
-// behaviour of §1/§6; re-answering an identical ≥ k-resource group
-// over ≥ k fresh transactions is admissible to the transaction-level
-// k-TTP and never exposes a group smaller than k resources. Partial
-// resource growth (0 < Δnum < k) remains blocked — that is the
-// resource-differencing attack the symmetric-difference condition
-// exists to stop.
-func (g *gateState) open(k, cnt, num int64) bool {
-	if cnt-g.gateCount < k {
-		return false
-	}
-	if num-g.gateNum >= k || (g.freshed && num == g.gateNum) {
-		g.gateCount, g.gateNum = cnt, num
-		g.freshed = true
-		return true
-	}
-	return false
 }
 
 func newController(id int, cfg Config, dec homo.Decryptor, enc homo.Encryptor, pub homo.Public) *Controller {
@@ -439,10 +416,10 @@ func (c *Controller) dropEdgeGates(v int) {
 func (c *Controller) rebaseGates() {
 	c.last.rule = 0
 	for _, g := range c.sendGates {
-		g.gateCount, g.gateNum, g.freshed = 0, 0, false
+		g.Gate = arm.Gate{}
 	}
 	for _, g := range c.outGates {
-		g.gateCount, g.gateNum, g.freshed = 0, 0, false
+		g.Gate = arm.Gate{}
 	}
 	if c.cfg.Audit {
 		c.audit = append(c.audit, AuditEntry{Stream: AuditRebaseStream, Rebase: true})
@@ -491,7 +468,7 @@ func (c *Controller) SendDecision(rule intern.Sym, edge int, full *oblivious.Cou
 		c.tel.votesSuppressed.Inc()
 		c.tel.emit(obs.Event{Type: obs.EvVoteSupp, Peer: edge, Rule: intern.Str(rule)})
 		send = false
-	case g.open(c.cfg.K, cnt, num):
+	case g.Open(c.cfg.K, cnt, num):
 		c.stats.FreshDecisions++
 		c.tel.votesFresh.Inc()
 		c.recordSend(rule, edge, cnt, num, true)
@@ -574,7 +551,7 @@ func (c *Controller) OutputDecision(rule intern.Sym, full *oblivious.Counter,
 		g = &gateState{}
 		c.outGates[rule] = g
 	}
-	if g.open(c.cfg.K, cnt, num) {
+	if g.Open(c.cfg.K, cnt, num) {
 		c.stats.FreshDecisions++
 		c.tel.votesFresh.Inc()
 		c.recordOut(rule, cnt, num, true)

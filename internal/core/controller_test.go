@@ -34,32 +34,6 @@ func counter(s homo.Scheme, sum, cnt, num, share int64, stamps ...int64) *oblivi
 
 func neighborAt(slot int) int { return 100 + slot }
 
-func TestGateStateOpen(t *testing.T) {
-	g := &gateState{}
-	// First answer: needs ≥k in both dimensions.
-	if g.open(5, 4, 10) {
-		t.Fatal("opened below count k")
-	}
-	if g.open(5, 10, 4) {
-		t.Fatal("opened below num k")
-	}
-	if !g.open(5, 10, 10) {
-		t.Fatal("refused at k")
-	}
-	// Unchanged num, grown count: allowed (dynamic databases).
-	if !g.open(5, 15, 10) {
-		t.Fatal("refused saturated-num refresh")
-	}
-	// Partial num growth (< k): the differencing window — blocked.
-	if g.open(5, 20, 12) {
-		t.Fatal("opened on sub-k resource growth")
-	}
-	// Full k growth on both: allowed again.
-	if !g.open(5, 20, 15) {
-		t.Fatal("refused k growth")
-	}
-}
-
 func TestOutputDecisionCachesAcrossGate(t *testing.T) {
 	ctl, s := mkController(3)
 	rng := mrand.New(mrand.NewSource(1))

@@ -326,7 +326,7 @@ func (r *Resource) MembershipEpoch() int { return r.membershipEpoch }
 func (r *Resource) Output() arm.RuleSet { return r.Broker.Output() }
 
 // AppendOutputCounts appends every rule of R̃_u to dst with its local
-// counts over the whole current database (Accountant.localCounts). The
+// counts over the whole current database (arm.Tally.Totals). The
 // counts are this resource's own data: scoring them discloses nothing
 // the protocol would not.
 func (r *Resource) AppendOutputCounts(dst []arm.RuleCount) []arm.RuleCount {
@@ -334,7 +334,7 @@ func (r *Resource) AppendOutputCounts(dst []arm.RuleCount) []arm.RuleCount {
 	for i, c := range b.cands {
 		if b.inOutput(i, peek) {
 			// Scan i is candidate i: addCandidate registers both in lockstep.
-			count, sum := r.Accountant.localCounts(i)
+			count, sum := r.Accountant.scans[i].Totals(r.Accountant.db)
 			dst = append(dst, arm.RuleCount{Rule: c.rule, Key: c.key, Count: count, Sum: sum})
 		}
 	}

@@ -125,7 +125,7 @@ func (r *Resource) EnsureClockAtLeast(floor int64) {
 func (r *Resource) RestageReplies() {
 	a := r.Accountant
 	for i, s := range a.scans {
-		if s.pos > 0 {
+		if s.Pos > 0 {
 			a.stage(i)
 		}
 	}
@@ -222,10 +222,10 @@ func (r *Resource) EncodeState() []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(a.scans)))
 	for _, s := range a.scans {
-		dst = appendRule(dst, s.rule)
-		dst = binary.AppendVarint(dst, int64(s.pos))
-		dst = binary.AppendVarint(dst, s.sum)
-		dst = binary.AppendVarint(dst, s.count)
+		dst = appendRule(dst, s.Rule)
+		dst = binary.AppendVarint(dst, int64(s.Pos))
+		dst = binary.AppendVarint(dst, s.Sum)
+		dst = binary.AppendVarint(dst, s.Count)
 	}
 
 	// Broker.
@@ -400,7 +400,7 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 	for i, n := 0, rd.count(); i < n; i++ {
 		rule := readRule(rd)
 		s := newScanState(rule, intern.S(rule.Key()))
-		s.pos, s.sum, s.count = rd.int(), int64(rd.int()), int64(rd.int())
+		s.Pos, s.Sum, s.Count = rd.int(), int64(rd.int()), int64(rd.int())
 		if rd.err != nil {
 			return nil, rd.err
 		}
@@ -544,15 +544,15 @@ func readRule(rd *wireReader) arm.Rule {
 // appendGateState writes one gate's scalar state (shared by both gate
 // maps; the caller writes the key).
 func appendGateState(dst []byte, g *gateState) []byte {
-	dst = binary.AppendVarint(dst, g.gateCount)
-	dst = binary.AppendVarint(dst, g.gateNum)
+	dst = binary.AppendVarint(dst, g.Count)
+	dst = binary.AppendVarint(dst, g.Num)
 	dst = binary.AppendVarint(dst, g.lastCount)
 	dst = binary.AppendVarint(dst, g.lastNum)
 	var flags byte
 	if g.queried {
 		flags |= 1
 	}
-	if g.freshed {
+	if g.Freshed {
 		flags |= 2
 	}
 	if g.cached {
@@ -563,12 +563,12 @@ func appendGateState(dst []byte, g *gateState) []byte {
 
 func readGateState(rd *wireReader) *gateState {
 	g := &gateState{
-		gateCount: int64(rd.int()), gateNum: int64(rd.int()),
+		Gate:      arm.Gate{Count: int64(rd.int()), Num: int64(rd.int())},
 		lastCount: int64(rd.int()), lastNum: int64(rd.int()),
 	}
 	flags := rd.byte()
 	g.queried = flags&1 != 0
-	g.freshed = flags&2 != 0
+	g.Freshed = flags&2 != 0
 	g.cached = flags&4 != 0
 	return g
 }

@@ -17,12 +17,12 @@ import (
 // must agree on those strings regardless of symbol numbering.
 func TestGateMapsRoundTripInternedKeys(t *testing.T) {
 	send := map[sendGateKey]*gateState{
-		{rule: intern.S("1,2>3|conf"), edge: 7}:  {gateCount: 4, gateNum: 2, queried: true},
-		{rule: intern.S(">5|freq"), edge: 12}:    {lastCount: 9, freshed: true},
+		{rule: intern.S("1,2>3|conf"), edge: 7}:  {Gate: arm.Gate{Count: 4, Num: 2}, queried: true},
+		{rule: intern.S(">5|freq"), edge: 12}:    {Gate: arm.Gate{Freshed: true}, lastCount: 9},
 		{rule: intern.S("1,2>3|conf"), edge: 30}: {cached: true},
 	}
 	out := map[intern.Sym]*gateState{
-		intern.S(">5|freq"):    {gateCount: 1, cached: true},
+		intern.S(">5|freq"):    {Gate: arm.Gate{Count: 1}, cached: true},
 		intern.S("1,2>3|conf"): {lastNum: 3},
 	}
 	buf := appendSendGates(nil, send)

@@ -9,10 +9,13 @@
 // The majority ratio λ is rational, λ = λn/λd, so all arithmetic is
 // exact over int64.
 //
-// The Instance type is a pure state machine (no I/O), which the
-// simulator wrapper (Node), the plain Majority-Rule miner, and — in
-// encrypted form — the secure broker all drive. Keeping it pure makes
-// the protocol unit-testable against a ground-truth oracle.
+// The Instance type is a pure state machine (no I/O) driven by the
+// simulator wrapper (Node); cmd/secmr-scale hosts one Node per
+// resource to measure the protocol at mega-grid scale. The miners
+// (internal/majorityrule, and in encrypted form internal/core) run the
+// same exchange over their own per-candidate state and do not import
+// this package. Keeping it pure makes the protocol unit-testable
+// against a ground-truth oracle.
 //
 // Instances are flyweights: edge state lives in parallel slices in
 // insertion order (two allocations per node, not one per edge), the

@@ -8,9 +8,8 @@ type Msg struct {
 }
 
 // Node hosts a single majority-vote Instance inside the discrete-event
-// simulator. It is the building block of the paper's Figure 3
-// experiment (single-itemset voting) and the reference for the plain
-// Majority-Rule miner.
+// simulator: one single-itemset voter, the unit cmd/secmr-scale
+// replicates to measure convergence at mega-grid scale.
 type Node struct {
 	Inst *Instance
 	// initial vote installed at Init.

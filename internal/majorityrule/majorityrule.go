@@ -9,8 +9,9 @@
 //     with every data-dependent decision gated behind the k-privacy
 //     rule (a fresh evaluation is allowed only when the underlying
 //     aggregate has grown by at least k transactions and k resources
-//     since the last fresh evaluation; otherwise behaviour is
-//     data-independent). Figure 2's "two scans" baseline.
+//     since the last fresh evaluation — arm.Gate, shared with
+//     internal/core; otherwise behaviour is data-independent).
+//     Figure 2's "two scans" baseline.
 //
 // The secure algorithm (internal/core) runs the same state machine
 // over oblivious counters with the malicious-participant machinery on
@@ -101,33 +102,27 @@ type edgeState struct {
 	recvSum, recvCount, recvNum int64
 	sentSum, sentCount, sentNum int64
 	contacted                   bool
-	gateFreshed                 bool
 	lastSendStep                int64
 	// dirty marks that the payload this node would send over the edge
 	// has changed since the last send (set by local-vote changes and by
 	// receipts on *other* edges).
 	dirty bool
-	// k-gate bookkeeping: aggregate values at the last fresh
-	// send-decision evaluation.
-	gateCount, gateNum int64
+	// gate is the edge's send-decision k-gate (ModeKPrivate).
+	gate arm.Gate
 }
 
 // candidate is the per-rule mining state at one resource.
 type candidate struct {
-	rule             arm.Rule
-	key              string // rule.Key()
+	arm.Tally               // the rule and its local vote
+	key              string // Rule.Key()
 	lambdaN, lambdaD int64
 	// companion is, for a confidence rule, the frequency candidate of its
 	// union (nil until it exists); Output reads its vote.
 	companion *candidate
-	// scan state: next local transaction index to count.
-	pos                  int
-	localSum, localCount int64
-	edges                map[int]*edgeState
-	// output k-gate (rule-correctness decisions).
-	outGateCount, outGateNum int64
-	outGateInit              bool
-	cachedOutput             bool
+	edges     map[int]*edgeState
+	// output k-gate (rule-correctness decisions) and its last answer.
+	outGate      arm.Gate
+	cachedOutput bool
 }
 
 func (c *candidate) edge(v int) *edgeState {
@@ -142,7 +137,7 @@ func (c *candidate) edge(v int) *edgeState {
 // known returns the aggregate this node's decisions are based on:
 // local vote plus everything received.
 func (c *candidate) known() (sum, count, num int64) {
-	sum, count, num = c.localSum, c.localCount, 1
+	sum, count, num = c.Sum, c.Count, 1
 	for _, e := range c.edges {
 		sum += e.recvSum
 		count += e.recvCount
@@ -193,7 +188,6 @@ func (c *candidate) markDirtyExcept(skip int) {
 // Stats aggregates per-resource counters.
 type Stats struct {
 	MessagesSent   int64
-	TxScanned      int64
 	FreshDecisions int64 // k-gate fresh evaluations granted
 	GatedDecisions int64 // evaluations answered with the default/cache
 }
@@ -254,9 +248,6 @@ func (r *Resource) Step() int64 { return r.step }
 // DBSize returns the current local database size.
 func (r *Resource) DBSize() int { return r.db.Len() }
 
-// NumCandidates returns the size of the candidate set C.
-func (r *Resource) NumCandidates() int { return len(r.cands) }
-
 // addCandidate registers a rule; returns the candidate (existing or
 // new).
 func (r *Resource) addCandidate(rule arm.Rule) *candidate {
@@ -268,7 +259,7 @@ func (r *Resource) addCandidate(rule arm.Rule) *candidate {
 		return nil
 	}
 	ln, ld := arm.Rational(r.cfg.Th.Lambda(rule.Kind))
-	c := &candidate{rule: rule, key: key, lambdaN: ln, lambdaD: ld, edges: map[int]*edgeState{}}
+	c := &candidate{Tally: arm.NewTally(rule), key: key, lambdaN: ln, lambdaD: ld, edges: map[int]*edgeState{}}
 	r.cands[key] = c
 	r.order = append(r.order, c)
 	if rule.Kind == arm.ThresholdConf {
@@ -328,7 +319,7 @@ func (r *Resource) OnMessage(ctx *sim.Context, from sim.NodeID, payload any) {
 // evaluate send decisions, and periodically regenerate candidates.
 func (r *Resource) OnTick(ctx *sim.Context) {
 	r.step++
-	r.growDB()
+	r.db.Absorb(r.feed, r.cfg.GrowthPerStep)
 	r.scan()
 	r.evaluateSends(ctx)
 	if r.step%int64(r.cfg.CandidateEvery) == 0 {
@@ -336,49 +327,11 @@ func (r *Resource) OnTick(ctx *sim.Context) {
 	}
 }
 
-// growDB moves GrowthPerStep transactions from the feed into the local
-// database.
-func (r *Resource) growDB() {
-	if r.feed == nil {
-		return
-	}
-	for i := 0; i < r.cfg.GrowthPerStep; i++ {
-		tx, ok := r.feed.Pull()
-		if !ok {
-			break
-		}
-		r.db.Append(tx)
-	}
-}
-
-// scan advances every candidate's counter by up to ScanBudget
-// transactions, updating the local vote.
+// scan advances every candidate's local vote by up to ScanBudget
+// transactions.
 func (r *Resource) scan() {
 	for _, c := range r.order {
-		if c.pos >= r.db.Len() {
-			continue
-		}
-		end := c.pos + r.cfg.ScanBudget
-		if end > r.db.Len() {
-			end = r.db.Len()
-		}
-		union := c.rule.Union()
-		changed := false
-		for ; c.pos < end; c.pos++ {
-			t := r.db.Tx[c.pos]
-			r.stats.TxScanned++
-			// A transaction votes on a frequency rule unconditionally
-			// and on a confidence rule only when it contains the LHS
-			// (§4.1's two vote kinds).
-			if len(c.rule.LHS) == 0 || t.ContainsAll(c.rule.LHS) {
-				c.localCount++
-				changed = true
-				if t.ContainsAll(union) {
-					c.localSum++
-				}
-			}
-		}
-		if changed {
+		if c.Advance(r.db, r.cfg.ScanBudget) {
 			c.markDirtyExcept(-1)
 		}
 	}
@@ -421,7 +374,7 @@ func (r *Resource) evaluateSends(ctx *sim.Context) {
 				e.contacted = true
 				e.lastSendStep = r.step
 				r.stats.MessagesSent++
-				ctx.Send(v, RuleMsg{Rule: c.rule, Sum: s, Count: cnt, Num: num})
+				ctx.Send(v, RuleMsg{Rule: c.Rule, Sum: s, Count: cnt, Num: num})
 			}
 		}
 	}
@@ -429,8 +382,8 @@ func (r *Resource) evaluateSends(ctx *sim.Context) {
 
 // kPrivateSendDecision implements §5.1's gated send rule: a fresh
 // (data-dependent) Majority-Rule evaluation is permitted only when the
-// aggregate behind the message has grown by ≥ k transactions AND ≥ k
-// resources since the last fresh evaluation on this edge; inside the
+// edge's k-gate opens (arm.Gate.Open, the rule the secure controller
+// applies too) on the aggregate behind the message; inside the
 // gate the decision defaults to TRUE ("either the Majority-Rule
 // condition evaluates true, or the difference ... is less than k"),
 // which keeps first contacts and relaying alive — the encrypted
@@ -448,10 +401,7 @@ func (r *Resource) kPrivateSendDecision(c *candidate, v int, e *edgeState) bool 
 	if s == e.sentSum && cnt == e.sentCount && num == e.sentNum {
 		return false
 	}
-	if cnt-e.gateCount >= r.cfg.K &&
-		(num-e.gateNum >= r.cfg.K || (e.gateFreshed && num == e.gateNum)) {
-		e.gateCount, e.gateNum = cnt, num
-		e.gateFreshed = true
+	if e.gate.Open(r.cfg.K, cnt, num) {
 		r.stats.FreshDecisions++
 		return c.majoritySendCond(e)
 	}
@@ -460,8 +410,8 @@ func (r *Resource) kPrivateSendDecision(c *candidate, v int, e *edgeState) bool 
 }
 
 // refreshDecision runs one controller query for the candidate: in
-// ModeKPrivate a fresh answer is granted only when both counters grew
-// by ≥ k since the last fresh answer (Algorithm 1's Output());
+// ModeKPrivate a fresh answer is granted only when the candidate's
+// output k-gate opens (arm.Gate.Open; Algorithm 1's Output());
 // otherwise the cached previous answer stands. ModePlain answers every
 // read fresh (peekDecision), so it caches nothing. Mutating: only the
 // protocol itself (the periodic candidate-generation pass) calls this.
@@ -470,13 +420,7 @@ func (r *Resource) refreshDecision(c *candidate) {
 	case ModePlain:
 	case ModeKPrivate:
 		_, cnt, num := c.known()
-		// The num clause mirrors core's gateState.open: an unchanged
-		// ≥k-resource group may be re-answered over ≥k fresh
-		// transactions (DESIGN.md §2), keeping dynamic databases live.
-		if cnt-c.outGateCount >= r.cfg.K &&
-			(num-c.outGateNum >= r.cfg.K || (c.outGateInit && num == c.outGateNum)) {
-			c.outGateCount, c.outGateNum = cnt, num
-			c.outGateInit = true
+		if c.outGate.Open(r.cfg.K, cnt, num) {
 			c.cachedOutput = c.deltaU() >= 0
 			r.stats.FreshDecisions++
 		} else {
@@ -507,7 +451,7 @@ func (r *Resource) Output() arm.RuleSet {
 	out := arm.RuleSet{}
 	for _, c := range r.order {
 		if r.inOutput(c) {
-			out.Add(c.rule)
+			out.Add(c.Rule)
 		}
 	}
 	return out
@@ -515,7 +459,7 @@ func (r *Resource) Output() arm.RuleSet {
 
 // inOutput reports whether c belongs to R̃_u (see Output).
 func (r *Resource) inOutput(c *candidate) bool {
-	if c.rule.Kind == arm.ThresholdConf {
+	if c.Rule.Kind == arm.ThresholdConf {
 		return r.peekDecision(c) && c.companion != nil && r.peekDecision(c.companion)
 	}
 	return r.peekDecision(c)
@@ -527,9 +471,8 @@ func (r *Resource) inOutput(c *candidate) bool {
 func (r *Resource) AppendOutputCounts(dst []arm.RuleCount) []arm.RuleCount {
 	for _, c := range r.order {
 		if r.inOutput(c) {
-			cl, cb := r.db.SupportPairFrom(c.pos, c.rule.LHS, c.rule.RHS)
-			dst = append(dst, arm.RuleCount{Rule: c.rule, Key: c.key,
-				Count: c.localCount + int64(cl), Sum: c.localSum + int64(cb)})
+			count, sum := c.Totals(r.db)
+			dst = append(dst, arm.RuleCount{Rule: c.Rule, Key: c.key, Count: count, Sum: sum})
 		}
 	}
 	return dst
@@ -546,7 +489,7 @@ func (r *Resource) generateCandidates(ctx *sim.Context) {
 	truth := r.Output()
 	existing := arm.RuleSet{}
 	for _, c := range r.cands {
-		existing.Add(c.rule)
+		existing.Add(c.Rule)
 	}
 	before := len(existing)
 	arm.GenerateCandidates(truth, existing)

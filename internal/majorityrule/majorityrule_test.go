@@ -97,14 +97,14 @@ func TestKPrivateSlowerThanPlain(t *testing.T) {
 func keyedOutput(r *Resource) arm.RuleSet {
 	out := arm.RuleSet{}
 	for _, c := range r.cands {
-		if c.rule.Kind == arm.ThresholdFreq && r.peekDecision(c) {
-			out.Add(c.rule)
+		if c.Rule.Kind == arm.ThresholdFreq && r.peekDecision(c) {
+			out.Add(c.Rule)
 		}
 	}
 	for _, c := range r.cands {
-		comp := arm.NewRule(nil, c.rule.Union(), arm.ThresholdFreq)
-		if c.rule.Kind == arm.ThresholdConf && r.peekDecision(c) && out.Has(comp) {
-			out.Add(c.rule)
+		comp := arm.NewRule(nil, c.Rule.Union(), arm.ThresholdFreq)
+		if c.Rule.Kind == arm.ThresholdConf && r.peekDecision(c) && out.Has(comp) {
+			out.Add(c.Rule)
 		}
 	}
 	return out

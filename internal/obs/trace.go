@@ -167,8 +167,8 @@ func (t *Tracer) SetFilter(f Filter) {
 }
 
 // SetSink streams every accepted event to w as JSONL, in addition to
-// the ring. The first write error is retained (see SinkErr) and stops
-// further streaming. Call Flush when done.
+// the ring. The first write error is retained and stops further
+// streaming. Call Flush when done: it returns that error.
 func (t *Tracer) SetSink(w io.Writer) {
 	if t == nil {
 		return
@@ -188,16 +188,6 @@ func (t *Tracer) Flush() error {
 	if t.sink != nil && t.sinkErr == nil {
 		t.sinkErr = t.sink.Flush()
 	}
-	return t.sinkErr
-}
-
-// SinkErr returns the first streaming-sink write error, if any.
-func (t *Tracer) SinkErr() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.sinkErr
 }
 

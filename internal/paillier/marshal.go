@@ -84,17 +84,3 @@ func (s *Scheme) MaxCiphertextBytes() int {
 	n := 2 * ((s.pub.N.BitLen() + 7) / 8)
 	return n + len(binary.AppendUvarint(nil, uint64(n)))
 }
-
-// UnmarshalCiphertext parses one compact wire ciphertext from the front
-// of src and adopts it into this scheme, returning the bytes consumed.
-func (s *Scheme) UnmarshalCiphertext(src []byte) (*homo.Ciphertext, int, error) {
-	c, n, err := homo.ReadCiphertext(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	ad, err := s.Adopt(c)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ad, n, nil
-}
