@@ -13,6 +13,7 @@ package secmr_test
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"secmr"
@@ -222,6 +223,47 @@ func BenchmarkEndToEndSecureMining(b *testing.B) {
 		if !grid.RunUntilQuality(0.9, 3000) {
 			b.Fatal("no convergence")
 		}
+	}
+}
+
+// BenchmarkGridStepTelemetry measures what telemetry costs a mining
+// step: the churn grid (8 Shamir resources, k = 3, GrowthPerStep 10, the
+// geometry of BENCHMARK.json's mine_churn_shamir) stepped with
+// Telemetry off and on. A Telemetry sink holds the engine at one worker,
+// so both run at GOMAXPROCS 1 and differ by the telemetry alone. The
+// step count after 20 warm steps is b.N; compare the two ns/op.
+func BenchmarkGridStepTelemetry(b *testing.B) {
+	const resources, growth, seedTxns, warm = 8, 10, 1200, 20
+	for _, bc := range []struct {
+		name string
+		tel  func() *secmr.Telemetry
+	}{
+		{"off", func() *secmr.Telemetry { return nil }},
+		{"on", secmr.NewTelemetry},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			all := secmr.GenerateQuestWith(secmr.QuestParams{NumTransactions: seedTxns + resources*growth*(warm+b.N),
+				NumItems: 24, NumPatterns: 10, AvgTransLen: 5, AvgPatternLen: 2, Seed: 7})
+			feeds := make([][]secmr.Transaction, resources)
+			for i, tx := range all.Tx[seedTxns:] {
+				feeds[i%resources] = append(feeds[i%resources], tx)
+			}
+			grid, err := secmr.NewGridWithFeed(&secmr.Database{Tx: all.Tx[:seedTxns]}, feeds, secmr.GridConfig{
+				Algorithm: secmr.AlgorithmSecure, Crypto: secmr.CryptoShamir, Resources: resources, K: 3,
+				MinFreq: 0.12, MinConf: 0.6, ScanBudget: 50, MaxRuleItems: 3,
+				GrowthPerStep: growth, Seed: 1, Telemetry: bc.tel(),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer grid.Close()
+			grid.Step(warm)
+			b.ResetTimer()
+			grid.Step(b.N)
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/s")
+		})
 	}
 }
 

@@ -30,11 +30,30 @@ var now = time.Now
 // protocol trace), every operation is timed, recorded with weight 1 and
 // emitted as a timed trace event. With a nil sink the scheme is returned
 // unwrapped, so the uninstrumented path pays nothing.
+//
+// An untimed call — 63 in 64, with EvCryptoOp not traced — costs one
+// atomic add, one lock-free read of the trace filter and one direct
+// call: the destination-passing capabilities are resolved here, once,
+// and the call reads no clock and defers nothing.
 func InstrumentScheme(inner homo.Scheme, sink *obs.Sink) homo.Scheme {
 	if sink == nil || (sink.Reg == nil && sink.Tr == nil) {
 		return inner
 	}
 	s := &instrumentedScheme{inner: inner, tr: sink.Tracer()}
+	fb := fallback{inner}
+	s.lc, s.ie, s.ir, s.id = fb, fb, fb, fb
+	if c, ok := inner.(homo.LinCombiner); ok {
+		s.lc = c
+	}
+	if c, ok := inner.(homo.IntoEncryptor); ok {
+		s.ie = c
+	}
+	if c, ok := inner.(homo.IntoRerandomizer); ok {
+		s.ir = c
+	}
+	if c, ok := inner.(homo.IntoDecryptor); ok {
+		s.id = c
+	}
 	reg := sink.Registry()
 	mk := func(op string) opInstr {
 		return opInstr{
@@ -63,98 +82,165 @@ type instrumentedScheme struct {
 	inner homo.Scheme
 	tr    *obs.Tracer
 
+	// The inner scheme's destination-passing capabilities, or the homo
+	// helpers' fallback where it has none.
+	lc homo.LinCombiner
+	ie homo.IntoEncryptor
+	ir homo.IntoRerandomizer
+	id homo.IntoDecryptor
+
 	add, sub, smul, rerand, zero, enc, dec      opInstr
 	addVec, smulVec, rerandVec, zeroVec, encVec opInstr
 	linComb                                     opInstr
 }
 
-// span is one call's instrumentation from start to end: the elements it
-// covers and the weight its latency is recorded with, 0 for an untimed
-// call. Designed for `defer s.end(s.start(&instr, n))` — the deferred
-// argument is evaluated at call entry.
-type span struct {
-	i      *opInstr
-	n, w   int64
-	traced bool
-	t0     time.Time
+// fallback gives a scheme without the destination-passing capabilities
+// the homo helpers' serial fallback, so the decorator forwards every
+// such op through one interface call whatever the inner scheme is.
+type fallback struct{ inner homo.Scheme }
+
+func (f fallback) LinCombInto(dst *homo.Ciphertext, coeffs []int64, xs []*homo.Ciphertext) *homo.Ciphertext {
+	return homo.LinCombInto(f.inner, dst, coeffs, xs)
 }
 
-// start counts a call covering n elements. With EvCryptoOp traced the
-// call is timed with weight n; otherwise it is timed when the count
-// crosses a multiple of sampleEvery, with weight sampleEvery per
-// multiple crossed.
-func (s *instrumentedScheme) start(i *opInstr, n int) span {
-	sp := span{i: i, n: int64(n)}
-	k := i.n.AddValue(sp.n)
+func (f fallback) EncryptIntInto(dst *homo.Ciphertext, m int64) *homo.Ciphertext {
+	return homo.EncryptIntInto(f.inner, dst, m)
+}
+
+func (f fallback) RerandomizeInto(dst, a *homo.Ciphertext) *homo.Ciphertext {
+	return homo.RerandomizeInto(f.inner, dst, a)
+}
+
+func (f fallback) DecryptSignedInto(dst *big.Int, c *homo.Ciphertext) *big.Int {
+	return homo.DecryptSignedInto(f.inner, dst, c)
+}
+
+// weigh counts a call covering n elements and returns the weight its
+// latency is recorded with, 0 for an untimed call. With EvCryptoOp
+// traced every call is timed with weight n; otherwise a call is timed
+// when the count crosses a multiple of sampleEvery, with weight
+// sampleEvery per multiple crossed.
+func (s *instrumentedScheme) weigh(i *opInstr, n int64) (w int64, traced bool) {
+	k := i.n.AddValue(n)
 	if s.tr.ExplicitlyEnabled(obs.EvCryptoOp) {
-		sp.w, sp.traced = sp.n, true
-	} else {
-		sp.w = (k/sampleEvery - (k-sp.n)/sampleEvery) * sampleEvery
+		return n, true
 	}
-	if sp.w > 0 {
-		sp.t0 = now()
-	}
-	return sp
+	return (k/sampleEvery - (k-n)/sampleEvery) * sampleEvery, false
 }
 
-// end records a timed call: its latency per element with the span's
-// weight, and a trace event covering the whole call when traced.
-func (s *instrumentedScheme) end(sp span) {
-	if sp.w == 0 {
-		return
-	}
-	d := now().Sub(sp.t0)
-	sp.i.lat.ObserveN(d.Seconds()/float64(sp.n), sp.w)
-	if sp.traced {
-		s.tr.Emit(obs.Event{Type: obs.EvCryptoOp, Node: -1, Peer: -1, Detail: sp.i.op, Dur: d.Nanoseconds()})
+// end records a timed call of n elements that started at t0: its
+// latency per element with weight w, and a trace event covering the
+// whole call when traced.
+func (s *instrumentedScheme) end(i *opInstr, n, w int64, traced bool, t0 time.Time) {
+	d := now().Sub(t0)
+	i.lat.ObserveN(d.Seconds()/float64(n), w)
+	if traced {
+		s.tr.Emit(obs.Event{Type: obs.EvCryptoOp, Node: -1, Peer: -1, Detail: i.op, Dur: d.Nanoseconds()})
 	}
 }
+
+// Every op below has the same shape: weigh, call the inner scheme
+// straight through when untimed, else time the same call and end.
 
 func (s *instrumentedScheme) Add(a, b *homo.Ciphertext) *homo.Ciphertext {
-	defer s.end(s.start(&s.add, 1))
-	return s.inner.Add(a, b)
+	w, traced := s.weigh(&s.add, 1)
+	if w == 0 {
+		return s.inner.Add(a, b)
+	}
+	t0 := now()
+	r := s.inner.Add(a, b)
+	s.end(&s.add, 1, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) Sub(a, b *homo.Ciphertext) *homo.Ciphertext {
-	defer s.end(s.start(&s.sub, 1))
-	return s.inner.Sub(a, b)
+	w, traced := s.weigh(&s.sub, 1)
+	if w == 0 {
+		return s.inner.Sub(a, b)
+	}
+	t0 := now()
+	r := s.inner.Sub(a, b)
+	s.end(&s.sub, 1, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) ScalarMul(m int64, a *homo.Ciphertext) *homo.Ciphertext {
-	defer s.end(s.start(&s.smul, 1))
-	return s.inner.ScalarMul(m, a)
+	w, traced := s.weigh(&s.smul, 1)
+	if w == 0 {
+		return s.inner.ScalarMul(m, a)
+	}
+	t0 := now()
+	r := s.inner.ScalarMul(m, a)
+	s.end(&s.smul, 1, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) Rerandomize(a *homo.Ciphertext) *homo.Ciphertext {
-	defer s.end(s.start(&s.rerand, 1))
-	return s.inner.Rerandomize(a)
+	w, traced := s.weigh(&s.rerand, 1)
+	if w == 0 {
+		return s.inner.Rerandomize(a)
+	}
+	t0 := now()
+	r := s.inner.Rerandomize(a)
+	s.end(&s.rerand, 1, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) EncryptZero() *homo.Ciphertext {
-	defer s.end(s.start(&s.zero, 1))
-	return s.inner.EncryptZero()
+	w, traced := s.weigh(&s.zero, 1)
+	if w == 0 {
+		return s.inner.EncryptZero()
+	}
+	t0 := now()
+	r := s.inner.EncryptZero()
+	s.end(&s.zero, 1, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) PlaintextSpace() *big.Int { return s.inner.PlaintextSpace() }
 
 func (s *instrumentedScheme) Encrypt(m *big.Int) *homo.Ciphertext {
-	defer s.end(s.start(&s.enc, 1))
-	return s.inner.Encrypt(m)
+	w, traced := s.weigh(&s.enc, 1)
+	if w == 0 {
+		return s.inner.Encrypt(m)
+	}
+	t0 := now()
+	r := s.inner.Encrypt(m)
+	s.end(&s.enc, 1, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) EncryptInt(m int64) *homo.Ciphertext {
-	defer s.end(s.start(&s.enc, 1))
-	return s.inner.EncryptInt(m)
+	w, traced := s.weigh(&s.enc, 1)
+	if w == 0 {
+		return s.inner.EncryptInt(m)
+	}
+	t0 := now()
+	r := s.inner.EncryptInt(m)
+	s.end(&s.enc, 1, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) Decrypt(c *homo.Ciphertext) *big.Int {
-	defer s.end(s.start(&s.dec, 1))
-	return s.inner.Decrypt(c)
+	w, traced := s.weigh(&s.dec, 1)
+	if w == 0 {
+		return s.inner.Decrypt(c)
+	}
+	t0 := now()
+	r := s.inner.Decrypt(c)
+	s.end(&s.dec, 1, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) DecryptSigned(c *homo.Ciphertext) *big.Int {
-	defer s.end(s.start(&s.dec, 1))
-	return s.inner.DecryptSigned(c)
+	w, traced := s.weigh(&s.dec, 1)
+	if w == 0 {
+		return s.inner.DecryptSigned(c)
+	}
+	t0 := now()
+	r := s.inner.DecryptSigned(c)
+	s.end(&s.dec, 1, w, traced, t0)
+	return r
 }
 
 // The vector operations delegate through the homo batch helpers, so an
@@ -164,57 +250,117 @@ func (s *instrumentedScheme) DecryptSigned(c *homo.Ciphertext) *big.Int {
 // per element), and a timed batch records its latency per element.
 
 func (s *instrumentedScheme) AddVec(a, b []*homo.Ciphertext) []*homo.Ciphertext {
-	defer s.end(s.start(&s.addVec, len(a)))
-	return homo.AddVec(s.inner, a, b)
+	n := int64(len(a))
+	w, traced := s.weigh(&s.addVec, n)
+	if w == 0 {
+		return homo.AddVec(s.inner, a, b)
+	}
+	t0 := now()
+	r := homo.AddVec(s.inner, a, b)
+	s.end(&s.addVec, n, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) RerandomizeVec(xs []*homo.Ciphertext) []*homo.Ciphertext {
-	defer s.end(s.start(&s.rerandVec, len(xs)))
-	return homo.RerandomizeVec(s.inner, xs)
+	n := int64(len(xs))
+	w, traced := s.weigh(&s.rerandVec, n)
+	if w == 0 {
+		return homo.RerandomizeVec(s.inner, xs)
+	}
+	t0 := now()
+	r := homo.RerandomizeVec(s.inner, xs)
+	s.end(&s.rerandVec, n, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) ScalarVec(ms []int64, xs []*homo.Ciphertext) []*homo.Ciphertext {
-	defer s.end(s.start(&s.smulVec, len(xs)))
-	return homo.ScalarVec(s.inner, ms, xs)
+	n := int64(len(xs))
+	w, traced := s.weigh(&s.smulVec, n)
+	if w == 0 {
+		return homo.ScalarVec(s.inner, ms, xs)
+	}
+	t0 := now()
+	r := homo.ScalarVec(s.inner, ms, xs)
+	s.end(&s.smulVec, n, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) EncryptZeroVec(n int) []*homo.Ciphertext {
-	defer s.end(s.start(&s.zeroVec, n))
-	return homo.EncryptZeroVec(s.inner, n)
+	w, traced := s.weigh(&s.zeroVec, int64(n))
+	if w == 0 {
+		return homo.EncryptZeroVec(s.inner, n)
+	}
+	t0 := now()
+	r := homo.EncryptZeroVec(s.inner, n)
+	s.end(&s.zeroVec, int64(n), w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) EncryptVec(ms []*big.Int) []*homo.Ciphertext {
-	defer s.end(s.start(&s.encVec, len(ms)))
-	return homo.EncryptVec(s.inner, ms)
+	n := int64(len(ms))
+	w, traced := s.weigh(&s.encVec, n)
+	if w == 0 {
+		return homo.EncryptVec(s.inner, ms)
+	}
+	t0 := now()
+	r := homo.EncryptVec(s.inner, ms)
+	s.end(&s.encVec, n, w, traced, t0)
+	return r
 }
 
-// The destination-passing operations delegate through the homo helpers
-// for the same reason: Shamir keeps its in-place kernel behind the
-// wrapper, Paillier and Plain their serial fallback, and either way the
-// call is one operation — a fused combination counts once under
-// op="lincomb" however many terms it folds, an encrypt-into under
-// op="encrypt" beside EncryptInt, a refresh-into under op="rerandomize"
-// beside Rerandomize, a decrypt-into under op="decrypt" beside
-// DecryptSigned.
+// The destination-passing operations call the capability resolved at
+// construction: Shamir's in-place kernel, or for Paillier and Plain the
+// homo helper's serial fallback. Either way the call is one operation —
+// a fused combination counts once under op="lincomb" however many terms
+// it folds, an encrypt-into under op="encrypt" beside EncryptInt, a
+// refresh-into under op="rerandomize" beside Rerandomize, a
+// decrypt-into under op="decrypt" beside DecryptSigned.
 
 func (s *instrumentedScheme) LinCombInto(dst *homo.Ciphertext, coeffs []int64, xs []*homo.Ciphertext) *homo.Ciphertext {
-	defer s.end(s.start(&s.linComb, 1))
-	return homo.LinCombInto(s.inner, dst, coeffs, xs)
+	if coeffs != nil && len(coeffs) != len(xs) {
+		return homo.LinCombInto(s.inner, dst, coeffs, xs) // panics with the helper's message
+	}
+	w, traced := s.weigh(&s.linComb, 1)
+	if w == 0 {
+		return s.lc.LinCombInto(dst, coeffs, xs)
+	}
+	t0 := now()
+	r := s.lc.LinCombInto(dst, coeffs, xs)
+	s.end(&s.linComb, 1, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) EncryptIntInto(dst *homo.Ciphertext, m int64) *homo.Ciphertext {
-	defer s.end(s.start(&s.enc, 1))
-	return homo.EncryptIntInto(s.inner, dst, m)
+	w, traced := s.weigh(&s.enc, 1)
+	if w == 0 {
+		return s.ie.EncryptIntInto(dst, m)
+	}
+	t0 := now()
+	r := s.ie.EncryptIntInto(dst, m)
+	s.end(&s.enc, 1, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) RerandomizeInto(dst, a *homo.Ciphertext) *homo.Ciphertext {
-	defer s.end(s.start(&s.rerand, 1))
-	return homo.RerandomizeInto(s.inner, dst, a)
+	w, traced := s.weigh(&s.rerand, 1)
+	if w == 0 {
+		return s.ir.RerandomizeInto(dst, a)
+	}
+	t0 := now()
+	r := s.ir.RerandomizeInto(dst, a)
+	s.end(&s.rerand, 1, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) DecryptSignedInto(dst *big.Int, c *homo.Ciphertext) *big.Int {
-	defer s.end(s.start(&s.dec, 1))
-	return homo.DecryptSignedInto(s.inner, dst, c)
+	w, traced := s.weigh(&s.dec, 1)
+	if w == 0 {
+		return s.id.DecryptSignedInto(dst, c)
+	}
+	t0 := now()
+	r := s.id.DecryptSignedInto(dst, c)
+	s.end(&s.dec, 1, w, traced, t0)
+	return r
 }
 
 func (s *instrumentedScheme) Name() string { return s.inner.Name() }

@@ -7,6 +7,7 @@ import (
 
 	"secmr/internal/homo"
 	"secmr/internal/obs"
+	"secmr/internal/shamir"
 )
 
 func TestInstrumentSchemeCountsAndDelegates(t *testing.T) {
@@ -160,4 +161,152 @@ func splitLabels(s string) []string {
 		}
 	}
 	return append(out, s[start:])
+}
+
+// TestInstrumentedLinCombMismatchPanicsLikeHelper: a coeffs/xs length
+// mismatch through the decorator panics with homo.LinCombInto's
+// message, not the inner Shamir kernel's.
+func TestInstrumentedLinCombMismatchPanicsLikeHelper(t *testing.T) {
+	sh := shamir.MustNew(shamir.Params{K: 2, N: 5, W: 1})
+	a := sh.EncryptInt(1)
+	want := func() (msg any) {
+		defer func() { msg = recover() }()
+		homo.LinCombInto(sh, nil, []int64{1, 2}, []*homo.Ciphertext{a})
+		return nil
+	}()
+	if want == nil {
+		t.Fatal("homo.LinCombInto accepted a length mismatch")
+	}
+	s := InstrumentScheme(sh, obs.NewSink()).(homo.LinCombiner)
+	got := func() (msg any) {
+		defer func() { msg = recover() }()
+		s.LinCombInto(nil, []int64{1, 2}, []*homo.Ciphertext{a})
+		return nil
+	}()
+	if got != want {
+		t.Fatalf("instrumented LinCombInto panicked with %v, want %v", got, want)
+	}
+}
+
+// capCounting is a Shamir scheme that counts calls into its
+// destination-passing capabilities and into the single ops the homo
+// helpers fall back to when a capability is missing.
+type capCounting struct {
+	*shamir.Scheme
+	lin, encInto, rerandInto, decInto int
+	fallback                          int
+}
+
+func (c *capCounting) LinCombInto(dst *homo.Ciphertext, ms []int64, xs []*homo.Ciphertext) *homo.Ciphertext {
+	c.lin++
+	return c.Scheme.LinCombInto(dst, ms, xs)
+}
+
+func (c *capCounting) EncryptIntInto(dst *homo.Ciphertext, m int64) *homo.Ciphertext {
+	c.encInto++
+	return c.Scheme.EncryptIntInto(dst, m)
+}
+
+func (c *capCounting) RerandomizeInto(dst, a *homo.Ciphertext) *homo.Ciphertext {
+	c.rerandInto++
+	return c.Scheme.RerandomizeInto(dst, a)
+}
+
+func (c *capCounting) DecryptSignedInto(dst *big.Int, x *homo.Ciphertext) *big.Int {
+	c.decInto++
+	return c.Scheme.DecryptSignedInto(dst, x)
+}
+
+func (c *capCounting) Add(a, b *homo.Ciphertext) *homo.Ciphertext {
+	c.fallback++
+	return c.Scheme.Add(a, b)
+}
+
+func (c *capCounting) Sub(a, b *homo.Ciphertext) *homo.Ciphertext {
+	c.fallback++
+	return c.Scheme.Sub(a, b)
+}
+
+func (c *capCounting) ScalarMul(m int64, a *homo.Ciphertext) *homo.Ciphertext {
+	c.fallback++
+	return c.Scheme.ScalarMul(m, a)
+}
+
+func (c *capCounting) EncryptInt(m int64) *homo.Ciphertext {
+	c.fallback++
+	return c.Scheme.EncryptInt(m)
+}
+
+func (c *capCounting) Rerandomize(a *homo.Ciphertext) *homo.Ciphertext {
+	c.fallback++
+	return c.Scheme.Rerandomize(a)
+}
+
+func (c *capCounting) DecryptSigned(x *homo.Ciphertext) *big.Int {
+	c.fallback++
+	return c.Scheme.DecryptSigned(x)
+}
+
+// TestInstrumentedIntoOpsReachCapability: behind the decorator every
+// LinCombInto, EncryptIntInto, RerandomizeInto and DecryptSignedInto —
+// untimed, sampled and traced alike — reaches the inner scheme's own
+// capability, never the homo helpers' fallback.
+func TestInstrumentedIntoOpsReachCapability(t *testing.T) {
+	sh := shamir.MustNew(shamir.Params{K: 2, N: 5, W: 1})
+	inner, sink := &capCounting{Scheme: sh}, obs.NewSink()
+	s := InstrumentScheme(inner, sink)
+	a, b, dst := sh.EncryptInt(3), sh.EncryptInt(4), sh.EncryptInt(0)
+	xs, coeffs := []*homo.Ciphertext{a, b}, []int64{2, -1}
+	v := new(big.Int)
+	const calls = 2*sampleEvery + 1
+	run := func() {
+		for i := 0; i < calls; i++ {
+			homo.LinCombInto(s, dst, coeffs, xs)
+			homo.EncryptIntInto(s, dst, 5)
+			homo.RerandomizeInto(s, dst, a)
+			if homo.DecryptSignedInto(s, v, dst).Int64() != 3 {
+				t.Fatalf("refresh of 3 opened to %d", v.Int64())
+			}
+		}
+	}
+	run()
+	sink.Tr.SetFilter(obs.Filter{Types: []obs.EventType{obs.EvCryptoOp}})
+	run()
+	for name, got := range map[string]int{"LinCombInto": inner.lin, "EncryptIntInto": inner.encInto,
+		"RerandomizeInto": inner.rerandInto, "DecryptSignedInto": inner.decInto} {
+		if got != 2*calls {
+			t.Errorf("%s reached the inner capability %d times of %d", name, got, 2*calls)
+		}
+	}
+	if inner.fallback != 0 {
+		t.Errorf("%d calls took the helpers' fallback", inner.fallback)
+	}
+}
+
+// BenchmarkInstrumentedLinCombInto: the decorator's cost on the op
+// secmrd's brokers call most, a five-operand fused combination into a
+// destination over Shamir 3-of-7, bare against instrumented.
+func BenchmarkInstrumentedLinCombInto(b *testing.B) {
+	sh := shamir.MustNew(shamir.Params{K: 3, N: 7, W: 1})
+	xs := make([]*homo.Ciphertext, 5)
+	for i := range xs {
+		xs[i] = sh.EncryptInt(int64(i + 1))
+	}
+	coeffs := []int64{1, -1, 2, 1, -3}
+	dst := sh.EncryptInt(0)
+	for _, bc := range []struct {
+		name   string
+		scheme homo.Scheme
+	}{
+		{"bare", sh},
+		{"instrumented", InstrumentScheme(sh, obs.NewSink())},
+	} {
+		lc := bc.scheme.(homo.LinCombiner)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lc.LinCombInto(dst, coeffs, xs)
+			}
+		})
+	}
 }

@@ -1,6 +1,10 @@
 package persist
 
-import "os"
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+)
 
 // Exported framed-log primitives for other durable components (the
 // service's result store) that want this package's crash semantics —
@@ -14,13 +18,16 @@ type FramedRecord struct {
 	Body []byte
 }
 
-// AppendFramed frames [typ ‖ payload] into dst using the WAL record
-// format (uvarint length ‖ CRC32 ‖ body).
+// AppendFramed appends to dst the WAL record appendRecord writes for
+// [typ ‖ payload] (uvarint length ‖ CRC32 ‖ body), copying payload once
+// and summing the body where it lands: a dst with len(payload)+16 bytes
+// spare takes no allocation.
 func AppendFramed(dst []byte, typ byte, payload []byte) []byte {
-	body := make([]byte, 0, 1+len(payload))
-	body = append(body, typ)
-	body = append(body, payload...)
-	return appendRecord(dst, body)
+	dst = binary.AppendUvarint(dst, uint64(1+len(payload)))
+	at := len(dst)
+	dst = append(append(append(dst, 0, 0, 0, 0), typ), payload...)
+	binary.LittleEndian.PutUint32(dst[at:], crc32.ChecksumIEEE(dst[at+4:]))
+	return dst
 }
 
 // ScanFramed walks a framed-log image, returning every valid record

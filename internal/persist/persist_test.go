@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -384,5 +385,28 @@ func TestRetiredElGamalKindRefusedByName(t *testing.T) {
 	}
 	if info, err := Inspect(dir); err != nil || info.SchemeKind != "elgamal" {
 		t.Fatalf("Inspect on retired material = %+v, %v", info, err)
+	}
+}
+
+// TestAppendFramedMatchesRecordFormat: AppendFramed writes exactly the
+// WAL record of [typ ‖ payload] after what dst holds, ScanFramed reads
+// it back, and a destination with len(payload)+16 bytes spare takes no
+// allocation.
+func TestAppendFramedMatchesRecordFormat(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 70_000} {
+		payload := bytes.Repeat([]byte{0xa5}, n)
+		want := appendRecord([]byte("hdr"), append([]byte{7}, payload...))
+		got := AppendFramed([]byte("hdr"), 7, payload)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("payload of %d bytes: AppendFramed differs from the record format", n)
+		}
+		recs, valid := ScanFramed(got[3:])
+		if valid != len(got)-3 || len(recs) != 1 || recs[0].Type != 7 || !bytes.Equal(recs[0].Body, payload) {
+			t.Fatalf("payload of %d bytes: scanned %d records over %d of %d bytes", n, len(recs), valid, len(got)-3)
+		}
+		dst := make([]byte, 0, n+16)
+		if a := testing.AllocsPerRun(10, func() { AppendFramed(dst[:0], 7, payload) }); a != 0 {
+			t.Fatalf("payload of %d bytes: %.0f allocations into a sized destination", n, a)
+		}
 	}
 }

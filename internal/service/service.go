@@ -143,6 +143,7 @@ type Service struct {
 	cShedCeiling *obs.Counter
 	cShedBacklog *obs.Counter
 	cPublishes   *obs.Counter
+	cPubErrors   *obs.Counter
 	hIngestBatch *obs.Histogram
 }
 
@@ -214,6 +215,7 @@ func New(cfg Config) (*Service, error) {
 		s.cShedCeiling = reg.Counter("service_shed_total", "Ingest batches shed by admission control.", "reason", "ceiling")
 		s.cShedBacklog = reg.Counter("service_shed_total", "Ingest batches shed by admission control.", "reason", "backlog")
 		s.cPublishes = reg.Counter("service_publishes_total", "Rule-set publish rounds completed.")
+		s.cPubErrors = reg.Counter("service_publish_errors_total", "Tenant rule-set writes the result store refused during a publish.")
 		s.hIngestBatch = reg.Histogram("service_ingest_batch_txns", "Admitted batch sizes.",
 			[]float64{1, 4, 16, 64, 256, 1024, 4096})
 		reg.GaugeFunc("service_inflight_bytes", "Queued-but-unmined transaction bytes against the budget.",
@@ -400,9 +402,11 @@ func (s *Service) publish() {
 		sort.Strings(ids)
 		for _, id := range ids {
 			// Stale epochs can't happen here (epoch is monotone and
-			// seeded from the store); real I/O errors surface in the
-			// next query's staleness, so log-by-metric only.
-			_ = s.st.Put(id, epoch, rules)
+			// seeded from the store); a failed write leaves the tenant's
+			// last rule set readable, so it is counted, not fatal.
+			if err := s.st.Put(id, epoch, rules); err != nil {
+				s.cPubErrors.Inc()
+			}
 		}
 	}
 	s.cPublishes.Inc()

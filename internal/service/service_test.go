@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -611,5 +612,36 @@ func TestServiceBacklogBoundUnderFlood(t *testing.T) {
 	}
 	if want := int64(cfg.Seed.Len() + s.backlog()); s.dbLen.Load() != want {
 		t.Fatalf("database counted at %d, want seed + queued = %d", s.dbLen.Load(), want)
+	}
+}
+
+// failingStore is a result store whose every Put fails.
+type failingStore struct{ store.Store }
+
+func (failingStore) Put(string, int64, []store.Rule) error { return errors.New("disk full") }
+
+// TestServiceCountsPublishErrors: a Put the store refuses is counted in
+// service_publish_errors_total, one per tenant per publish; the series
+// is exported, at zero, from New on.
+func TestServiceCountsPublishErrors(t *testing.T) {
+	cfg := testConfig(failingStore{store.NewMem()})
+	cfg.Obs = secmr.NewTelemetry()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := metric(t, s, "service_publish_errors_total", ""); got != 0 {
+		t.Fatalf("service_publish_errors_total = %v before any publish", got)
+	}
+	tenants := []string{"a", "b", "c"}
+	for _, id := range tenants {
+		if _, err := s.lookup(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.publish()
+	if got := metric(t, s, "service_publish_errors_total", ""); got != float64(len(tenants)) {
+		t.Fatalf("service_publish_errors_total = %v after one publish to %d tenants", got, len(tenants))
 	}
 }

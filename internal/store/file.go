@@ -186,8 +186,14 @@ func (s *FileStore) state(tenant string) *tenantState {
 // Put implements Store: apply in memory (validating the epoch), then
 // append + fsync the WAL record so an acknowledged publish survives
 // kill -9. Publishes happen at the mining loop's cadence, so one
-// fsync per Put is cheap.
+// fsync per Put is cheap. The record is encoded and framed before the
+// lock: readers wait on apply, write and fsync only.
 func (s *FileStore) Put(tenant string, epoch int64, rules []Rule) error {
+	body, err := json.Marshal(putRecord{Tenant: tenant, Epoch: epoch, Rules: rules})
+	if err != nil {
+		return err
+	}
+	frame := persist.AppendFramed(make([]byte, 0, len(body)+16), recPut, body)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
@@ -196,11 +202,6 @@ func (s *FileStore) Put(tenant string, epoch int64, rules []Rule) error {
 	if err := s.state(tenant).apply(epoch, rules); err != nil {
 		return err
 	}
-	body, err := json.Marshal(putRecord{Tenant: tenant, Epoch: epoch, Rules: rules})
-	if err != nil {
-		return err
-	}
-	frame := persist.AppendFramed(nil, recPut, body)
 	if _, err := s.wal.Write(frame); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}

@@ -3,7 +3,10 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"secmr/internal/obs"
 )
 
 func putAll(t *testing.T, s Store, tenant string, epoch int64, rules ...Rule) {
@@ -193,5 +196,54 @@ func TestFileStoreCompaction(t *testing.T) {
 	res, _ := s2.Query("a", Query{})
 	if res.Epoch != 20 || res.Rules[0].Support != 0.2 {
 		t.Fatalf("compacted recovery: %+v", res)
+	}
+}
+
+// TestFileStoreStalePutWritesNothing: a Put at a stale epoch is refused
+// with the stale error before anything reaches the WAL, though its
+// record is encoded outside the lock: store_wal_bytes and the file do
+// not move, and a reopen recovers the epoch and rules of the last
+// accepted Put.
+func TestFileStoreStalePutWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	sink := obs.NewSink()
+	s, err := Open(dir, Options{Obs: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	putAll(t, s, "a", 3, Rule{Key: "=>1;freq", Support: 0.9, Confidence: 1})
+	walBytes := func() float64 {
+		for _, p := range sink.Reg.Snapshot() {
+			if p.Name == "store_wal_bytes" {
+				return p.Value
+			}
+		}
+		t.Fatal("store_wal_bytes is not exported")
+		return 0
+	}
+	before := walBytes()
+	err = s.Put("a", 3, []Rule{{Key: "=>2;freq", Support: 0.5, Confidence: 1}})
+	if err == nil || !strings.Contains(err.Error(), "stale epoch 3") {
+		t.Fatalf("stale Put returned %v, want the stale-epoch error", err)
+	}
+	if after := walBytes(); after != before {
+		t.Fatalf("store_wal_bytes %v → %v across a refused Put", before, after)
+	}
+	st, err := os.Stat(filepath.Join(dir, "rules.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if float64(st.Size()) != before {
+		t.Fatalf("WAL file holds %d bytes after a refused Put, want %v", st.Size(), before)
+	}
+	s.Close()
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	res, _ := s2.Query("a", Query{})
+	if res.Epoch != 3 || len(res.Rules) != 1 || res.Rules[0].Key != "=>1;freq" || res.Rules[0].Support != 0.9 {
+		t.Fatalf("recovered %+v, want epoch 3 with =>1;freq at 0.9 alone", res)
 	}
 }
