@@ -294,7 +294,11 @@ func (r *wireReader) fail(msg string) {
 
 func (r *wireReader) rem() int { return len(r.buf) - r.off }
 
-func (r *wireReader) int() int {
+func (r *wireReader) int() int { return int(r.int64()) }
+
+// int64 reads a varint at full width: an int64 field decoded through
+// int would lose its high half where int is 32 bits.
+func (r *wireReader) int64() int64 {
 	if r.err != nil {
 		return 0
 	}
@@ -304,7 +308,7 @@ func (r *wireReader) int() int {
 		return 0
 	}
 	r.off += n
-	return int(v)
+	return v
 }
 
 func (r *wireReader) uint() uint64 {

@@ -323,8 +323,8 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 	rd := &wireReader{buf: state[1:]}
 
 	// Resource shell.
-	step := int64(rd.int())
-	lossTick := int64(rd.int())
+	step := rd.int64()
+	lossTick := rd.int64()
 	halted := rd.bool()
 	var reports []MaliciousReport
 	for i, n := 0, rd.count(); i < n; i++ {
@@ -360,10 +360,10 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 
 	// Accountant scalars.
 	epoch := rd.int()
-	at := int64(rd.int())
+	at := rd.int64()
 	var shareVals []int64
 	for i, n := 0, rd.count(); i < n; i++ {
-		shareVals = append(shareVals, int64(rd.int()))
+		shareVals = append(shareVals, rd.int64())
 	}
 	db := arm.NewDatabase()
 	for i, n := 0, rd.count(); i < n; i++ {
@@ -400,7 +400,7 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 	for i, n := 0, rd.count(); i < n; i++ {
 		rule := readRule(rd)
 		s := newScanState(rule, intern.S(rule.Key()))
-		s.Pos, s.Sum, s.Count = rd.int(), int64(rd.int()), int64(rd.int())
+		s.Pos, s.Sum, s.Count = rd.int(), rd.int64(), rd.int64()
 		if rd.err != nil {
 			return nil, rd.err
 		}
@@ -412,7 +412,7 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 	b := res.Broker
 	b.neighbors = append([]int(nil), neighbors...)
 	b.inited = true
-	b.step = int64(rd.int())
+	b.step = rd.int64()
 	b.shareEpoch = rd.int()
 	for i, n := 0, rd.count(); i < n; i++ {
 		v := rd.int()
@@ -454,7 +454,7 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 			e.contacted = flags&1 != 0
 			e.dirty = flags&2 != 0
 			e.staleSinceSend = flags&4 != 0
-			e.lastSendStep = int64(rd.int())
+			e.lastSendStep = rd.int64()
 			e.inbound = rd.counter()
 			e.sentSum = rd.ciphertext()
 			e.sentCount = rd.ciphertext()
@@ -475,8 +475,8 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 	}
 
 	c := res.Controller
-	c.clock = int64(rd.int())
-	c.clockLease = int64(rd.int())
+	c.clock = rd.int64()
+	c.clockLease = rd.int64()
 	// The lease bounds every stamp the pre-crash run may have issued;
 	// resuming at the lease keeps post-recovery stamps monotone at all
 	// neighbours regardless of replay divergence.
@@ -487,7 +487,7 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 		rule := rd.str()
 		var stamps []int64
 		for j, m := 0, rd.count(); j < m; j++ {
-			stamps = append(stamps, int64(rd.int()))
+			stamps = append(stamps, rd.int64())
 		}
 		c.seen[intern.S(rule)] = stamps
 	}
@@ -500,7 +500,7 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 	}
 	for i, n := 0, rd.count(); i < n; i++ {
 		e := AuditEntry{
-			Stream: rd.str(), Count: int64(rd.int()), Num: int64(rd.int()), Fresh: rd.bool(),
+			Stream: rd.str(), Count: rd.int64(), Num: rd.int64(), Fresh: rd.bool(),
 		}
 		if version >= 2 {
 			e.Rebase = rd.bool()
@@ -563,8 +563,8 @@ func appendGateState(dst []byte, g *gateState) []byte {
 
 func readGateState(rd *wireReader) *gateState {
 	g := &gateState{
-		Gate:      arm.Gate{Count: int64(rd.int()), Num: int64(rd.int())},
-		lastCount: int64(rd.int()), lastNum: int64(rd.int()),
+		Gate:      arm.Gate{Count: rd.int64(), Num: rd.int64()},
+		lastCount: rd.int64(), lastNum: rd.int64(),
 	}
 	flags := rd.byte()
 	g.queried = flags&1 != 0

@@ -106,6 +106,40 @@ func BenchmarkPaillierEncryptNoFixedBase(b *testing.B) {
 	}
 }
 
+// BenchmarkPaillierNoiseTable measures the one-time cost of the
+// fixed-base noise table, paid in a scheme's first Encrypt: each
+// iteration imports the public key afresh (untimed), so its first
+// encryption builds the table, then draws one factor from it.
+func BenchmarkPaillierNoiseTable(b *testing.B) {
+	pub, err := benchScheme(b).ExportPublic()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := big.NewInt(123456)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := paillier.Import(pub)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		s.Encrypt(m)
+	}
+}
+
+// BenchmarkPaillierDecrypt is one CRT decryption, its p- and q-halves
+// on the worker pool at -cpu > 1.
+func BenchmarkPaillierDecrypt(b *testing.B) {
+	s := benchScheme(b)
+	c := s.EncryptInt(123456)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Decrypt(c)
+	}
+}
+
 // benchVec builds a ciphertext vector of benchVecN live values.
 func benchVec(b *testing.B, s homo.Scheme) []*homo.Ciphertext {
 	b.Helper()

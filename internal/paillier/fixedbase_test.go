@@ -97,41 +97,91 @@ func TestNoiseTableEdgeExponents(t *testing.T) {
 }
 
 // TestNoiseTableRowsInMontgomeryForm pins the stored representation:
-// entry d−1 of row i is base^(d·16^i)·R mod m, and one REDC takes it
-// out of the domain.
+// entry u−1 of column j is Π_i base^(u_i·2^(i·a + j·b))·R mod m, and one
+// REDC takes it out of the domain. maxBits 33 gives a comb whose blocks
+// overrun maxBits (h·a > 33) and whose last column is short (cols·b > a).
 func TestNoiseTableRowsInMontgomeryForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	mod := oddModulus(rng, 150)
 	base := new(big.Int).Rand(rng, mod)
-	tab := newFixedBase(base, mod, 33)
-	digits := (33 + window - 1) / window
-	if len(tab.rows) != digits*span {
-		t.Fatalf("%d table entries, want %d", len(tab.rows), digits*span)
-	}
-	r := new(big.Int).Lsh(one, uint(tab.words*wbits))
-	var s montScratch
-	for i := 0; i < digits; i++ {
-		for d := 1; d <= span; d++ {
-			e := new(big.Int).Lsh(big.NewInt(int64(d)), uint(i*window))
-			want := new(big.Int).Exp(base, e, mod)
-			row := &tab.rows[i*span+d-1]
-			mont := new(big.Int).Mod(new(big.Int).Mul(want, r), mod)
-			if row.Cmp(mont) != 0 {
-				t.Fatalf("row %d digit %d: %v, want Montgomery form %v", i, d, row, mont)
-			}
-			got := new(big.Int)
-			tab.redc(got, row, &s)
-			if got.Cmp(want) != 0 {
-				t.Fatalf("row %d digit %d: REDC gives %v, want %v", i, d, got, want)
+	for _, maxBits := range []int{1, 9, 33, 64} {
+		tab := newFixedBase(base, mod, maxBits)
+		span := 1<<tab.h - 1
+		if len(tab.entries) != tab.cols*span {
+			t.Fatalf("maxBits %d: %d table entries, want %d", maxBits, len(tab.entries), tab.cols*span)
+		}
+		if maxBits == 33 && (tab.h*tab.a <= maxBits || tab.cols*tab.b <= tab.a) {
+			t.Fatalf("maxBits 33: shape h=%d a=%d b=%d cols=%d no longer covers the ragged edges",
+				tab.h, tab.a, tab.b, tab.cols)
+		}
+		r := new(big.Int).Lsh(one, uint(tab.words*wbits))
+		var s montScratch
+		for j := 0; j < tab.cols; j++ {
+			for u := 1; u <= span; u++ {
+				e := new(big.Int)
+				for i := 0; i < tab.h; i++ {
+					if u>>i&1 == 1 {
+						e.SetBit(e, i*tab.a+j*tab.b, 1)
+					}
+				}
+				want := new(big.Int).Exp(base, e, mod)
+				entry := &tab.entries[j*span+u-1]
+				mont := new(big.Int).Mod(new(big.Int).Mul(want, r), mod)
+				if entry.Cmp(mont) != 0 {
+					t.Fatalf("maxBits %d column %d index %d: %v, want Montgomery form %v", maxBits, j, u, entry, mont)
+				}
+				got := new(big.Int)
+				tab.redc(got, entry, &s)
+				if got.Cmp(want) != 0 {
+					t.Fatalf("maxBits %d column %d index %d: REDC gives %v, want %v", maxBits, j, u, got, want)
+				}
 			}
 		}
 	}
 }
 
+// TestNoiseTableShape pins the comb at a Paillier-1024 exponent
+// (h = 8 blocks of 128 bits, 16 columns of 8-bit sub-blocks) and holds
+// the table at every maxBits to at most 1.1× the entries of a 4-bit
+// window (ceil(maxBits/4)·15), with every block holding a bit below
+// maxBits and every column a bit below a.
+func TestNoiseTableShape(t *testing.T) {
+	if h, a, b, cols := combShape(1024); h != 8 || a != 128 || b != 8 || cols != 16 {
+		t.Fatalf("combShape(1024) = h %d a %d b %d cols %d, want 8 128 8 16", h, a, b, cols)
+	}
+	for maxBits := 1; maxBits <= 4096; maxBits++ {
+		h, a, b, cols := combShape(maxBits)
+		window := (maxBits + 3) / 4 * 15
+		if size := cols * (1<<h - 1); 10*size > 11*window {
+			t.Fatalf("maxBits %d: %d entries, over 1.1 × %d", maxBits, size, window)
+		}
+		if h < 1 || h > combH || cols < 1 || cols > combV || (h-1)*a >= maxBits || h*a < maxBits ||
+			(cols-1)*b >= a || cols*b < a {
+			t.Fatalf("maxBits %d: malformed shape h %d a %d b %d cols %d", maxBits, h, a, b, cols)
+		}
+	}
+}
+
+// TestNoiseTableMaxBitsAgainstBigExp cross-checks the comb against
+// math/big at key-independent exponent sizes around the shape's
+// boundaries (one block, one column, a byte, a Paillier-1024 N, the
+// 256-bit key's N), on the edge exponents and random ones.
+func TestNoiseTableMaxBitsAgainstBigExp(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, maxBits := range []int{1, 7, 8, 9, 127, 256, 1023, 1024} {
+		mod := oddModulus(rng, 300)
+		if maxBits > 256 {
+			mod = oddModulus(rng, 2048)
+		}
+		base := new(big.Int).Rand(rng, mod)
+		tab := newFixedBase(base, mod, maxBits)
+		checkTable(t, tab, base, mod, edgeExponents(rng, mod, maxBits), new(big.Int).Rand(rng, mod))
+	}
+}
+
 // TestNoiseTableZeroExponentAndEmptyHalves pins base^0 = 1 (and
-// base^0·x = x) on every modulus size, and exponents whose digits all
-// sit in one half of the split product, so each branch of the join
-// runs.
+// base^0·x = x) on every modulus size, and exponents whose bits all
+// sit in one half of the columns, so each branch of the join runs.
 func TestNoiseTableZeroExponentAndEmptyHalves(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, bits := range []int{2, 7, 64, 65, 300} {
@@ -141,8 +191,20 @@ func TestNoiseTableZeroExponentAndEmptyHalves(t *testing.T) {
 		if got := tab.exp(new(big.Int)); got.Cmp(one) != 0 {
 			t.Fatalf("mod=%v: base^0 = %v, want 1", mod, got)
 		}
-		lowOnly := new(big.Int).SetUint64(0xfedcba98)        // digits 0–7: the first half
-		highOnly := new(big.Int).Lsh(big.NewInt(0x9abc), 44) // digits 11–14: the second half
+		// Every bit of every block in columns [0, cols/2), then in
+		// [cols/2, cols): the first half alone, then the second alone.
+		split := tab.cols / 2 * tab.b
+		lowOnly, highOnly := new(big.Int), new(big.Int)
+		for p := 0; p < tab.maxBits; p++ {
+			if p%tab.a < split {
+				lowOnly.SetBit(lowOnly, p, 1)
+			} else {
+				highOnly.SetBit(highOnly, p, 1)
+			}
+		}
+		if lowOnly.Sign() == 0 || highOnly.Sign() == 0 {
+			t.Fatalf("maxBits 64: comb with %d columns has an empty half", tab.cols)
+		}
 		x := new(big.Int).Rand(rng, mod)
 		checkTable(t, tab, base, mod, []*big.Int{new(big.Int), lowOnly, highOnly}, x)
 	}

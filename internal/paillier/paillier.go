@@ -73,9 +73,9 @@ type Scheme struct {
 	priv *PrivateKey // nil for a public-only instance
 	tag  uint64
 
-	// Fixed-base noise: a one-time table over hᴺ mod N² (h a random
-	// unit) turns every online noise factor into a windowed
-	// fixed-base exponentiation — see noiseTable.
+	// Fixed-base noise: a one-time comb table over hᴺ mod N² (h a
+	// random unit) turns every online noise factor into a fixed-base
+	// exponentiation — see noiseTable.
 	fbOnce    sync.Once
 	fbTable   *fixedBase
 	fbDisable atomic.Bool
@@ -260,12 +260,13 @@ func (s *Scheme) Rerandomize(a *homo.Ciphertext) *homo.Ciphertext {
 }
 
 // Adopt validates and re-tags a deserialized ciphertext: it must be a
-// unit of Z*_{N²}.
+// unit of Z*_{N²}. N and N² have the same prime factors, so that is
+// gcd(c, N) = 1, a gcd of half the width.
 func (s *Scheme) Adopt(c *homo.Ciphertext) (*homo.Ciphertext, error) {
 	if c == nil || c.V == nil || c.V.Sign() <= 0 || c.V.Cmp(s.pub.N2) >= 0 {
 		return nil, errors.New("paillier: ciphertext out of range")
 	}
-	if new(big.Int).GCD(nil, nil, c.V, s.pub.N2).Cmp(one) != 0 {
+	if new(big.Int).GCD(nil, nil, c.V, s.pub.N).Cmp(one) != 0 {
 		return nil, errors.New("paillier: ciphertext not a unit mod N²")
 	}
 	return &homo.Ciphertext{V: new(big.Int).Set(c.V), Tag: s.tag}, nil

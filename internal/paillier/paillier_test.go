@@ -204,6 +204,42 @@ func TestTinyKeySizesWork(t *testing.T) {
 	}
 }
 
+// TestAdoptRejectsNonUnits: Adopt accepts exactly the units of
+// Z*_{N²}. Its gcd is taken with N, so multiples of either prime — p·k
+// for several k, N itself, p² — must still fail, as must 0, N² and a
+// negative value; a real ciphertext comes back re-tagged and equal.
+func TestAdoptRejectsNonUnits(t *testing.T) {
+	s := testScheme
+	p, q, n2 := s.priv.p, s.priv.q, s.pub.N2
+	for name, v := range map[string]*big.Int{
+		"p":        new(big.Int).Set(p),
+		"p·7":      new(big.Int).Mul(p, big.NewInt(7)),
+		"p·(q+1)":  new(big.Int).Mul(p, new(big.Int).Add(q, one)),
+		"q·(p−1)":  new(big.Int).Mul(q, new(big.Int).Sub(p, one)),
+		"N":        new(big.Int).Set(s.pub.N),
+		"p²":       new(big.Int).Mul(p, p),
+		"N²−p":     new(big.Int).Sub(n2, p),
+		"zero":     new(big.Int),
+		"N²":       new(big.Int).Set(n2),
+		"negative": new(big.Int).Neg(s.EncryptInt(5).V),
+	} {
+		if c, err := s.Adopt(&homo.Ciphertext{V: v}); err == nil {
+			t.Errorf("%s: adopted %v", name, c.V)
+		}
+	}
+	if _, err := s.Adopt(nil); err == nil {
+		t.Error("nil ciphertext adopted")
+	}
+	c := s.EncryptInt(-9)
+	got, err := s.Adopt(&homo.Ciphertext{V: new(big.Int).Set(c.V)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.V.Cmp(c.V) != 0 || got.Tag != c.Tag || s.DecryptSigned(got).Int64() != -9 {
+		t.Fatalf("adopted ciphertext %v (tag %d), want %v (tag %d)", got.V, got.Tag, c.V, c.Tag)
+	}
+}
+
 func TestGenerateKeyRejectsTooSmall(t *testing.T) {
 	if _, err := GenerateKey(rand.Reader, 8); err == nil {
 		t.Fatal("expected error for 8-bit modulus")

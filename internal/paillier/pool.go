@@ -9,12 +9,13 @@ import (
 // r^N mod N² — the dominant modular exponentiation on the accountant's
 // hot path (every vote-count update re-encrypts two counters). The
 // scheme draws it from a fixed-base table (noiseTable, on unless
-// disabled): it samples one random unit h at first use, precomputes
-// windowed powers of hᴺ mod N² in Montgomery form, and draws each
-// online factor as (hᴺ)^a for random a < N — ceil(|N|/4) division-free
-// Montgomery products instead of a full |N|-bit modular
-// exponentiation, split in two halves over the worker pool when a core
-// is idle (fixedbase.go).
+// disabled): it samples one random unit h at first use, precomputes a
+// Lim–Lee comb of powers of hᴺ mod N² in Montgomery form, and draws
+// each online factor as (hᴺ)^a for random a < N — for a 1024-bit N at
+// most 7 squarings and 128 multiplications, all division-free
+// Montgomery products, instead of a full |N|-bit modular
+// exponentiation, split by columns in two halves over the worker pool
+// when a core is idle (fixedbase.go).
 //
 // The table is an optimization only: operations remain correct (and the
 // plaintexts identical) without it. Its trade-off is that noise units
