@@ -3,8 +3,8 @@
 // encryption half is distributed to every accountant and its
 // decryption half to every controller (§5: "an encryption key shared
 // by the accountants"). For the Shamir share backend there is no key
-// pair — the sharing geometry (field prime, threshold, committee size,
-// packing width) IS the material, and it is public.
+// pair — the sharing geometry (field prime, threshold, committee size)
+// IS the material, and it is public.
 //
 // Usage:
 //
@@ -47,7 +47,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: secmr-keys gen [-scheme paillier|shamir] [-bits N | -k K -n N -w W] [-priv FILE] [-pub FILE]
+	fmt.Fprintln(os.Stderr, `usage: secmr-keys gen [-scheme paillier|shamir] [-bits N | -k K -n N] [-priv FILE] [-pub FILE]
        secmr-keys info -key FILE
        secmr-keys inspect -dir DIR`)
 	os.Exit(2)
@@ -59,7 +59,6 @@ func gen(args []string) {
 	bits := fs.Int("bits", 1024, "modulus size in bits (paillier)")
 	k := fs.Int("k", 2, "hiding/reconstruction threshold, matched to the grid's k-gate (shamir)")
 	n := fs.Int("n", 6, "committee size: shares per value (shamir)")
-	w := fs.Int("w", 1, "packing width: secrets per polynomial (shamir)")
 	privPath := fs.String("priv", "grid.key", "private key output (controllers)")
 	pubPath := fs.String("pub", "grid.pub", "public key output (accountants; paillier only)")
 	fs.Parse(args)
@@ -87,7 +86,7 @@ func gen(args []string) {
 		fmt.Printf("generated %s\n  private (controllers): %s (%d bytes, mode 0600)\n  public  (accountants): %s (%d bytes)\n",
 			scheme.Name(), *privPath, len(priv), *pubPath, len(pub))
 	case "shamir":
-		scheme, err := shamir.New(shamir.Params{K: *k, N: *n, W: *w})
+		scheme, err := shamir.New(shamir.Params{K: *k, N: *n, W: 1})
 		if err != nil {
 			fatal(err)
 		}
@@ -156,10 +155,9 @@ func describeShamir(s *shamir.Scheme) {
 	p := s.Params()
 	fmt.Printf("  field prime:    2^61-1 (%d)\n", s.FieldPrime())
 	fmt.Printf("  threshold:      k=%d (any %d shares reveal nothing; %d reconstruct)\n",
-		p.K, p.K-1, p.Threshold())
+		p.K, p.K-1, p.K)
 	fmt.Printf("  committee size: n=%d shares per value (%d bytes each on the wire)\n",
 		p.N, s.MaxCiphertextBytes())
-	fmt.Printf("  packing width:  w=%d secret(s) per polynomial\n", p.W)
 }
 
 func inspect(args []string) {

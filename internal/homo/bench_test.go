@@ -1,13 +1,13 @@
 package homo_test
 
-// Micro-benchmarks for the batched crypto engine. Run with e.g.
+// Micro-benchmarks for the crypto backends. Run with e.g.
 //
 //	go test ./internal/homo/ -run=^$ -bench . -benchmem -cpu 1,4,8
 //
 // and convert to JSON with cmd/benchjson (see BENCH_homo.json at the
-// repo root). The *Vec/*Serial pairs quantify the worker-pool speedup
-// (visible only with GOMAXPROCS > 1 on a multi-core host — on a 1-vCPU
-// runner batch and serial coincide by design); the
+// repo root). The ObliviousAdd*/ObliviousAdd*Serial pairs run the same
+// elementwise loop (a counter addition has no batch path) and differ
+// only by the serialOnly wrapper's indirection; the
 // PaillierEncrypt/PaillierEncryptNoFixedBase pair quantifies the
 // fixed-base noise win, which shows at -cpu 1 already (at -cpu > 1 the
 // table's two half-products also share the worker pool).
@@ -27,7 +27,6 @@ import (
 
 const (
 	benchSlots = 16 // stamp slots per oblivious counter (20-slot vectors)
-	benchVecN  = 20 // = 4 protocol fields + benchSlots
 )
 
 var (
@@ -58,8 +57,7 @@ func benchCounters(b *testing.B, s homo.Scheme) (x, y *oblivious.Counter) {
 }
 
 // BenchmarkObliviousAddVec is the acceptance benchmark: one oblivious
-// counter addition (20 componentwise homomorphic adds) through the
-// batch path.
+// counter addition (20 componentwise homomorphic adds).
 func BenchmarkObliviousAddVec(b *testing.B) {
 	s := benchScheme(b)
 	x, y := benchCounters(b, s)
@@ -70,7 +68,7 @@ func BenchmarkObliviousAddVec(b *testing.B) {
 }
 
 // BenchmarkObliviousAddSerial is the same addition with the batch
-// capability hidden, forcing the elementwise serial loop.
+// capability hidden.
 func BenchmarkObliviousAddSerial(b *testing.B) {
 	s := benchScheme(b)
 	serial := serialOnly{s}
@@ -140,60 +138,6 @@ func BenchmarkPaillierDecrypt(b *testing.B) {
 	}
 }
 
-// benchVec builds a ciphertext vector of benchVecN live values.
-func benchVec(b *testing.B, s homo.Scheme) []*homo.Ciphertext {
-	b.Helper()
-	ms := make([]*big.Int, benchVecN)
-	for i := range ms {
-		ms[i] = big.NewInt(int64(i * 37))
-	}
-	return homo.EncryptVec(s, ms)
-}
-
-func BenchmarkPaillierEncryptVec(b *testing.B) {
-	s := benchScheme(b)
-	ms := make([]*big.Int, benchVecN)
-	for i := range ms {
-		ms[i] = big.NewInt(int64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		homo.EncryptVec(s, ms)
-	}
-}
-
-func BenchmarkPaillierEncryptVecSerial(b *testing.B) {
-	s := benchScheme(b)
-	ms := make([]*big.Int, benchVecN)
-	for i := range ms {
-		ms[i] = big.NewInt(int64(i))
-	}
-	serial := serialOnly{s}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		homo.EncryptVec(serial, ms)
-	}
-}
-
-func BenchmarkPaillierRerandomizeVec(b *testing.B) {
-	s := benchScheme(b)
-	cs := benchVec(b, s)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		homo.RerandomizeVec(s, cs)
-	}
-}
-
-func BenchmarkPaillierRerandomizeVecSerial(b *testing.B) {
-	s := benchScheme(b)
-	cs := benchVec(b, s)
-	serial := serialOnly{s}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		homo.RerandomizeVec(serial, cs)
-	}
-}
-
 func BenchmarkPaillierAdd(b *testing.B) {
 	s := benchScheme(b)
 	x, y := s.EncryptInt(41), s.EncryptInt(1)
@@ -217,7 +161,7 @@ func BenchmarkPaillierRerandomize(b *testing.B) {
 // --- Shamir backend ----------------------------------------------------
 
 // benchShamir mirrors the facade's default committee sizing for the
-// chaos-scale grids (k=2): 2-of-6 unpacked sharing.
+// chaos-scale grids (k=2): 2-of-6 sharing.
 func benchShamir(b *testing.B) *shamir.Scheme {
 	b.Helper()
 	s, err := shamir.New(shamir.Params{K: 2, N: 6, W: 1})
@@ -327,15 +271,5 @@ func BenchmarkShamirRerandomize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Rerandomize(x)
-	}
-}
-
-func BenchmarkShamirRerandomizeVec(b *testing.B) {
-	s := benchShamir(b)
-	cs := benchVec(b, s)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		homo.RerandomizeVec(s, cs)
 	}
 }

@@ -20,7 +20,7 @@
 // random number").
 //
 // Three implementations exist: internal/paillier (the paper's
-// public-key cryptosystem), internal/shamir (packed secret sharing over
+// public-key cryptosystem), internal/shamir (Shamir secret sharing over
 // GF(2^61−1): information-theoretic sub-k hiding, no key split — see
 // DESIGN.md §13) and the Plain scheme in this package (a transparent
 // stand-in with the same interface, used for large-scale shape

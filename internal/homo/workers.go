@@ -6,12 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// Shared crypto worker pool. Every parallel batch (vector) operation
-// in the repository — Paillier's EncryptZeroVec, RerandomizeVec and
-// EncryptVec, and any future scheme's — fans out over this one pool
-// rather than spawning goroutines per call, so concurrent batch callers
-// time-share a fixed set of workers instead of oversubscribing the
-// machine.
+// Shared crypto worker pool. Every parallel crypto operation in the
+// repository — Paillier's EncryptZeroVec, the two halves of its noise
+// draw and of its CRT decryption, and any future scheme's — fans out
+// over this one pool rather than spawning goroutines per call, so
+// concurrent callers time-share a fixed set of workers instead of
+// oversubscribing the machine.
 //
 // The pool is lazily started on first parallel call and sized to
 // GOMAXPROCS. Submission never blocks, and the hand-off is unbuffered:

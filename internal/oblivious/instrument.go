@@ -65,9 +65,7 @@ func InstrumentScheme(inner homo.Scheme, sink *obs.Sink) homo.Scheme {
 	s.add, s.sub, s.smul = mk("add"), mk("sub"), mk("scalar_mul")
 	s.rerand, s.zero = mk("rerandomize"), mk("encrypt_zero")
 	s.enc, s.dec = mk("encrypt"), mk("decrypt")
-	s.addVec, s.smulVec = mk("add_vec"), mk("scalar_mul_vec")
-	s.rerandVec, s.zeroVec, s.encVec = mk("rerandomize_vec"), mk("encrypt_zero_vec"), mk("encrypt_vec")
-	s.linComb = mk("lincomb")
+	s.zeroVec, s.linComb = mk("encrypt_zero_vec"), mk("lincomb")
 	return s
 }
 
@@ -89,9 +87,8 @@ type instrumentedScheme struct {
 	ir homo.IntoRerandomizer
 	id homo.IntoDecryptor
 
-	add, sub, smul, rerand, zero, enc, dec      opInstr
-	addVec, smulVec, rerandVec, zeroVec, encVec opInstr
-	linComb                                     opInstr
+	add, sub, smul, rerand, zero, enc, dec opInstr
+	zeroVec, linComb                       opInstr
 }
 
 // fallback gives a scheme without the destination-passing capabilities
@@ -243,47 +240,11 @@ func (s *instrumentedScheme) DecryptSigned(c *homo.Ciphertext) *big.Int {
 	return r
 }
 
-// The vector operations delegate through the homo batch helpers, so an
-// instrumented batch-capable scheme keeps its parallel path and an
-// instrumented serial scheme keeps its elementwise fallback. A batch of
-// n counts n operations (serial and batched workloads stay comparable
-// per element), and a timed batch records its latency per element.
-
-func (s *instrumentedScheme) AddVec(a, b []*homo.Ciphertext) []*homo.Ciphertext {
-	n := int64(len(a))
-	w, traced := s.weigh(&s.addVec, n)
-	if w == 0 {
-		return homo.AddVec(s.inner, a, b)
-	}
-	t0 := now()
-	r := homo.AddVec(s.inner, a, b)
-	s.end(&s.addVec, n, w, traced, t0)
-	return r
-}
-
-func (s *instrumentedScheme) RerandomizeVec(xs []*homo.Ciphertext) []*homo.Ciphertext {
-	n := int64(len(xs))
-	w, traced := s.weigh(&s.rerandVec, n)
-	if w == 0 {
-		return homo.RerandomizeVec(s.inner, xs)
-	}
-	t0 := now()
-	r := homo.RerandomizeVec(s.inner, xs)
-	s.end(&s.rerandVec, n, w, traced, t0)
-	return r
-}
-
-func (s *instrumentedScheme) ScalarVec(ms []int64, xs []*homo.Ciphertext) []*homo.Ciphertext {
-	n := int64(len(xs))
-	w, traced := s.weigh(&s.smulVec, n)
-	if w == 0 {
-		return homo.ScalarVec(s.inner, ms, xs)
-	}
-	t0 := now()
-	r := homo.ScalarVec(s.inner, ms, xs)
-	s.end(&s.smulVec, n, w, traced, t0)
-	return r
-}
+// EncryptZeroVec delegates through the homo helper, so an instrumented
+// batch-capable scheme keeps its parallel path and an instrumented
+// serial scheme its elementwise fallback. A batch of n counts n
+// operations (serial and batched workloads stay comparable per
+// element), and a timed batch records its latency per element.
 
 func (s *instrumentedScheme) EncryptZeroVec(n int) []*homo.Ciphertext {
 	w, traced := s.weigh(&s.zeroVec, int64(n))
@@ -293,18 +254,6 @@ func (s *instrumentedScheme) EncryptZeroVec(n int) []*homo.Ciphertext {
 	t0 := now()
 	r := homo.EncryptZeroVec(s.inner, n)
 	s.end(&s.zeroVec, int64(n), w, traced, t0)
-	return r
-}
-
-func (s *instrumentedScheme) EncryptVec(ms []*big.Int) []*homo.Ciphertext {
-	n := int64(len(ms))
-	w, traced := s.weigh(&s.encVec, n)
-	if w == 0 {
-		return homo.EncryptVec(s.inner, ms)
-	}
-	t0 := now()
-	r := homo.EncryptVec(s.inner, ms)
-	s.end(&s.encVec, n, w, traced, t0)
 	return r
 }
 

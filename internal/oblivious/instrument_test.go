@@ -43,10 +43,14 @@ func TestInstrumentSchemeCountsAndDelegates(t *testing.T) {
 	if s.PlaintextSpace().Cmp(inner.PlaintextSpace()) != 0 {
 		t.Fatal("plaintext space not delegated")
 	}
+	// A counter of 4+2 fields: one batch of six zeros, then an addition
+	// that counts as six single adds.
+	c := NewZero(s, 2)
+	Add(s, c, c)
 
 	want := map[string]float64{
-		"add": 1, "sub": 1, "scalar_mul": 1, "rerandomize": 1,
-		"encrypt_zero": 1, "encrypt": 3, "decrypt": 6,
+		"add": 7, "sub": 1, "scalar_mul": 1, "rerandomize": 1,
+		"encrypt_zero": 1, "encrypt": 3, "decrypt": 6, "encrypt_zero_vec": 6,
 	}
 	got := map[string]float64{}
 	for _, p := range sink.Reg.Snapshot() {
@@ -57,6 +61,11 @@ func TestInstrumentSchemeCountsAndDelegates(t *testing.T) {
 	for op, n := range want {
 		if got[op] != n {
 			t.Fatalf("op %s count = %v, want %v (all: %v)", op, got[op], n, got)
+		}
+	}
+	for op, n := range got {
+		if _, ok := want[op]; !ok && n != 0 {
+			t.Fatalf("op %s counted %v, want no such op (all: %v)", op, n, got)
 		}
 	}
 

@@ -34,7 +34,7 @@ type Counter struct {
 }
 
 // vec flattens the counter into the fixed field order
-// (sum, count, num, share, stamps…) for the homo batch helpers.
+// (sum, count, num, share, stamps…) for the homo vector helpers.
 func (c *Counter) vec() []*homo.Ciphertext {
 	v := make([]*homo.Ciphertext, 0, 4+len(c.Stamps))
 	v = append(v, c.Sum, c.Count, c.Num, c.Share)
@@ -48,10 +48,11 @@ func fromVec(v []*homo.Ciphertext) *Counter {
 }
 
 // NewZero returns an all-E(0) counter with the given number of stamp
-// slots. NewZero, Add and Rerandomize go through the homo batch
-// helpers: Paillier computes the 4+slots encryptions of zero on the
-// shared worker pool, Shamir draws their randomness in one pass, and a
-// scheme without the batch capability runs the identical serial loop.
+// slots through homo.EncryptZeroVec: Paillier computes the 4+slots
+// encryptions of zero on the shared worker pool, Shamir draws their
+// randomness in one pass, and a scheme without the batch capability
+// runs the identical serial loop. Add and Rerandomize go field by
+// field.
 func NewZero(pub homo.Public, slots int) *Counter {
 	return fromVec(homo.EncryptZeroVec(pub, 4+slots))
 }

@@ -86,19 +86,28 @@ func LoadScheme(data []byte) (homo.Scheme, error) {
 	case schemeRetiredElGamal:
 		return nil, fmt.Errorf("persist: elgamal key material: backend removed, re-key with paillier or shamir")
 	case schemeShamir:
+		// K, N, W as uvarints. Each is checked against the share cap
+		// before it becomes an int, so no value can wrap on a 32-bit
+		// int into a valid geometry.
 		rest := data[1:]
-		var vals [3]uint64
+		var vals [3]int
 		for i := range vals {
 			v, n := binary.Uvarint(rest)
 			if n <= 0 {
 				return nil, fmt.Errorf("persist: malformed shamir key material")
 			}
-			vals[i], rest = v, rest[n:]
+			if v > shamir.MaxShares {
+				return nil, fmt.Errorf("persist: shamir key material field %d = %d exceeds the %d-share cap", i, v, shamir.MaxShares)
+			}
+			vals[i], rest = int(v), rest[n:]
 		}
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("persist: trailing bytes in shamir key material")
 		}
-		return shamir.New(shamir.Params{K: int(vals[0]), N: int(vals[1]), W: int(vals[2])})
+		if vals[2] > 1 {
+			return nil, fmt.Errorf("persist: packed shamir key material (W=%d): packing removed, re-key with secmr-keys gen -scheme shamir", vals[2])
+		}
+		return shamir.New(shamir.Params{K: vals[0], N: vals[1], W: vals[2]})
 	default:
 		return nil, fmt.Errorf("persist: unknown scheme kind %d", kind)
 	}

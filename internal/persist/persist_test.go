@@ -2,6 +2,9 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -303,7 +306,10 @@ func TestRecoverWithoutSchemeLoadsKeys(t *testing.T) {
 
 // TestExportSchemeShamirRoundTrip: the geometry is the entire key
 // material, so the round trip preserves (K, N, W) and the rebuilt
-// instance adopts and decrypts ciphertexts dealt before the export.
+// instance adopts and decrypts ciphertexts dealt before the export. The
+// blob is pinned byte for byte — the kind byte and the uvarints K, N,
+// W that earlier releases wrote to key.bin — so existing state
+// directories keep loading.
 func TestExportSchemeShamirRoundTrip(t *testing.T) {
 	orig, err := shamir.New(shamir.Params{K: 2, N: 6, W: 1})
 	if err != nil {
@@ -312,6 +318,9 @@ func TestExportSchemeShamirRoundTrip(t *testing.T) {
 	blob, err := ExportScheme(orig)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := hex.EncodeToString(blob), "04020601"; got != want {
+		t.Fatalf("2-of-6 exports as %s, want %s", got, want)
 	}
 	if got := SchemeKindName(blob[0]); got != "shamir" {
 		t.Fatalf("kind byte names %q", got)
@@ -341,6 +350,58 @@ func TestExportSchemeShamirRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadScheme(append(blob, 7)); err == nil {
 		t.Fatal("trailing bytes in shamir key material accepted")
+	}
+}
+
+// TestRetiredPackedShamirRefusedByName: packed sharing (several secrets
+// per polynomial, W > 1) is gone. Key material written for it fails to
+// load with an error that names it and says how to re-key, instead of
+// a bare parameter error.
+func TestRetiredPackedShamirRefusedByName(t *testing.T) {
+	for _, w := range []byte{0, 2, 3} {
+		_, err := LoadScheme([]byte{4, 2, 8, w})
+		if w == 0 {
+			if err == nil {
+				t.Fatal("W=0 shamir key material accepted")
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "packed shamir key material") ||
+			!strings.Contains(err.Error(), "re-key with secmr-keys gen -scheme shamir") {
+			t.Fatalf("W=%d not refused by name: %v", w, err)
+		}
+	}
+}
+
+// TestShamirKeyFieldsCapped: K, N and W are checked against the share
+// cap while still uvarints, so values that a 32-bit int would wrap into
+// a valid geometry (2^32+2 → 2, 2^32+6 → 6, 2^32+1 → 1) are refused on
+// every platform.
+func TestShamirKeyFieldsCapped(t *testing.T) {
+	blob := func(k, n, w uint64) []byte {
+		out := []byte{4}
+		for _, v := range []uint64{k, n, w} {
+			out = binary.AppendUvarint(out, v)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name    string
+		k, n, w uint64
+	}{
+		{"K and N wrap to 2-of-6", 1<<32 + 2, 1<<32 + 6, 1},
+		{"N wraps to 6", 2, 1<<32 + 6, 1},
+		{"W wraps to 1", 2, 6, 1<<32 + 1},
+		{"K past int64", 1 << 63, 6, 1},
+		{"N is MaxUint64", 2, math.MaxUint64, 1},
+		{"N one past the cap", 2, shamir.MaxShares + 1, 1},
+	} {
+		if s, err := LoadScheme(blob(c.k, c.n, c.w)); err == nil {
+			t.Errorf("%s: K=%d N=%d W=%d loaded as %s", c.name, c.k, c.n, c.w, s.Name())
+		}
+	}
+	if _, err := LoadScheme(blob(2, shamir.MaxShares, 1)); err != nil {
+		t.Fatalf("N at the cap refused: %v", err)
 	}
 }
 

@@ -1,15 +1,15 @@
-// Package shamir implements packed Shamir secret sharing over the
-// 64-bit Mersenne prime field GF(2^61−1) — the raw-speed ceiling for
-// the oblivious counter hot path (ROADMAP: "constant-time share adds
+// Package shamir implements Shamir secret sharing over the 64-bit
+// Mersenne prime field GF(2^61−1) — the raw-speed ceiling for the
+// oblivious counter hot path (ROADMAP: "constant-time share adds
 // instead of modular exponentiation").
 //
-// A secret (or, packed, a short vector of w secrets) is hidden in a
-// random polynomial and dealt as n field-element shares, one per
-// member of a share-holding committee. Share addition is componentwise
-// field addition — a handful of uint64 adds instead of a 2048-bit
-// modular multiplication — and any t = K−1 shares are statistically
-// independent of the secrets (information-theoretic hiding), while any
-// T = K+W−1 shares reconstruct exactly. That k-of-n threshold is
+// A secret is hidden in a random polynomial and dealt as n
+// field-element shares, one per member of a share-holding committee.
+// Share addition is componentwise field addition — a handful of uint64
+// adds instead of a 2048-bit modular multiplication — and any K−1
+// shares are statistically independent of the secret
+// (information-theoretic hiding), while any K shares reconstruct
+// exactly. That k-of-n threshold is
 // matched to the protocol's k-gate by the homo.Scheme adapter in
 // scheme.go; this file is the field kernel: branch-light scalar
 // arithmetic and flat []uint64 batch loops the compiler can keep in

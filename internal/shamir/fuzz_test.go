@@ -77,14 +77,15 @@ func unpack(c *homo.Ciphertext, n int) []uint64 {
 // FuzzLimbKernel holds the in-place limb kernel to the flat []uint64
 // reference kernels: on arbitrary share vectors (not only ones a
 // dealing can produce) Add/Sub/ScalarMul/Decrypt must equal
-// AddSlices/SubSlices/ScaleSlice/ReconstructSlot on the extracted
-// shares, LinCombInto must equal their composition (coefficients 0, ±1,
+// AddSlices/SubSlices/ScaleSlice/Reconstruct on the extracted shares,
+// LinCombInto must equal their composition (coefficients 0, ±1,
 // MinInt64, MaxInt64 and m; nil coefficients; no terms; a destination
-// that is also an operand), Rerandomize must preserve every packed
-// slot, no op may touch its operands, and Adopt must draw the field
-// boundary exactly. Shares
-// come from data eight bytes at a time (mod P, zero-padded), first a
-// then b; the seeds pin the edge limbs and scalars at both widths.
+// that is also an operand), Rerandomize must preserve the plaintext, no
+// op may touch its operands, and Adopt must draw the field boundary
+// exactly. Shares come from data eight bytes at a time (mod P,
+// zero-padded), first a then b; the seeds pin the edge limbs and
+// scalars on a 3-of-7 committee (the benchmark's) and on a 3-of-20 one,
+// whose shares LinCombInto folds in two runs.
 func FuzzLimbKernel(f *testing.F) {
 	type rig struct {
 		p   shamir.Params
@@ -92,32 +93,32 @@ func FuzzLimbKernel(f *testing.F) {
 		geo *shamir.Geometry
 	}
 	rigs := map[bool]rig{}
-	for packed, p := range map[bool]shamir.Params{false: {K: 3, N: 7, W: 1}, true: {K: 2, N: 5, W: 2}} {
+	for wide, p := range map[bool]shamir.Params{false: {K: 3, N: 7, W: 1}, true: {K: 3, N: 20, W: 1}} {
 		geo, err := shamir.NewGeometry(p)
 		if err != nil {
 			f.Fatal(err)
 		}
-		rigs[packed] = rig{p, shamir.MustNew(p), geo}
+		rigs[wide] = rig{p, shamir.MustNew(p), geo}
 	}
 	limbs := func(vs ...uint64) []byte {
 		var out []byte
-		for i := 0; i < 14; i++ {
+		for i := 0; i < 40; i++ {
 			out = binary.LittleEndian.AppendUint64(out, vs[i%len(vs)])
 		}
 		return out
 	}
-	for _, packed := range []bool{false, true} {
+	for _, wide := range []bool{false, true} {
 		for _, m := range []int64{0, 1, -1, math.MinInt64, math.MaxInt64, 1 << 61, -(1<<61 - 1)} {
-			f.Add(limbs(0), m, packed)
-			f.Add(limbs(1), m, packed)
-			f.Add(limbs(shamir.P-1), m, packed)
-			f.Add(limbs(0, shamir.P-1, 1, 0x0123456789abcdef), m, packed)
+			f.Add(limbs(0), m, wide)
+			f.Add(limbs(1), m, wide)
+			f.Add(limbs(shamir.P-1), m, wide)
+			f.Add(limbs(0, shamir.P-1, 1, 0x0123456789abcdef), m, wide)
 		}
 	}
 	f.Add([]byte("an odd-length tail is zero-padded"), int64(-7), false)
 
-	f.Fuzz(func(t *testing.T, data []byte, m int64, packed bool) {
-		p, s, geo := rigs[packed].p, rigs[packed].s, rigs[packed].geo
+	f.Fuzz(func(t *testing.T, data []byte, m int64, wide bool) {
+		p, s, geo := rigs[wide].p, rigs[wide].s, rigs[wide].geo
 		a, b := make([]uint64, p.N), make([]uint64, p.N)
 		for i := range data {
 			if sh := i / 8; sh < 2*p.N {
@@ -185,15 +186,15 @@ func FuzzLimbKernel(f *testing.F) {
 		same("LinCombInto without coefficients", s.LinCombInto(nil, nil, []*homo.Ciphertext{ca, cb, ca}), comb(nil, a, b, a))
 		same("LinCombInto of no terms", s.LinCombInto(nil, nil, nil), make([]uint64, p.N))
 
-		plain := new(big.Int).SetUint64(geo.ReconstructSlot(a, 0))
+		plain := new(big.Int).SetUint64(geo.Reconstruct(a))
 		if got := s.Decrypt(ca); got.Cmp(plain) != 0 {
-			t.Fatalf("Decrypt = %s, ReconstructSlot = %s", got, plain)
+			t.Fatalf("Decrypt = %s, Reconstruct = %s", got, plain)
 		}
 		if got, want := s.DecryptSigned(ca), homo.DecodeSigned(plain, s.PlaintextSpace()); got.Cmp(want) != 0 {
 			t.Fatalf("DecryptSigned = %s, want %s", got, want)
 		}
-		if got := geo.Reconstruct(unpack(s.Rerandomize(ca), p.N)); !slices.Equal(got, geo.Reconstruct(a)) {
-			t.Fatalf("Rerandomize moved the packed slots to %x from %x", got, geo.Reconstruct(a))
+		if got := geo.Reconstruct(unpack(s.Rerandomize(ca), p.N)); got != geo.Reconstruct(a) {
+			t.Fatalf("Rerandomize moved the plaintext to %x from %x", got, geo.Reconstruct(a))
 		}
 		same("Rerandomize", ca, a)
 

@@ -13,7 +13,7 @@ import (
 	"secmr/internal/homo"
 )
 
-// Scheme adapts packed Shamir sharing to the homo.Scheme interface, so
+// Scheme adapts Shamir sharing to the homo.Scheme interface, so
 // oblivious counters, the core broker/accountant/controller, the 0x9C
 // wire codec and the persist snapshots all run over share vectors
 // without change. A "ciphertext" is the full N-share vector of one
@@ -86,15 +86,10 @@ func (s *Scheme) Params() Params { return s.geo.Params() }
 // FieldPrime returns the share-field modulus (2^61 − 1).
 func (s *Scheme) FieldPrime() uint64 { return P }
 
-// Name identifies the scheme: shamir61-2of6, with a -wW suffix when
-// the packing width exceeds 1.
+// Name identifies the scheme: shamir61-2of6.
 func (s *Scheme) Name() string {
 	p := s.geo.Params()
-	name := "shamir61-" + strconv.Itoa(p.K) + "of" + strconv.Itoa(p.N)
-	if p.W > 1 {
-		name += "-w" + strconv.Itoa(p.W)
-	}
-	return name
+	return "shamir61-" + strconv.Itoa(p.K) + "of" + strconv.Itoa(p.N)
 }
 
 var pBig = new(big.Int).SetUint64(P)
@@ -127,16 +122,6 @@ func drawResidue(rng *mrand.ChaCha8) uint64 {
 			return v
 		}
 	}
-}
-
-// drawAux fills buf with uniform residues from one pooled generator;
-// callers pre-size buf so a whole batch is one pool round-trip.
-func (s *Scheme) drawAux(buf []uint64) {
-	rng := auxStreams.Get().(*mrand.ChaCha8)
-	for i := range buf {
-		buf[i] = drawResidue(rng)
-	}
-	auxStreams.Put(rng)
 }
 
 // --- ciphertext packing -------------------------------------------------
@@ -235,17 +220,16 @@ func (s *Scheme) blank() (*homo.Ciphertext, []big.Word) {
 	return c, ws
 }
 
-// deal returns a fresh sharing of v (packed slot 0; the other slots
-// stay 0) added sharewise to base, or on its own when base is nil. aux
-// holds the dealing's K−1 uniform residues; nil draws each one from a
-// pooled stream when it is consumed. The sharing is written into dst's
-// limbs, or into a new ciphertext when dst is nil; base must not be
-// dst's.
+// deal returns a fresh sharing of v added sharewise to base, or on its
+// own when base is nil. aux holds the dealing's K−1 uniform residues;
+// nil draws each one from a pooled stream when it is consumed. The
+// sharing is written into dst's limbs, or into a new ciphertext when
+// dst is nil; base must not be dst's.
 //
-// Dealing is coefficient-major: each pass folds one more defining
-// value into all N shares, accumulating in the destination limbs, so
+// Dealing is coefficient-major: each pass folds one more coefficient
+// into all N shares, accumulating in the destination limbs, so
 // the N evaluations are independent chains rather than N serial
-// Horner runs, and no buffer of defining values is needed at any K.
+// Horner runs, and no buffer of coefficients is needed at any K.
 func (s *Scheme) deal(dst *homo.Ciphertext, v uint64, aux []uint64, base []big.Word) *homo.Ciphertext {
 	p := s.geo.p
 	if aux != nil && len(aux) != p.K-1 {
@@ -267,36 +251,22 @@ func (s *Scheme) deal(dst *homo.Ciphertext, v uint64, aux []uint64, base []big.W
 		}
 		return aux[a]
 	}
-	if rows := s.geo.deal; rows != nil {
-		// Packed: share i = Σ_j deal[i][j]·vals[j] over the defining
-		// values vals = v ‖ 0 … ‖ aux.
-		for i, row := range rows {
-			setShare(ws, i, fieldMul(row[0], v))
-		}
-		for a := 0; a < p.K-1; a++ {
-			r := next(a)
-			for i, row := range rows {
-				setShare(ws, i, fieldAdd(share(ws, i), fieldMul(row[p.W+a], r)))
-			}
-		}
-	} else {
-		// Unpacked: f(x) = v + Σ_a aux[a]·x^(a+1) at x = 1 … N by
-		// Horner's rule, top coefficient first.
-		top := v
-		if p.K > 1 {
-			top = next(p.K - 2)
+	// f(x) = v + Σ_a aux[a]·x^(a+1) at x = 1 … N by Horner's rule, top
+	// coefficient first.
+	top := v
+	if p.K > 1 {
+		top = next(p.K - 2)
+	}
+	for i := 0; i < p.N; i++ {
+		setShare(ws, i, top)
+	}
+	for a := p.K - 3; a >= -1; a-- {
+		c := v
+		if a >= 0 {
+			c = next(a)
 		}
 		for i := 0; i < p.N; i++ {
-			setShare(ws, i, top)
-		}
-		for a := p.K - 3; a >= -1; a-- {
-			c := v
-			if a >= 0 {
-				c = next(a)
-			}
-			for i := 0; i < p.N; i++ {
-				setShare(ws, i, fieldAdd(fieldMul(share(ws, i), uint64(i+1)), c))
-			}
+			setShare(ws, i, fieldAdd(fieldMul(share(ws, i), uint64(i+1)), c))
 		}
 	}
 	if rng != nil {
@@ -310,11 +280,11 @@ func (s *Scheme) deal(dst *homo.Ciphertext, v uint64, aux []uint64, base []big.W
 	return dst
 }
 
-// open reconstructs slot 0 from the first T shares — a single
+// open reconstructs the plaintext from the first K shares — a single
 // precomputed-Lagrange dot product over the limbs.
 func (s *Scheme) open(c *homo.Ciphertext) uint64 {
 	ws, acc := s.limbs(c), uint64(0)
-	for i, w := range s.geo.rec[0] {
+	for i, w := range s.geo.rec {
 		acc = fieldAdd(acc, fieldMul(w, share(ws, i)))
 	}
 	return acc
@@ -481,8 +451,8 @@ func (s *Scheme) linCombTail(wd []big.Word, coeffs []int64, xs []*homo.Ciphertex
 	}
 }
 
-// Rerandomize adds a fresh sharing of zero: the plaintext (every
-// packed slot) is preserved while every share changes uniformly, so
+// Rerandomize adds a fresh sharing of zero: the plaintext is preserved
+// while every share changes uniformly, so
 // the recipient cannot tell whether the underlying counter moved.
 func (s *Scheme) Rerandomize(a *homo.Ciphertext) *homo.Ciphertext {
 	return s.deal(nil, 0, nil, s.limbs(a))
@@ -496,71 +466,22 @@ func (s *Scheme) RerandomizeInto(dst, a *homo.Ciphertext) *homo.Ciphertext {
 
 // --- batch capability ---------------------------------------------------
 
-// The batch interfaces are implemented with plain loops over the
-// single-op kernel, NOT the homo worker pool: a share add costs a few
-// nanoseconds, three orders of magnitude below the pool's dispatch
-// overhead, so the serial loop IS the fast path (Paillier's cheap
-// AddVec/ScalarVec are plain loops for the same reason).
-
-// AddVec returns the elementwise homomorphic sum.
-func (s *Scheme) AddVec(a, b []*homo.Ciphertext) []*homo.Ciphertext {
-	if len(a) != len(b) {
-		panic("shamir: AddVec length mismatch")
-	}
-	out := make([]*homo.Ciphertext, len(a))
-	for i := range a {
-		out[i] = s.Add(a[i], b[i])
-	}
-	return out
-}
-
-// ScalarVec returns elementwise ms[i] ∗ xs[i].
-func (s *Scheme) ScalarVec(ms []int64, xs []*homo.Ciphertext) []*homo.Ciphertext {
-	if len(ms) != len(xs) {
-		panic("shamir: ScalarVec length mismatch")
-	}
-	out := make([]*homo.Ciphertext, len(xs))
-	for i := range xs {
-		out[i] = s.ScalarMul(ms[i], xs[i])
-	}
-	return out
-}
-
-// dealVec deals a fresh sharing of every vs[i] — onto bases[i] when
-// bases is non-nil — drawing the whole batch's aux randomness in one
-// draw.
-func (s *Scheme) dealVec(vs []uint64, bases []*homo.Ciphertext) []*homo.Ciphertext {
-	k1 := s.geo.p.K - 1
-	aux := make([]uint64, len(vs)*k1)
-	s.drawAux(aux)
-	out := make([]*homo.Ciphertext, len(vs))
-	for i, v := range vs {
-		var base []big.Word
-		if bases != nil {
-			base = s.limbs(bases[i])
-		}
-		out[i] = s.deal(nil, v, aux[i*k1:(i+1)*k1], base)
-	}
-	return out
-}
-
-// RerandomizeVec refreshes every ciphertext.
-func (s *Scheme) RerandomizeVec(xs []*homo.Ciphertext) []*homo.Ciphertext {
-	return s.dealVec(make([]uint64, len(xs)), xs)
-}
-
-// EncryptVec deals every plaintext.
-func (s *Scheme) EncryptVec(ms []*big.Int) []*homo.Ciphertext {
-	vs := make([]uint64, len(ms))
-	for i, m := range ms {
-		vs[i] = homo.EncodeMod(m, pBig).Uint64()
-	}
-	return s.dealVec(vs, nil)
-}
-
-// EncryptZeroVec returns n fresh sharings of zero.
+// EncryptZeroVec returns n fresh sharings of zero (homo.BatchPublic),
+// drawing the whole batch's aux randomness in one pass over one pooled
+// stream.
 func (s *Scheme) EncryptZeroVec(n int) []*homo.Ciphertext {
-	return s.dealVec(make([]uint64, n), nil)
+	k1 := s.geo.p.K - 1
+	aux := make([]uint64, n*k1)
+	rng := auxStreams.Get().(*mrand.ChaCha8)
+	for i := range aux {
+		aux[i] = drawResidue(rng)
+	}
+	auxStreams.Put(rng)
+	out := make([]*homo.Ciphertext, n)
+	for i := range out {
+		out[i] = s.deal(nil, 0, aux[i*k1:(i+1)*k1], nil)
+	}
+	return out
 }
 
 // --- adoption and wire --------------------------------------------------

@@ -103,53 +103,30 @@ func TestRerandomizeFreshensShares(t *testing.T) {
 	}
 }
 
+// TestBatchOpsMatchSerial: EncryptZeroVec, the scheme's one batch op,
+// deals n independent sharings of zero from its single aux draw, each
+// one a zero to the arithmetic as EncryptZero's is.
 func TestBatchOpsMatchSerial(t *testing.T) {
 	s := newScheme(t, shamir.Params{K: 2, N: 6, W: 1})
-	rng := rand.New(rand.NewPCG(23, 24))
 	const n = 33
-	ms := make([]*big.Int, n)
-	scalars := make([]int64, n)
-	for i := range ms {
-		ms[i] = big.NewInt(rng.Int64N(1 << 32))
-		scalars[i] = rng.Int64N(201) - 100
-	}
-	xs := s.EncryptVec(ms)
 	ys := s.EncryptZeroVec(n)
-	if len(xs) != n || len(ys) != n {
-		t.Fatal("vec length mismatch")
+	if len(ys) != n {
+		t.Fatalf("EncryptZeroVec(%d) returned %d ciphertexts", n, len(ys))
 	}
+	x := s.EncryptInt(-4242)
+	seen := map[string]bool{}
 	for i, y := range ys {
 		if s.Decrypt(y).Sign() != 0 {
 			t.Fatalf("EncryptZeroVec[%d] nonzero", i)
 		}
-	}
-	for i, c := range s.AddVec(xs, ys) {
-		if got := s.Decrypt(c); got.Cmp(ms[i]) != 0 {
-			t.Fatalf("AddVec[%d] = %s, want %s", i, got, ms[i])
+		if got := s.DecryptSigned(s.Add(x, y)).Int64(); got != -4242 {
+			t.Fatalf("EncryptZeroVec[%d] added to E(-4242) opens to %d", i, got)
 		}
-	}
-	for i, c := range s.ScalarVec(scalars, xs) {
-		want := new(big.Int).Mul(ms[i], big.NewInt(scalars[i]))
-		if got := s.DecryptSigned(c); got.Cmp(want) != 0 {
-			t.Fatalf("ScalarVec[%d] = %s, want %s", i, got, want)
+		if v := y.V.Text(16); seen[v] {
+			t.Fatalf("EncryptZeroVec[%d] repeats a share vector", i)
+		} else {
+			seen[v] = true
 		}
-	}
-	for i, c := range s.RerandomizeVec(xs) {
-		if got := s.Decrypt(c); got.Cmp(ms[i]) != 0 {
-			t.Fatalf("RerandomizeVec[%d] = %s, want %s", i, got, ms[i])
-		}
-		if c.V.Cmp(xs[i].V) == 0 {
-			t.Fatalf("RerandomizeVec[%d] left shares unchanged", i)
-		}
-	}
-}
-
-func TestPackedWidthScheme(t *testing.T) {
-	// W > 1 geometries still behave as a scalar scheme on slot 0.
-	s := newScheme(t, shamir.Params{K: 2, N: 8, W: 3})
-	c := s.Add(s.EncryptInt(100), s.EncryptInt(-58))
-	if got := s.DecryptSigned(c).Int64(); got != 42 {
-		t.Fatalf("packed scheme decrypted %d, want 42", got)
 	}
 }
 
@@ -239,9 +216,6 @@ func TestCrossInstanceMixupPanics(t *testing.T) {
 func TestSchemeName(t *testing.T) {
 	if got := newScheme(t, shamir.Params{K: 2, N: 6, W: 1}).Name(); got != "shamir61-2of6" {
 		t.Fatalf("Name = %q", got)
-	}
-	if got := newScheme(t, shamir.Params{K: 2, N: 8, W: 3}).Name(); got != "shamir61-2of8-w3" {
-		t.Fatalf("packed Name = %q", got)
 	}
 }
 
@@ -393,17 +367,14 @@ func freshResults(t *testing.T, s *shamir.Scheme) []*homo.Ciphertext {
 		s.Add(a, b), s.Sub(a, b), s.ScalarMul(-77, a), s.Rerandomize(a),
 		s.EncryptZero(), s.Encrypt(new(big.Int).Lsh(big.NewInt(1), 70)),
 		s.LinCombInto(nil, []int64{3, -1}, []*homo.Ciphertext{a, b}), s.RerandomizeInto(nil, b)}
-	out = append(out, s.EncryptZeroVec(3)...)
-	return append(out, s.RerandomizeVec([]*homo.Ciphertext{a, b})...)
+	return append(out, s.EncryptZeroVec(3)...)
 }
 
 // cellGeometries covers every cell size on 64-bit words (8, 16 and
-// 32 limbs), the two-object fallback past the largest, and a packed
-// geometry.
+// 32 limbs) and the two-object fallback past the largest.
 var cellGeometries = []shamir.Params{
 	{K: 3, N: 7, W: 1}, {K: 2, N: 6, W: 1}, {K: 4, N: 8, W: 1}, {K: 8, N: 12, W: 1},
 	{K: 16, N: 20, W: 1}, {K: 20, N: 24, W: 1}, {K: 30, N: 31, W: 1}, {K: 3, N: 40, W: 1},
-	{K: 2, N: 8, W: 3},
 }
 
 // TestFreshLimbsCappedAtLength: a fresh ciphertext's limb slice has no
@@ -461,7 +432,6 @@ func TestAdoptsParentWireVectors(t *testing.T) {
 	}{
 		{shamir.Params{K: 3, N: 7, W: 1}, 123456789, "39011cc9a864e9143745101cb2c20034e1861b9fca07729735961f52ee35403b33761b361f4b6920db260f495d49ed482ca61b8ca830ccb127f5"},
 		{shamir.Params{K: 2, N: 6, W: 1}, -42, "31010385f60162a3494512efa2567cdd67b202594eab9717862011c2fb00b151a48d012ca755cb8bc2fb109653aae5c5e168"},
-		{shamir.Params{K: 2, N: 8, W: 3}, 1<<60 - 1, "4101034f827d402f575910b7a82479babd220b251ac2fbd1d36a16f730b9dd632420188d406a355d39351446a0351aae9c990e82a67ba445d83c0ba0a99ee911760e"},
 	} {
 		s := newScheme(t, v.p)
 		wire, err := hex.DecodeString(v.wire)

@@ -13,8 +13,19 @@ func randResidues(rng *rand.Rand, n int) []uint64 {
 	return out
 }
 
+// dealRef is the reference dealing: the shares f(1) … f(N) of
+// f(x) = secret + Σ_a aux[a]·x^(a+1), each by hornerEval.
+func dealRef(p Params, secret uint64, aux []uint64) []uint64 {
+	coeffs := append([]uint64{secret}, aux...)
+	out := make([]uint64, p.N)
+	for i := range out {
+		out[i] = hornerEval(coeffs, uint64(i+1))
+	}
+	return out
+}
+
 func TestParamsValidate(t *testing.T) {
-	good := []Params{{K: 1, N: 1, W: 1}, {K: 2, N: 6, W: 1}, {K: 3, N: 8, W: 4}, {K: 2, N: maxShares, W: 1}}
+	good := []Params{{K: 1, N: 1, W: 1}, {K: 2, N: 6, W: 1}, {K: 3, N: 8, W: 1}, {K: 2, N: MaxShares, W: 1}}
 	for _, p := range good {
 		if _, err := NewGeometry(p); err != nil {
 			t.Fatalf("NewGeometry(%+v): %v", p, err)
@@ -23,9 +34,9 @@ func TestParamsValidate(t *testing.T) {
 	bad := []Params{
 		{K: 0, N: 3, W: 1},
 		{K: 2, N: 3, W: 0},
-		{K: 3, N: 2, W: 1},             // N < T
-		{K: 2, N: 3, W: 3},             // N < K+W-1
-		{K: 2, N: maxShares + 1, W: 1}, // committee cap
+		{K: 2, N: 8, W: 3},             // one secret per polynomial
+		{K: 3, N: 2, W: 1},             // N < K
+		{K: 2, N: MaxShares + 1, W: 1}, // committee cap
 	}
 	for _, p := range bad {
 		if _, err := NewGeometry(p); err == nil {
@@ -40,26 +51,16 @@ func TestDealReconstructRoundTrip(t *testing.T) {
 		{K: 1, N: 1, W: 1},
 		{K: 2, N: 3, W: 1},
 		{K: 3, N: 7, W: 1},
-		{K: 2, N: 5, W: 2},
-		{K: 3, N: 10, W: 4},
-		{K: 5, N: 16, W: 3},
 	} {
 		g, err := NewGeometry(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 20; trial++ {
-			secrets := randResidues(rng, p.W)
-			aux := randResidues(rng, p.K-1)
-			shares := g.Deal(secrets, aux)
-			got := g.Reconstruct(shares)
-			for j := range secrets {
-				if got[j] != secrets[j] {
-					t.Fatalf("%+v trial %d: slot %d reconstructed %d, want %d", p, trial, j, got[j], secrets[j])
-				}
-				if s := g.ReconstructSlot(shares, j); s != secrets[j] {
-					t.Fatalf("%+v: ReconstructSlot(%d) = %d, want %d", p, j, s, secrets[j])
-				}
+			secret := rng.Uint64N(P)
+			shares := dealRef(p, secret, randResidues(rng, p.K-1))
+			if got := g.Reconstruct(shares); got != secret {
+				t.Fatalf("%+v trial %d: reconstructed %d, want %d", p, trial, got, secret)
 			}
 		}
 	}
@@ -69,57 +70,49 @@ func TestDealReconstructRoundTrip(t *testing.T) {
 // rests on: sharewise sums reconstruct to plaintext sums.
 func TestDealLinearity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 10))
-	p := Params{K: 3, N: 9, W: 2}
+	p := Params{K: 3, N: 9, W: 1}
 	g, err := NewGeometry(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, s2 := randResidues(rng, p.W), randResidues(rng, p.W)
-	sh1 := g.Deal(s1, randResidues(rng, p.K-1))
-	sh2 := g.Deal(s2, randResidues(rng, p.K-1))
+	s1, s2 := rng.Uint64N(P), rng.Uint64N(P)
+	sh1 := dealRef(p, s1, randResidues(rng, p.K-1))
+	sh2 := dealRef(p, s2, randResidues(rng, p.K-1))
 	sum := make([]uint64, p.N)
 	AddSlices(sum, sh1, sh2)
-	got := g.Reconstruct(sum)
-	for j := range got {
-		if want := fieldAdd(s1[j], s2[j]); got[j] != want {
-			t.Fatalf("slot %d: sum reconstructed %d, want %d", j, got[j], want)
-		}
+	if got, want := g.Reconstruct(sum), fieldAdd(s1, s2); got != want {
+		t.Fatalf("sum reconstructed %d, want %d", got, want)
 	}
 }
 
 // TestSubThresholdHiding is the constructive perfect-hiding witness:
-// for ANY two secret vectors s1 ≠ s2 and any K−1 observed shares of
-// s1, there exists a valid dealing of s2 that agrees exactly on those
-// shares. An adversary holding K−1 shares therefore cannot distinguish
-// any two secrets — the k-TTP property, information-theoretically.
+// for ANY two secrets s1 ≠ s2 and any K−1 observed shares of s1, there
+// exists a valid dealing of s2 that agrees exactly on those shares. An
+// adversary holding K−1 shares therefore cannot distinguish any two
+// secrets — the k-TTP property, information-theoretically.
 func TestSubThresholdHiding(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
-	for _, p := range []Params{{K: 2, N: 4, W: 1}, {K: 3, N: 8, W: 2}, {K: 4, N: 12, W: 3}} {
+	for _, p := range []Params{{K: 2, N: 4, W: 1}, {K: 3, N: 8, W: 1}, {K: 4, N: 12, W: 1}} {
 		g, err := NewGeometry(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s1 := randResidues(rng, p.W)
-		s2 := randResidues(rng, p.W)
-		sh1 := g.Deal(s1, randResidues(rng, p.K-1))
+		s1, s2 := rng.Uint64N(P), rng.Uint64N(P)
+		sh1 := dealRef(p, s1, randResidues(rng, p.K-1))
 
 		// The adversary sees shares at points 1 … K−1.
 		observed := sh1[:p.K-1]
 
-		// Constructive witness: a degree-(T−1) polynomial is pinned by
-		// T = K+W−1 point values. Pin it to s2 at the W secret points
-		// and to the observed shares at points 1…K−1, then check it is
-		// a consistent dealing of s2 agreeing with the adversary's view.
-		T := p.Threshold()
-		xs := make([]uint64, T)
-		ys := make([]uint64, T)
-		for j := 0; j < p.W; j++ {
-			xs[j] = secretPoint(j)
-			ys[j] = s2[j]
-		}
+		// Constructive witness: a degree-(K−1) polynomial is pinned by
+		// K point values. Pin it to s2 at x = 0 and to the observed
+		// shares at points 1…K−1, then check it is a consistent dealing
+		// of s2 agreeing with the adversary's view.
+		xs := make([]uint64, p.K)
+		ys := make([]uint64, p.K)
+		ys[0] = s2
 		for i := 0; i < p.K-1; i++ {
-			xs[p.W+i] = uint64(i + 1)
-			ys[p.W+i] = observed[i]
+			xs[1+i] = uint64(i + 1)
+			ys[1+i] = observed[i]
 		}
 		evalAt := func(y uint64) uint64 {
 			return Dot(lagrangeVector(xs, y), ys)
@@ -135,11 +128,8 @@ func TestSubThresholdHiding(t *testing.T) {
 		for i := range witness {
 			witness[i] = evalAt(uint64(i + 1))
 		}
-		got := g.Reconstruct(witness)
-		for j := range got {
-			if got[j] != s2[j] {
-				t.Fatalf("%+v: witness reconstructs slot %d to %d, want s2=%d", p, j, got[j], s2[j])
-			}
+		if got := g.Reconstruct(witness); got != s2 {
+			t.Fatalf("%+v: witness reconstructs to %d, want s2=%d", p, got, s2)
 		}
 	}
 }
@@ -149,15 +139,10 @@ func TestSubThresholdHiding(t *testing.T) {
 // the hiding margin, so identical share vectors for a fixed plaintext
 // would be a catastrophic RNG failure.
 func TestAuxRandomizesShares(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 14))
 	p := Params{K: 3, N: 6, W: 1}
-	g, err := NewGeometry(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	secret := []uint64{12345}
-	a := g.Deal(secret, randResidues(rng, p.K-1))
-	b := g.Deal(secret, randResidues(rng, p.K-1))
+	s := MustNew(p)
+	a := sharesOf(s, s.EncryptInt(12345))
+	b := sharesOf(s, s.EncryptInt(12345))
 	same := 0
 	for i := range a {
 		if a[i] == b[i] {

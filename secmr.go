@@ -172,7 +172,7 @@ const (
 	CryptoPlain Crypto = "plain"
 	// CryptoPaillier is the Paillier cryptosystem the paper uses.
 	CryptoPaillier Crypto = "paillier"
-	// CryptoShamir is packed Shamir secret sharing over GF(2^61−1):
+	// CryptoShamir is Shamir secret sharing over GF(2^61−1):
 	// counters are share vectors, homomorphic adds are componentwise
 	// field additions (≈1000× cheaper than Paillier), and privacy is
 	// information-theoretic — any coalition below the grid's k
@@ -291,8 +291,8 @@ type GridConfig struct {
 	// counters (AlgorithmSecure only): CryptoPlain (default) is the
 	// transparent stand-in — convergence figures are measured in
 	// protocol steps, which are scheme independent; CryptoPaillier is
-	// the paper's cryptosystem; CryptoShamir is packed Shamir secret
-	// sharing — the constant-time raw-speed backend with
+	// the paper's cryptosystem; CryptoShamir is Shamir secret sharing
+	// — the constant-time raw-speed backend with
 	// information-theoretic sub-k hiding.
 	Crypto Crypto
 	// PaillierBits sizes the Paillier modulus (default 1024).
