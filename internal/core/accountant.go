@@ -5,7 +5,6 @@ import (
 
 	"secmr/internal/arm"
 	"secmr/internal/homo"
-	"secmr/internal/intern"
 	"secmr/internal/oblivious"
 )
 
@@ -36,13 +35,11 @@ type Accountant struct {
 	slotOf    map[int]int // neighbor id -> slot (≥1)
 	neighbors []int
 
-	// per-rule scan state, in registration order (which is also the
-	// broker's candidate creation order); scanIdx maps a rule's interned
-	// symbol to its index. Dense slices instead of string-keyed maps:
-	// at mega-grid scale the per-tick walk is a linear slice scan and
-	// rule keys are stored once process-wide (internal/intern).
-	scans   []*scanState
-	scanIdx map[intern.Sym]int32
+	// per-rule scan state, in registration order: scans[i] is the
+	// broker's candidate i (its table position). A dense slice instead
+	// of a string-keyed map: at mega-grid scale the per-tick walk is a
+	// linear slice scan.
+	scans []*scanState
 
 	// t is the Algorithm 2 reply counter (the accountant's logical
 	// clock for the ⊥ timestamp slot).
@@ -63,7 +60,6 @@ type Accountant struct {
 // accountant's reply bookkeeping for it.
 type scanState struct {
 	arm.Tally
-	sym intern.Sym
 	// spare is the ⊥ counter the broker's last applied reply for this
 	// scan superseded (supersede), and the storage the next reply is
 	// dealt into. That counter is never published — messages carry
@@ -73,17 +69,11 @@ type scanState struct {
 	spare *oblivious.Counter
 }
 
-// newScanState starts a rule's scan at the top of the database.
-func newScanState(rule arm.Rule, sym intern.Sym) *scanState {
-	return &scanState{Tally: arm.NewTally(rule), sym: sym}
-}
-
 func newAccountant(id int, cfg Config, enc homo.Encryptor, pub homo.Public, local *arm.Database, feed Feed) *Accountant {
 	return &Accountant{
 		id: id, cfg: cfg, enc: enc, pub: pub,
 		db: local, feed: feed,
-		scanIdx: map[intern.Sym]int32{},
-		slotOf:  map[int]int{},
+		slotOf: map[int]int{},
 	}
 }
 
@@ -247,13 +237,9 @@ func (a *Accountant) placeholder(share int64) *oblivious.Counter {
 // must come from a key holder).
 func (a *Accountant) encryptedOne() *homo.Ciphertext { return a.enc.EncryptInt(1) }
 
-// register starts counting support for a candidate rule.
-func (a *Accountant) register(rule arm.Rule, sym intern.Sym) {
-	if _, ok := a.scanIdx[sym]; ok {
-		return
-	}
-	a.scanIdx[sym] = int32(len(a.scans))
-	a.scans = append(a.scans, newScanState(rule, sym))
+// register starts counting support for the broker's next candidate.
+func (a *Accountant) register(rule arm.Rule) {
+	a.scans = append(a.scans, &scanState{Tally: arm.NewTally(rule)})
 	a.replies = append(a.replies, nil)
 }
 

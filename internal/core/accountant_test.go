@@ -5,7 +5,6 @@ import (
 
 	"secmr/internal/arm"
 	"secmr/internal/homo"
-	"secmr/internal/intern"
 	"secmr/internal/oblivious"
 )
 
@@ -15,11 +14,12 @@ func replyFor(a *Accountant, replies []*oblivious.Counter, rule arm.Rule) *obliv
 	if replies == nil {
 		return nil
 	}
-	i, ok := a.scanIdx[intern.S(rule.Key())]
-	if !ok || int(i) >= len(replies) {
-		return nil
+	for i, s := range a.scans {
+		if s.Rule.Key() == rule.Key() && i < len(replies) {
+			return replies[i]
+		}
 	}
-	return replies[i]
+	return nil
 }
 
 func mkAccountant(db *arm.Database, budget int, neighbors []int) (*Accountant, homo.Scheme) {
@@ -40,7 +40,7 @@ func TestAccountantIncrementalCounting(t *testing.T) {
 	)
 	a, s := mkAccountant(db, 2, []int{7})
 	rule := arm.NewRule(arm.NewItemset(1), arm.NewItemset(2), arm.ThresholdConf)
-	a.register(rule, intern.S(rule.Key()))
+	a.register(rule)
 
 	// Budget 2: after one tick, two transactions scanned.
 	a.tick()
@@ -78,7 +78,7 @@ func TestAccountantReplyStructure(t *testing.T) {
 	db := arm.NewDatabase(arm.NewItemset(1))
 	a, s := mkAccountant(db, 10, []int{3, 9})
 	rule := arm.NewRule(nil, arm.NewItemset(1), arm.ThresholdFreq)
-	a.register(rule, intern.S(rule.Key()))
+	a.register(rule)
 	a.tick()
 	r := replyFor(a, a.drainReplies(), rule)
 	if len(r.Stamps) != 3 { // ⊥ + two neighbors
@@ -157,7 +157,7 @@ func TestAccountantFeedGrowth(t *testing.T) {
 	a := newAccountant(1, cfg, s, s, &arm.Database{}, NewSliceFeed(feed))
 	a.setup(nil)
 	rule := arm.NewRule(nil, arm.NewItemset(1), arm.ThresholdFreq)
-	a.register(rule, intern.S(rule.Key()))
+	a.register(rule)
 	a.tick()
 	if a.db.Len() != 3 {
 		t.Fatalf("db len %d after first tick", a.db.Len())

@@ -54,20 +54,12 @@ type secEdge struct {
 	lastSendStep   int64
 }
 
-// secCandidate is one rule's encrypted voting state. The rule key is
-// held once as an interned symbol plus the interned string (for traces
-// and adversary hooks); every lookup path uses the symbol.
+// secCandidate is one rule's encrypted voting state beside its entry
+// in the broker's candidate table (rule, interned key, λ, companion).
 type secCandidate struct {
-	rule             arm.Rule
-	sym              intern.Sym
-	key              string
-	lambdaN, lambdaD int64
-	local            *oblivious.Counter // the ⊥ counter (accountant replies)
-	edges            map[int]*secEdge
-	// companion is, for a confidence rule, the index of the frequency
-	// candidate of its union (−1 until it exists); the output filter
-	// reads that candidate's vote.
-	companion int32
+	*arm.Candidate
+	local *oblivious.Counter // the ⊥ counter (accountant replies)
+	edges map[int]*secEdge
 	// outDirty marks that some input ciphertext was replaced since the
 	// last Output() SFE; when clear, the controller's answer is
 	// necessarily its cache (totals unchanged), so the broker skips the
@@ -96,20 +88,13 @@ type Broker struct {
 
 	neighbors []int
 	links     map[int]*brokerEdge
-	// cands holds every candidate in creation order (the per-tick walk
-	// is a dense slice scan); candIdx maps a rule's interned symbol to
-	// its index. Creation order equals the accountant's scan
-	// registration order — addCandidate appends to both in lockstep.
-	cands   []*secCandidate
-	candIdx map[intern.Sym]int32
-	// waiting holds the confidence candidates whose companion does not
-	// exist yet, by the companion's symbol.
-	waiting map[intern.Sym][]*secCandidate
-	step    int64
-
-	// keyBuf is the scratch buffer ruleSym encodes rule keys into; the
-	// interner copies on first sight, so lookups never allocate.
-	keyBuf []byte
+	// table is the candidate lattice; cands[i] is the encrypted state of
+	// its candidate i (the per-tick walk is a dense slice scan). Table
+	// order equals the accountant's scan registration order — grow
+	// extends both in lockstep.
+	table *arm.Candidates
+	cands []*secCandidate
+	step  int64
 
 	// scratch and sfe are the broker's homo.LinCombInto destinations:
 	// the counter fullSum folds the neighbourhood into (honest path
@@ -175,8 +160,7 @@ func newBroker(id int, cfg Config, pub homo.Public, acc *Accountant, ctl *Contro
 		id: id, cfg: cfg, pub: pub, acc: acc, ctl: ctl, adv: adv,
 		recycle: adv == nil && !cfg.PaddingDance,
 		links:   map[int]*brokerEdge{},
-		candIdx: map[intern.Sym]int32{},
-		waiting: map[intern.Sym][]*secCandidate{},
+		table:   arm.NewCandidates(cfg.Th, cfg.MaxRuleItems),
 		history: map[intern.Sym]map[int][]*oblivious.Counter{},
 		rng:     rand.New(rand.NewSource(int64(id)*104729 + 7)),
 		// Disabled telemetry by default; NewResource swaps in the
@@ -189,18 +173,9 @@ func newBroker(id int, cfg Config, pub homo.Public, acc *Accountant, ctl *Contro
 	return b
 }
 
-// ruleSym interns a rule's canonical key without allocating on the
-// repeat path: the key is encoded into the broker's scratch buffer and
-// handed to the interner, which only copies it the first time that key
-// is seen process-wide.
-func (b *Broker) ruleSym(rule *arm.Rule) intern.Sym {
-	b.keyBuf = rule.AppendKey(b.keyBuf[:0])
-	return intern.SBytes(b.keyBuf)
-}
-
 // candAt returns the candidate for an interned rule key, or nil.
 func (b *Broker) candAt(sym intern.Sym) *secCandidate {
-	if i, ok := b.candIdx[sym]; ok {
+	if i, ok := b.table.Index(sym); ok {
 		return b.cands[i]
 	}
 	return nil
@@ -226,9 +201,8 @@ func (b *Broker) init(neighbors []int) {
 			b.links[v] = &brokerEdge{}
 		}
 	}
-	for _, i := range b.cfg.Universe {
-		b.addCandidate(arm.NewRule(nil, arm.Itemset{i}, arm.ThresholdFreq))
-	}
+	b.table.Seed(b.cfg.Universe)
+	b.grow()
 	b.inited = true
 	replay := b.preInit
 	b.preInit = nil
@@ -242,59 +216,29 @@ func (b *Broker) init(neighbors []int) {
 	}
 }
 
-// addCandidate registers a rule with the accountant and creates its
-// encrypted state, with placeholder inbound counters that keep the
-// share invariant valid before any real traffic (see
-// Accountant.placeholderFor). Returns nil when the size cap rejects
-// the rule.
-func (b *Broker) addCandidate(rule arm.Rule) *secCandidate {
-	sym := b.ruleSym(&rule)
-	if c := b.candAt(sym); c != nil {
-		return c
-	}
-	if b.cfg.MaxRuleItems > 0 && len(rule.LHS)+len(rule.RHS) > b.cfg.MaxRuleItems {
-		return nil
-	}
-	ln, ld := arm.Rational(b.cfg.Th.Lambda(rule.Kind))
-	c := &secCandidate{
-		rule: rule, sym: sym, key: intern.Str(sym), lambdaN: ln, lambdaD: ld,
-		local:    b.acc.localPlaceholder(),
-		edges:    map[int]*secEdge{},
-		outDirty: true,
-	}
-	for _, v := range b.neighbors {
-		c.edges[v] = &secEdge{
-			inbound:   b.acc.placeholderFor(v),
-			sentSum:   b.pub.EncryptZero(),
-			sentCount: b.pub.EncryptZero(),
+// grow creates the encrypted state of the candidates the table gained
+// since the last call, registering each with the accountant in table
+// order, with placeholder inbound counters that keep the share
+// invariant valid before any real traffic (see
+// Accountant.placeholderFor).
+func (b *Broker) grow() {
+	for i := len(b.cands); i < b.table.Len(); i++ {
+		c := &secCandidate{
+			Candidate: b.table.At(i),
+			local:     b.acc.localPlaceholder(),
+			edges:     map[int]*secEdge{},
+			outDirty:  true,
 		}
-	}
-	b.appendCand(c)
-	b.acc.register(rule, sym)
-	b.stats.CandidatesSeen++
-	return c
-}
-
-// appendCand adds c to the candidate table and links it to its
-// companion, or every waiting confidence candidate to it.
-func (b *Broker) appendCand(c *secCandidate) {
-	i := int32(len(b.cands))
-	b.candIdx[c.sym] = i
-	b.cands = append(b.cands, c)
-	c.companion = -1
-	if c.rule.Kind == arm.ThresholdConf {
-		comp := arm.NewRule(nil, c.rule.Union(), arm.ThresholdFreq)
-		sym := b.ruleSym(&comp)
-		if j, ok := b.candIdx[sym]; ok {
-			c.companion = j
-		} else {
-			b.waiting[sym] = append(b.waiting[sym], c)
+		for _, v := range b.neighbors {
+			c.edges[v] = &secEdge{
+				inbound:   b.acc.placeholderFor(v),
+				sentSum:   b.pub.EncryptZero(),
+				sentCount: b.pub.EncryptZero(),
+			}
 		}
-	} else if w, ok := b.waiting[c.sym]; ok {
-		for _, d := range w {
-			d.companion = i
-		}
-		delete(b.waiting, c.sym)
+		b.cands = append(b.cands, c)
+		b.acc.register(c.Rule)
+		b.stats.CandidatesSeen++
 	}
 }
 
@@ -326,14 +270,12 @@ func (b *Broker) onRuleMsg(from int, m RuleCipherMsg) {
 		}
 		return
 	}
-	c := b.candAt(b.ruleSym(&m.Rule))
-	if c == nil {
-		c = b.addCandidate(m.Rule)
-		if c == nil {
-			return // above the size cap
-		}
-		b.addCandidate(arm.NewRule(nil, m.Rule.Union(), arm.ThresholdFreq))
+	i, ok := b.table.Receive(m.Rule)
+	if !ok {
+		return // above the size cap
 	}
+	b.grow()
+	c := b.cands[i]
 	e, ok := c.edges[from]
 	if !ok {
 		return // not a tree neighbour; ignore
@@ -355,10 +297,10 @@ func (b *Broker) onRuleMsg(from int, m RuleCipherMsg) {
 		m.Counter.Stamps = append(m.Counter.Stamps, b.pub.EncryptZero())
 	}
 	if b.adv != nil {
-		h := b.history[c.sym]
+		h := b.history[c.Sym]
 		if h == nil {
 			h = map[int][]*oblivious.Counter{}
-			b.history[c.sym] = h
+			b.history[c.Sym] = h
 		}
 		h[from] = append(h[from], e.inbound)
 	}
@@ -384,19 +326,16 @@ func (b *Broker) onRuleMsg(from int, m RuleCipherMsg) {
 
 // applyAccountantReplies moves staged encrypted vote updates into the
 // candidates' ⊥ counters, modelling the accountant→broker hop. The
-// reply buffer is dense (index i ↔ acc.scans[i], which is candidate
-// creation order), so application is a linear walk with no sorting or
-// string keys; consumed buffers are recycled back to the accountant.
+// reply buffer is dense (index i ↔ acc.scans[i] ↔ candidate i), so
+// application is a linear walk with no sorting or string keys; consumed
+// buffers are recycled back to the accountant.
 func (b *Broker) applyAccountantReplies(tr Transport) {
 	apply := func(replies []*oblivious.Counter) {
 		for i, reply := range replies {
 			if reply == nil {
 				continue
 			}
-			c := b.candAt(b.acc.scans[i].sym)
-			if c == nil {
-				continue
-			}
+			c := b.cands[i]
 			b.stats.RepliesApplied++
 			if b.cfg.PaddingDance {
 				b.paddingDance(tr, c, reply)
@@ -506,12 +445,12 @@ func (b *Broker) fullSum(c *secCandidate) *oblivious.Counter {
 			parts[v] = e.inbound
 		}
 		hist := func(from int) []*oblivious.Counter {
-			if h, ok := b.history[c.sym]; ok {
+			if h, ok := b.history[c.Sym]; ok {
 				return h[from]
 			}
 			return nil
 		}
-		if tampered := b.adv.TamperFull(b.pub, c.key, parts, hist); tampered != nil {
+		if tampered := b.adv.TamperFull(b.pub, c.Key, parts, hist); tampered != nil {
 			return tampered
 		}
 		full := c.local
@@ -588,15 +527,15 @@ func (b *Broker) evaluateSends(tr Transport) {
 			// fallback runs the eleven ops it always ran.
 			t := &b.sfe
 			t.duv = b.linComb(t.duv, 4,
-				[4]int64{c.lambdaD, c.lambdaD, -c.lambdaN, -c.lambdaN},
+				[4]int64{c.LambdaD, c.LambdaD, -c.LambdaN, -c.LambdaN},
 				[4]*homo.Ciphertext{e.inbound.Sum, e.sentSum, e.inbound.Count, e.sentCount})
 			t.diff = b.linComb(t.diff, 3,
-				[4]int64{1, -c.lambdaD, c.lambdaN}, [4]*homo.Ciphertext{t.duv, full.Sum, full.Count})
+				[4]int64{1, -c.LambdaD, c.LambdaN}, [4]*homo.Ciphertext{t.duv, full.Sum, full.Count})
 			r := oblivious.BlindFactor(blindBits, b.rng)
 			t.blind = b.linComb(t.blind, 1, [4]int64{r}, [4]*homo.Ciphertext{t.duv})
 			r = oblivious.BlindFactor(blindBits, b.rng)
 			t.blindDiff = b.linComb(t.blindDiff, 1, [4]int64{r}, [4]*homo.Ciphertext{t.diff})
-			send, ok := b.ctl.SendDecision(c.sym, v, full, t.blind, t.blindDiff, first, neighborAt)
+			send, ok := b.ctl.SendDecision(c.Sym, v, full, t.blind, t.blindDiff, first, neighborAt)
 			if !ok {
 				return // violation detected; Resource will halt us
 			}
@@ -636,7 +575,7 @@ func (b *Broker) transmit(tr Transport, c *secCandidate, v int, e *secEdge) {
 	out.Num = homo.RerandomizeInto(b.pub, out.Num, num)
 	out.Share = homo.RerandomizeInto(b.pub, out.Share, link.grant.Share)
 	if b.adv != nil {
-		if tampered := b.adv.TamperPayload(b.pub, c.key, v, out); tampered != nil {
+		if tampered := b.adv.TamperPayload(b.pub, c.Key, v, out); tampered != nil {
 			out = tampered
 		}
 	}
@@ -644,13 +583,13 @@ func (b *Broker) transmit(tr Transport, c *secCandidate, v int, e *secEdge) {
 	e.contacted = true
 	e.staleSinceSend = false
 	e.lastSendStep = b.step
-	msg := RuleCipherMsg{Rule: c.rule, Counter: out, Epoch: link.grant.Epoch}
+	msg := RuleCipherMsg{Rule: c.Rule, Counter: out, Epoch: link.grant.Epoch}
 	nb := int64(MessageWireSize(msg))
 	b.stats.MessagesSent++
 	b.stats.BytesSent += nb
 	b.tel.countersSent.Inc()
 	b.tel.counterBytes.Add(nb)
-	b.tel.emit(obs.Event{Type: obs.EvCounterSend, Peer: v, Rule: c.key, Value: nb})
+	b.tel.emit(obs.Event{Type: obs.EvCounterSend, Peer: v, Rule: c.Key, Value: nb})
 	tr.Send(v, msg)
 }
 
@@ -804,7 +743,7 @@ func (b *Broker) generateCandidates() {
 			// No input ciphertext was replaced since the last query, so
 			// the controller's totals are unchanged and its answer is
 			// necessarily the cached one; skip the SFE.
-			answers[i] = b.ctl.PeekOutput(c.sym)
+			answers[i] = b.ctl.PeekOutput(c.Sym)
 			continue
 		}
 		c.outDirty = false
@@ -813,29 +752,15 @@ func (b *Broker) generateCandidates() {
 		// (no overflow — see oblivious.BlindFactor).
 		r := oblivious.BlindFactor(blindBits, b.rng)
 		b.sfe.blind = b.linComb(b.sfe.blind, 2,
-			[4]int64{r * c.lambdaD, -r * c.lambdaN}, [4]*homo.Ciphertext{full.Sum, full.Count})
-		correct, ok := b.ctl.OutputDecision(c.sym, full, b.sfe.blind, neighborAt)
+			[4]int64{r * c.LambdaD, -r * c.LambdaN}, [4]*homo.Ciphertext{full.Sum, full.Count})
+		correct, ok := b.ctl.OutputDecision(c.Sym, full, b.sfe.blind, neighborAt)
 		if !ok {
 			return
 		}
 		answers[i] = correct
 	}
-	truth := b.assembleOutput(func(i int, c *secCandidate) bool { return answers[i] })
-	existing := arm.RuleSet{}
-	for _, c := range b.cands {
-		existing.Add(c.rule)
-	}
-	before := len(existing)
-	arm.GenerateCandidates(truth, existing)
-	if len(existing) == before {
-		return
-	}
-	for _, rule := range existing.Sorted() {
-		rule := rule
-		if _, ok := b.candIdx[b.ruleSym(&rule)]; !ok {
-			b.addCandidate(rule)
-		}
-	}
+	b.table.Expand(func(i int) bool { return answers[i] })
+	b.grow()
 }
 
 // refreshEvery is the anti-entropy period in steps; see evaluateSends.
@@ -843,34 +768,10 @@ const refreshEvery = 20
 
 // Output assembles R̃_u from the controller's cached answers without
 // running SFEs.
-func (b *Broker) Output() arm.RuleSet { return b.assembleOutput(b.peek) }
+func (b *Broker) Output() arm.RuleSet { return b.table.Output(b.peek) }
 
 // peek is Output's decision: the controller's cached answer.
-func (b *Broker) peek(_ int, c *secCandidate) bool { return b.ctl.PeekOutput(c.sym) }
-
-// assembleOutput collects the candidates inOutput admits. decide
-// receives each candidate with its index (answers are index-parallel
-// during a generation pass).
-func (b *Broker) assembleOutput(decide func(i int, c *secCandidate) bool) arm.RuleSet {
-	out := arm.RuleSet{}
-	for i, c := range b.cands {
-		if b.inOutput(i, decide) {
-			out.Add(c.rule)
-		}
-	}
-	return out
-}
-
-// inOutput applies the "confident rules between frequent itemsets"
-// filter to candidate i: a confidence rule is reported only when its own
-// vote and its union's frequency vote both pass.
-func (b *Broker) inOutput(i int, decide func(i int, c *secCandidate) bool) bool {
-	c := b.cands[i]
-	if c.rule.Kind == arm.ThresholdConf {
-		return decide(i, c) && c.companion >= 0 && decide(int(c.companion), b.cands[c.companion])
-	}
-	return decide(i, c)
-}
+func (b *Broker) peek(i int) bool { return b.ctl.PeekOutput(b.cands[i].Sym) }
 
 // DebugAggregate decrypts a candidate's full aggregate through the
 // resource's own controller capability — test/diagnostic use only.

@@ -332,10 +332,10 @@ func (r *Resource) Output() arm.RuleSet { return r.Broker.Output() }
 func (r *Resource) AppendOutputCounts(dst []arm.RuleCount) []arm.RuleCount {
 	b, peek := r.Broker, r.Broker.peek
 	for i, c := range b.cands {
-		if b.inOutput(i, peek) {
-			// Scan i is candidate i: addCandidate registers both in lockstep.
+		if b.table.InOutput(i, peek) {
+			// Scan i is candidate i: grow registers both in lockstep.
 			count, sum := r.Accountant.scans[i].Totals(r.Accountant.db)
-			dst = append(dst, arm.RuleCount{Rule: c.rule, Key: c.key, Count: count, Sum: sum})
+			dst = append(dst, arm.RuleCount{Rule: c.Rule, Key: c.Key, Count: count, Sum: sum})
 		}
 	}
 	return dst
@@ -348,10 +348,10 @@ func (r *Resource) AppendOutputCounts(dst []arm.RuleCount) []arm.RuleCount {
 func (r *Resource) EachStoredCounter(fn func(rule string, from int, c *oblivious.Counter)) {
 	b := r.Broker
 	for _, c := range b.cands {
-		fn(c.key, -1, c.local)
+		fn(c.Key, -1, c.local)
 		for _, v := range b.neighbors {
 			if e, ok := c.edges[v]; ok {
-				fn(c.key, v, e.inbound)
+				fn(c.Key, v, e.inbound)
 			}
 		}
 	}
@@ -411,9 +411,9 @@ func (r *Resource) HandleMessage(tr Transport, from int, payload any) {
 		}
 		r.tel.countersRecv.Inc()
 		// Interned key: Rule.Key() would allocate a fresh string per
-		// message; ruleSym encodes into the broker's scratch buffer and
+		// message; the table's Sym encodes into its scratch buffer and
 		// Str hands back the one process-wide copy.
-		r.tel.emit(obs.Event{Type: obs.EvCounterRecv, Peer: from, Rule: intern.Str(r.Broker.ruleSym(&m.Rule))})
+		r.tel.emit(obs.Event{Type: obs.EvCounterRecv, Peer: from, Rule: intern.Str(r.Broker.table.Sym(&m.Rule))})
 		r.Broker.onRuleMsg(from, m)
 	case MaliciousReport:
 		r.propagateReport(tr, m, from)

@@ -24,20 +24,20 @@ func TestFrozenGateCensus(t *testing.T) {
 		frozen := map[int64]int{} // by d
 		for _, r := range resources {
 			for _, c := range r.Broker.cands {
-				g, ok := r.Controller.outGates[c.sym]
+				g, ok := r.Controller.outGates[c.Sym]
 				if !ok {
 					continue
 				}
-				sum, count, num, _ := r.Broker.DebugAggregate(c.key)
+				sum, count, num, _ := r.Broker.DebugAggregate(c.Key)
 				streams++
 				d := num - g.Num
 				if d > 0 && d < k {
 					frozen[d]++
 				}
-				if fresh := c.lambdaD*sum-c.lambdaN*count >= 0; fresh != g.cached {
+				if fresh := c.LambdaD*sum-c.LambdaN*count >= 0; fresh != g.cached {
 					stale++
 					if d <= 0 || d >= k {
-						t.Errorf("k=%d resource %d rule %s: stale answer in an open stream (d=%d)", k, r.ID, c.key, d)
+						t.Errorf("k=%d resource %d rule %s: stale answer in an open stream (d=%d)", k, r.ID, c.Key, d)
 					}
 				}
 			}

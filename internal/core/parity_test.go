@@ -133,6 +133,13 @@ const (
 	goldenParityDAGSHA   = "2de2366a6135330f7bcfb2e79bda2268dd838b42ed270c43d98847434f84eed9"
 )
 
+// goldenFusedStateSHA is the SHA-256 of every resource's EncodeState
+// after TestFusedOpParity's grid ran on the plain scheme, recorded
+// before the candidate table moved into internal/arm. Shamir deals from
+// crypto/rand, so only the plain run's ciphertext bytes repeat across
+// processes (and on 386).
+const goldenFusedStateSHA = "cd0abaa14da3313cf636f36b0763cec01e7e5aa2d1a8e5181c92d5bea4e77bbe"
+
 func shaHex(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
@@ -326,13 +333,16 @@ type fusedRunState struct {
 }
 
 // fusedRun drives the parity grid with auditing on and collects its
-// fusedRunState.
-func fusedRun(t *testing.T, scheme homo.Scheme) fusedRunState {
+// fusedRunState, plus the digest of every resource's EncodeState in
+// order (ciphertext bytes: only a run on the same scheme path matches).
+func fusedRun(t *testing.T, scheme homo.Scheme) (fusedRunState, string) {
 	t.Helper()
 	e, resources, _, _ := buildParityGrid(t, scheme, 1, func(c *Config) { c.Audit = true }, nil)
 	e.Run(300)
 	var st fusedRunState
+	var state []byte
 	for _, r := range resources {
+		state = append(state, r.EncodeState()...)
 		if r.Halted() {
 			t.Fatalf("resource halted: %+v", r.Reports())
 		}
@@ -343,11 +353,11 @@ func fusedRun(t *testing.T, scheme homo.Scheme) fusedRunState {
 		sort.Strings(rules)
 		aggs := map[string][3]int64{}
 		for _, c := range r.Broker.cands {
-			sum, count, num, ok := r.Broker.DebugAggregate(c.key)
+			sum, count, num, ok := r.Broker.DebugAggregate(c.Key)
 			if !ok {
-				t.Fatalf("no aggregate for candidate %s", c.key)
+				t.Fatalf("no aggregate for candidate %s", c.Key)
 			}
-			aggs[c.key] = [3]int64{sum, count, num}
+			aggs[c.Key] = [3]int64{sum, count, num}
 		}
 		st.Rules = append(st.Rules, rules)
 		st.Broker = append(st.Broker, r.Stats())
@@ -355,7 +365,7 @@ func fusedRun(t *testing.T, scheme homo.Scheme) fusedRunState {
 		st.Aggs = append(st.Aggs, aggs)
 		st.Audit = append(st.Audit, r.Controller.AuditTrail())
 	}
-	return st
+	return st, shaHex(state)
 }
 
 // requireSameFusedRun fails on the first field two runs disagree in.
@@ -423,10 +433,15 @@ func (c *countingShamir) ScalarMul(m int64, a *homo.Ciphertext) *homo.Ciphertext
 // entry. A third run behind oblivious.InstrumentScheme (secmrd's
 // wiring) must agree too, keep both capabilities, and account under
 // op="lincomb" and op="decrypt" for every call that reached the scheme,
-// with no per-op chain beside the fused one.
+// with no per-op chain beside the fused one. The same grid on the plain
+// scheme pins its snapshot bytes (goldenFusedStateSHA): a change to
+// candidate order, companion links or any other encoded field fails.
 func TestFusedOpParity(t *testing.T) {
 	sh := shamir.MustNew(shamir.Params{K: 2, N: 5, W: 1})
-	native := fusedRun(t, sh)
+	if _, state := fusedRun(t, homo.NewPlain(96)); state != goldenFusedStateSHA {
+		t.Fatalf("plain run's snapshot bytes hash to %s, golden %s", state, goldenFusedStateSHA)
+	}
+	native, _ := fusedRun(t, sh)
 	var mined, fresh int64
 	for i := range native.Rules {
 		mined += int64(len(native.Rules[i]))
@@ -435,7 +450,8 @@ func TestFusedOpParity(t *testing.T) {
 	if mined == 0 || fresh == 0 {
 		t.Fatalf("native run mined %d rules with %d fresh decisions; nothing to compare", mined, fresh)
 	}
-	requireSameFusedRun(t, "capability hidden", fusedRun(t, struct{ homo.Scheme }{sh}), native)
+	hidden, _ := fusedRun(t, struct{ homo.Scheme }{sh})
+	requireSameFusedRun(t, "capability hidden", hidden, native)
 
 	counting, sink := &countingShamir{Scheme: sh}, obs.NewSink()
 	instrumented := oblivious.InstrumentScheme(counting, sink)
@@ -445,7 +461,8 @@ func TestFusedOpParity(t *testing.T) {
 	if _, ok := instrumented.(homo.IntoDecryptor); !ok {
 		t.Fatal("instrumented scheme lost DecryptSignedInto")
 	}
-	requireSameFusedRun(t, "instrumented", fusedRun(t, instrumented), native)
+	inst, _ := fusedRun(t, instrumented)
+	requireSameFusedRun(t, "instrumented", inst, native)
 	ops := map[string]int64{}
 	for _, p := range sink.Reg.Snapshot() {
 		if p.Name == "secmr_crypto_ops_total" {

@@ -115,7 +115,7 @@ func TestReplyRecycling(t *testing.T) {
 			e.Step()
 			for _, r := range resources {
 				for _, c := range r.Broker.cands {
-					if len(c.rule.LHS) != 0 {
+					if len(c.Rule.LHS) != 0 {
 						continue // a confidence scan idles between matches and drops its spare
 					}
 					if seen[c] == nil {

@@ -246,7 +246,7 @@ func (r *Resource) EncodeState() []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(b.cands)))
 	for _, c := range b.cands {
-		dst = appendRule(dst, c.rule)
+		dst = appendRule(dst, c.Rule)
 		dst = appendBool(dst, c.outDirty)
 		dst = oblivious.AppendCounter(dst, c.local)
 		dst = binary.AppendUvarint(dst, uint64(len(c.edges)))
@@ -398,13 +398,11 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 	}
 	a.epoch, a.t, a.shareVals = epoch, at, shareVals
 	for i, n := 0, rd.count(); i < n; i++ {
-		rule := readRule(rd)
-		s := newScanState(rule, intern.S(rule.Key()))
+		s := &scanState{Tally: arm.NewTally(readRule(rd))}
 		s.Pos, s.Sum, s.Count = rd.int(), rd.int64(), rd.int64()
 		if rd.err != nil {
 			return nil, rd.err
 		}
-		a.scanIdx[s.sym] = int32(len(a.scans))
 		a.scans = append(a.scans, s)
 		a.replies = append(a.replies, nil)
 	}
@@ -433,17 +431,15 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 	}
 	for i, n := 0, rd.count(); i < n; i++ {
 		rule := readRule(rd)
-		sym := intern.S(rule.Key())
-		ln, ld := arm.Rational(b.cfg.Th.Lambda(rule.Kind))
-		c := &secCandidate{
-			rule: rule, sym: sym, key: intern.Str(sym), lambdaN: ln, lambdaD: ld,
-			outDirty: rd.bool(),
-			edges:    map[int]*secEdge{},
-		}
-		c.local = rd.counter()
+		c := &secCandidate{outDirty: rd.bool(), local: rd.counter(), edges: map[int]*secEdge{}}
 		if rd.err != nil {
 			return nil, rd.err
 		}
+		j, ok := b.table.Add(rule)
+		if !ok || j != len(b.cands) || j >= len(a.scans) || a.scans[j].Rule.Key() != b.table.At(j).Key {
+			return nil, fmt.Errorf("core: snapshot candidate %s repeats, exceeds the size cap or is not scan %d", rule, j)
+		}
+		c.Candidate = b.table.At(j)
 		if err := adoptCounter(adopter, c.local); err != nil {
 			return nil, err
 		}
@@ -471,7 +467,10 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 			}
 			c.edges[v] = e
 		}
-		b.appendCand(c)
+		b.cands = append(b.cands, c)
+	}
+	if len(b.cands) != len(a.scans) {
+		return nil, errors.New("core: snapshot holds more scans than candidates")
 	}
 
 	c := res.Controller

@@ -90,7 +90,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				i, off, len(state), len(re))
 		}
 		for _, cand := range r.Broker.cands {
-			key := cand.key
+			key := cand.Key
 			s1, c1, n1, _ := r.Broker.DebugAggregate(key)
 			s2, c2, n2, ok := restored.Broker.DebugAggregate(key)
 			if !ok {
@@ -110,14 +110,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func keyedOutput(b *Broker) arm.RuleSet {
 	out := arm.RuleSet{}
 	for _, c := range b.cands {
-		if c.rule.Kind == arm.ThresholdFreq && b.ctl.PeekOutput(c.sym) {
-			out.Add(c.rule)
+		if c.Rule.Kind == arm.ThresholdFreq && b.ctl.PeekOutput(c.Sym) {
+			out.Add(c.Rule)
 		}
 	}
 	for _, c := range b.cands {
-		comp := arm.NewRule(nil, c.rule.Union(), arm.ThresholdFreq)
-		if c.rule.Kind == arm.ThresholdConf && b.ctl.PeekOutput(c.sym) && out.Has(comp) {
-			out.Add(c.rule)
+		comp := arm.NewRule(nil, c.Rule.Union(), arm.ThresholdFreq)
+		if c.Rule.Kind == arm.ThresholdConf && b.ctl.PeekOutput(c.Sym) && out.Has(comp) {
+			out.Add(c.Rule)
 		}
 	}
 	return out
@@ -153,13 +153,16 @@ func TestOutputCompanionLinks(t *testing.T) {
 	// The receive handler's order, which a mid-run grid seldom reaches:
 	// the confidence rule first, then its companion.
 	b := resources[0].Broker
-	late := b.addCandidate(arm.NewRule(arm.Itemset{98}, arm.Itemset{99}, arm.ThresholdConf))
-	if late.companion != -1 {
-		t.Fatalf("companion linked before it exists: %d", late.companion)
+	i, _ := b.table.Add(arm.NewRule(arm.Itemset{98}, arm.Itemset{99}, arm.ThresholdConf))
+	b.grow()
+	late := b.cands[i]
+	if late.Companion != -1 {
+		t.Fatalf("companion linked before it exists: %d", late.Companion)
 	}
-	b.addCandidate(arm.NewRule(nil, arm.Itemset{98, 99}, arm.ThresholdFreq))
-	if want := int32(len(b.cands) - 1); late.companion != want {
-		t.Fatalf("late companion linked to %d, want %d", late.companion, want)
+	j, _ := b.table.Add(arm.NewRule(nil, arm.Itemset{98, 99}, arm.ThresholdFreq))
+	b.grow()
+	if late.Companion != int32(j) || len(b.cands) != b.table.Len() {
+		t.Fatalf("late companion linked to %d, want %d", late.Companion, j)
 	}
 }
 

@@ -5,12 +5,10 @@ package homo_test
 //	go test ./internal/homo/ -run=^$ -bench . -benchmem -cpu 1,4,8
 //
 // and convert to JSON with cmd/benchjson (see BENCH_homo.json at the
-// repo root). The ObliviousAdd*/ObliviousAdd*Serial pairs run the same
-// elementwise loop (a counter addition has no batch path) and differ
-// only by the serialOnly wrapper's indirection; the
-// PaillierEncrypt/PaillierEncryptNoFixedBase pair quantifies the
-// fixed-base noise win, which shows at -cpu 1 already (at -cpu > 1 the
-// table's two half-products also share the worker pool).
+// repo root). The PaillierEncrypt/PaillierEncryptNoFixedBase pair
+// quantifies the fixed-base noise win, which shows at -cpu 1 already
+// (at -cpu > 1 the table's two half-products also share the worker
+// pool).
 
 import (
 	"crypto/rand"
@@ -64,18 +62,6 @@ func BenchmarkObliviousAddVec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		oblivious.Add(s, x, y)
-	}
-}
-
-// BenchmarkObliviousAddSerial is the same addition with the batch
-// capability hidden.
-func BenchmarkObliviousAddSerial(b *testing.B) {
-	s := benchScheme(b)
-	serial := serialOnly{s}
-	x, y := benchCounters(b, s)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		oblivious.Add(serial, x, y)
 	}
 }
 
@@ -182,17 +168,6 @@ func BenchmarkShamirObliviousAddVec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		oblivious.Add(s, x, y)
-	}
-}
-
-func BenchmarkShamirObliviousAddSerial(b *testing.B) {
-	s := benchShamir(b)
-	serial := serialOnly{s}
-	x, y := benchCounters(b, s)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		oblivious.Add(serial, x, y)
 	}
 }
 

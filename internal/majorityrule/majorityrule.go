@@ -111,15 +111,12 @@ type edgeState struct {
 	gate arm.Gate
 }
 
-// candidate is the per-rule mining state at one resource.
+// candidate is the per-rule mining state at one resource beside its
+// entry in the candidate table (rule, key, λ, companion).
 type candidate struct {
-	arm.Tally               // the rule and its local vote
-	key              string // Rule.Key()
-	lambdaN, lambdaD int64
-	// companion is, for a confidence rule, the frequency candidate of its
-	// union (nil until it exists); Output reads its vote.
-	companion *candidate
-	edges     map[int]*edgeState
+	*arm.Candidate
+	tally arm.Tally // the local vote
+	edges map[int]*edgeState
 	// output k-gate (rule-correctness decisions) and its last answer.
 	outGate      arm.Gate
 	cachedOutput bool
@@ -137,7 +134,7 @@ func (c *candidate) edge(v int) *edgeState {
 // known returns the aggregate this node's decisions are based on:
 // local vote plus everything received.
 func (c *candidate) known() (sum, count, num int64) {
-	sum, count, num = c.Sum, c.Count, 1
+	sum, count, num = c.tally.Sum, c.tally.Count, 1
 	for _, e := range c.edges {
 		sum += e.recvSum
 		count += e.recvCount
@@ -160,12 +157,12 @@ func (c *candidate) payloadFor(v int) (sum, count, num int64) {
 // deltaU is Δ^u over the known aggregate.
 func (c *candidate) deltaU() int64 {
 	s, cnt, _ := c.known()
-	return c.lambdaD*s - c.lambdaN*cnt
+	return c.LambdaD*s - c.LambdaN*cnt
 }
 
 // deltaUV is Δ^uv for edge e.
 func (c *candidate) deltaUV(e *edgeState) int64 {
-	return c.lambdaD*(e.recvSum+e.sentSum) - c.lambdaN*(e.recvCount+e.sentCount)
+	return c.LambdaD*(e.recvSum+e.sentSum) - c.LambdaN*(e.recvCount+e.sentCount)
 }
 
 // majoritySendCond is the Scalable-Majority condition of §4.1.
@@ -202,13 +199,10 @@ type Resource struct {
 	db   *arm.Database // local partition (grows from feed)
 	feed arm.Feed
 
-	cands map[string]*candidate
-	// order keeps candidates in creation order for deterministic
-	// per-tick walks.
-	order []*candidate
-	// waiting holds the confidence candidates whose companion does not
-	// exist yet, by the companion's key.
-	waiting   map[string][]*candidate
+	// table is the candidate lattice; cands[i] is the state of its
+	// candidate i.
+	table     *arm.Candidates
+	cands     []*candidate
 	neighbors []int
 	stats     Stats
 	step      int64
@@ -231,11 +225,10 @@ func NewResource(id int, cfg Config, local *arm.Database, feed []arm.Transaction
 // database without precomputing the stream.
 func NewResourceFeed(id int, cfg Config, local *arm.Database, feed arm.Feed) *Resource {
 	cfg = cfg.withDefaults()
-	r := &Resource{ID: id, cfg: cfg, db: local, feed: feed, cands: map[string]*candidate{},
-		waiting: map[string][]*candidate{}}
-	for _, i := range cfg.Universe {
-		r.addCandidate(arm.NewRule(nil, arm.Itemset{i}, arm.ThresholdFreq))
-	}
+	r := &Resource{ID: id, cfg: cfg, db: local, feed: feed,
+		table: arm.NewCandidates(cfg.Th, cfg.MaxRuleItems)}
+	r.table.Seed(cfg.Universe)
+	r.grow()
 	return r
 }
 
@@ -248,32 +241,17 @@ func (r *Resource) Step() int64 { return r.step }
 // DBSize returns the current local database size.
 func (r *Resource) DBSize() int { return r.db.Len() }
 
-// addCandidate registers a rule; returns the candidate (existing or
-// new).
-func (r *Resource) addCandidate(rule arm.Rule) *candidate {
-	key := rule.Key()
-	if c, ok := r.cands[key]; ok {
-		return c
-	}
-	if r.cfg.MaxRuleItems > 0 && len(rule.LHS)+len(rule.RHS) > r.cfg.MaxRuleItems {
-		return nil
-	}
-	ln, ld := arm.Rational(r.cfg.Th.Lambda(rule.Kind))
-	c := &candidate{Tally: arm.NewTally(rule), key: key, lambdaN: ln, lambdaD: ld, edges: map[int]*edgeState{}}
-	r.cands[key] = c
-	r.order = append(r.order, c)
-	if rule.Kind == arm.ThresholdConf {
-		comp := arm.NewRule(nil, rule.Union(), arm.ThresholdFreq).Key()
-		if c.companion = r.cands[comp]; c.companion == nil {
-			r.waiting[comp] = append(r.waiting[comp], c)
+// grow creates the state of the candidates the table gained since the
+// last call, with an edge per overlay neighbour.
+func (r *Resource) grow() {
+	for i := len(r.cands); i < r.table.Len(); i++ {
+		c := &candidate{Candidate: r.table.At(i), edges: map[int]*edgeState{}}
+		c.tally = arm.NewTally(c.Rule)
+		for _, v := range r.neighbors {
+			c.edge(v)
 		}
-	} else if w, ok := r.waiting[key]; ok {
-		for _, d := range w {
-			d.companion = c
-		}
-		delete(r.waiting, key)
+		r.cands = append(r.cands, c)
 	}
-	return c
 }
 
 // Init wires the overlay edges into every seeded candidate.
@@ -291,22 +269,12 @@ func (r *Resource) Init(ctx *sim.Context) {
 // handler.
 func (r *Resource) OnMessage(ctx *sim.Context, from sim.NodeID, payload any) {
 	m := payload.(RuleMsg)
-	c, ok := r.cands[m.Rule.Key()]
+	i, ok := r.table.Receive(m.Rule)
 	if !ok {
-		c = r.addCandidate(m.Rule)
-		if c == nil {
-			return // above the size cap; drop
-		}
-		for _, v := range ctx.Neighbors() {
-			c.edge(v)
-		}
-		freq := arm.NewRule(nil, m.Rule.Union(), arm.ThresholdFreq)
-		if fc := r.addCandidate(freq); fc != nil && len(fc.edges) == 0 {
-			for _, v := range ctx.Neighbors() {
-				fc.edge(v)
-			}
-		}
+		return // above the size cap; drop
 	}
+	r.grow()
+	c := r.cands[i]
 	e := c.edge(from)
 	e.recvSum, e.recvCount, e.recvNum = m.Sum, m.Count, m.Num
 	c.markDirtyExcept(from)
@@ -323,15 +291,15 @@ func (r *Resource) OnTick(ctx *sim.Context) {
 	r.scan()
 	r.evaluateSends(ctx)
 	if r.step%int64(r.cfg.CandidateEvery) == 0 {
-		r.generateCandidates(ctx)
+		r.generateCandidates()
 	}
 }
 
 // scan advances every candidate's local vote by up to ScanBudget
 // transactions.
 func (r *Resource) scan() {
-	for _, c := range r.order {
-		if c.Advance(r.db, r.cfg.ScanBudget) {
+	for _, c := range r.cands {
+		if c.tally.Advance(r.db, r.cfg.ScanBudget) {
 			c.markDirtyExcept(-1)
 		}
 	}
@@ -346,7 +314,7 @@ const refreshEvery = 20
 // evaluateSends walks every (candidate, edge) whose payload changed and
 // applies the mode's send rule.
 func (r *Resource) evaluateSends(ctx *sim.Context) {
-	for _, c := range r.order {
+	for _, c := range r.cands {
 		for _, v := range r.neighbors {
 			e := c.edges[v]
 			refresh := false
@@ -431,10 +399,11 @@ func (r *Resource) refreshDecision(c *candidate) {
 	}
 }
 
-// peekDecision reads the candidate's current believed status without
-// perturbing k-gate bookkeeping (metric observation must not count as
-// a controller query).
-func (r *Resource) peekDecision(c *candidate) bool {
+// peek reads candidate i's current believed status without perturbing
+// k-gate bookkeeping (metric observation must not count as a controller
+// query).
+func (r *Resource) peek(i int) bool {
+	c := r.cands[i]
 	if r.cfg.Mode == ModePlain {
 		return c.deltaU() >= 0
 	}
@@ -442,37 +411,19 @@ func (r *Resource) peekDecision(c *candidate) bool {
 }
 
 // Output returns R̃_u[DB_t] — the rules this resource currently
-// believes correct. A confidence rule is reported only when its vote
-// passes AND its union itemset's frequency vote passes, matching §3's
-// "confident rules between frequent itemsets" (the frequency companion
-// candidate always exists: GenerateCandidates and the receive handler
-// both insert it).
-func (r *Resource) Output() arm.RuleSet {
-	out := arm.RuleSet{}
-	for _, c := range r.order {
-		if r.inOutput(c) {
-			out.Add(c.Rule)
-		}
-	}
-	return out
-}
-
-// inOutput reports whether c belongs to R̃_u (see Output).
-func (r *Resource) inOutput(c *candidate) bool {
-	if c.Rule.Kind == arm.ThresholdConf {
-		return r.peekDecision(c) && c.companion != nil && r.peekDecision(c.companion)
-	}
-	return r.peekDecision(c)
-}
+// believes correct, through the table's output filter
+// (arm.Candidates.InOutput).
+func (r *Resource) Output() arm.RuleSet { return r.table.Output(r.peek) }
 
 // AppendOutputCounts appends every rule of R̃_u to dst with its local
 // counts over the whole current database: the running scan totals plus
 // the transactions the scan has not reached yet.
 func (r *Resource) AppendOutputCounts(dst []arm.RuleCount) []arm.RuleCount {
-	for _, c := range r.order {
-		if r.inOutput(c) {
-			count, sum := c.Totals(r.db)
-			dst = append(dst, arm.RuleCount{Rule: c.Rule, Key: c.key, Count: count, Sum: sum})
+	peek := r.peek
+	for i, c := range r.cands {
+		if r.table.InOutput(i, peek) {
+			count, sum := c.tally.Totals(r.db)
+			dst = append(dst, arm.RuleCount{Rule: c.Rule, Key: c.Key, Count: count, Sum: sum})
 		}
 	}
 	return dst
@@ -480,32 +431,13 @@ func (r *Resource) AppendOutputCounts(dst []arm.RuleCount) []arm.RuleCount {
 
 // generateCandidates runs Algorithm 4's periodic pass: query the
 // controller for every candidate (the mutating, k-gated evaluation),
-// derive new candidates from the believed-correct set, and wire them
-// to the overlay.
-func (r *Resource) generateCandidates(ctx *sim.Context) {
-	for _, c := range r.order {
+// then expand the lattice from the believed-correct set.
+func (r *Resource) generateCandidates() {
+	for _, c := range r.cands {
 		r.refreshDecision(c)
 	}
-	truth := r.Output()
-	existing := arm.RuleSet{}
-	for _, c := range r.cands {
-		existing.Add(c.Rule)
-	}
-	before := len(existing)
-	arm.GenerateCandidates(truth, existing)
-	if len(existing) == before {
-		return
-	}
-	for _, rule := range existing.Sorted() {
-		if _, ok := r.cands[rule.Key()]; ok {
-			continue
-		}
-		if c := r.addCandidate(rule); c != nil {
-			for _, v := range ctx.Neighbors() {
-				c.edge(v)
-			}
-		}
-	}
+	r.table.Expand(r.peek)
+	r.grow()
 }
 
 var _ sim.Node = (*Resource)(nil)

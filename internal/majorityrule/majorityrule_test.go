@@ -96,14 +96,14 @@ func TestKPrivateSlowerThanPlain(t *testing.T) {
 // Output did before it linked companions once.
 func keyedOutput(r *Resource) arm.RuleSet {
 	out := arm.RuleSet{}
-	for _, c := range r.cands {
-		if c.Rule.Kind == arm.ThresholdFreq && r.peekDecision(c) {
+	for i, c := range r.cands {
+		if c.Rule.Kind == arm.ThresholdFreq && r.peek(i) {
 			out.Add(c.Rule)
 		}
 	}
-	for _, c := range r.cands {
+	for i, c := range r.cands {
 		comp := arm.NewRule(nil, c.Rule.Union(), arm.ThresholdFreq)
-		if c.Rule.Kind == arm.ThresholdConf && r.peekDecision(c) && out.Has(comp) {
+		if c.Rule.Kind == arm.ThresholdConf && r.peek(i) && out.Has(comp) {
 			out.Add(c.Rule)
 		}
 	}
@@ -129,11 +129,15 @@ func TestOutputCompanionLinks(t *testing.T) {
 		// The receive handler's order, which a mid-run grid seldom
 		// reaches: the confidence rule first, then its companion.
 		r := resources[0]
-		late := r.addCandidate(arm.NewRule(arm.Itemset{98}, arm.Itemset{99}, arm.ThresholdConf))
-		if late.companion != nil {
+		i, _ := r.table.Add(arm.NewRule(arm.Itemset{98}, arm.Itemset{99}, arm.ThresholdConf))
+		r.grow()
+		late := r.cands[i]
+		if late.Companion != -1 {
 			t.Fatal("companion linked before it exists")
 		}
-		if comp := r.addCandidate(arm.NewRule(nil, arm.Itemset{98, 99}, arm.ThresholdFreq)); late.companion != comp {
+		j, _ := r.table.Add(arm.NewRule(nil, arm.Itemset{98, 99}, arm.ThresholdFreq))
+		r.grow()
+		if late.Companion != int32(j) || len(r.cands) != r.table.Len() {
 			t.Fatal("late companion not linked")
 		}
 	}
@@ -210,13 +214,9 @@ func TestMaxRuleItemsCap(t *testing.T) {
 	g := topology.NewGraph(1)
 	e := sim.NewEngine(g, []sim.Node{r}, 1)
 	e.Run(50)
-	for key := range r.cands {
-		rule, err := arm.ParseRuleKey(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rule.LHS)+len(rule.RHS) > 2 {
-			t.Fatalf("candidate %v exceeds cap", rule)
+	for _, c := range r.cands {
+		if len(c.Rule.LHS)+len(c.Rule.RHS) > 2 {
+			t.Fatalf("candidate %v exceeds cap", c.Rule)
 		}
 	}
 }

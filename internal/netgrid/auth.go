@@ -31,7 +31,6 @@ import (
 	mrand "math/rand"
 	"net"
 	"os"
-	"path/filepath"
 	"time"
 
 	"secmr/internal/persist"
@@ -162,8 +161,8 @@ func (n *Node) outboundHandshake(conn net.Conn, peer int) bool {
 }
 
 // LoadOrCreateIdentity returns the resource's transport identity key,
-// minting and durably persisting a fresh one (crypto/rand) on first
-// use. The file holds the 32-byte ed25519 seed; it sits next to
+// minting a fresh one (crypto/rand) on first use and writing it with
+// persist.WriteFileAtomic, so a crash leaves no short file. The file holds the 32-byte ed25519 seed; it sits next to
 // key.bin in the resource's state directory and survives restarts, so
 // a recovered node re-enters the grid under the identity its peers'
 // rosters already hold.
@@ -181,10 +180,9 @@ func LoadOrCreateIdentity(path string) (ed25519.PrivateKey, error) {
 	if _, err := rand.Read(seed); err != nil {
 		return nil, err
 	}
-	if err := persist.WriteFileSync(path, seed, 0o600); err != nil {
+	if err := persist.WriteFileAtomic(path, seed, 0o600); err != nil {
 		return nil, err
 	}
-	persist.SyncDir(filepath.Dir(path))
 	return ed25519.NewKeyFromSeed(seed), nil
 }
 

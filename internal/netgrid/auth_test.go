@@ -328,14 +328,22 @@ func TestAuthConfigValidation(t *testing.T) {
 }
 
 // TestLoadOrCreateIdentity: first call mints and persists, the second
-// returns the same key; a corrupt file is an error, not a silent new
+// returns the same key; a short seed a crash left in identity.key.tmp
+// changes neither; a corrupt file is an error, not a silent new
 // identity.
 func TestLoadOrCreateIdentity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "identity.key")
+	stale := func() {
+		if err := os.WriteFile(path+".tmp", []byte("torn"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale()
 	k1, err := LoadOrCreateIdentity(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stale()
 	k2, err := LoadOrCreateIdentity(path)
 	if err != nil {
 		t.Fatal(err)

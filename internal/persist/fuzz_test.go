@@ -18,9 +18,9 @@ import (
 func FuzzWALReplay(f *testing.F) {
 	scheme := homo.NewPlain(64)
 	var seed []byte
-	seed = appendRecord(seed, []byte{recTick})
-	seed = appendRecord(seed, binary.AppendVarint([]byte{recJoin}, 4))
-	seed = appendRecord(seed, binary.AppendVarint([]byte{recClockLease}, 4096))
+	seed = AppendFramed(seed, recTick, nil)
+	seed = AppendFramed(seed, recJoin, binary.AppendVarint(nil, 4))
+	seed = AppendFramed(seed, recClockLease, binary.AppendVarint(nil, 4096))
 	frame, err := core.EncodeMessage(core.MaliciousReport{Accused: 1, Reporter: 2, Reason: "fuzz"})
 	if err != nil {
 		f.Fatal(err)
@@ -30,8 +30,7 @@ func FuzzWALReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, fr := range [][]byte{frame, grant} {
-		body := binary.AppendVarint([]byte{recMessage}, 3)
-		seed = appendRecord(seed, append(body, fr...))
+		seed = AppendFramed(seed, recMessage, append(binary.AppendVarint(nil, 3), fr...))
 	}
 	f.Add(seed)
 	f.Add(seed[:len(seed)-2]) // torn tail
@@ -39,28 +38,28 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		records, valid := scanWAL(data)
+		records, valid := ScanFramed(data)
 		if valid < 0 || valid > len(data) {
 			t.Fatalf("valid prefix %d outside [0,%d]", valid, len(data))
 		}
-		again, v2 := scanWAL(data[:valid])
+		again, v2 := ScanFramed(data[:valid])
 		if v2 != valid || len(again) != len(records) {
 			t.Fatalf("re-scan of valid prefix diverged: %d/%d records, %d/%d bytes",
 				len(again), len(records), v2, valid)
 		}
 		for i, rec := range records {
-			if !bytes.Equal(again[i].body, rec.body) || again[i].typ != rec.typ {
+			if !bytes.Equal(again[i].Body, rec.Body) || again[i].Type != rec.Type {
 				t.Fatalf("record %d differs between scans", i)
 			}
-			switch rec.typ {
+			switch rec.Type {
 			case recMessage:
-				if _, fr, err := decodeMessageRecord(rec.body); err == nil {
+				if _, fr, err := decodeMessageRecord(rec.Body); err == nil {
 					_, _ = core.DecodeMessage(fr, scheme) // must not panic
 				}
 			case recJoin:
-				_, _ = decodeJoin(rec.body)
+				_, _ = decodeJoin(rec.Body)
 			case recClockLease:
-				_, _ = decodeLease(rec.body)
+				_, _ = decodeLease(rec.Body)
 			}
 		}
 	})

@@ -82,7 +82,14 @@ func LoadScheme(data []byte) (homo.Scheme, error) {
 		}
 		return homo.NewPlain(int(bits)), nil
 	case schemePaillier:
-		return paillier.Import(data[1:])
+		sc, err := paillier.Import(data[1:])
+		if err != nil {
+			return nil, err
+		}
+		if !sc.IsPrivate() {
+			return nil, fmt.Errorf("persist: paillier key material holds the public key only: the private half (p, q) is missing")
+		}
+		return sc, nil
 	case schemeRetiredElGamal:
 		return nil, fmt.Errorf("persist: elgamal key material: backend removed, re-key with paillier or shamir")
 	case schemeShamir:

@@ -99,7 +99,7 @@ func Open(dir string, id int, opt Options) (*Journal, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := writeFileSync(keyPath, blob, 0o600); err != nil {
+		if err := WriteFileAtomic(keyPath, blob, 0o600); err != nil {
 			return nil, fmt.Errorf("persist: writing key material: %w", err)
 		}
 	}
@@ -129,7 +129,7 @@ func (j *Journal) openWAL() error {
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("persist: %w", err)
 	}
-	_, valid := scanWAL(data)
+	_, valid := ScanFramed(data)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o600)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
@@ -188,11 +188,11 @@ func (j *Journal) fail(err error) {
 }
 
 // append frames and writes one record, batching fsyncs.
-func (j *Journal) append(body []byte, sync bool) {
+func (j *Journal) append(typ byte, payload []byte, sync bool) {
 	if j.err != nil || j.wal == nil {
 		return
 	}
-	j.buf = appendRecord(j.buf[:0], body)
+	j.buf = AppendFramed(j.buf[:0], typ, payload)
 	if _, err := j.wal.Write(j.buf); err != nil {
 		j.fail(err)
 		return
@@ -218,25 +218,24 @@ func (j *Journal) LogMessage(from int, msg any) {
 		j.fail(err)
 		return
 	}
-	body := binary.AppendVarint([]byte{recMessage}, int64(from))
-	j.append(append(body, frame...), false)
+	j.append(recMessage, append(binary.AppendVarint(nil, int64(from)), frame...), false)
 }
 
 // LogTick implements core.Journal.
 func (j *Journal) LogTick() {
 	j.ticks++
-	j.append([]byte{recTick}, false)
+	j.append(recTick, nil, false)
 }
 
 // LogJoin implements core.Journal.
 func (j *Journal) LogJoin(v int) {
-	j.append(binary.AppendVarint([]byte{recJoin}, int64(v)), false)
+	j.append(recJoin, binary.AppendVarint(nil, int64(v)), false)
 }
 
 // LogClockLease implements core.Journal: always synchronous (see
 // Options.FsyncEvery).
 func (j *Journal) LogClockLease(upTo int64) {
-	j.append(binary.AppendVarint([]byte{recClockLease}, upTo), true)
+	j.append(recClockLease, binary.AppendVarint(nil, upTo), true)
 }
 
 // SnapshotDue implements core.Journal.
@@ -261,16 +260,10 @@ func (j *Journal) Snapshot(state []byte) {
 	img = append(img, state...)
 	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img[len(snapshotMagic):]))
 
-	tmp := filepath.Join(j.dir, "snapshot.tmp")
-	if err := writeFileSync(tmp, img, 0o600); err != nil {
+	if err := WriteFileAtomic(filepath.Join(j.dir, "snapshot.bin"), img, 0o600); err != nil {
 		j.fail(err)
 		return
 	}
-	if err := os.Rename(tmp, filepath.Join(j.dir, "snapshot.bin")); err != nil {
-		j.fail(err)
-		return
-	}
-	syncDir(j.dir)
 	// The moment the rename is durable, wal.<gen>.log is dead weight:
 	// recovery pairs the snapshot with wal.<next>.log (missing = empty).
 	old := j.wal
@@ -334,30 +327,36 @@ func readSnapshot(dir string) ([]byte, snapshotHeader, error) {
 	return body[off:], hdr, nil
 }
 
-// writeFileSync writes data and fsyncs before closing — the rename in
-// Snapshot must never expose a file whose bytes are still in flight.
-func writeFileSync(path string, data []byte, perm os.FileMode) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, perm)
+// WriteFileAtomic replaces path with data so that a crash leaves
+// either the old file or the new one, never a prefix: the bytes go to
+// path+".tmp" in the same directory (overwriting any a crash left
+// there), are fsynced, renamed over path, and the directory is fsynced
+// so the rename itself is durable. The directory fsync is best-effort:
+// some filesystems (and all of Windows) reject it; the rename is still
+// atomic.
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, perm)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a rename within it is durable.
-// Best-effort: some filesystems (and all of Windows) reject directory
-// fsync; the rename itself is still atomic.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		d.Sync()
 		d.Close()
 	}
+	return nil
 }

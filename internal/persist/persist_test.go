@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
@@ -17,6 +18,7 @@ import (
 	"secmr/internal/hashing"
 	"secmr/internal/homo"
 	"secmr/internal/metrics"
+	"secmr/internal/paillier"
 	"secmr/internal/quest"
 	"secmr/internal/shamir"
 	"secmr/internal/sim"
@@ -182,7 +184,7 @@ func TestTornTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, _ := scanWAL(data)
+	whole, _ := ScanFramed(data)
 	if len(whole) < 10 {
 		t.Fatalf("test needs a populated WAL, got %d records", len(whole))
 	}
@@ -214,7 +216,7 @@ func TestTornTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, valid := scanWAL(data)
+	records, valid := ScanFramed(data)
 	if valid != len(data) {
 		t.Fatalf("reattached WAL has %d unreadable trailing bytes", len(data)-valid)
 	}
@@ -449,25 +451,118 @@ func TestRetiredElGamalKindRefusedByName(t *testing.T) {
 	}
 }
 
-// TestAppendFramedMatchesRecordFormat: AppendFramed writes exactly the
-// WAL record of [typ ‖ payload] after what dst holds, ScanFramed reads
-// it back, and a destination with len(payload)+16 bytes spare takes no
-// allocation.
+// TestAppendFramedMatchesRecordFormat pins the record bytes, so logs
+// written by earlier versions still replay: a tick, a join of 4 and a
+// clock lease of 4096, then a 200-byte payload whose length takes a
+// two-byte uvarint. ScanFramed reads every record back, and a
+// destination with len(payload)+16 bytes spare takes no allocation.
 func TestAppendFramedMatchesRecordFormat(t *testing.T) {
-	for _, n := range []int{0, 1, 127, 128, 70_000} {
-		payload := bytes.Repeat([]byte{0xa5}, n)
-		want := appendRecord([]byte("hdr"), append([]byte{7}, payload...))
-		got := AppendFramed([]byte("hdr"), 7, payload)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("payload of %d bytes: AppendFramed differs from the record format", n)
+	var got []byte
+	got = AppendFramed(got, recTick, nil)
+	got = AppendFramed(got, recJoin, binary.AppendVarint(nil, 4))
+	got = AppendFramed(got, recClockLease, binary.AppendVarint(nil, 4096))
+	if want := "01a18e0c3c02" + "020ec92f640308" + "0315a817b5048040"; hex.EncodeToString(got) != want {
+		t.Fatalf("records encode as %x, pinned %s", got, want)
+	}
+	payload := bytes.Repeat([]byte{0xa5}, 200)
+	long := AppendFramed([]byte("hdr"), 7, payload)
+	if len(long) != 3+207 || hex.EncodeToString(long[3:10]) != "c901e769d37c07" {
+		t.Fatalf("200-byte record heads %x over %d bytes", long[3:10], len(long)-3)
+	}
+	recs, valid := ScanFramed(append(got, long[3:]...))
+	if valid != len(got)+207 || len(recs) != 4 {
+		t.Fatalf("scanned %d records over %d bytes", len(recs), valid)
+	}
+	for i, typ := range []byte{recTick, recJoin, recClockLease, 7} {
+		if recs[i].Type != typ {
+			t.Fatalf("record %d has type %d, want %d", i, recs[i].Type, typ)
 		}
-		recs, valid := ScanFramed(got[3:])
-		if valid != len(got)-3 || len(recs) != 1 || recs[0].Type != 7 || !bytes.Equal(recs[0].Body, payload) {
-			t.Fatalf("payload of %d bytes: scanned %d records over %d of %d bytes", n, len(recs), valid, len(got)-3)
+	}
+	if lease, err := decodeLease(recs[2].Body); err != nil || lease != 4096 || !bytes.Equal(recs[3].Body, payload) {
+		t.Fatalf("bodies scanned back wrong: lease %d (%v)", lease, err)
+	}
+	dst := make([]byte, 0, len(payload)+16)
+	if a := testing.AllocsPerRun(10, func() { AppendFramed(dst[:0], 7, payload) }); a != 0 {
+		t.Fatalf("%.0f allocations into a sized destination", a)
+	}
+}
+
+// TestPublicOnlyPaillierRefused: key.bin must hold the private key, or
+// Recover would build a resource whose controller panics at its first
+// decrypt; material without p, q is refused at load.
+func TestPublicOnlyPaillierRefused(t *testing.T) {
+	full, err := paillier.GenerateKey(crand.Reader, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := full.ExportPublic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	priv, err := full.ExportPrivate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		ok   bool
+	}{
+		{"private", append([]byte{2}, priv...), true},
+		{"public only", append([]byte{2}, pub...), false},
+	} {
+		sc, err := LoadScheme(tc.blob)
+		if tc.ok {
+			if err != nil || sc == nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			continue
 		}
-		dst := make([]byte, 0, n+16)
-		if a := testing.AllocsPerRun(10, func() { AppendFramed(dst[:0], 7, payload) }); a != 0 {
-			t.Fatalf("payload of %d bytes: %.0f allocations into a sized destination", n, a)
+		if err == nil || sc != nil || !strings.Contains(err.Error(), "private half") {
+			t.Fatalf("%s: accepted or not refused by name: %v", tc.name, err)
 		}
+	}
+}
+
+// TestStaleTmpIgnored: a *.tmp a crash left beside key.bin or the
+// identity file changes nothing. Open mints key.bin whole when it is
+// missing and leaves an existing one as it was; WriteFileAtomic leaves
+// the old bytes until the rename and the new bytes after it.
+func TestStaleTmpIgnored(t *testing.T) {
+	scheme := homo.NewPlain(64)
+	want, err := ExportScheme(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := []byte{2, 0xff} // a torn paillier blob
+	dir := t.TempDir()
+	key := filepath.Join(dir, "key.bin")
+	if err := os.WriteFile(key+".tmp", stale, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ { // mint, then reopen over a new stale tmp
+		j, err := Open(dir, 0, Options{Keys: scheme})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		j.Close()
+		if got, err := os.ReadFile(key); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("round %d: key.bin = %x (%v), want %x", round, got, err, want)
+		}
+		if _, err := LoadScheme(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(key+".tmp", stale, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := WriteFileAtomic(key, []byte{1, 96}, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(key); !bytes.Equal(got, []byte{1, 96}) {
+		t.Fatalf("after WriteFileAtomic key.bin = %x", got)
+	}
+	if _, err := os.Stat(key + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("tmp file left behind: %v", err)
 	}
 }

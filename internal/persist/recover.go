@@ -83,14 +83,14 @@ func Recover(dir string, opt RecoverOptions) (*core.Resource, *RecoveryStats, er
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
-	records, valid := scanWAL(walData)
+	records, valid := ScanFramed(walData)
 	stats.WALBytes = int64(valid)
 	adopter, _ := scheme.(homo.Adopter)
 	tr := discardTransport{}
 	for _, rec := range records {
-		switch rec.typ {
+		switch rec.Type {
 		case recMessage:
-			from, frame, err := decodeMessageRecord(rec.body)
+			from, frame, err := decodeMessageRecord(rec.Body)
 			if err != nil {
 				logf(opt.Logf, "persist: replay: %v (skipped)", err)
 				continue
@@ -104,14 +104,14 @@ func Recover(dir string, opt RecoverOptions) (*core.Resource, *RecoveryStats, er
 		case recTick:
 			res.Tick(tr)
 		case recJoin:
-			v, err := decodeJoin(rec.body)
+			v, err := decodeJoin(rec.Body)
 			if err != nil {
 				logf(opt.Logf, "persist: replay: %v (skipped)", err)
 				continue
 			}
 			res.HandleNeighborJoin(tr, v)
 		case recClockLease:
-			lease, err := decodeLease(rec.body)
+			lease, err := decodeLease(rec.Body)
 			if err != nil {
 				logf(opt.Logf, "persist: replay: %v (skipped)", err)
 				continue
@@ -122,7 +122,7 @@ func Recover(dir string, opt RecoverOptions) (*core.Resource, *RecoveryStats, er
 		default:
 			// Unknown record type from a future version: skip, keep the
 			// rest of the tail.
-			logf(opt.Logf, "persist: replay: unknown record type %d (skipped)", rec.typ)
+			logf(opt.Logf, "persist: replay: unknown record type %d (skipped)", rec.Type)
 		}
 		stats.ReplayedEvents++
 	}
@@ -185,7 +185,7 @@ func Inspect(dir string) (Info, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return info, err
 	}
-	records, valid := scanWAL(walData)
+	records, valid := ScanFramed(walData)
 	info.WALRecords, info.WALBytes = len(records), int64(valid)
 	info.TornBytes = int64(len(walData) - valid)
 	return info, nil

@@ -32,26 +32,33 @@ const (
 // largest legitimate record is one coalesced message frame.
 const maxWALRecord = 16 << 20
 
-// appendRecord frames body into dst.
-func appendRecord(dst, body []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
-	return append(dst, body...)
+// FramedRecord is one decoded record: Body is the payload after the
+// type byte, a slice of the scanned image.
+type FramedRecord struct {
+	Type byte
+	Body []byte
 }
 
-// walRecord is one decoded log record.
-type walRecord struct {
-	typ  byte
-	body []byte // payload after the type byte
+// AppendFramed appends to dst the record of [typ ‖ payload], copying
+// payload once and summing the body where it lands: a dst with
+// len(payload)+16 bytes spare takes no allocation. Other durable
+// components (the service's result store) frame their logs with it
+// for the same crash semantics without a per-resource Journal.
+func AppendFramed(dst []byte, typ byte, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(1+len(payload)))
+	at := len(dst)
+	dst = append(append(append(dst, 0, 0, 0, 0), typ), payload...)
+	binary.LittleEndian.PutUint32(dst[at:], crc32.ChecksumIEEE(dst[at+4:]))
+	return dst
 }
 
-// scanWAL walks a log image, returning every valid record and the byte
-// offset of the valid prefix. Scanning stops — without error — at the
-// first torn or corrupted record: everything after it is unreachable
-// garbage (crash tail), and appenders must truncate to validLen before
-// writing (O_APPEND after a torn write would strand new records behind
-// bytes replay never reads).
-func scanWAL(data []byte) (records []walRecord, validLen int) {
+// ScanFramed walks a log image, returning every valid record and the
+// byte offset of the valid prefix. Scanning stops — without error — at
+// the first torn or corrupted record: everything after it is
+// unreachable garbage (crash tail), and appenders must truncate to
+// validLen before writing (O_APPEND after a torn write would strand new
+// records behind bytes replay never reads).
+func ScanFramed(data []byte) (records []FramedRecord, validLen int) {
 	off := 0
 	for off < len(data) {
 		n, vn := binary.Uvarint(data[off:])
@@ -67,7 +74,7 @@ func scanWAL(data []byte) (records []walRecord, validLen int) {
 		if crc32.ChecksumIEEE(body) != want {
 			break
 		}
-		records = append(records, walRecord{typ: body[0], body: body[1:]})
+		records = append(records, FramedRecord{Type: body[0], Body: body[1:]})
 		off = hdr + 4 + int(n)
 	}
 	return records, off

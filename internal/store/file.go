@@ -235,14 +235,9 @@ func (s *FileStore) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := s.snapPath() + ".tmp"
-	if err := persist.WriteFileSync(tmp, data, 0o644); err != nil {
+	if err := persist.WriteFileAtomic(s.snapPath(), data, 0o644); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := os.Rename(tmp, s.snapPath()); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	persist.SyncDir(s.dir)
 	// The snapshot now covers everything in the WAL; truncate it. A
 	// crash before this point leaves snapshot+full WAL — replay drops
 	// the duplicates by epoch.
