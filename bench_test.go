@@ -55,11 +55,11 @@ func BenchmarkFigure2ConvergenceRate(b *testing.B) {
 	for _, r := range lastRows {
 		if r.Database == "T10I4" {
 			switch r.Algorithm {
-			case experiments.AlgSecure:
+			case secmr.AlgorithmSecure:
 				b.ReportMetric(r.ScansTo90, "secure-scans-to-90%")
-			case experiments.AlgKPrivate:
+			case secmr.AlgorithmKPrivate:
 				b.ReportMetric(r.ScansTo90, "kpriv-scans-to-90%")
-			case experiments.AlgPlain:
+			case secmr.AlgorithmPlain:
 				b.ReportMetric(r.ScansTo90, "plain-scans-to-90%")
 			}
 		}
@@ -185,19 +185,20 @@ func BenchmarkAblationPaddingDance(b *testing.B) {
 }
 
 // BenchmarkAblationMessageComplexity (A4) measures communication
-// locality: messages per resource to settle a significant vote must
-// stay flat as the grid grows (§1's million-resource scalability
-// claim, from the communication side).
+// locality on Figure 3's sweep at one significance: messages per
+// resource over a run of a significant vote must stay flat as the grid
+// grows (§1's million-resource scalability claim, from the
+// communication side).
 func BenchmarkAblationMessageComplexity(b *testing.B) {
 	sc := benchScale()
 	sc.LocalDB = 100
 	sc.SampleEvery = 25
 	sc.MaxSteps = 1500
 	counts := []int{16, 64, 256}
-	var pts []experiments.MessagePoint
+	var pts []experiments.Figure3Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = experiments.MessageComplexity(sc, counts, 0.24, 0)
+		pts, err = experiments.Figure3(sc, counts, []float64{0.24}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

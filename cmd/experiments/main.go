@@ -133,7 +133,7 @@ func main() {
 		if *scale == "paper" {
 			counts = []int{250, 500, 1000, 2000}
 		}
-		pts, err := experiments.MessageComplexity(sc, counts, 0.24, *paillier)
+		pts, err := experiments.Figure3(sc, counts, []float64{0.24}, *paillier)
 		if err != nil {
 			fatal(err)
 		}

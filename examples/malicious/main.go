@@ -5,9 +5,10 @@
 // that merely injects garbage values harms only result validity, which
 // is exactly the paper's claimed security boundary.
 //
-// This example wires adversaries directly into the protocol layer
-// (internal/attack), which the public facade deliberately does not
-// expose.
+// The facade plants the same adversaries through GridConfig.Adversaries,
+// but this example wires them into the protocol layer (internal/core,
+// internal/attack) because it prints each resource's halt state and how
+// many resources saw the report, which the facade does not expose.
 //
 // Run with: go run ./examples/malicious
 package main
@@ -81,13 +82,12 @@ func runScenario(adv core.Adversary) {
 	engine.Run(400)
 
 	detected := false
-	for i, r := range resources {
+	for _, r := range resources {
 		for _, rep := range r.Reports() {
 			if !detected {
 				fmt.Printf("    DETECTED: %s\n", rep)
 				detected = true
 			}
-			_ = i
 		}
 	}
 	if !detected {

@@ -15,21 +15,6 @@ import (
 	"secmr/internal/quest"
 )
 
-// Algorithm selects which miner an experiment runs.
-type Algorithm = secmr.Algorithm
-
-const (
-	// AlgPlain is Majority-Rule [20] (no privacy).
-	AlgPlain = secmr.AlgorithmPlain
-	// AlgKPrivate is the honest-but-curious k-private variant [15].
-	AlgKPrivate = secmr.AlgorithmKPrivate
-	// AlgSecure is Secure-Majority-Rule (this paper).
-	AlgSecure = secmr.AlgorithmSecure
-)
-
-// Algorithms lists the Figure 2 competitors in paper order.
-func Algorithms() []Algorithm { return []Algorithm{AlgPlain, AlgKPrivate, AlgSecure} }
-
 // Scale bundles every size knob of the §6 setup.
 type Scale struct {
 	Name           string
@@ -83,15 +68,30 @@ func (sc Scale) scans(step int) float64 {
 	return float64(step) * float64(sc.ScanBudget) / float64(sc.LocalDB)
 }
 
+// gridConfig is the facade configuration every figure starts from:
+// the scale's knobs, and the secure miner over real Paillier when
+// paillierBits > 0, otherwise over the plain stand-in (the figures
+// count protocol steps, which are scheme independent).
+func gridConfig(alg secmr.Algorithm, sc Scale, paillierBits int) secmr.GridConfig {
+	crypto := secmr.CryptoPlain
+	if paillierBits > 0 {
+		crypto = secmr.CryptoPaillier
+	}
+	return secmr.GridConfig{
+		Algorithm: alg, Resources: sc.Resources, K: int(sc.K),
+		MinFreq: sc.MinFreq, MinConf: sc.MinConf,
+		ScanBudget: sc.ScanBudget, CandidateEvery: sc.CandidateEvery,
+		GrowthPerStep: sc.GrowthPerStep, MaxRuleItems: sc.MaxRuleItems,
+		Crypto: crypto, PaillierBits: paillierBits, Seed: sc.Seed,
+	}
+}
+
 // newGrid assembles one Figure 2/4 simulation through the facade: a
 // Quest database of Resources×LocalDB transactions, partitioned with
 // the pairwise-independent hasher over a BA-overlay spanning tree,
 // plus per-resource feeds of fresh transactions from the same
-// generator when the scale grows the database. paillierBits > 0 runs
-// the secure miner over real Paillier; otherwise over the plain
-// stand-in (the figures count protocol steps, which are scheme
-// independent).
-func newGrid(alg Algorithm, sc Scale, preset string, paillierBits int) (*secmr.Grid, error) {
+// generator when the scale grows the database.
+func newGrid(alg secmr.Algorithm, sc Scale, preset string, paillierBits int) (*secmr.Grid, error) {
 	params, err := quest.Preset(preset, sc.Resources*sc.LocalDB, sc.Seed)
 	if err != nil {
 		return nil, err
@@ -108,17 +108,7 @@ func newGrid(alg Algorithm, sc Scale, preset string, paillierBits int) (*secmr.G
 			feeds[i] = gen.Generate(perResource).Tx
 		}
 	}
-	crypto := secmr.CryptoPlain
-	if paillierBits > 0 {
-		crypto = secmr.CryptoPaillier
-	}
-	return secmr.NewGridWithFeed(global, feeds, secmr.GridConfig{
-		Algorithm: alg, Resources: sc.Resources, K: int(sc.K),
-		MinFreq: sc.MinFreq, MinConf: sc.MinConf,
-		ScanBudget: sc.ScanBudget, CandidateEvery: sc.CandidateEvery,
-		GrowthPerStep: sc.GrowthPerStep, MaxRuleItems: sc.MaxRuleItems,
-		Crypto: crypto, PaillierBits: paillierBits, Seed: sc.Seed,
-	})
+	return secmr.NewGridWithFeed(global, feeds, gridConfig(alg, sc, paillierBits))
 }
 
 // convergenceRun drives a grid until recall and precision reach the

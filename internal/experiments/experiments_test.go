@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
+
+	"secmr"
 )
 
 // near reports whether two figure values agree to rounding noise.
@@ -39,18 +42,18 @@ func TestFigure2ShapeHolds(t *testing.T) {
 	// overlay, feeds, engine) may change only if these stay put.
 	want := []struct {
 		db                string
-		alg               Algorithm
+		alg               secmr.Algorithm
 		scansTo90, rc, pc float64
 	}{
-		{"T5I2", AlgPlain, 12.5, 0.9991708126036484, 0.9950576338422019},
-		{"T5I2", AlgKPrivate, 12.5, 1, 1},
-		{"T5I2", AlgSecure, 12.5, 0.9983416252072969, 0.9934153972903875},
-		{"T10I4", AlgPlain, 12.5, 0.9962089300758215, 0.9962125600886728},
-		{"T10I4", AlgKPrivate, 12.5, 0.9994383600112329, 0.9959534900509022},
-		{"T10I4", AlgSecure, 12.5, 0.9948048301039035, 0.9766188901125319},
-		{"T20I6", AlgPlain, 12.5, 0.9981057018374692, 0.9996527232210065},
-		{"T20I6", AlgKPrivate, 12.5, 0.9990844225547768, 0.9996843490103605},
-		{"T20I6", AlgSecure, 12.5, 0.9993685672791562, 0.998581620136222},
+		{"T5I2", secmr.AlgorithmPlain, 12.5, 0.9991708126036484, 0.9950576338422019},
+		{"T5I2", secmr.AlgorithmKPrivate, 12.5, 1, 1},
+		{"T5I2", secmr.AlgorithmSecure, 12.5, 0.9983416252072969, 0.9934153972903875},
+		{"T10I4", secmr.AlgorithmPlain, 12.5, 0.9962089300758215, 0.9962125600886728},
+		{"T10I4", secmr.AlgorithmKPrivate, 12.5, 0.9994383600112329, 0.9959534900509022},
+		{"T10I4", secmr.AlgorithmSecure, 12.5, 0.9948048301039035, 0.9766188901125319},
+		{"T20I6", secmr.AlgorithmPlain, 12.5, 0.9981057018374692, 0.9996527232210065},
+		{"T20I6", secmr.AlgorithmKPrivate, 12.5, 0.9990844225547768, 0.9996843490103605},
+		{"T20I6", secmr.AlgorithmSecure, 12.5, 0.9993685672791562, 0.998581620136222},
 	}
 	for i, w := range want {
 		r := rows[i]
@@ -61,15 +64,15 @@ func TestFigure2ShapeHolds(t *testing.T) {
 				w.db, w.alg, w.scansTo90, w.rc, w.pc)
 		}
 	}
-	perDB := map[string]map[Algorithm]Figure2Row{}
+	perDB := map[string]map[secmr.Algorithm]Figure2Row{}
 	for _, r := range rows {
 		if perDB[r.Database] == nil {
-			perDB[r.Database] = map[Algorithm]Figure2Row{}
+			perDB[r.Database] = map[secmr.Algorithm]Figure2Row{}
 		}
 		perDB[r.Database][r.Algorithm] = r
 	}
 	for db, algs := range perDB {
-		plain, secure := algs[AlgPlain], algs[AlgSecure]
+		plain, secure := algs[secmr.AlgorithmPlain], algs[secmr.AlgorithmSecure]
 		if plain.ScansTo90 < 0 {
 			t.Errorf("%s: plain never reached 90/90", db)
 			continue
@@ -90,47 +93,94 @@ func TestFigure2ShapeHolds(t *testing.T) {
 	}
 }
 
-func TestFigure3LocalityShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full figure-3 sweep")
-	}
+// fig3Counts and fig3Sigs are the tiny-scale Figure 3 sweep that
+// TestFigure3LocalityShape and TestMessageComplexityLocality both read.
+var (
+	fig3Counts = []int{16, 64}
+	fig3Sigs   = []float64{-0.02, 0.12, 0.24}
+	fig3Once   sync.Once
+	fig3Pts    []Figure3Point
+	fig3Err    error
+)
+
+// fig3Scale is tiny() with 100-vote local databases sampled every
+// fifth step, the candidate-generation period.
+func fig3Scale() Scale {
 	sc := tiny()
 	sc.LocalDB = 100
 	sc.MaxSteps = 2000
-	sc.SampleEvery = 10
-	counts := []int{8, 32}
-	sigs := []float64{0.12, 0.24}
-	pts, err := Figure3(sc, counts, sigs, 0)
-	if err != nil {
-		t.Fatal(err)
+	sc.SampleEvery = 5
+	return sc
+}
+
+// fig3Sweep runs the shared sweep once per test binary.
+func fig3Sweep(t *testing.T) []Figure3Point {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("full figure-3 sweep")
 	}
-	if len(pts) != len(counts)*len(sigs) {
-		t.Fatalf("got %d points", len(pts))
+	fig3Once.Do(func() { fig3Pts, fig3Err = Figure3(fig3Scale(), fig3Counts, fig3Sigs, 0) })
+	if fig3Err != nil {
+		t.Fatal(fig3Err)
 	}
-	for _, p := range pts {
-		if !p.Converged {
-			t.Fatalf("n=%d sig=%.2f never converged", p.Resources, p.Significance)
+	return fig3Pts
+}
+
+func TestFigure3LocalityShape(t *testing.T) {
+	pts := fig3Sweep(t)
+	// Pinned tiny()-scale results, as in TestFigure2ShapeHolds.
+	want := []Figure3Point{
+		{Resources: 16, Significance: -0.02, StepsTo90: 0, Converged: true, MsgsPerResource: 9.125},
+		{Resources: 64, Significance: -0.02, StepsTo90: 0, Converged: true, MsgsPerResource: 21.21875},
+		{Resources: 16, Significance: 0.12, StepsTo90: 10, Converged: true, MsgsPerResource: 20.125},
+		{Resources: 64, Significance: 0.12, StepsTo90: 10, Converged: true, MsgsPerResource: 25.921875},
+		{Resources: 16, Significance: 0.24, StepsTo90: 10, Converged: true, MsgsPerResource: 19.3125},
+		{Resources: 64, Significance: 0.24, StepsTo90: 10, Converged: true, MsgsPerResource: 21.015625},
+	}
+	if len(pts) != len(want) {
+		t.Fatalf("got %d points, want %d", len(pts), len(want))
+	}
+	for i, w := range want {
+		if p := pts[i]; p.Resources != w.Resources || p.Significance != w.Significance ||
+			p.StepsTo90 != w.StepsTo90 || p.Converged != w.Converged || !near(p.MsgsPerResource, w.MsgsPerResource) {
+			t.Errorf("point %d = %+v, want %+v", i, p, w)
 		}
 	}
-	// Locality: steps at 64 resources must not explode relative to 8
+	// Locality: steps at 64 resources must not explode relative to 16
 	// (the paper: a constant beyond some size).
-	byKey := map[[2]interface{}]Figure3Point{}
-	for _, p := range pts {
-		byKey[[2]interface{}{p.Resources, p.Significance}] = p
-	}
-	for _, s := range sigs {
-		small := byKey[[2]interface{}{8, s}].StepsTo90
-		large := byKey[[2]interface{}{32, s}].StepsTo90
-		if large > 6*(small+sc.SampleEvery) {
-			t.Errorf("sig=%.2f: steps grew from %d (n=8) to %d (n=32); not local", s, small, large)
+	sc := fig3Scale()
+	for i := range fig3Sigs {
+		small, large := pts[2*i], pts[2*i+1]
+		if large.StepsTo90 > 6*(small.StepsTo90+sc.SampleEvery) {
+			t.Errorf("sig=%.2f: steps grew from %d (n=%d) to %d (n=%d); not local",
+				small.Significance, small.StepsTo90, small.Resources, large.StepsTo90, large.Resources)
 		}
 	}
 	var buf bytes.Buffer
-	if err := RenderFigure3(&buf, pts, counts, sigs); err != nil {
+	if err := RenderFigure3(&buf, pts, fig3Counts, fig3Sigs); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "resources") {
 		t.Fatal("render missing header")
+	}
+}
+
+// TestFigure3NegativeSignificanceSettles pins steps-to-90% as a
+// settling time. Below the threshold every resource's default answer
+// ("infrequent") is already right at step 0, but at sig = -0.02 on 128
+// resources most of them answer "frequent" at steps 5 and 10 before
+// the vote settles; a first-hit time would read 0.
+func TestFigure3NegativeSignificanceSettles(t *testing.T) {
+	sc := tiny()
+	sc.LocalDB = 100
+	sc.MaxSteps = 200
+	sc.SampleEvery = 5
+	pts, err := Figure3(sc, []int{128}, []float64{-0.02}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := pts[0]; p.StepsTo90 != 15 || !p.Converged {
+		t.Fatalf("n=128 sig=-0.02: steps-to-90%% %d converged %v, want 15 true", p.StepsTo90, p.Converged)
 	}
 }
 
@@ -195,40 +245,29 @@ func TestScalesSane(t *testing.T) {
 
 func TestUnknownAlgorithmRejected(t *testing.T) {
 	sc := tiny()
-	if _, err := newGrid(Algorithm("nope"), sc, "T5I2", 0); err == nil {
+	if _, err := newGrid(secmr.Algorithm("nope"), sc, "T5I2", 0); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := newGrid(AlgPlain, sc, "T9I9", 0); err == nil {
+	if _, err := newGrid(secmr.AlgorithmPlain, sc, "T9I9", 0); err == nil {
 		t.Fatal("expected preset error")
 	}
 }
 
 func TestMessageComplexityLocality(t *testing.T) {
-	if testing.Short() {
-		t.Skip("message-complexity sweep")
-	}
-	sc := tiny()
-	sc.LocalDB = 100
-	sc.MaxSteps = 1500
-	sc.SampleEvery = 25
-	counts := []int{16, 64}
-	pts, err := MessageComplexity(sc, counts, 0.24, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := fig3Sweep(t)
 	for _, p := range pts {
-		if !p.Converged {
-			t.Fatalf("n=%d never converged", p.Resources)
-		}
 		if p.MsgsPerResource <= 0 {
-			t.Fatalf("n=%d: no messages recorded", p.Resources)
+			t.Fatalf("n=%d sig=%.2f: no messages recorded", p.Resources, p.Significance)
 		}
 	}
 	// Per-resource communication must not grow with system size
 	// (allow 2.5x headroom for topology noise).
-	if pts[1].MsgsPerResource > 2.5*pts[0].MsgsPerResource {
-		t.Fatalf("messages/resource grew with size: %.1f -> %.1f",
-			pts[0].MsgsPerResource, pts[1].MsgsPerResource)
+	for i := range fig3Sigs {
+		small, large := pts[2*i], pts[2*i+1]
+		if large.MsgsPerResource > 2.5*small.MsgsPerResource {
+			t.Errorf("sig=%.2f: messages/resource grew with size: %.1f -> %.1f",
+				small.Significance, small.MsgsPerResource, large.MsgsPerResource)
+		}
 	}
 	var buf bytes.Buffer
 	if err := RenderMessageComplexity(&buf, pts); err != nil {

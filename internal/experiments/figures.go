@@ -1,35 +1,19 @@
 package experiments
 
 import (
-	crand "crypto/rand"
 	"fmt"
 	"io"
-	"math/rand"
 
+	"secmr"
 	"secmr/internal/arm"
-	"secmr/internal/core"
-	"secmr/internal/homo"
 	"secmr/internal/metrics"
-	"secmr/internal/paillier"
 	"secmr/internal/quest"
-	"secmr/internal/sim"
-	"secmr/internal/topology"
 )
-
-// schemeFor builds the homomorphic scheme the single-itemset runs use:
-// the plain stand-in, or Paillier when paillierBits > 0 (the figures
-// count protocol steps, which are scheme independent).
-func schemeFor(paillierBits int) (homo.Scheme, error) {
-	if paillierBits > 0 {
-		return paillier.GenerateKey(crand.Reader, paillierBits)
-	}
-	return homo.NewPlain(96), nil
-}
 
 // Figure2Row is one curve of Figure 2: one database × one algorithm.
 type Figure2Row struct {
 	Database  string
-	Algorithm Algorithm
+	Algorithm secmr.Algorithm
 	Series    *metrics.Series
 	// ScansTo90 is the x-position where average recall and precision
 	// both reached 90% (the paper: "by the time each resource has
@@ -47,14 +31,14 @@ type Figure2Row struct {
 func Figure2(sc Scale, paillierBits int) ([]Figure2Row, error) {
 	var rows []Figure2Row
 	for _, preset := range quest.PresetNames() {
-		for _, alg := range Algorithms() {
+		for _, alg := range []secmr.Algorithm{secmr.AlgorithmPlain, secmr.AlgorithmKPrivate, secmr.AlgorithmSecure} {
 			g, err := newGrid(alg, sc, preset, paillierBits)
 			if err != nil {
 				return nil, err
 			}
 			series := convergenceRun(g, sc, fmt.Sprintf("%s/%s", preset, alg), 0.9)
 			row := Figure2Row{Database: preset, Algorithm: alg, Series: series, ScansTo90: -1}
-			if p, ok := firstReachBoth(series, 0.9); ok {
+			if p, ok := series.FirstReach(0.9); ok {
 				row.ScansTo90 = p.Scans
 			}
 			final := series.Final()
@@ -63,17 +47,6 @@ func Figure2(sc Scale, paillierBits int) ([]Figure2Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-// firstReachBoth finds the first sample where recall AND precision hit
-// the threshold.
-func firstReachBoth(s *metrics.Series, target float64) (metrics.Point, bool) {
-	for _, p := range s.Points {
-		if p.Recall >= target && p.Precision >= target {
-			return p, true
-		}
-	}
-	return metrics.Point{}, false
 }
 
 // RenderFigure2 prints the rows as the paper reports them, with a
@@ -101,89 +74,89 @@ func RenderFigure2(w io.Writer, rows []Figure2Row) error {
 type Figure3Point struct {
 	Resources    int
 	Significance float64
-	StepsTo90    int
-	Converged    bool
+	// StepsTo90 is the first sample from which on at least 90% of the
+	// resources decide the itemset correctly at every sample to the end
+	// of the run; MaxSteps when the last sample falls short.
+	StepsTo90 int
+	// Converged is the last sample's verdict: at least 90% correct.
+	Converged bool
+	// MsgsPerResource is the protocol messages sent over the whole run
+	// divided by the number of resources.
+	MsgsPerResource float64
 }
 
 // Figure3 reproduces §6.2 (Figure 3): steps until 90% of resources
-// decide a single itemset's status correctly, as a function of the
-// number of resources, for several significance levels. Significance
-// is (Σsum)/(λ·Σcount) − 1 (the figure's definition); each resource
-// holds LocalDB single-item transactions with the positive fraction
-// tuned so the global vote lands at the requested significance. The
-// experiment uses the secure algorithm in the paper's "special case of
-// a single itemset".
+// decide a single itemset's status correctly for good, as a function
+// of the number of resources, for several significance levels, with
+// the messages per resource it took. Significance is
+// (Σsum)/(λ·Σcount) − 1 (the figure's definition). The experiment
+// uses the secure algorithm in the paper's "special case of a single
+// itemset".
 func Figure3(sc Scale, resourceCounts []int, significances []float64, paillierBits int) ([]Figure3Point, error) {
-	scheme, err := schemeFor(paillierBits)
-	if err != nil {
-		return nil, err
-	}
 	var out []Figure3Point
 	for _, sig := range significances {
 		for _, n := range resourceCounts {
-			run := singleItemsetRun(sc, scheme, n, sig)
-			out = append(out, Figure3Point{Resources: n, Significance: sig,
-				StepsTo90: run.StepsTo90, Converged: run.Converged})
+			pt, err := singleItemsetRun(sc, n, sig, paillierBits)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, pt)
 		}
 	}
 	return out, nil
 }
 
 // singleItemsetRun builds the paper's "special case of a single
-// itemset" on n secure resources and runs it until 90% of them decide
-// the itemset's status correctly (or MaxSteps), counting the messages
-// sent. Each resource holds LocalDB single-item transactions, the same
-// deterministic vote split around λ·(1+sig), so the global vote lands
-// exactly at the requested significance. Figure 3 and
-// MessageComplexity share it. The exact per-resource split is why it
-// wires core resources itself rather than going through the facade,
-// which hash-partitions one global database.
-func singleItemsetRun(sc Scale, scheme homo.Scheme, n int, sig float64) MessagePoint {
+// itemset" on n secure resources through the facade and runs it for
+// MaxSteps. The global database holds n·LocalDB votes, round(p·N) of
+// them the transaction {1} and the rest empty, p = λ·(1+sig), so the
+// global vote lands at the requested significance and {1} is the only
+// candidate. The positive votes are spread evenly in index order (a
+// block of them first would make every resource's first scans vote
+// "frequent"), and the facade hash-partitions them as §6 does, so each
+// resource's local vote is a sample around the global one.
+func singleItemsetRun(sc Scale, n int, sig float64, paillierBits int) (Figure3Point, error) {
 	const lambda = 0.5
-	rng := rand.New(rand.NewSource(sc.Seed))
-	p := min(lambda*(1+sig), 1) // positive-vote fraction
-	cfg := core.Config{Th: arm.Thresholds{MinFreq: lambda, MinConf: 0.99},
-		Universe: arm.NewItemset(1), ScanBudget: sc.ScanBudget,
-		CandidateEvery: sc.CandidateEvery, K: sc.K, MaxRuleItems: 1, IntraDelay: true}
-	tree := topology.BarabasiAlbert(n, 2, topology.DelayRange{Min: 1, Max: 3}, rng).SpanningTree(0)
-	pos := int(p*float64(sc.LocalDB) + 0.5)
-	resources := make([]*core.Resource, n)
-	nodes := make([]sim.Node, n)
-	for i := range resources {
-		db := &arm.Database{}
-		for j := 0; j < sc.LocalDB; j++ {
-			if j < pos {
-				db.Append(arm.NewItemset(1))
-			} else {
-				db.Append(arm.NewItemset(2))
-			}
+	total := n * sc.LocalDB
+	pos := int(min(lambda*(1+sig), 1)*float64(total) + 0.5)
+	one := arm.NewItemset(1)
+	db := &arm.Database{Tx: make([]arm.Transaction, total)}
+	for j := range db.Tx {
+		if (j+1)*pos/total > j*pos/total {
+			db.Tx[j] = one
 		}
-		resources[i] = core.NewResource(i, cfg, scheme, db, nil, nil)
-		nodes[i] = resources[i]
 	}
-	engine := sim.NewParallelEngine(tree, nodes, sc.Seed)
-	target := arm.NewRule(nil, arm.NewItemset(1), arm.ThresholdFreq)
-	want := sig >= 0 // positive significance ⇒ frequent
-	pt := MessagePoint{Resources: n, Significance: sig, StepsTo90: sc.MaxSteps}
+	cfg := gridConfig(secmr.AlgorithmSecure, sc, paillierBits)
+	cfg.Resources, cfg.GrowthPerStep = n, 0
+	cfg.MinFreq, cfg.MinConf, cfg.MaxRuleItems = lambda, 0.99, 1
+	g, err := secmr.NewGrid(db, cfg)
+	if err != nil {
+		return Figure3Point{}, err
+	}
+	target := arm.NewRule(nil, one, arm.ThresholdFreq)
+	want := g.Truth().Has(target)
+	pt := Figure3Point{Resources: n, Significance: sig}
 	for step := 0; step <= sc.MaxSteps; step += sc.SampleEvery {
+		if step > 0 {
+			g.Step(sc.SampleEvery)
+		}
 		good := 0
-		for _, r := range resources {
-			if r.Output().Has(target) == want {
+		for i := range n {
+			if g.Output(i).Has(target) == want {
 				good++
 			}
 		}
-		if float64(good) >= 0.9*float64(n) {
-			pt.StepsTo90, pt.Converged = step, true
-			break
+		ok := float64(good) >= 0.9*float64(n)
+		if ok && !pt.Converged {
+			pt.StepsTo90 = step
 		}
-		engine.Run(sc.SampleEvery)
+		pt.Converged = ok
 	}
-	var total int64
-	for _, r := range resources {
-		total += r.Stats().MessagesSent
+	if !pt.Converged {
+		pt.StepsTo90 = sc.MaxSteps
 	}
-	pt.MsgsPerResource = float64(total) / float64(n)
-	return pt
+	pt.MsgsPerResource = float64(g.Stats().MessagesSent) / float64(n)
+	return pt, nil
 }
 
 // RenderFigure3 prints the scalability table: rows = resource counts,
@@ -207,6 +180,23 @@ func RenderFigure3(w io.Writer, pts []Figure3Point, resourceCounts []int, sigs [
 	return t.Render(w)
 }
 
+// RenderMessageComplexity prints the communication-locality table:
+// Figure 3's points for one significance level, with the messages
+// each resource sent.
+func RenderMessageComplexity(w io.Writer, pts []Figure3Point) error {
+	if _, err := fmt.Fprintf(w, "%-12s %18s %14s %10s\n",
+		"resources", "msgs/resource", "steps-to-90%", "converged"); err != nil {
+		return err
+	}
+	for _, p := range pts {
+		if _, err := fmt.Fprintf(w, "%-12d %18.1f %14d %10v\n",
+			p.Resources, p.MsgsPerResource, p.StepsTo90, p.Converged); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Figure4Point is one sample of the privacy-parameter experiment.
 type Figure4Point struct {
 	K         int64
@@ -223,7 +213,7 @@ func Figure4(sc Scale, ks []int64, paillierBits int) ([]Figure4Point, error) {
 	for _, k := range ks {
 		s := sc
 		s.K = k
-		g, err := newGrid(AlgSecure, s, "T10I4", paillierBits)
+		g, err := newGrid(secmr.AlgorithmSecure, s, "T10I4", paillierBits)
 		if err != nil {
 			return nil, err
 		}

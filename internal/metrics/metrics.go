@@ -67,11 +67,11 @@ type Series struct {
 // Add appends a sample.
 func (s *Series) Add(p Point) { s.Points = append(s.Points, p) }
 
-// FirstReach returns the first point at which recall reached the
-// threshold, and whether any did.
-func (s *Series) FirstReach(recall float64) (Point, bool) {
+// FirstReach returns the first point at which recall and precision
+// both reached the target, and whether any did.
+func (s *Series) FirstReach(target float64) (Point, bool) {
 	for _, p := range s.Points {
-		if p.Recall >= recall {
+		if p.Recall >= target && p.Precision >= target {
 			return p, true
 		}
 	}

@@ -76,17 +76,18 @@ func TestSeries(t *testing.T) {
 	if (s.Final() != Point{}) {
 		t.Error("empty Final should be zero")
 	}
-	s.Add(Point{Step: 0, Recall: 0.1})
-	s.Add(Point{Step: 10, Recall: 0.5, Scans: 1})
-	s.Add(Point{Step: 20, Recall: 0.95, Scans: 2})
+	s.Add(Point{Step: 0, Recall: 0.1, Precision: 1})
+	s.Add(Point{Step: 10, Recall: 0.5, Precision: 0.9, Scans: 1})
+	s.Add(Point{Step: 20, Recall: 0.95, Precision: 0.8, Scans: 2})
+	s.Add(Point{Step: 30, Recall: 0.95, Precision: 0.92, Scans: 3})
 	p, ok := s.FirstReach(0.9)
-	if !ok || p.Step != 20 {
+	if !ok || p.Step != 30 { // recall alone reached 0.9 at step 20
 		t.Errorf("FirstReach = %+v ok=%v", p, ok)
 	}
 	if _, ok := s.FirstReach(0.99); ok {
 		t.Error("FirstReach above max should fail")
 	}
-	if s.Final().Step != 20 {
+	if s.Final().Step != 30 {
 		t.Error("Final wrong")
 	}
 }
