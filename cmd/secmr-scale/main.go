@@ -1,36 +1,37 @@
-// Command secmr-scale measures mega-grid scale-out: n flyweight
-// majority voters on a Barabási–Albert spanning tree inside the
-// simulator, stepped by min(GOMAXPROCS, n) workers, reporting resources
-// vs. convergence steps vs. wall-clock vs. peak RSS. The output is a
+// Command secmr-scale measures how the paper's Majority-Rule miner
+// scales out: each point builds Figure 3's single-itemset vote
+// (experiments.VoteGrid, 25 votes per resource at significance 0.03)
+// on n resources through the facade, with AlgorithmPlain, the hash
+// partition, the BA overlay and the parallel engine stepped by
+// min(GOMAXPROCS, n) workers, and reports resources vs. steps to
+// quiescence vs. wall-clock vs. peak RSS. The output is a
 // benchjson-compatible JSON array, so `benchjson -diff BENCH_scale.json
 // new.json` gates regressions in CI.
 //
-//	secmr-scale -n 1600,16000,100000,1000000 -o BENCH_scale.json
+//	secmr-scale -n 1600,16000,50000,100000 -o BENCH_scale.json
 //
 // Set GOMAXPROCS to run at another width; the width used is reported
 // per point as the "workers" metric.
 //
-// Every run is checked, not just timed: after quiescence each voter's
-// decision must equal the ground-truth global majority, or the tool
-// exits non-zero. Peak RSS is the process high-water mark (VmHWM), so
-// run points in ascending size order (the default) — each point's
-// value reflects the largest grid run so far, which is the number that
-// matters for "does a 1M-resource grid fit".
+// Every run is checked, not just timed: at quiescence each resource's
+// output must equal the grid's ground truth, or the tool exits
+// non-zero. Peak RSS is the process high-water mark (VmHWM), so run
+// points in ascending size order (the default) — each point's value
+// reflects the largest grid run so far.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
+	"secmr"
 	"secmr/internal/benchfmt"
-	"secmr/internal/majority"
-	"secmr/internal/sim"
-	"secmr/internal/topology"
+	"secmr/internal/experiments"
 )
 
 // result is the shared benchmark-summary schema (internal/benchfmt):
@@ -38,10 +39,16 @@ import (
 // BENCH_*.json artifact.
 type result = benchfmt.Result
 
+// The vote every point runs: votes per resource and its significance.
+const (
+	localVotes   = 25
+	significance = 0.03
+)
+
 func main() {
 	var (
-		sizes    = flag.String("n", "1600,16000,100000,1000000", "comma-separated resource counts")
-		seed     = flag.Int64("seed", 1, "seed (topology, votes and engine)")
+		sizes    = flag.String("n", "1600,16000,50000,100000", "comma-separated resource counts")
+		seed     = flag.Int64("seed", 1, "seed (partition, overlay and engine)")
 		maxSteps = flag.Int("maxsteps", 100000, "step budget per point")
 		out      = flag.String("o", "", "output file (default stdout)")
 	)
@@ -70,44 +77,34 @@ func main() {
 	}
 }
 
-// runPoint builds the n-resource grid, runs it to quiescence and
-// verifies every voter agrees with the ground truth.
+// runPoint builds the n-resource vote grid, steps it until every sent
+// message is delivered (no faults are set, so none is dropped) and
+// verifies every resource's output against the ground truth.
 func runPoint(n int, seed int64, maxSteps int) (result, error) {
-	rng := rand.New(rand.NewSource(seed))
-	delays := topology.DelayRange{Min: 1, Max: 5}
-	tree := topology.BarabasiAlbert(n, 2, delays, rng).SpanningTree(0)
-
-	// Votes: ~60% positive against λ = 1/2, so the global majority is
-	// true but individual nodes disagree locally.
-	nodes := make([]sim.Node, n)
-	voters := make([]*majority.Node, n)
-	var globalSum, globalCnt int64
-	for i := 0; i < n; i++ {
-		cnt := int64(20 + rng.Intn(10))
-		sum := int64(float64(cnt) * (0.4 + 0.4*rng.Float64()))
-		globalSum += sum
-		globalCnt += cnt
-		v := majority.NewNode(1, 2, sum, cnt)
-		voters[i] = v
-		nodes[i] = v
+	g, err := experiments.VoteGrid(secmr.GridConfig{
+		Algorithm: secmr.AlgorithmPlain, Resources: n, Seed: seed,
+	}, localVotes, significance)
+	if err != nil {
+		return result{}, err
 	}
-	want := 2*globalSum-globalCnt >= 0
-
-	e := sim.NewParallelEngine(tree, nodes, seed)
+	defer g.Close()
 	start := time.Now()
-	steps, ok := e.Quiesce(maxSteps)
-	wall := time.Since(start)
-	if !ok {
-		return result{}, fmt.Errorf("n=%d: still %d messages pending after %d steps", n, e.Pending(), maxSteps)
-	}
-	agree := 0
-	for _, v := range voters {
-		if v.Decision() == want {
-			agree++
+	var st secmr.GridStats
+	for g.Steps() == 0 || st.EngineSent != st.EngineDelivered {
+		if g.Steps() == maxSteps {
+			return result{}, fmt.Errorf("n=%d: still %d messages pending after %d steps",
+				n, st.EngineSent-st.EngineDelivered, maxSteps)
 		}
+		g.Step(1)
+		st = g.Stats()
 	}
-	if agree != n {
-		return result{}, fmt.Errorf("n=%d: only %d/%d voters agree with the global majority", n, agree, n)
+	wall := time.Since(start)
+	truth := g.Truth()
+	for i := range n {
+		if out := g.Output(i); len(out) != len(truth) || out.IntersectCount(truth) != len(truth) {
+			return result{}, fmt.Errorf("n=%d: resource %d outputs %d rules at quiescence, %d of them right, want the %d of the truth",
+				n, i, len(out), out.IntersectCount(truth), len(truth))
+		}
 	}
 
 	return result{
@@ -116,10 +113,10 @@ func runPoint(n int, seed int64, maxSteps int) (result, error) {
 		Iters:   1,
 		NsPerOp: float64(wall.Nanoseconds()),
 		Metrics: map[string]float64{
-			"steps":       float64(steps),
+			"steps":       float64(g.Steps()),
 			"peak-rss-mb": peakRSSMB(),
-			"messages":    float64(e.Stats().Sent),
-			"workers":     float64(e.Workers()),
+			"messages":    float64(st.MessagesSent),
+			"workers":     float64(min(runtime.GOMAXPROCS(0), n)),
 		},
 	}, nil
 }

@@ -680,15 +680,6 @@ func sortedIntKeys[V any](m map[int]V) []int {
 	return keys
 }
 
-func sortedStrKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // sortedSymKeys sorts a symbol-keyed map by the interned *strings*:
 // symbol numbering depends on process-wide interning order, so only
 // the string order is deterministic across runs.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -160,8 +161,13 @@ func TestFigure3LocalityShape(t *testing.T) {
 	if err := RenderFigure3(&buf, pts, fig3Counts, fig3Sigs); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "resources") {
+	out := buf.String()
+	if !strings.Contains(out, "resources") {
 		t.Fatal("render missing header")
+	}
+	// Step counts are integers and print as such.
+	if row := fmt.Sprintf("%-12d %14d %14d %14d\n", 64, 0, 10, 10); !strings.Contains(out, row) {
+		t.Fatalf("render missing row %q:\n%s", row, out)
 	}
 }
 
@@ -224,6 +230,29 @@ func TestFigure4MonotoneShape(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "steps-to-90%") {
 		t.Fatal("render missing header")
+	}
+}
+
+// TestVoteGridTieIsFrequent: at significance 0 exactly half the votes
+// are {1}, so Δ = 0, which counts as "≥ λ" for the ground truth and for
+// every Majority-Rule resource once the vote is quiescent.
+func TestVoteGridTieIsFrequent(t *testing.T) {
+	g, err := VoteGrid(secmr.GridConfig{Algorithm: secmr.AlgorithmPlain, Resources: 16, Seed: 3}, 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st secmr.GridStats
+	for g.Steps() == 0 || st.EngineSent != st.EngineDelivered {
+		g.Step(1)
+		st = g.Stats()
+	}
+	if len(g.Truth()) != 1 {
+		t.Fatalf("truth %v, want the tied rule {} ⇒ {1}", g.Truth())
+	}
+	for i := range 16 {
+		if out := g.Output(i); len(out) != 1 || out.IntersectCount(g.Truth()) != 1 {
+			t.Fatalf("resource %d outputs %v at step %d, want the tied rule", i, out, g.Steps())
+		}
 	}
 }
 

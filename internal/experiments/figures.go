@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"secmr"
 	"secmr/internal/arm"
@@ -106,18 +107,20 @@ func Figure3(sc Scale, resourceCounts []int, significances []float64, paillierBi
 	return out, nil
 }
 
-// singleItemsetRun builds the paper's "special case of a single
-// itemset" on n secure resources through the facade and runs it for
-// MaxSteps. The global database holds n·LocalDB votes, round(p·N) of
-// them the transaction {1} and the rest empty, p = λ·(1+sig), so the
-// global vote lands at the requested significance and {1} is the only
-// candidate. The positive votes are spread evenly in index order (a
-// block of them first would make every resource's first scans vote
-// "frequent"), and the facade hash-partitions them as §6 does, so each
-// resource's local vote is a sample around the global one.
-func singleItemsetRun(sc Scale, n int, sig float64, paillierBits int) (Figure3Point, error) {
+// VoteGrid builds the paper's "special case of a single itemset" (§6.2)
+// through the facade on cfg.Resources resources with localDB votes
+// each. The global database holds N = Resources·localDB votes,
+// round(p·N) of them the transaction {1} and the rest empty,
+// p = λ·(1+sig) with λ = 1/2, so the global vote lands at the requested
+// significance and {1} is the only candidate. The positive votes are
+// spread evenly in index order (a block of them first would make every
+// resource's first scans vote "frequent"), and the facade
+// hash-partitions them as §6 does, so each resource's local vote is a
+// sample around the global one. cfg supplies the algorithm and the
+// protocol knobs; the thresholds, rule cap and growth are the vote's.
+func VoteGrid(cfg secmr.GridConfig, localDB int, sig float64) (*secmr.Grid, error) {
 	const lambda = 0.5
-	total := n * sc.LocalDB
+	total := cfg.Resources * localDB
 	pos := int(min(lambda*(1+sig), 1)*float64(total) + 0.5)
 	one := arm.NewItemset(1)
 	db := &arm.Database{Tx: make([]arm.Transaction, total)}
@@ -126,14 +129,21 @@ func singleItemsetRun(sc Scale, n int, sig float64, paillierBits int) (Figure3Po
 			db.Tx[j] = one
 		}
 	}
-	cfg := gridConfig(secmr.AlgorithmSecure, sc, paillierBits)
-	cfg.Resources, cfg.GrowthPerStep = n, 0
+	cfg.GrowthPerStep = 0
 	cfg.MinFreq, cfg.MinConf, cfg.MaxRuleItems = lambda, 0.99, 1
-	g, err := secmr.NewGrid(db, cfg)
+	return secmr.NewGrid(db, cfg)
+}
+
+// singleItemsetRun runs Figure 3's vote (VoteGrid) on n secure
+// resources for MaxSteps.
+func singleItemsetRun(sc Scale, n int, sig float64, paillierBits int) (Figure3Point, error) {
+	cfg := gridConfig(secmr.AlgorithmSecure, sc, paillierBits)
+	cfg.Resources = n
+	g, err := VoteGrid(cfg, sc.LocalDB, sig)
 	if err != nil {
 		return Figure3Point{}, err
 	}
-	target := arm.NewRule(nil, one, arm.ThresholdFreq)
+	target := arm.NewRule(nil, arm.NewItemset(1), arm.ThresholdFreq)
 	want := g.Truth().Has(target)
 	pt := Figure3Point{Resources: n, Significance: sig}
 	for step := 0; step <= sc.MaxSteps; step += sc.SampleEvery {
@@ -160,24 +170,30 @@ func singleItemsetRun(sc Scale, n int, sig float64, paillierBits int) (Figure3Po
 }
 
 // RenderFigure3 prints the scalability table: rows = resource counts,
-// columns = significance levels.
+// columns = significance levels, cells = steps to 90%.
 func RenderFigure3(w io.Writer, pts []Figure3Point, resourceCounts []int, sigs []float64) error {
-	t := &metrics.Table{XLabel: "resources"}
-	for _, s := range sigs {
-		t.Columns = append(t.Columns, fmt.Sprintf("sig=%.2f", s))
+	type key struct {
+		n int
+		s float64
 	}
-	byKey := map[string]Figure3Point{}
+	steps := map[key]int{}
 	for _, p := range pts {
-		byKey[fmt.Sprintf("%d/%.3f", p.Resources, p.Significance)] = p
+		steps[key{p.Resources, p.Significance}] = p.StepsTo90
+	}
+	var b strings.Builder
+	b.WriteString("resources   ")
+	for _, s := range sigs {
+		fmt.Fprintf(&b, " %14s", fmt.Sprintf("sig=%.2f", s))
 	}
 	for _, n := range resourceCounts {
-		row := []float64{float64(n)}
+		fmt.Fprintf(&b, "\n%-12d", n)
 		for _, s := range sigs {
-			row = append(row, float64(byKey[fmt.Sprintf("%d/%.3f", n, s)].StepsTo90))
+			fmt.Fprintf(&b, " %14d", steps[key{n, s}])
 		}
-		t.Rows = append(t.Rows, row)
 	}
-	return t.Render(w)
+	b.WriteByte('\n')
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // RenderMessageComplexity prints the communication-locality table:

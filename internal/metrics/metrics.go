@@ -120,43 +120,6 @@ func csvEscape(s string) string {
 	return s
 }
 
-// Table renders rows of (x, value-per-column) as a fixed-width text
-// table — the harness's human-readable figure output.
-type Table struct {
-	XLabel  string
-	Columns []string
-	Rows    [][]float64 // Rows[i][0] is x; Rows[i][1+j] is Columns[j]
-}
-
-// Render writes the table, one Write call per line (so line-oriented
-// sinks like testing.B logs keep rows intact).
-func (t *Table) Render(w io.Writer) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s", t.XLabel)
-	for _, c := range t.Columns {
-		fmt.Fprintf(&b, " %14s", c)
-	}
-	b.WriteByte('\n')
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if len(row) == 0 {
-			continue
-		}
-		b.Reset()
-		fmt.Fprintf(&b, "%-14.4g", row[0])
-		for _, v := range row[1:] {
-			fmt.Fprintf(&b, " %14.4f", v)
-		}
-		b.WriteByte('\n')
-		if _, err := io.WriteString(w, b.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // sparkTicks are the eight block-element levels of a sparkline.
 var sparkTicks = []rune("▁▂▃▄▅▆▇█")
 

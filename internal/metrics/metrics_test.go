@@ -111,24 +111,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestTableRender(t *testing.T) {
-	tab := &Table{
-		XLabel:  "n",
-		Columns: []string{"a", "b"},
-		Rows:    [][]float64{{10, 1.5, 2.5}, {20, 3, 4}, {}},
-	}
-	var buf bytes.Buffer
-	if err := tab.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"n", "a", "b", "10", "1.5000", "4.0000"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	if Sparkline(nil) != "" {
 		t.Fatal("empty input should render empty")

@@ -1,130 +1,16 @@
 package netgrid
 
 import (
-	"bytes"
 	"crypto/rand"
-	"encoding/gob"
-	mrand "math/rand"
-	"sync"
 	"testing"
 	"time"
 
 	"secmr/internal/arm"
 	"secmr/internal/core"
 	"secmr/internal/homo"
-	"secmr/internal/majority"
 	"secmr/internal/oblivious"
 	"secmr/internal/paillier"
-	"secmr/internal/topology"
 )
-
-// tcpVoter hosts a majority.Instance behind a netgrid node.
-type tcpVoter struct {
-	mu   sync.Mutex
-	inst *majority.Instance
-	node *Node
-}
-
-func (v *tcpVoter) flush(out []majority.Outgoing) {
-	for _, o := range out {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(majority.Msg{Sum: o.Sum, Count: o.Count}); err != nil {
-			panic(err)
-		}
-		if err := v.node.Send(o.To, buf.Bytes()); err != nil {
-			panic(err)
-		}
-	}
-}
-
-func (v *tcpVoter) handle(from int, frame []byte) {
-	var m majority.Msg
-	if err := gob.NewDecoder(bytes.NewReader(frame)).Decode(&m); err != nil {
-		return
-	}
-	v.mu.Lock()
-	out := v.inst.OnReceive(from, m.Sum, m.Count)
-	v.mu.Unlock()
-	v.flush(out)
-}
-
-func (v *tcpVoter) decision() bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.inst.Decision()
-}
-
-func TestMajorityVoteOverTCP(t *testing.T) {
-	const n = 9
-	rng := mrand.New(mrand.NewSource(5))
-	tree := topology.RandomTree(n, topology.DelayRange{Min: 1, Max: 1}, rng)
-
-	voters := make([]*tcpVoter, n)
-	var globalSum, globalCnt int64
-	for i := 0; i < n; i++ {
-		v := &tcpVoter{inst: majority.NewInstance(1, 2)}
-		node, err := Start(i, v.handle, authOpt(i, Options{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		v.node = node
-		voters[i] = v
-		defer node.Close()
-	}
-	// Wire the tree: each node dials its lower-id neighbors.
-	for i := 0; i < n; i++ {
-		peers := map[int]string{}
-		for _, w := range tree.Neighbors(i) {
-			if w < i {
-				peers[w] = voters[w].node.Addr()
-			}
-		}
-		if err := voters[i].node.Connect(peers); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Barrier: every node must see all its tree neighbours connected
-	// (inbound dials register asynchronously).
-	for i := 0; i < n; i++ {
-		if !voters[i].node.WaitFor(tree.Neighbors(i), 10*time.Second) {
-			t.Fatalf("node %d never saw all neighbours", i)
-		}
-	}
-	// Cast votes: 70% positive overall.
-	for i, v := range voters {
-		cnt := int64(20 + i)
-		sum := int64(float64(cnt) * 0.7)
-		globalSum += sum
-		globalCnt += cnt
-		v.mu.Lock()
-		var out []majority.Outgoing
-		for _, w := range tree.Neighbors(i) {
-			out = append(out, v.inst.AddNeighbor(w)...)
-		}
-		out = append(out, v.inst.SetLocalVote(sum, cnt)...)
-		v.mu.Unlock()
-		v.flush(out)
-	}
-	want := 2*globalSum-globalCnt >= 0
-
-	deadline := time.After(15 * time.Second)
-	for {
-		agree := 0
-		for _, v := range voters {
-			if v.decision() == want {
-				agree++
-			}
-		}
-		if agree == n {
-			return // success
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("only %d/%d nodes agree after 15s", agree, n)
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-}
 
 func TestSecureMessageCodecOverTCP(t *testing.T) {
 	scheme, err := paillier.GenerateKey(rand.Reader, 128)
