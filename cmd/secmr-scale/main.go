@@ -32,6 +32,7 @@ import (
 	"secmr"
 	"secmr/internal/benchfmt"
 	"secmr/internal/experiments"
+	"secmr/internal/obs"
 )
 
 // result is the shared benchmark-summary schema (internal/benchfmt):
@@ -114,33 +115,9 @@ func runPoint(n int, seed int64, maxSteps int) (result, error) {
 		NsPerOp: float64(wall.Nanoseconds()),
 		Metrics: map[string]float64{
 			"steps":       float64(g.Steps()),
-			"peak-rss-mb": peakRSSMB(),
+			"peak-rss-mb": obs.ProcStatusMB("VmHWM:"),
 			"messages":    float64(st.MessagesSent),
 			"workers":     float64(min(runtime.GOMAXPROCS(0), n)),
 		},
 	}, nil
-}
-
-// peakRSSMB reads the process peak resident set (VmHWM) from
-// /proc/self/status; 0 when unavailable (non-Linux).
-func peakRSSMB() float64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseFloat(f[1], 64)
-		if err != nil {
-			return 0
-		}
-		return kb / 1024
-	}
-	return 0
 }

@@ -41,6 +41,7 @@ import (
 	"secmr"
 	"secmr/internal/metrics"
 	"secmr/internal/obs"
+	"secmr/internal/quest"
 )
 
 func main() {
@@ -101,17 +102,15 @@ func main() {
 
 	// Build the synthetic global database: the preset fixes the T/I
 	// shape; -items/-patterns rescale the universe for small runs.
-	params := secmr.QuestParams{NumTransactions: *resources * *local, Seed: *seed,
-		NumItems: *items, NumPatterns: *patterns}
-	switch *preset {
-	case "T5I2":
-		params.AvgTransLen, params.AvgPatternLen = 5, 2
-	case "T10I4":
-		params.AvgTransLen, params.AvgPatternLen = 10, 4
-	case "T20I6":
-		params.AvgTransLen, params.AvgPatternLen = 20, 6
-	default:
-		fatal(fmt.Errorf("unknown preset %q (want T5I2, T10I4 or T20I6)", *preset))
+	params, err := quest.Preset(*preset, *resources**local, *seed)
+	if err != nil {
+		fatal(err)
+	}
+	if *items > 0 {
+		params.NumItems = *items
+	}
+	if *patterns > 0 {
+		params.NumPatterns = *patterns
 	}
 	db := secmr.GenerateQuestWith(params)
 

@@ -19,12 +19,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"secmr"
+	"secmr/internal/obs"
 	"secmr/internal/quest"
 	"secmr/internal/service"
 	"secmr/internal/store"
@@ -107,7 +106,7 @@ func run(addr, storeDir string, cfg service.Config, seedPreset string, seedTxns,
 		st.Close()
 		return err
 	}
-	registerProcessMetrics(sink)
+	obs.RegisterProcessGauges(sink.Registry())
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -141,42 +140,4 @@ func storeDesc(dir string) string {
 		return "memory"
 	}
 	return dir
-}
-
-// registerProcessMetrics exposes the process resident set on /metrics
-// so load generators can record memory alongside throughput without
-// shelling into the host.
-func registerProcessMetrics(sink *secmr.Telemetry) {
-	reg := sink.Registry()
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("process_rss_mb", "Current resident set (VmRSS), MiB.",
-		func() float64 { return procStatusMB("VmRSS:") })
-	reg.GaugeFunc("process_peak_rss_mb", "Peak resident set (VmHWM), MiB.",
-		func() float64 { return procStatusMB("VmHWM:") })
-}
-
-// procStatusMB reads one kB-valued field from /proc/self/status; 0
-// when unavailable (non-Linux).
-func procStatusMB(prefix string) float64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, prefix) {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return 0
-		}
-		return kb / 1024
-	}
-	return 0
 }

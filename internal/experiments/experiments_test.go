@@ -92,6 +92,11 @@ func TestFigure2ShapeHolds(t *testing.T) {
 	if !strings.Contains(buf.String(), "T10I4") {
 		t.Fatal("render missing database name")
 	}
+	// The run stops at the first 90/90 sample, so the header must not
+	// call its recall and precision final.
+	if !strings.Contains(buf.String(), "recall@stop") || !strings.Contains(buf.String(), "prec@stop") {
+		t.Fatalf("render header does not name the stop sample:\n%s", buf.String())
+	}
 }
 
 // fig3Counts and fig3Sigs are the tiny-scale Figure 3 sweep that

@@ -22,7 +22,9 @@ type Figure2Row struct {
 	// recall and precision have already reached 90%"). NaN-like -1
 	// when never reached.
 	ScansTo90 float64
-	// FinalRecall/FinalPrecision at the end of the run.
+	// FinalRecall/FinalPrecision are read at the stop sample, the
+	// series' last: the first sample where recall and precision both
+	// reach 90%, where the run stops, or MaxSteps when none does.
 	FinalRecall, FinalPrecision float64
 }
 
@@ -54,7 +56,7 @@ func Figure2(sc Scale, paillierBits int) ([]Figure2Row, error) {
 // recall sparkline per curve.
 func RenderFigure2(w io.Writer, rows []Figure2Row) error {
 	if _, err := fmt.Fprintf(w, "%-8s %-14s %14s %14s %14s  %s\n",
-		"db", "algorithm", "scans-to-90%", "final recall", "final prec", "recall curve"); err != nil {
+		"db", "algorithm", "scans-to-90%", "recall@stop", "prec@stop", "recall curve"); err != nil {
 		return err
 	}
 	for _, r := range rows {

@@ -115,9 +115,9 @@ func eventLess(a, b obs.Event) bool {
 	}
 }
 
-// SortedKeys returns the transmission identities in deterministic
+// sortedKeys returns the transmission identities in deterministic
 // order.
-func (d *DAG) SortedKeys() []MsgKey {
+func (d *DAG) sortedKeys() []MsgKey {
 	keys := make([]MsgKey, 0, len(d.ByKey))
 	for k := range d.ByKey {
 		keys = append(keys, k)
@@ -203,7 +203,7 @@ func (d *DAG) Losses(grace int64) *LossReport {
 		grace = 8
 	}
 	rep := &LossReport{}
-	for _, key := range d.SortedKeys() {
+	for _, key := range d.sortedKeys() {
 		m := d.ByKey[key]
 		if len(m.Sends) == 0 && len(m.Delivers) == 0 && len(m.Drops) == 0 {
 			continue

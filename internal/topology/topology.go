@@ -2,8 +2,8 @@
 // simulator runs on. The paper uses the BRITE topology generator with
 // the Barabási–Albert model ([4], [5]); we implement the BA
 // preferential-attachment process directly, a Waxman generator for
-// comparison, and the regular topologies (ring, grid, star, line,
-// complete, random tree) useful for protocol tests.
+// comparison, a random tree and a line — the four overlays the grid
+// offers — plus the ring and star the simulator's tests run on.
 //
 // The paper assumes "an underlying mechanism maintains a communication
 // tree that spans all the resources"; SpanningTree extracts a BFS tree
@@ -30,10 +30,9 @@ import (
 // anything the generators produce.
 type Graph struct {
 	N   int
-	adj [][]int      // adjacency lists, insertion order
-	dly [][]int      // dly[u][i] = delay of edge (u, adj[u][i])
-	m   int          // edge count
-	pos [][2]float64 // optional node coordinates (Waxman)
+	adj [][]int // adjacency lists, insertion order
+	dly [][]int // dly[u][i] = delay of edge (u, adj[u][i])
+	m   int     // edge count
 }
 
 // NewGraph returns an empty graph with n nodes.
@@ -169,43 +168,6 @@ func (g *Graph) SpanningTree(root int) *Graph {
 	return t
 }
 
-// Diameter returns the hop-count diameter (ignoring delays) via BFS
-// from every node. O(N·E); intended for analysis, not hot paths.
-func (g *Graph) Diameter() int {
-	max := 0
-	dist := make([]int, g.N)
-	for s := 0; s < g.N; s++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.adj[u] {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					if dist[v] > max {
-						max = dist[v]
-					}
-					queue = append(queue, v)
-				}
-			}
-		}
-	}
-	return max
-}
-
-// DegreeHistogram returns counts[d] = number of nodes with degree d.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := map[int]int{}
-	for u := 0; u < g.N; u++ {
-		h[len(g.adj[u])]++
-	}
-	return h
-}
-
 // DelayRange configures random per-link propagation delays.
 type DelayRange struct {
 	Min, Max int // inclusive bounds, in simulation ticks
@@ -223,34 +185,19 @@ func (d DelayRange) draw(rng *rand.Rand) int {
 // existing nodes chosen proportionally to their degree — the model
 // BRITE implements and the paper's topologies follow ([4]).
 func BarabasiAlbert(n, m int, delays DelayRange, rng *rand.Rand) *Graph {
-	g := NewGraph(n)
-	BarabasiAlbertStream(n, m, delays, rng, func(u, v, delay int) {
-		g.AddEdge(u, v, delay)
-	})
-	return g
-}
-
-// BarabasiAlbertStream runs the same preferential-attachment process as
-// BarabasiAlbert but hands each edge to emit instead of materializing a
-// Graph — cmd/topogen uses it to write million-node topologies straight
-// to disk. The process never produces duplicate edges (each new node's
-// targets are distinct and the node itself is fresh), so emit sees each
-// undirected edge exactly once with u > v for attachment edges. The rng
-// consumption order is identical to BarabasiAlbert's, so both produce
-// the same graph for the same seed.
-func BarabasiAlbertStream(n, m int, delays DelayRange, rng *rand.Rand, emit func(u, v, delay int)) {
 	if m < 1 {
 		panic("topology: BA requires m >= 1")
 	}
 	if n < m+1 {
 		panic("topology: BA requires n > m")
 	}
+	g := NewGraph(n)
 	// repeated holds one entry per edge endpoint, so sampling uniformly
 	// from it is degree-proportional sampling.
 	repeated := make([]int, 0, 2*((m-1)+(n-m)*m))
 	// Core: path over the first m nodes (connected, minimal bias).
 	for i := 1; i < m; i++ {
-		emit(i-1, i, delays.draw(rng))
+		g.AddEdge(i-1, i, delays.draw(rng))
 		repeated = append(repeated, i-1, i)
 	}
 	if m == 1 {
@@ -281,10 +228,11 @@ func BarabasiAlbertStream(n, m int, delays DelayRange, rng *rand.Rand, emit func
 			}
 		}
 		for _, v := range targets {
-			emit(u, v, delays.draw(rng))
+			g.AddEdge(u, v, delays.draw(rng))
 			repeated = append(repeated, u, v)
 		}
 	}
+	return g
 }
 
 // Waxman places nodes uniformly in the unit square and connects u,v
@@ -293,14 +241,14 @@ func BarabasiAlbertStream(n, m int, delays DelayRange, rng *rand.Rand, emit func
 // stitching components along nearest pairs afterwards.
 func Waxman(n int, alpha, beta float64, delays DelayRange, rng *rand.Rand) *Graph {
 	g := NewGraph(n)
-	g.pos = make([][2]float64, n)
-	for i := range g.pos {
-		g.pos[i] = [2]float64{rng.Float64(), rng.Float64()}
+	pos := make([][2]float64, n)
+	for i := range pos {
+		pos[i] = [2]float64{rng.Float64(), rng.Float64()}
 	}
 	maxD := math.Sqrt2
 	dist := func(a, b int) float64 {
-		dx := g.pos[a][0] - g.pos[b][0]
-		dy := g.pos[a][1] - g.pos[b][1]
+		dx := pos[a][0] - pos[b][0]
+		dy := pos[a][1] - pos[b][1]
 		return math.Hypot(dx, dy)
 	}
 	for u := 0; u < n; u++ {
@@ -374,34 +322,6 @@ func Star(n int, delays DelayRange, rng *rand.Rand) *Graph {
 	g := NewGraph(n)
 	for i := 1; i < n; i++ {
 		g.AddEdge(0, i, delays.draw(rng))
-	}
-	return g
-}
-
-// Complete returns K_n.
-func Complete(n int, delays DelayRange, rng *rand.Rand) *Graph {
-	g := NewGraph(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			g.AddEdge(u, v, delays.draw(rng))
-		}
-	}
-	return g
-}
-
-// Grid returns a rows×cols mesh.
-func Grid(rows, cols int, delays DelayRange, rng *rand.Rand) *Graph {
-	g := NewGraph(rows * cols)
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				g.AddEdge(id(r, c), id(r, c+1), delays.draw(rng))
-			}
-			if r+1 < rows {
-				g.AddEdge(id(r, c), id(r+1, c), delays.draw(rng))
-			}
-		}
 	}
 	return g
 }

@@ -1,9 +1,10 @@
 package topology
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -54,24 +55,25 @@ func TestRegularTopologies(t *testing.T) {
 		name      string
 		g         *Graph
 		edges     int
-		diameter  int
-		connected bool
+		maxDegree int
 	}{
-		{"ring8", Ring(8, unit, rng), 8, 4, true},
-		{"line5", Line(5, unit, rng), 4, 4, true},
-		{"star6", Star(6, unit, rng), 5, 2, true},
-		{"k5", Complete(5, unit, rng), 10, 1, true},
-		{"grid3x4", Grid(3, 4, unit, rng), 17, 5, true},
+		{"ring8", Ring(8, unit, rng), 8, 2},
+		{"line5", Line(5, unit, rng), 4, 2},
+		{"star6", Star(6, unit, rng), 5, 5},
 	}
 	for _, c := range cases {
 		if c.g.NumEdges() != c.edges {
 			t.Errorf("%s: edges %d want %d", c.name, c.g.NumEdges(), c.edges)
 		}
-		if c.g.IsConnected() != c.connected {
-			t.Errorf("%s: connectivity", c.name)
+		if !c.g.IsConnected() {
+			t.Errorf("%s: disconnected", c.name)
 		}
-		if d := c.g.Diameter(); d != c.diameter {
-			t.Errorf("%s: diameter %d want %d", c.name, d, c.diameter)
+		maxDeg := 0
+		for u := 0; u < c.g.N; u++ {
+			maxDeg = max(maxDeg, c.g.Degree(u))
+		}
+		if maxDeg != c.maxDegree {
+			t.Errorf("%s: max degree %d want %d", c.name, maxDeg, c.maxDegree)
 		}
 	}
 }
@@ -108,6 +110,29 @@ func TestBarabasiAlbertProperties(t *testing.T) {
 	}
 	mustPanic(t, func() { BarabasiAlbert(3, 0, unit, rng) })
 	mustPanic(t, func() { BarabasiAlbert(2, 2, unit, rng) })
+}
+
+// TestBarabasiAlbertGolden pins the BA generator's output byte for
+// byte: every facade grid, the benchmark's wiring parity and the figure
+// goldens run on this overlay, so a change to the rng draw order or the
+// edge insertion order must show up here first.
+func TestBarabasiAlbertGolden(t *testing.T) {
+	const (
+		wantEdges = 3997
+		wantSHA   = "bbf8274ae713cb1d850a4c3db3296ef7a93717674a4dbe5d26ba346598612758"
+	)
+	g := BarabasiAlbert(2000, 2, DelayRange{1, 3}, rand.New(rand.NewSource(1)))
+	edges := g.Edges()
+	h := sha256.New()
+	for _, e := range edges {
+		fmt.Fprintf(h, "%d %d %d\n", e.U, e.V, e.Delay)
+	}
+	if len(edges) != wantEdges {
+		t.Fatalf("edges = %d, want %d", len(edges), wantEdges)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantSHA {
+		t.Fatalf("edge digest = %s, want %s", got, wantSHA)
+	}
 }
 
 func TestBarabasiAlbertHubBias(t *testing.T) {
@@ -180,14 +205,6 @@ func TestRandomTreeIsTree(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := Star(5, unit, rand.New(rand.NewSource(7)))
-	h := g.DegreeHistogram()
-	if h[4] != 1 || h[1] != 4 {
-		t.Fatalf("histogram %v", h)
-	}
-}
-
 func TestComponents(t *testing.T) {
 	g := NewGraph(5)
 	g.AddEdge(0, 1, 1)
@@ -205,133 +222,9 @@ func TestEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestHierarchicalStructure(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	intra := DelayRange{Min: 1, Max: 2}
-	inter := DelayRange{Min: 5, Max: 9}
-	g := Hierarchical(8, 16, 2, intra, inter, rng)
-	if g.N != 128 {
-		t.Fatalf("nodes = %d", g.N)
-	}
-	if !g.IsConnected() {
-		t.Fatal("hierarchical graph disconnected")
-	}
-	// Intra-AS edges must carry intra delays; inter-AS edges inter
-	// delays.
-	intraEdges, interEdges := 0, 0
-	for _, e := range g.Edges() {
-		sameAS := ASOf(e.U, 16) == ASOf(e.V, 16)
-		if sameAS {
-			intraEdges++
-			if e.Delay < intra.Min || e.Delay > intra.Max {
-				t.Fatalf("intra edge (%d,%d) has delay %d", e.U, e.V, e.Delay)
-			}
-		} else {
-			interEdges++
-			if e.Delay < inter.Min || e.Delay > inter.Max {
-				t.Fatalf("inter edge (%d,%d) has delay %d", e.U, e.V, e.Delay)
-			}
-		}
-	}
-	if intraEdges == 0 || interEdges == 0 {
-		t.Fatalf("edge mix wrong: intra=%d inter=%d", intraEdges, interEdges)
-	}
-	// AS-level BA(m=2) on 8 domains: at least 7 inter-domain edges
-	// (spanning), typically 1+(8-2)·2 = 13 abstract edges (border-router
-	// collisions may merge a few).
-	if interEdges < 7 {
-		t.Fatalf("too few inter-AS edges: %d", interEdges)
-	}
-}
-
-func TestHierarchicalDegenerateSizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	d := DelayRange{Min: 1, Max: 1}
-	cases := []struct{ as, routers int }{
-		{1, 1}, {1, 10}, {2, 1}, {3, 2}, {2, 3}, {12, 1},
-	}
-	for _, c := range cases {
-		g := Hierarchical(c.as, c.routers, 2, d, d, rng)
-		if g.N != c.as*c.routers {
-			t.Fatalf("AS=%d routers=%d: nodes=%d", c.as, c.routers, g.N)
-		}
-		if !g.IsConnected() {
-			t.Fatalf("AS=%d routers=%d: disconnected", c.as, c.routers)
-		}
-	}
-	mustPanic(t, func() { Hierarchical(0, 1, 2, d, d, rng) })
-}
-
-func TestASOf(t *testing.T) {
-	if ASOf(0, 16) != 0 || ASOf(15, 16) != 0 || ASOf(16, 16) != 1 || ASOf(47, 16) != 2 {
-		t.Fatal("ASOf mapping wrong")
-	}
-}
-
 func BenchmarkBarabasiAlbert2000(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < b.N; i++ {
 		BarabasiAlbert(2000, 2, DelayRange{1, 5}, rng)
-	}
-}
-
-func TestGraphIORoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := BarabasiAlbert(60, 2, DelayRange{Min: 1, Max: 7}, rng)
-	var buf bytes.Buffer
-	if err := WriteGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N != g.N || back.NumEdges() != g.NumEdges() {
-		t.Fatalf("shape: %d/%d vs %d/%d", back.N, back.NumEdges(), g.N, g.NumEdges())
-	}
-	for _, e := range g.Edges() {
-		if !back.HasEdge(e.U, e.V) || back.Delay(e.U, e.V) != e.Delay {
-			t.Fatalf("edge (%d,%d,%d) lost", e.U, e.V, e.Delay)
-		}
-	}
-}
-
-func TestReadGraphHeaderless(t *testing.T) {
-	in := "0 1 2\n# a comment\n1 3 4\n\n"
-	g, err := ReadGraph(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N != 4 || g.NumEdges() != 2 || g.Delay(1, 3) != 4 {
-		t.Fatalf("parsed %d nodes %d edges", g.N, g.NumEdges())
-	}
-}
-
-func TestReadGraphErrors(t *testing.T) {
-	cases := []string{
-		"0 1\n",              // missing delay
-		"x y z\n",            // garbage
-		"-1 2 3\n",           // negative id
-		"# nodes 2\n0 5 1\n", // beyond declared count
-	}
-	for _, in := range cases {
-		if _, err := ReadGraph(strings.NewReader(in)); err == nil {
-			t.Errorf("input %q accepted", in)
-		}
-	}
-}
-
-func TestWriteGraphDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	g := RandomTree(20, DelayRange{Min: 1, Max: 3}, rng)
-	var a, b bytes.Buffer
-	if err := WriteGraph(&a, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteGraph(&b, g); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("nondeterministic serialization")
 	}
 }
