@@ -188,7 +188,9 @@ func main() {
 		scans := float64(s) * float64(*budget) / float64(*local)
 		fmt.Printf("%-10d %-10.2f %-10.3f %-10.3f\n", s, scans, rec, prec)
 		series.Add(metrics.Point{Step: int64(s), Scans: scans, Recall: rec, Precision: prec})
-		if rec >= 0.99 && prec >= 0.99 {
+		// Stop at the last sample -steps reaches: no step runs past it, so
+		// the final line reads the state the table ends on.
+		if rec >= 0.99 && prec >= 0.99 || s+*sample > *steps {
 			break
 		}
 		// The facade processes evictions — and cuts flight-recorder

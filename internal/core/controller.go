@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"slices"
 
 	"secmr/internal/arm"
 	"secmr/internal/homo"
@@ -78,19 +79,17 @@ type Controller struct {
 	// verified and trip their replay detection. See internal/persist.
 	clockLease   int64
 	onClockLease func(upTo int64)
-	// seen is T̃: the last verified timestamp per (rule, slot). Rules
-	// are keyed by interned symbol throughout the controller — an
+	// seen is the per-rule verification record: T̃ (the last verified
+	// timestamp per slot) and the last full counter that passed verify.
+	// Rules are keyed by interned symbol throughout the controller — an
 	// integer compare instead of a string hash on every SFE, and no
 	// fmt.Sprintf composite keys on the hot path.
-	seen map[intern.Sym][]int64
+	seen map[intern.Sym]*ruleSeen
 
 	// Per-(rule,edge) send-decision gate state.
 	sendGates map[sendGateKey]*gateState
 	// Per-rule output gate state (Algorithm 1's Output()).
 	outGates map[intern.Sym]*gateState
-
-	// last is the one full counter verify need not check again.
-	last verifiedCounter
 
 	// pendingReport is the detection raised by the latest SFE, if any.
 	pendingReport *MaliciousReport
@@ -162,7 +161,7 @@ type gateState struct {
 func newController(id int, cfg Config, dec homo.Decryptor, enc homo.Encryptor, pub homo.Public) *Controller {
 	return &Controller{
 		id: id, cfg: cfg, dec: dec, enc: enc, pub: pub,
-		seen:      map[intern.Sym][]int64{},
+		seen:      map[intern.Sym]*ruleSeen{},
 		sendGates: map[sendGateKey]*gateState{},
 		outGates:  map[intern.Sym]*gateState{},
 		// Disabled telemetry by default; NewResource swaps in the
@@ -221,23 +220,31 @@ func (c *Controller) takeReport() (MaliciousReport, bool) {
 	return r, true
 }
 
-// verifiedCounter is a one-slot memo of the last full counter that
-// passed verify: its rule, value copies of its share, count, num and
-// stamp ciphertexts (in that order), and its decrypted count and num.
-// A broker sends the same full counter again for each dirty edge of a
-// candidate, and again on later steps while nothing changed. Equal
-// ciphertexts have equal plaintexts, and a stamp equal to the last one
-// verified passes the replay check, so a counter equal to the slot
-// field for field passes verify with these totals — skipping the
-// decrypts changes no answer, report, audit entry or statistic. The
-// copies are compared by value, never by pointer: the broker overwrites
-// its scratch counter in place. One slot, not one per rule: it is what
-// consecutive SFEs repeat, and a per-rule memo would hold a counter's
-// worth of ciphertexts for every candidate. Never snapshotted.
+// ruleSeen is the controller's record of one rule: T̃, the last
+// verified timestamp per stamp slot, and the memo of the last full
+// counter that passed verify for the rule.
+type ruleSeen struct {
+	stamps []int64
+	last   verifiedCounter
+}
+
+// verifiedCounter is the memo of the last full counter that passed
+// verify for one rule: value copies of its share, count, num and stamp
+// ciphertexts (in that order), and its decrypted count and num. A broker
+// sends the same full counter for each dirty edge of a candidate, again
+// to the candidate's Output SFE later in the same tick, and again on
+// later steps while nothing changed. Equal ciphertexts have equal
+// plaintexts, and a stamp equal to the last one verified for the rule
+// passes the replay check, so a counter equal to the memo field for field
+// passes verify with these totals — skipping the decrypts changes no
+// answer, report, audit entry or statistic. The copies are compared by
+// value, never by pointer: the broker overwrites its scratch counter in
+// place. They live in one slab reused in place: per field a header word
+// (word count << 1 | sign), then the field's words. An empty slab is no
+// memo. Never snapshotted.
 type verifiedCounter struct {
-	rule     intern.Sym // 0 (never issued by intern): empty
 	tag      uint64
-	vals     []big.Int
+	words    []big.Word
 	cnt, num int64
 }
 
@@ -254,60 +261,81 @@ func counterField(full *oblivious.Counter, i int) *homo.Ciphertext {
 	return full.Stamps[i-3]
 }
 
-// matches reports whether full, submitted for rule, equals the slot.
-func (m *verifiedCounter) matches(rule intern.Sym, full *oblivious.Counter) bool {
-	if m.rule != rule || len(m.vals) != 3+len(full.Stamps) {
+// fieldHeader is a field's header word in the verifiedCounter slab.
+func fieldHeader(v *big.Int) big.Word {
+	h := big.Word(len(v.Bits())) << 1
+	if v.Sign() < 0 {
+		h |= 1
+	}
+	return h
+}
+
+// matches reports whether full equals the memo.
+func (m *verifiedCounter) matches(full *oblivious.Counter) bool {
+	w := m.words
+	if len(w) == 0 {
 		return false
 	}
-	for i := range m.vals {
-		if ct := counterField(full, i); ct.Tag != m.tag || ct.V.Cmp(&m.vals[i]) != 0 {
+	for i := 0; i < 3+len(full.Stamps); i++ {
+		ct := counterField(full, i)
+		if ct.Tag != m.tag || len(w) == 0 || w[0] != fieldHeader(ct.V) {
 			return false
 		}
+		// Equal headers: the slab holds as many words as bits.
+		bits := ct.V.Bits()
+		if !slices.Equal(w[1:1+len(bits)], bits) {
+			return false
+		}
+		w = w[1+len(bits):]
 	}
-	return true
+	return len(w) == 0
 }
 
 // store copies a counter that passed verify, with its totals, into the
-// slot.
-func (m *verifiedCounter) store(rule intern.Sym, full *oblivious.Counter, cnt, num int64) {
-	n := 3 + len(full.Stamps)
-	if cap(m.vals) < n {
-		m.vals = make([]big.Int, n)
+// memo.
+func (m *verifiedCounter) store(full *oblivious.Counter, cnt, num int64) {
+	w := m.words[:0]
+	for i := 0; i < 3+len(full.Stamps); i++ {
+		v := counterField(full, i).V
+		w = append(w, fieldHeader(v))
+		w = append(w, v.Bits()...)
 	}
-	m.vals = m.vals[:n]
-	for i := range m.vals {
-		m.vals[i].Set(counterField(full, i).V)
-	}
-	m.rule, m.tag, m.cnt, m.num = rule, full.Share.Tag, cnt, num
+	m.words, m.tag, m.cnt, m.num = w, full.Share.Tag, cnt, num
 }
+
+// drop empties the memo, keeping the slab for the next store.
+func (m *verifiedCounter) drop() { m.words = m.words[:0] }
 
 // verify checks the share and timestamp fields of a full-neighbourhood
 // counter (Algorithm 3's first two steps) and decrypts its count and num
 // totals. neighborAt maps stamp slots (≥1) back to resource IDs for
 // accusation; slot 0 is the accountant. Returns ok=false when a
 // violation was detected (and records the report). A counter equal to
-// the last one that passed is answered from the memo (verifiedCounter).
+// the last one that passed for the rule is answered from the rule's memo
+// (verifiedCounter).
 func (c *Controller) verify(rule intern.Sym, full *oblivious.Counter, neighborAt func(slot int) int) (cnt, num int64, ok bool) {
-	if c.last.matches(rule, full) {
-		return c.last.cnt, c.last.num, true
+	rs := c.seen[rule]
+	if rs != nil {
+		if rs.last.matches(full) {
+			return rs.last.cnt, rs.last.num, true
+		}
+		// A failing check below may already have advanced rs.stamps.
+		rs.last.drop()
 	}
-	// A failing check below may already have advanced seen[rule].
-	c.last.rule = 0
 	if c.plainOf(full.Share) != 1 {
 		c.stats.Violations++
 		c.pendingReport = c.attributeShare(rule, neighborAt)
 		return 0, 0, false
 	}
-	prev, found := c.seen[rule]
-	if !found {
-		prev = make([]int64, len(full.Stamps))
-		c.seen[rule] = prev
+	if rs == nil {
+		rs = &ruleSeen{stamps: make([]int64, len(full.Stamps))}
+		c.seen[rule] = rs
 	}
-	for len(prev) < len(full.Stamps) {
+	for len(rs.stamps) < len(full.Stamps) {
 		// The stamp vector grew: a neighbour joined (new slot).
-		prev = append(prev, 0)
-		c.seen[rule] = prev
+		rs.stamps = append(rs.stamps, 0)
 	}
+	prev := rs.stamps
 	for slot, ct := range full.Stamps {
 		t := c.plainOf(ct)
 		if t < prev[slot] {
@@ -331,7 +359,7 @@ func (c *Controller) verify(rule intern.Sym, full *oblivious.Counter, neighborAt
 		prev[slot] = t
 	}
 	cnt, num = c.plainOf(full.Count), c.plainOf(full.Num)
-	c.last.store(rule, full, cnt, num)
+	rs.last.store(full, cnt, num)
 	return cnt, num, true
 }
 
@@ -378,18 +406,18 @@ func (c *Controller) attributeShare(rule intern.Sym, neighborAt func(int) int) *
 
 // remapSeen permutes every verified-timestamp vector into a new slot
 // geometry after an eviction; perm[newSlot] = oldSlot (built by the
-// broker from the accountant's positional re-slotting). The verified
+// broker from the accountant's positional re-slotting). Every verified
 // memo belongs to the old geometry and is dropped.
 func (c *Controller) remapSeen(perm []int) {
-	c.last.rule = 0
-	for rule, prev := range c.seen {
+	for _, rs := range c.seen {
 		next := make([]int64, len(perm))
 		for ns, os := range perm {
-			if os < len(prev) {
-				next[ns] = prev[os]
+			if os < len(rs.stamps) {
+				next[ns] = rs.stamps[os]
 			}
 		}
-		c.seen[rule] = next
+		rs.stamps = next
+		rs.last.drop()
 	}
 }
 
@@ -414,7 +442,9 @@ func (c *Controller) dropEdgeGates(v int) {
 // a rebase marker is appended so offline admissibility checks split
 // their per-stream chains at the boundary.
 func (c *Controller) rebaseGates() {
-	c.last.rule = 0
+	for _, rs := range c.seen {
+		rs.last.drop()
+	}
 	for _, g := range c.sendGates {
 		g.Gate = arm.Gate{}
 	}

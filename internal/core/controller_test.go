@@ -8,6 +8,7 @@ import (
 	"secmr/internal/homo"
 	"secmr/internal/intern"
 	"secmr/internal/oblivious"
+	"secmr/internal/shamir"
 )
 
 // mkController builds a controller over the plain scheme with k.
@@ -292,7 +293,7 @@ func TestVerifiedCounterFieldChangeTakesFullPath(t *testing.T) {
 		if n := first(10+i, &c); n != 5 {
 			t.Fatalf("field %d re-encrypted: %d decrypts, want the full 5", i, n)
 		}
-		// Back to base: the slot now holds c, so base is new again.
+		// Back to base: the memo now holds c, so base is new again.
 		if n := first(20+i, base); n != 5 {
 			t.Fatalf("base after field %d: %d decrypts, want 5", i, n)
 		}
@@ -300,44 +301,129 @@ func TestVerifiedCounterFieldChangeTakesFullPath(t *testing.T) {
 }
 
 // TestVerifiedCounterReplayStillCaught: an older counter submitted after
-// a newer one misses the memo and raises the stale-stamp report.
+// a newer one misses the memo and raises the stale-stamp report, also
+// when an SFE on another rule came in between: that controller raises
+// the report and violation count of one without it.
 func TestVerifiedCounterReplayStillCaught(t *testing.T) {
-	ctl, s, _ := mkCountingController(1)
-	rng := mrand.New(mrand.NewSource(7))
-	blind := func() *homo.Ciphertext { return oblivious.Blind(s, s.EncryptInt(1), 8, rng) }
-	old := counter(s, 1, 5, 2, 1, 1, 5)
-	newer := counter(s, 2, 9, 2, 1, 1, 6)
-	for _, full := range []*oblivious.Counter{old, old, newer} {
-		if _, ok := ctl.OutputDecision(intern.S("r"), full, blind(), neighborAt); !ok {
-			t.Fatal("honest counter rejected")
+	a, b := intern.S("a"), intern.S("b")
+	run := func(intervene bool) (MaliciousReport, ControllerStats) {
+		ctl, s, _ := mkCountingController(1)
+		rng := mrand.New(mrand.NewSource(7))
+		blind := func() *homo.Ciphertext { return oblivious.Blind(s, s.EncryptInt(1), 8, rng) }
+		old := counter(s, 1, 5, 2, 1, 1, 5)
+		newer := counter(s, 2, 9, 2, 1, 1, 6)
+		for _, full := range []*oblivious.Counter{old, old, newer} {
+			if _, ok := ctl.OutputDecision(a, full, blind(), neighborAt); !ok {
+				t.Fatal("honest counter rejected")
+			}
 		}
+		if intervene {
+			if _, ok := ctl.OutputDecision(b, counter(s, 3, 7, 2, 1, 1, 4), blind(), neighborAt); !ok {
+				t.Fatal("honest counter on b rejected")
+			}
+		}
+		if _, ok := ctl.OutputDecision(a, old, blind(), neighborAt); ok {
+			t.Fatalf("replayed counter accepted (b in between: %v)", intervene)
+		}
+		rep, bad := ctl.takeReport()
+		if !bad {
+			t.Fatalf("no report (b in between: %v)", intervene)
+		}
+		return rep, ctl.Stats()
 	}
-	if _, ok := ctl.OutputDecision(intern.S("r"), old, blind(), neighborAt); ok {
-		t.Fatal("replayed counter accepted")
+	want, wantSt := run(false)
+	if want.Accused != neighborAt(1) || wantSt.Violations != 1 {
+		t.Fatalf("replay report %+v, violations %d", want, wantSt.Violations)
 	}
-	rep, bad := ctl.takeReport()
-	if !bad || rep.Accused != neighborAt(1) || ctl.Stats().Violations != 1 {
-		t.Fatalf("replay report %+v (raised %v), violations %d", rep, bad, ctl.Stats().Violations)
+	if rep, st := run(true); rep != want || st.Violations != wantSt.Violations {
+		t.Fatalf("with b in between: report %+v, violations %d; without: %+v, %d", rep, st.Violations, want, wantSt.Violations)
+	}
+}
+
+// TestVerifiedCounterOutputAfterOtherRule: the memo is one entry per
+// rule, so another candidate's send SFE between a rule's send SFE and its
+// Output SFE (the order of a broker's tick) leaves the rule's entry in
+// place. The Output SFE on the unchanged counter decrypts only its blinded
+// sign, and answers as a fresh evaluation.
+func TestVerifiedCounterOutputAfterOtherRule(t *testing.T) {
+	ctl, s, dec := mkCountingController(2)
+	rng := mrand.New(mrand.NewSource(8))
+	blind := func(v int64) *homo.Ciphertext { return oblivious.Blind(s, s.EncryptInt(v), 8, rng) }
+	a, b := intern.S("a"), intern.S("b")
+	fullA := counter(s, 4, 10, 3, 1, 2, 7)
+	fullB := counter(s, 6, 12, 4, 1, 3, 8)
+	if _, ok := ctl.SendDecision(a, 7, fullA, blind(5), blind(3), false, neighborAt); !ok {
+		t.Fatal("send SFE on a: verification failed")
+	}
+	if _, ok := ctl.SendDecision(b, 7, fullB, blind(5), blind(3), false, neighborAt); !ok {
+		t.Fatal("send SFE on b: verification failed")
+	}
+	var correct, ok bool
+	n := decrypts(dec, func() { correct, ok = ctl.OutputDecision(a, fullA, blind(5), neighborAt) })
+	if !ok || !correct {
+		t.Fatalf("output SFE on a: correct=%v ok=%v, want a fresh true", correct, ok)
+	}
+	if n != 1 {
+		t.Fatalf("output SFE on a's unchanged counter: %d decrypts, want the 1 blinded sign", n)
+	}
+	if st := ctl.Stats(); st.SFEs != 3 || st.FreshDecisions != 3 || st.Violations != 0 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 
 // TestVerifiedCounterClearedOnEvict: an eviction re-slots every stamp
-// vector and re-anchors the gates, so the memo must not survive it.
+// vector and re-anchors the gates, so no rule's memo may survive it.
 func TestVerifiedCounterClearedOnEvict(t *testing.T) {
 	e, resources, _ := buildSecureGrid(t, homo.NewPlain(96), 4, 1, 3, nil, nil)
 	e.Run(30)
+	memos := func(c *Controller) (n int) {
+		for _, rs := range c.seen {
+			if len(rs.last.words) > 0 {
+				n++
+			}
+		}
+		return n
+	}
 	for _, r := range resources {
 		if len(r.Broker.neighbors) < 2 {
 			continue
 		}
-		if r.Broker.ctl.last.rule == 0 {
-			t.Fatalf("resource %d: no verified counter after 30 steps", r.ID)
+		if memos(r.Broker.ctl) < 2 {
+			t.Fatalf("resource %d: %d rules with a verified counter after 30 steps, want several", r.ID, memos(r.Broker.ctl))
 		}
 		r.Broker.onNeighborEvict(r.Broker.neighbors[0])
-		if r.Broker.ctl.last.rule != 0 {
-			t.Fatalf("resource %d: verified counter survived an eviction", r.ID)
+		if n := memos(r.Broker.ctl); n != 0 {
+			t.Fatalf("resource %d: %d verified counters survived an eviction", r.ID, n)
 		}
 		return
 	}
 	t.Fatal("no resource with two neighbours")
+}
+
+// TestSecureStepDecryptCount pins the exact number of decrypts a seeded
+// grid's controllers make over a fixed run, beside its SFE count: a
+// verification the memo should have answered shows up here as a
+// deterministic count, not as benchmark noise. The grid runs on Shamir,
+// whose adds are deterministic, so a broker's full counter repeats field
+// for field while its inputs stand, as under Paillier; Plain draws a
+// fresh nonce per op and would never repeat one. The run is serial
+// (sim.NewEngine) and the protocol draws no randomness from the scheme,
+// so which counters repeat is fixed by the seed.
+func TestSecureStepDecryptCount(t *testing.T) {
+	const (
+		steps        = 200
+		wantSFEs     = 38177
+		wantDecrypts = 135745
+	)
+	dec := &countingDec{Scheme: shamir.MustNew(shamir.Params{K: 2, N: 5, W: 1})}
+	e, resources, _ := buildSecureGrid(t, dec, 6, 2, 1, nil, nil)
+	e.Run(steps)
+	var sfes int64
+	for _, r := range resources {
+		sfes += r.Controller.Stats().SFEs
+	}
+	t.Logf("%d steps: %d SFEs, %d decrypts", steps, sfes, dec.n)
+	if sfes != wantSFEs || dec.n != wantDecrypts {
+		t.Fatalf("%d steps: %d SFEs and %d decrypts, want %d and %d", steps, sfes, dec.n, wantSFEs, wantDecrypts)
+	}
 }

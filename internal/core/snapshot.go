@@ -282,7 +282,7 @@ func (r *Resource) EncodeState() []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(c.seen)))
 	for _, rule := range sortedSymKeys(c.seen) {
 		dst = appendString(dst, intern.Str(rule))
-		stamps := c.seen[rule]
+		stamps := c.seen[rule].stamps
 		dst = binary.AppendUvarint(dst, uint64(len(stamps)))
 		for _, t := range stamps {
 			dst = binary.AppendVarint(dst, t)
@@ -488,7 +488,7 @@ func RestoreResource(id int, cfg Config, scheme homo.Scheme, state []byte) (*Res
 		for j, m := 0, rd.count(); j < m; j++ {
 			stamps = append(stamps, rd.int64())
 		}
-		c.seen[intern.S(rule)] = stamps
+		c.seen[intern.S(rule)] = &ruleSeen{stamps: stamps}
 	}
 	var err error
 	if c.sendGates, err = readSendGates(rd); err != nil {
