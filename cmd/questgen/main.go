@@ -39,6 +39,18 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		// The preset fixes -T/-I only: universe, pattern-table and
+		// correlation flags still apply when given explicitly.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "items":
+				params.NumItems = *items
+			case "patterns":
+				params.NumPatterns = *patterns
+			case "corr":
+				params.Correlation = *corr
+			}
+		})
 	} else {
 		params = quest.Params{
 			NumTransactions: *n, AvgTransLen: *avgT, AvgPatternLen: *avgI,

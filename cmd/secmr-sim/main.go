@@ -99,6 +99,9 @@ func main() {
 		flightDir  = flag.String("flight-dir", "", "black-box flight recorder directory: dump trace+metrics+watchdog state there on stalls, evictions and recoveries (readable with secmr-trace flight)")
 	)
 	flag.Parse()
+	if *sample < 1 {
+		fatal(fmt.Errorf("-sample must be at least 1, got %d", *sample))
+	}
 
 	// Build the synthetic global database: the preset fixes the T/I
 	// shape; -items/-patterns rescale the universe for small runs.

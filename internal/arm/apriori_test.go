@@ -59,29 +59,56 @@ func TestMinSupportRounding(t *testing.T) {
 }
 
 func TestAprioriAgainstBruteForceProperty(t *testing.T) {
+	type input struct {
+		db      *Database
+		minFreq float64
+	}
+	var inputs []input
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		db := &Database{}
-		nTx := 5 + rng.Intn(30)
+		nTx := 10 + rng.Intn(150)
+		nItems := 4 + rng.Intn(11)
 		for i := 0; i < nTx; i++ {
-			tx := make([]Item, 1+rng.Intn(5))
+			tx := make([]Item, 1+rng.Intn(7))
 			for j := range tx {
-				tx[j] = Item(rng.Intn(8))
+				tx[j] = Item(rng.Intn(nItems))
 			}
 			db.Append(NewItemset(tx...))
 		}
-		minFreq := 0.1 + 0.4*rng.Float64()
-		fast := Apriori(db, minFreq)
-		slow := BruteForceFrequent(db, minFreq)
-		if len(fast.Support) != len(slow.Support) {
-			t.Fatalf("trial %d (minFreq=%.3f): apriori %d sets, brute force %d",
-				trial, minFreq, len(fast.Support), len(slow.Support))
+		inputs = append(inputs, input{db, 0.05 + 0.4*rng.Float64()})
+	}
+	// Every transaction sharing a long prefix: all 2^6−1 subsets of
+	// {1..6} have support 20 ≥ ceil(0.9·21) = 19.
+	deep := &Database{}
+	for i := 0; i < 20; i++ {
+		deep.Append(NewItemset(1, 2, 3, 4, 5, 6))
+	}
+	deep.Append(NewItemset(1, 2, 3))
+	inputs = append(inputs, input{deep, 0.9})
+
+	for trial, in := range inputs {
+		fast := Apriori(in.db, in.minFreq)
+		slow := BruteForceFrequent(in.db, in.minFreq)
+		if len(fast.Support) != len(slow.Support) || len(fast.Sets) != len(slow.Sets) {
+			t.Fatalf("trial %d (minFreq=%.3f): apriori %d sets/%d supports, brute force %d/%d",
+				trial, in.minFreq, len(fast.Sets), len(fast.Support), len(slow.Sets), len(slow.Support))
 		}
 		for k, v := range slow.Support {
 			if fast.Support[k] != v {
 				t.Fatalf("trial %d: support[%s]=%d want %d", trial, k, fast.Support[k], v)
 			}
 		}
+		for i := range slow.Sets {
+			if !fast.Sets[i].Equal(slow.Sets[i]) {
+				t.Fatalf("trial %d: set order differs at %d: %v vs %v",
+					trial, i, fast.Sets[i], slow.Sets[i])
+			}
+		}
+	}
+	if f := Apriori(deep, 0.9); len(f.Sets) != 63 || f.Support["1,2,3"] != 21 {
+		t.Fatalf("deep prefix: %d sets, support(1,2,3)=%d; want 63 and 21",
+			len(f.Sets), f.Support["1,2,3"])
 	}
 }
 

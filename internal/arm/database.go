@@ -42,11 +42,6 @@ func (db *Database) Absorb(f Feed, n int) {
 	}
 }
 
-// Slice returns a view database over transactions [lo, hi).
-func (db *Database) Slice(lo, hi int) *Database {
-	return &Database{Tx: db.Tx[lo:hi]}
-}
-
 // Clone deep-copies the database.
 func (db *Database) Clone() *Database {
 	out := &Database{Tx: make([]Transaction, len(db.Tx))}

@@ -71,15 +71,14 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestAppendAndSlice(t *testing.T) {
+func TestAppend(t *testing.T) {
 	db := NewDatabase(NewItemset(1))
 	db.Append(NewItemset(2), NewItemset(3))
 	if db.Len() != 3 {
 		t.Fatalf("len = %d", db.Len())
 	}
-	s := db.Slice(1, 3)
-	if s.Len() != 2 || !s.Tx[0].Equal(NewItemset(2)) {
-		t.Fatal("slice view wrong")
+	if !db.Tx[1].Equal(NewItemset(2)) || !db.Tx[2].Equal(NewItemset(3)) {
+		t.Fatalf("appended in the wrong order: %v", db.Tx)
 	}
 }
 

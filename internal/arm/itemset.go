@@ -6,7 +6,6 @@
 package arm
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -171,23 +170,6 @@ func (s Itemset) AppendKey(dst []byte) []byte {
 		dst = strconv.AppendInt(dst, int64(it), 10)
 	}
 	return dst
-}
-
-// ParseItemset inverts Key.
-func ParseItemset(key string) (Itemset, error) {
-	if key == "" {
-		return Itemset{}, nil
-	}
-	parts := strings.Split(key, ",")
-	out := make(Itemset, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("arm: bad itemset key %q: %w", key, err)
-		}
-		out = append(out, Item(v))
-	}
-	return NewItemset(out...), nil
 }
 
 // String renders the itemset as "{1 5 9}".

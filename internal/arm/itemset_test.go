@@ -3,7 +3,6 @@ package arm
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewItemsetCanonical(t *testing.T) {
@@ -58,31 +57,6 @@ func TestUnionIntersectWithout(t *testing.T) {
 	}
 	if !a.Disjoint(NewItemset(2, 4)) || a.Disjoint(b) {
 		t.Error("disjoint misbehaved")
-	}
-}
-
-func TestKeyParseRoundTrip(t *testing.T) {
-	f := func(raw []int16) bool {
-		items := make([]Item, len(raw))
-		for i, v := range raw {
-			items[i] = Item(v)
-		}
-		s := NewItemset(items...)
-		back, err := ParseItemset(s.Key())
-		return err == nil && back.Equal(s)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestParseItemsetErrors(t *testing.T) {
-	if _, err := ParseItemset("1,x,3"); err == nil {
-		t.Error("expected parse error")
-	}
-	s, err := ParseItemset("")
-	if err != nil || len(s) != 0 {
-		t.Error("empty key should parse to empty itemset")
 	}
 }
 

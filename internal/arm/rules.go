@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Threshold identifies which global threshold a candidate rule's
@@ -64,36 +63,6 @@ func (r Rule) String() string {
 
 // Union returns LHS ∪ RHS.
 func (r Rule) Union() Itemset { return r.LHS.Union(r.RHS) }
-
-// ParseRuleKey inverts Key.
-func ParseRuleKey(key string) (Rule, error) {
-	body, kindStr, ok := strings.Cut(key, "|")
-	if !ok {
-		return Rule{}, fmt.Errorf("arm: bad rule key %q", key)
-	}
-	l, rr, ok := strings.Cut(body, ">")
-	if !ok {
-		return Rule{}, fmt.Errorf("arm: bad rule key %q", key)
-	}
-	lhs, err := ParseItemset(l)
-	if err != nil {
-		return Rule{}, err
-	}
-	rhs, err := ParseItemset(rr)
-	if err != nil {
-		return Rule{}, err
-	}
-	var kind Threshold
-	switch kindStr {
-	case "freq":
-		kind = ThresholdFreq
-	case "conf":
-		kind = ThresholdConf
-	default:
-		return Rule{}, fmt.Errorf("arm: bad rule kind %q", kindStr)
-	}
-	return Rule{LHS: lhs, RHS: rhs, Kind: kind}, nil
-}
 
 // RuleCount is a rule with its counts over one resource's local
 // database: Count transactions contain the LHS (every transaction, for

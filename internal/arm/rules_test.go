@@ -5,28 +5,6 @@ import (
 	"testing"
 )
 
-func TestRuleKeyRoundTrip(t *testing.T) {
-	rules := []Rule{
-		NewRule(nil, NewItemset(3), ThresholdFreq),
-		NewRule(NewItemset(1, 2), NewItemset(3), ThresholdConf),
-		NewRule(NewItemset(5), NewItemset(1, 9), ThresholdConf),
-	}
-	for _, r := range rules {
-		back, err := ParseRuleKey(r.Key())
-		if err != nil {
-			t.Fatalf("parse %q: %v", r.Key(), err)
-		}
-		if back.Key() != r.Key() {
-			t.Errorf("round trip: %q -> %q", r.Key(), back.Key())
-		}
-	}
-	for _, bad := range []string{"nokind", "a>b|bogus", "nobody|freq"} {
-		if _, err := ParseRuleKey(bad); err == nil {
-			t.Errorf("ParseRuleKey(%q) should fail", bad)
-		}
-	}
-}
-
 func TestRuleSetOps(t *testing.T) {
 	r1 := NewRule(nil, NewItemset(1), ThresholdFreq)
 	r2 := NewRule(nil, NewItemset(2), ThresholdFreq)

@@ -9,14 +9,12 @@ import (
 	"secmr/internal/arm"
 )
 
+// rs builds a RuleSet keyed by the given rule keys; RecallPrecision
+// compares keys only, so the rules themselves stay zero.
 func rs(keys ...string) arm.RuleSet {
 	out := arm.RuleSet{}
 	for _, k := range keys {
-		r, err := arm.ParseRuleKey(k)
-		if err != nil {
-			panic(err)
-		}
-		out.Add(r)
+		out[k] = arm.Rule{}
 	}
 	return out
 }
